@@ -49,7 +49,6 @@ from .orthopoly import (
 from .transforms import (
     JacobiExpansion,
     JacobiFactorial,
-    LegendreExpansion,
     OrthogonalSeriesMap,
     UltraScaled,
     apply_transform,

@@ -25,9 +25,10 @@ from .errors import (
     SingularSystemError,
 )
 from .orthopoly import gauss_jacobi_rule
-from .polycore import Poly, RootReport, basis_to_monomial, classify_roots, poly_eval, poly_roots
+from .polycore import (Poly, RootReport, basis_to_monomial, check_params, classify_roots,
+                       poly_eval, poly_roots)
 from .precision import DOUBLE, PrecisionPolicy
-from .signreg import CustomKernel, Domain
+from .signreg import CustomKernel, Domain, UltraDerivedKernel, minor_scale
 from .transforms import ultra_transform
 
 MAX_MOMENT_POWER = 30
@@ -139,8 +140,7 @@ def biorthogonal_poly(
         raise BadParameterError(f"moment matrix must be {m}x{m + 1}")
     square = moments[:, :m]
     det = np.linalg.det(square) if m > 1 else square[0, 0]
-    scale = float(np.prod(np.max(np.abs(square), axis=1)))
-    if abs(det) <= policy.tau_det * max(scale, 1e-300):
+    if abs(det) <= policy.tau_det * max(minor_scale(square), 1e-300):
         raise SingularSystemError(
             f"regularity determinant {det:g} below threshold at nodes {nodes}"
         )
@@ -191,18 +191,14 @@ def _cached_gauss_rule(alpha: float, count: int):
     return gauss_jacobi_rule(count, alpha, alpha)
 
 
-def _derived_kernel_values(x: np.ndarray, t: float, alpha: float) -> np.ndarray:
-    q = 1.0 - 2.0 * x * t + t * t
-    return (2.0 * alpha + 1.0) * (1.0 - t * t) * q ** (-alpha - 1.5)
-
-
 def _weighted_moment_block(nodes, alpha: float, powers: int, count: int) -> np.ndarray:
     """[integral of x^k (1-x^2)^alpha K(x, t_l) dx] via the weighted Gauss rule."""
     x, w = _cached_gauss_rule(alpha, count)
+    kernel = UltraDerivedKernel(alpha)
     xpow = x[None, :] ** np.arange(powers)[:, None]
     out = np.zeros((len(nodes), powers))
     for l, t in enumerate(nodes):
-        kv = _derived_kernel_values(x, t, alpha) * w
+        kv = kernel.evaluate(x, t) * w
         out[l, :] = xpow @ kv
     return out
 
@@ -237,8 +233,7 @@ def transform_equivalence_check(
 
     Requires f to have distinct real roots strictly inside (-1, 1).
     """
-    if not alpha > -1.0:
-        raise BadParameterError(f"alpha must exceed -1, got {alpha}")
+    check_params(alpha=alpha)
     f = basis_to_monomial(f)
     n = f.degree
     if n == 0:
@@ -255,9 +250,9 @@ def transform_equivalence_check(
         raise BadNodesError("input roots must be pairwise distinct")
 
     moments = _weighted_moments(nodes, alpha, n + 1)
+    derived = UltraDerivedKernel(alpha)
     kernel = CustomKernel(
-        fn=lambda x, t: (1.0 - np.asarray(x, float) ** 2) ** alpha
-        * _derived_kernel_values(np.asarray(x, float), t, alpha),
+        fn=lambda x, t: (1.0 - np.asarray(x, float) ** 2) ** alpha * derived.evaluate(x, t),
         domain=Domain((-1.0, 1.0), (-1.0, 1.0)),
         label=f"weighted_ultra_derived(alpha={alpha:g})",
     )

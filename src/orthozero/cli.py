@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from mpmath.libmp import NoConvergence
+
 from .errors import OrthozeroError
 from .harness import (
     CampaignConfig,
@@ -194,6 +196,9 @@ def main(argv=None) -> int:
         return 2 if has_proven_violation(report) else 0
     except (OrthozeroError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except NoConvergence as exc:  # an mpmath iteration ran out of steps
+        sys.stderr.write(f"error: extended-precision iteration did not converge: {exc}\n")
         return 1
 
 

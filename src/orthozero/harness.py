@@ -8,9 +8,13 @@ null unless timing output is explicitly requested.
 The boundary-rooted family (x-1)^n (x+1)^m needs exact coefficient
 arithmetic: its transform images have roots at +-1 of high multiplicity,
 and float coefficients perturb those roots by roughly eps^(1/multiplicity),
-orders of magnitude beyond the campaign tolerances. Integer and dyadic
-parameters go through the exact-rational route with deflation at +-1;
-any residual factor is root-found at high precision.
+orders of magnitude beyond the campaign tolerances. Every float parameter
+is an exact binary rational, so all of them go through the exact-rational
+route with deflation at +-1; any residual factor is root-found at high
+precision.
+
+Each campaign is a sequence of case specs plus a per-case body; one loop
+(_run_cases) numbers, seeds, times and frames the cases of every campaign.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import datetime as _dt
 import io
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -33,6 +36,7 @@ from .polycore import (
     RootLocation,
     classify_roots,
     min_boundary_distance,
+    monic_from_roots,
     poly_roots,
 )
 from .precision import PrecisionPolicy, parse_precision
@@ -40,6 +44,7 @@ from .signreg import (
     JacobiGenKernel,
     UltraGenKernel,
     Verdict,
+    draw_separated,
     ssr_scan,
 )
 from .transforms import (
@@ -133,23 +138,34 @@ class CampaignReport:
         }
 
 
-def _finish(config: CampaignConfig, cases: list[dict], extra_summary: dict | None = None) -> CampaignReport:
+def _run_cases(config: CampaignConfig, specs, body) -> CampaignReport:
+    """The case loop shared by every campaign.
+
+    body(spec, rng, case_index) returns one case's fields. The loop numbers
+    the cases, gives each a generator seeded with (seed, case_index), times
+    the body, and frames its fields between case_index and wall_time_s (the
+    JSON writer keeps insertion order).
+    """
+    cases = []
+    for case_index, spec in enumerate(specs):
+        rng = np.random.default_rng((config.seed, case_index))
+        start = time.perf_counter()
+        case = {"case_index": case_index, **body(spec, rng, case_index)}
+        case["wall_time_s"] = time.perf_counter() - start
+        cases.append(case)
     passes = sum(1 for c in cases if c["outcome"] == "pass")
     violations = sum(1 for c in cases if c["outcome"] == "violation")
     indeterminates = sum(1 for c in cases if c["outcome"] == "indeterminate")
     assert passes + violations + indeterminates == len(cases)
-    summary = {
-        "cases": len(cases),
-        "passes": passes,
-        "violations": violations,
-        "indeterminates": indeterminates,
-    }
-    if extra_summary:
-        summary.update(extra_summary)
     return CampaignReport(
         config=config.echo(),
         cases=cases,
-        summary=summary,
+        summary={
+            "cases": len(cases),
+            "passes": passes,
+            "violations": violations,
+            "indeterminates": indeterminates,
+        },
         timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
 
@@ -181,7 +197,7 @@ def random_interior_roots(rng, degree: int, margin: float = ROOT_MARGIN) -> np.n
 
 
 def poly_from_roots(roots) -> Poly:
-    return Poly(tuple(np.poly(np.asarray(roots))[::-1]), MONOMIAL, tau_trim=0.0)
+    return Poly(tuple(monic_from_roots(roots)), MONOMIAL, tau_trim=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +218,7 @@ def boundary_family_roots(
     in Fraction arithmetic, roots at exactly +-1 are deflated, and any
     residual factor goes to high-precision root finding.
     """
-    coeffs = boundary_transform_exact(n, m, Fraction(alpha), Fraction(beta), factorial)
+    coeffs = boundary_transform_exact(n, m, alpha, beta, factorial)
     coeffs, mult_plus = deflate_exact_root(coeffs, 1)
     coeffs, mult_minus = deflate_exact_root(coeffs, -1)
     roots: list[complex] = [complex(1.0)] * mult_plus + [complex(-1.0)] * mult_minus
@@ -228,30 +244,25 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
     strictly inside (-1, 1)."""
     policy = config.policy
     tol = config.effective_tol
-    cases = []
-    case_index = 0
-    for alpha in config.alpha_grid:
-        for _ in range(config.trials):
-            rng = np.random.default_rng((config.seed, case_index))
-            t0 = time.perf_counter()
-            degree = int(rng.integers(1, config.deg_cap + 1))
-            f = poly_from_roots(random_interior_roots(rng, degree))
-            image = ultra_transform(f, alpha)
-            report = classify_roots(poly_roots(image, policy), (-1.0, 1.0), tol)
-            ok = report.classification is RootLocation.ALL_STRICTLY_INSIDE
-            cases.append({
-                "case_index": case_index,
-                "parameters": {"alpha": alpha},
-                "input": f"random_interior(degree={degree})",
-                "degree": degree,
-                "classification": report.classification.value,
-                "min_boundary_distance": min_boundary_distance(report.roots, (-1.0, 1.0)),
-                "proven": True,
-                "outcome": "pass" if ok else "violation",
-                "wall_time_s": time.perf_counter() - t0,
-            })
-            case_index += 1
-    return _finish(config, cases)
+
+    def case(alpha, rng, _):
+        degree = int(rng.integers(1, config.deg_cap + 1))
+        f = poly_from_roots(random_interior_roots(rng, degree))
+        image = ultra_transform(f, alpha)
+        report = classify_roots(poly_roots(image, policy), (-1.0, 1.0), tol)
+        ok = report.classification is RootLocation.ALL_STRICTLY_INSIDE
+        return {
+            "parameters": {"alpha": alpha},
+            "input": f"random_interior(degree={degree})",
+            "degree": degree,
+            "classification": report.classification.value,
+            "min_boundary_distance": min_boundary_distance(report.roots, (-1.0, 1.0)),
+            "proven": True,
+            "outcome": "pass" if ok else "violation",
+        }
+
+    return _run_cases(
+        config, (a for a in config.alpha_grid for _ in range(config.trials)), case)
 
 
 def _classify_closed(roots, tol: float) -> tuple[bool, RootLocation]:
@@ -275,65 +286,46 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
     """
     policy = config.policy
     tol = config.effective_tol
-    cases = []
-    case_index = 0
-    for alpha in config.alpha_grid:
-        for beta in config.beta_grid:
-            exploratory = not (
-                float(alpha).is_integer() and float(beta).is_integer()
-                and alpha >= 0 and beta >= 0
-            )
-            for n, m in boundary_pairs(config.deg_cap):
-                t0 = time.perf_counter()
-                roots, detail = boundary_family_roots(n, m, alpha, beta, False, policy)
-                in_closed, flag = _classify_closed(roots, tol)
-                cases.append({
-                    "case_index": case_index,
-                    "parameters": {"alpha": alpha, "beta": beta},
-                    "input": f"(x-1)^{n} (x+1)^{m}",
-                    "degree": n + m,
-                    "family": "boundary",
-                    "exploratory": exploratory,
-                    "classification": flag.value,
-                    "in_closed_interval": in_closed,
-                    "min_boundary_distance": min_boundary_distance(roots, (-1.0, 1.0)),
-                    "detail": detail,
-                    "proven": False,
-                    "outcome": "pass" if in_closed else "violation",
-                    "wall_time_s": time.perf_counter() - t0,
-                })
-                case_index += 1
-            for _ in range(config.trials):
-                rng = np.random.default_rng((config.seed, case_index))
-                t0 = time.perf_counter()
-                degree = int(rng.integers(1, 10))
-                f = poly_from_roots(random_interior_roots(rng, degree))
-                image = jacobi_transform(f, alpha, beta)
-                report = classify_roots(poly_roots(image, policy), (-1.0, 1.0), tol)
-                if report.classification is RootLocation.ALL_STRICTLY_INSIDE:
-                    outcome = "pass"
-                elif report.classification is RootLocation.SOME_ON_BOUNDARY:
-                    outcome = "indeterminate"
-                else:
-                    outcome = "violation"
-                cases.append({
-                    "case_index": case_index,
-                    "parameters": {"alpha": alpha, "beta": beta},
-                    "input": f"random_interior(degree={degree})",
-                    "degree": degree,
-                    "family": "random",
-                    "exploratory": exploratory,
-                    "classification": report.classification.value,
-                    "in_closed_interval": report.classification in (
-                        RootLocation.ALL_STRICTLY_INSIDE, RootLocation.SOME_ON_BOUNDARY),
-                    "min_boundary_distance": min_boundary_distance(report.roots, (-1.0, 1.0)),
-                    "detail": None,
-                    "proven": False,
-                    "outcome": outcome,
-                    "wall_time_s": time.perf_counter() - t0,
-                })
-                case_index += 1
-    return _finish(config, cases)
+
+    def case(spec, rng, _):
+        alpha, beta, pair = spec
+        if pair is not None:
+            n, m = pair
+            roots, detail = boundary_family_roots(n, m, alpha, beta, False, policy)
+            in_closed, flag = _classify_closed(roots, tol)
+            text, degree, family = f"(x-1)^{n} (x+1)^{m}", n + m, "boundary"
+            outcome = "pass" if in_closed else "violation"
+        else:
+            degree = int(rng.integers(1, 10))
+            f = poly_from_roots(random_interior_roots(rng, degree))
+            image = jacobi_transform(f, alpha, beta)
+            report = classify_roots(poly_roots(image, policy), (-1.0, 1.0), tol)
+            roots, detail, flag = report.roots, None, report.classification
+            text, family = f"random_interior(degree={degree})", "random"
+            in_closed = flag in (RootLocation.ALL_STRICTLY_INSIDE, RootLocation.SOME_ON_BOUNDARY)
+            outcome = ("pass" if flag is RootLocation.ALL_STRICTLY_INSIDE
+                       else "indeterminate" if flag is RootLocation.SOME_ON_BOUNDARY
+                       else "violation")
+        return {
+            "parameters": {"alpha": alpha, "beta": beta},
+            "input": text,
+            "degree": degree,
+            "family": family,
+            "exploratory": not (float(alpha).is_integer() and float(beta).is_integer()
+                                and alpha >= 0 and beta >= 0),
+            "classification": flag.value,
+            "in_closed_interval": in_closed,
+            "min_boundary_distance": min_boundary_distance(roots, (-1.0, 1.0)),
+            "detail": detail,
+            "proven": False,
+            "outcome": outcome,
+        }
+
+    pairs = boundary_pairs(config.deg_cap) + [None] * config.trials
+    return _run_cases(config, (
+        (alpha, beta, pair)
+        for alpha in config.alpha_grid for beta in config.beta_grid for pair in pairs
+    ), case)
 
 
 def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
@@ -342,38 +334,37 @@ def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
     gathering only, with per-parameter violation counts."""
     policy = config.policy
     tol = config.effective_tol
-    cases = []
+
+    def case(spec, rng, _):
+        alpha, beta, (n, m) = spec
+        roots, detail = boundary_family_roots(n, m, alpha, beta, True, policy)
+        max_imag = max((abs(r.imag) for r in roots), default=0.0)
+        real_rooted = max_imag <= tol
+        return {
+            "parameters": {"alpha": alpha, "beta": beta},
+            "input": f"(x-1)^{n} (x+1)^{m}",
+            "degree": n + m,
+            "family": "boundary",
+            "exploratory": alpha < 0 or beta < 0,
+            "classification": "real_rooted" if real_rooted else "some_non_real",
+            "max_imag": max_imag,
+            "min_boundary_distance": None,
+            "detail": detail,
+            "proven": False,
+            "outcome": "pass" if real_rooted else "violation",
+        }
+
+    pairs = boundary_pairs(config.deg_cap)
+    report = _run_cases(config, (
+        (alpha, beta, pair)
+        for alpha in config.alpha_grid for beta in config.beta_grid for pair in pairs
+    ), case)
     per_parameter: dict[str, int] = {}
-    case_index = 0
-    for alpha in config.alpha_grid:
-        for beta in config.beta_grid:
-            key = f"alpha={alpha:g},beta={beta:g}"
-            per_parameter[key] = 0
-            exploratory = alpha < 0 or beta < 0
-            for n, m in boundary_pairs(config.deg_cap):
-                t0 = time.perf_counter()
-                roots, detail = boundary_family_roots(n, m, alpha, beta, True, policy)
-                max_imag = max((abs(r.imag) for r in roots), default=0.0)
-                real_rooted = max_imag <= tol
-                if not real_rooted:
-                    per_parameter[key] += 1
-                cases.append({
-                    "case_index": case_index,
-                    "parameters": {"alpha": alpha, "beta": beta},
-                    "input": f"(x-1)^{n} (x+1)^{m}",
-                    "degree": n + m,
-                    "family": "boundary",
-                    "exploratory": exploratory,
-                    "classification": "real_rooted" if real_rooted else "some_non_real",
-                    "max_imag": max_imag,
-                    "min_boundary_distance": None,
-                    "detail": detail,
-                    "proven": False,
-                    "outcome": "pass" if real_rooted else "violation",
-                    "wall_time_s": time.perf_counter() - t0,
-                })
-                case_index += 1
-    return _finish(config, cases, {"per_parameter_violations": per_parameter})
+    for c in report.cases:
+        key = "alpha={alpha:g},beta={beta:g}".format(**c["parameters"])
+        per_parameter[key] = per_parameter.get(key, 0) + (c["outcome"] == "violation")
+    report.summary["per_parameter_violations"] = per_parameter
+    return report
 
 
 def run_ssr_explore(config: CampaignConfig) -> CampaignReport:
@@ -381,12 +372,9 @@ def run_ssr_explore(config: CampaignConfig) -> CampaignReport:
     beta grid (negative beta included) and the two-parameter kernel over
     the (alpha, beta) grid; inferred sign tables are recorded per order."""
     policy = config.policy
-    cases = []
-    case_index = 0
 
-    def scan_case(kernel, proven: bool):
-        nonlocal case_index
-        t0 = time.perf_counter()
+    def case(spec, rng, case_index):
+        kernel, proven = spec
         rep = ssr_scan(kernel, config.m_max, config.trials,
                        seed=config.seed + case_index, policy=policy)
         if rep.verdict is Verdict.VIOLATION_FOUND:
@@ -395,8 +383,7 @@ def run_ssr_explore(config: CampaignConfig) -> CampaignReport:
             outcome = "indeterminate"
         else:
             outcome = "pass"
-        cases.append({
-            "case_index": case_index,
+        return {
             "parameters": {"kernel": rep.kernel},
             "input": rep.kernel,
             "verdict": rep.verdict.value,
@@ -409,16 +396,12 @@ def run_ssr_explore(config: CampaignConfig) -> CampaignReport:
             "min_boundary_distance": None,
             "proven": proven,
             "outcome": outcome,
-            "wall_time_s": time.perf_counter() - t0,
-        })
-        case_index += 1
+        }
 
-    for beta in config.beta_grid:
-        scan_case(UltraGenKernel(beta=beta), proven=beta > 0)
-    for alpha in config.alpha_grid:
-        for beta in config.beta_grid:
-            scan_case(JacobiGenKernel(alpha=alpha, beta=beta), proven=False)
-    return _finish(config, cases)
+    specs = [(UltraGenKernel(beta=beta), beta > 0) for beta in config.beta_grid]
+    specs += [(JacobiGenKernel(alpha=alpha, beta=beta), False)
+              for alpha in config.alpha_grid for beta in config.beta_grid]
+    return _run_cases(config, specs, case)
 
 
 def run_biortho_equiv_campaign(config: CampaignConfig) -> CampaignReport:
@@ -428,47 +411,33 @@ def run_biortho_equiv_campaign(config: CampaignConfig) -> CampaignReport:
     policy = config.policy
     tol = config.effective_tol
     deg_cap = min(config.deg_cap, 6)
-    cases = []
-    case_index = 0
-    for alpha in config.alpha_grid:
-        for _ in range(config.trials):
-            rng = np.random.default_rng((config.seed, case_index))
-            t0 = time.perf_counter()
-            degree = int(rng.integers(1, deg_cap + 1))
-            roots = _separated_roots(rng, degree)
-            f = poly_from_roots(roots)
-            try:
-                deviation = transform_equivalence_check(f, alpha, policy)
-                outcome = "pass" if deviation <= tol else "violation"
-                detail = None
-            except SingularSystemError as exc:
-                # rare compounded node clusters trip the conservative
-                # regularity threshold; report instead of aborting the sweep
-                deviation = None
-                outcome = "indeterminate"
-                detail = str(exc)
-            cases.append({
-                "case_index": case_index,
-                "parameters": {"alpha": alpha},
-                "input": f"random_interior_distinct(degree={degree})",
-                "degree": degree,
-                "deviation": deviation,
-                "detail": detail,
-                "min_boundary_distance": None,
-                "proven": True,
-                "outcome": outcome,
-                "wall_time_s": time.perf_counter() - t0,
-            })
-            case_index += 1
-    return _finish(config, cases)
 
+    def case(alpha, rng, _):
+        degree = int(rng.integers(1, deg_cap + 1))
+        f = poly_from_roots(draw_separated(rng, -0.95, 0.95, degree, sep=0.05))
+        try:
+            deviation = transform_equivalence_check(f, alpha, policy)
+            outcome = "pass" if deviation <= tol else "violation"
+            detail = None
+        except SingularSystemError as exc:
+            # rare compounded node clusters trip the conservative
+            # regularity threshold; report instead of aborting the sweep
+            deviation = None
+            outcome = "indeterminate"
+            detail = str(exc)
+        return {
+            "parameters": {"alpha": alpha},
+            "input": f"random_interior_distinct(degree={degree})",
+            "degree": degree,
+            "deviation": deviation,
+            "detail": detail,
+            "min_boundary_distance": None,
+            "proven": True,
+            "outcome": outcome,
+        }
 
-def _separated_roots(rng, degree: int, margin: float = 0.95, sep: float = 0.05) -> np.ndarray:
-    for _ in range(1000):
-        roots = np.sort(rng.uniform(-margin, margin, degree))
-        if degree == 1 or np.min(np.diff(roots)) > sep:
-            return roots
-    raise BadParameterError("could not draw separated roots")
+    return _run_cases(
+        config, (a for a in config.alpha_grid for _ in range(config.trials)), case)
 
 
 RUNNERS = {
@@ -505,9 +474,7 @@ def _write_json(obj, out: io.StringIO, indent: int) -> None:
     pad = "  " * indent
     if obj is None:
         out.write("null")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, (int, float)):
+    elif isinstance(obj, (int, float)):  # bool included
         out.write(format_number(obj))
     elif isinstance(obj, str):
         out.write(_json_escape(obj))
@@ -589,9 +556,7 @@ def report_to_csv(report_dict: dict) -> str:
             value = case.get(col)
             if value is None:
                 row.append("")
-            elif isinstance(value, bool):
-                row.append("true" if value else "false")
-            elif isinstance(value, (int, float)):
+            elif isinstance(value, (int, float)):  # bool included
                 row.append(format_number(value))
             else:
                 text = str(value)

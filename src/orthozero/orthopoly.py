@@ -22,6 +22,7 @@ from .errors import BadParameterError
 from .polycore import (
     MONOMIAL,
     Poly,
+    check_params,
     jacobi_coefficient_rows,
     poly_eval,
     pochhammer,
@@ -47,10 +48,9 @@ class GenFunSpec:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > -1.0:
-            raise BadParameterError(f"alpha must exceed -1, got {self.alpha}")
-        if self.family is GenFunFamily.JACOBI_F and not self.beta > -1.0:
-            raise BadParameterError(f"beta must exceed -1, got {self.beta}")
+        check_params(alpha=self.alpha)
+        if self.family is GenFunFamily.JACOBI_F:
+            check_params(beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,13 @@ class OrthoConstant:
     h: float
 
 
-def _check_params(alpha: float, beta: float):
-    if not (alpha > -1.0 and beta > -1.0):
-        raise BadParameterError(f"parameters must exceed -1, got ({alpha}, {beta})")
-
-
 # ---------------------------------------------------------------------------
 # polynomial construction
 # ---------------------------------------------------------------------------
 
 def jacobi_poly(n: int, alpha: float, beta: float) -> Poly:
     """Degree-n Jacobi polynomial as a monomial-basis Poly."""
-    _check_params(alpha, beta)
+    check_params(alpha=alpha, beta=beta)
     if not 0 <= n <= MAX_DEGREE:
         raise BadParameterError(f"degree must be in [0, {MAX_DEGREE}], got {n}")
     rows = jacobi_coefficient_rows(n, alpha, beta)
@@ -103,15 +98,9 @@ def genfun_taylor(spec: GenFunSpec, x: float, order: int) -> np.ndarray:
         return ps.power(q, -spec.alpha - 0.5, order)
     if spec.family is GenFunFamily.ULTRA_DERIVED:
         return ultra_derived_taylor(x, spec.alpha, order)
-    rho = ps.sqrt(q, order)
-    plus = rho.copy()
-    plus[0] += 1.0
-    if order >= 1:
-        plus[1] += 1.0
-    minus = rho.copy()
-    minus[0] += 1.0
-    if order >= 1:
-        minus[1] -= 1.0
+    rho = ps.power(q, 0.5, order)
+    plus = rho + ps.pad([1.0, 1.0], order)  # 1 + t + rho
+    minus = rho + ps.pad([1.0, -1.0], order)  # 1 - t + rho
     denom = ps.mul(rho, ps.mul(ps.power(plus, spec.beta, order),
                                ps.power(minus, spec.alpha, order), order), order)
     return 2.0 ** (spec.alpha + spec.beta) * ps.reciprocal(denom, order)
@@ -119,15 +108,11 @@ def genfun_taylor(spec: GenFunSpec, x: float, order: int) -> np.ndarray:
 
 def ultra_derived_taylor(x: float, alpha: float, order: int) -> np.ndarray:
     """Taylor coefficients of (2a+1)(1-t^2)(1-2xt+t^2)^(-a-3/2)."""
-    if not alpha > -1.0:
-        raise BadParameterError(f"alpha must exceed -1, got {alpha}")
+    check_params(alpha=alpha)
     if not 0 <= order <= MAX_SERIES_ORDER:
         raise BadParameterError(f"order must be in [0, {MAX_SERIES_ORDER}], got {order}")
     core = ps.power(_quadratic_series(x), -alpha - 1.5, order)
-    onemt2 = np.zeros(order + 1)
-    onemt2[0] = 1.0
-    if order >= 2:
-        onemt2[2] = -1.0
+    onemt2 = ps.pad([1.0, 0.0, -1.0], order)
     return (2.0 * alpha + 1.0) * ps.mul(onemt2, core, order)
 
 
@@ -148,7 +133,7 @@ def ortho_constant(n: int, alpha: float, beta: float) -> OrthoConstant:
     evaluated in the log domain with sign tracking (1+a+b may be negative
     for n = 0 when a + b < -1, but h itself is always positive).
     """
-    _check_params(alpha, beta)
+    check_params(alpha=alpha, beta=beta)
     if n < 0:
         raise BadParameterError("degree must be nonnegative")
     s1, l1 = _log_gamma_signed(1.0 + alpha + n)
@@ -169,7 +154,7 @@ def jacobi_weight_recurrence(count: int, alpha: float, beta: float):
 
     Returns arrays of length count; b[0] holds the weight's total mass.
     """
-    _check_params(alpha, beta)
+    check_params(alpha=alpha, beta=beta)
     a = np.zeros(count)
     b = np.zeros(count)
     s = alpha + beta
@@ -210,7 +195,7 @@ def quad_inner_product(n: int, m: int, alpha: float, beta: float) -> float:
     Uses a Gauss rule with n+m+4 nodes, which integrates the degree n+m
     integrand exactly up to roundoff.
     """
-    _check_params(alpha, beta)
+    check_params(alpha=alpha, beta=beta)
     if not (0 <= n <= MAX_QUAD_DEGREE and 0 <= m <= MAX_QUAD_DEGREE):
         raise BadParameterError(f"quad degrees capped at {MAX_QUAD_DEGREE}")
     x, w = gauss_jacobi_rule(n + m + 4, alpha, beta)

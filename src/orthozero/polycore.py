@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -21,6 +22,13 @@ from .errors import (
     DegreeZeroError,
 )
 from .precision import DEFAULT_TAU_TRIM, DOUBLE, PrecisionPolicy
+
+
+def check_params(**params) -> None:
+    """Raise BadParameterError unless every named family parameter exceeds -1."""
+    for name, value in params.items():
+        if not value > -1:
+            raise BadParameterError(f"{name} must exceed -1, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +47,7 @@ class Ultraspherical:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > -1.0:
-            raise BadParameterError(f"ultraspherical alpha must exceed -1, got {self.alpha}")
+        check_params(alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -51,10 +58,7 @@ class Jacobi:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > -1.0 and self.beta > -1.0):
-            raise BadParameterError(
-                f"jacobi parameters must exceed -1, got ({self.alpha}, {self.beta})"
-            )
+        check_params(alpha=self.alpha, beta=self.beta)
 
 
 Basis = Monomial | Ultraspherical | Jacobi
@@ -121,40 +125,40 @@ def pochhammer(x: float, n: int) -> float:
     return out
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of |Gamma(x)| for x > 0 (thin wrapper, kept for callers)."""
-    return math.lgamma(x)
-
-
 # ---------------------------------------------------------------------------
-# Jacobi three-term recurrence (shared with orthopoly)
+# Jacobi three-term recurrence (shared with orthopoly and transforms)
 # ---------------------------------------------------------------------------
+#
+# Written once over the parameters' number type: float parameters give float
+# coefficients, Fraction parameters give exact ones. The constants are plain
+# integers so that neither route forces the other's arithmetic.
 
-def jacobi_recurrence(k: int, alpha: float, beta: float):
+def jacobi_recurrence(k: int, alpha, beta):
     """(A, B, C) with P_{k+1} = (A x + B) P_k - C P_{k-1}, valid for k >= 1."""
     s = alpha + beta
-    den = 2.0 * (k + 1) * (k + 1 + s) * (2 * k + s)
+    den = 2 * (k + 1) * (k + 1 + s) * (2 * k + s)
     a = (2 * k + s + 1) * (2 * k + s + 2) * (2 * k + s) / den
     b = (2 * k + s + 1) * (alpha * alpha - beta * beta) / den
-    c = 2.0 * (k + alpha) * (k + beta) * (2 * k + s + 2) / den
+    c = 2 * (k + alpha) * (k + beta) * (2 * k + s + 2) / den
     return a, b, c
 
 
-def jacobi_first_degree(alpha: float, beta: float):
+def jacobi_first_degree(alpha, beta):
     """(slope, intercept) of the degree-1 Jacobi polynomial."""
-    return (alpha + beta + 2) / 2.0, (alpha - beta) / 2.0
+    return (alpha + beta + 2) / 2, (alpha - beta) / 2
 
 
-def jacobi_coefficient_rows(n: int, alpha: float, beta: float) -> np.ndarray:
+def jacobi_coefficient_rows(n: int, alpha, beta) -> np.ndarray:
     """Monomial coefficients of the Jacobi family through degree n.
 
     Row k holds the ascending monomial coefficients of the degree-k member
-    (entries beyond column k are zero).
+    (entries beyond column k are zero). Fraction parameters give an object
+    array of exact Fractions; any other parameters give a float array.
     """
-    if not (alpha > -1.0 and beta > -1.0):
-        raise BadParameterError(f"jacobi parameters must exceed -1, got ({alpha}, {beta})")
-    rows = np.zeros((n + 1, n + 1))
-    rows[0, 0] = 1.0
+    check_params(alpha=alpha, beta=beta)
+    exact = isinstance(alpha + beta, Fraction)
+    rows = np.zeros((n + 1, n + 1), dtype=object if exact else float)
+    rows[0, 0] = Fraction(1) if exact else 1.0
     if n >= 1:
         slope, intercept = jacobi_first_degree(alpha, beta)
         rows[1, 0] = intercept
@@ -167,6 +171,18 @@ def jacobi_coefficient_rows(n: int, alpha: float, beta: float) -> np.ndarray:
     return rows
 
 
+def monic_from_roots(roots) -> list:
+    """Ascending coefficients of prod_r (x - r) in the roots' number type.
+
+    Each factor is the two-term convolution np.poly performs, in the same
+    order, so float roots reproduce np.poly's coefficients bit for bit.
+    """
+    c = [1]
+    for r in roots:
+        c = [-r * c[0], *(c[j - 1] - r * c[j] for j in range(1, len(c))), c[-1]]
+    return c
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -175,28 +191,21 @@ def poly_eval(p: Poly, x: float) -> float:
     """Value of p at x: Horner for monomial, Clenshaw for orthogonal bases."""
     params = jacobi_params(p.basis)
     if params is None:
-        acc = 0.0
-        for c in reversed(p.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(p.coeffs, x)
     alpha, beta = params
     return _clenshaw(p.coeffs, alpha, beta, x)
 
 
 def _clenshaw(coeffs, alpha: float, beta: float, x: float) -> float:
-    n = len(coeffs) - 1
     y1 = 0.0  # y_{k+1}
     y2 = 0.0  # y_{k+2}
-    for k in range(n, -1, -1):
-        if k == 0:
-            slope, intercept = jacobi_first_degree(alpha, beta)
-            rk = slope * x + intercept
-        else:
-            a, b, _ = jacobi_recurrence(k, alpha, beta)
-            rk = a * x + b
-        _, _, c_next = jacobi_recurrence(k + 1, alpha, beta)
-        y1, y2 = coeffs[k] + rk * y1 - c_next * y2, y1
-    return y1
+    c_next = jacobi_recurrence(len(coeffs), alpha, beta)[2]  # C_{k+1}
+    for k in range(len(coeffs) - 1, 0, -1):
+        a, b, c = jacobi_recurrence(k, alpha, beta)
+        y1, y2 = coeffs[k] + (a * x + b) * y1 - c_next * y2, y1
+        c_next = c
+    slope, intercept = jacobi_first_degree(alpha, beta)
+    return coeffs[0] + (slope * x + intercept) * y1 - c_next * y2
 
 
 def basis_to_monomial(p: Poly, tau_trim: float = DEFAULT_TAU_TRIM) -> Poly:
@@ -269,7 +278,7 @@ def _polish_roots(asc: np.ndarray, roots: np.ndarray) -> list[complex]:
 
 
 def _horner(asc, z):
-    acc = 0.0 + 0.0j
+    acc = 0.0
     for c in asc[::-1]:
         acc = acc * z + c
     return acc

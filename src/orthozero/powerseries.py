@@ -3,8 +3,8 @@
 A series is a 1-d float array ``a`` with ``a[k]`` the coefficient of t**k;
 all operations truncate at a fixed order N (arrays of length N+1). These are
 the building blocks for the generating-function Taylor oracles: product,
-reciprocal, square root by Newton iteration on series, and real powers via
-the J.C.P. Miller recurrence.
+reciprocal, and real powers (square roots included) via the J.C.P. Miller
+recurrence.
 """
 
 from __future__ import annotations
@@ -40,23 +40,6 @@ def reciprocal(a, order: int) -> np.ndarray:
     for n in range(1, order + 1):
         b[n] = -np.dot(a[1 : n + 1], b[n - 1 :: -1]) / a[0]
     return b
-
-
-def sqrt(a, order: int) -> np.ndarray:
-    """Series square root by Newton iteration y <- (y + a/y)/2.
-
-    Requires a positive constant term. Each iteration doubles the number of
-    correct coefficients, so ceil(log2(order+1)) + 1 steps suffice.
-    """
-    a = pad(a, order)
-    if a[0] <= 0.0:
-        raise SeriesDivergenceError("sqrt of series with nonpositive constant term")
-    y = np.zeros(order + 1)
-    y[0] = np.sqrt(a[0])
-    steps = max(1, int(np.ceil(np.log2(order + 1))) + 1)
-    for _ in range(steps):
-        y = 0.5 * (y + mul(a, reciprocal(y, order), order))
-    return y
 
 
 def power(a, exponent: float, order: int) -> np.ndarray:

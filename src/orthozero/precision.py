@@ -6,10 +6,7 @@ degree ~20 need more than double precision; everything else runs in numpy.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-
-import mpmath
 
 from .errors import BadParameterError
 
@@ -53,14 +50,6 @@ DOUBLE = PrecisionPolicy()
 def extended(bits: int = 128, **tol) -> PrecisionPolicy:
     """Extended-precision policy with the given mantissa bit count."""
     return PrecisionPolicy(mode="extended", bits=bits, **tol)
-
-
-@contextmanager
-def working_precision(policy: PrecisionPolicy):
-    """mpmath context at the policy's bit count (double maps to 53 bits)."""
-    bits = policy.bits if policy.extended else 53
-    with mpmath.workprec(bits):
-        yield mpmath.mp
 
 
 def parse_precision(text: str) -> PrecisionPolicy:

@@ -11,9 +11,10 @@ than silently assigned a sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, ClassVar
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     BadTupleError,
     OutOfDomainError,
 )
+from .polycore import check_params
 from .precision import DOUBLE, PrecisionPolicy
 
 MIN_SEPARATION = 1e-3
@@ -47,27 +49,55 @@ class Domain:
     def contains(self, x: float, y: float) -> bool:
         return self.x[0] < x < self.x[1] and self.y[0] < y < self.y[1]
 
+    @property
+    def window(self) -> str:
+        return f"({self.x[0]:g},{self.x[1]:g})x({self.y[0]:g},{self.y[1]:g})"
+
 
 UNIT_SQUARE = Domain((-1.0, 1.0), (-1.0, 1.0))
 
+# The two number routes a kernel formula runs under: numpy in double, and
+# mpmath at the caller's working precision. `num` lifts a scalar constant.
+_NUMPY = SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt)
+_MPMATH = SimpleNamespace(num=mpmath.mpf, exp=mpmath.exp, sqrt=mpmath.sqrt)
 
-@dataclass(frozen=True)
-class ExpKernel:
-    """e^(xy); totally positive on the whole plane, scanned on a window."""
 
-    domain: Domain = Domain((-3.0, 3.0), (-3.0, 3.0))
+class _Formula:
+    """A kernel written once as formula(x, y, lib) and evaluated under either
+    route; `name` and its parameter fields (all but `domain`) describe it."""
+
+    name: ClassVar[str]
 
     def evaluate(self, x, y):
-        return np.exp(np.asarray(x, float) * np.asarray(y, float))
+        return self.formula(np.asarray(x, float), np.asarray(y, float), _NUMPY)
 
     def evaluate_exact(self, x, y):
-        return mpmath.exp(mpmath.mpf(x) * mpmath.mpf(y))
+        return self.formula(mpmath.mpf(x), mpmath.mpf(y), _MPMATH)
+
+    def describe(self) -> str:
+        """Short stable descriptor used in reports."""
+        params = ",".join(f"{f.name}={getattr(self, f.name):g}"
+                          for f in fields(self) if f.name != "domain")
+        label = f"{self.name}({params})" if params else self.name
+        return f"{label} on {self.domain.window}"
 
 
 @dataclass(frozen=True)
-class PowerSumKernel:
+class ExpKernel(_Formula):
+    """e^(xy); totally positive on the whole plane, scanned on a window."""
+
+    name: ClassVar[str] = "exp_xy"
+    domain: Domain = Domain((-3.0, 3.0), (-3.0, 3.0))
+
+    def formula(self, x, y, lib):
+        return lib.exp(x * y)
+
+
+@dataclass(frozen=True)
+class PowerSumKernel(_Formula):
     """(x + y)^(-beta) with beta > 0 on a positive rectangle."""
 
+    name: ClassVar[str] = "power_sum"
     beta: float
     domain: Domain = Domain((0.1, 10.0), (0.1, 10.0))
 
@@ -77,11 +107,8 @@ class PowerSumKernel:
         if self.domain.x[0] <= 0 or self.domain.y[0] <= 0:
             raise BadParameterError("domain must sit inside the positive quadrant")
 
-    def evaluate(self, x, y):
-        return (np.asarray(x, float) + np.asarray(y, float)) ** (-self.beta)
-
-    def evaluate_exact(self, x, y):
-        return mpmath.power(mpmath.mpf(x) + mpmath.mpf(y), -self.beta)
+    def formula(self, x, y, lib):
+        return (x + y) ** (-self.beta)
 
 
 def _quadratic_positive_on_open(domain: Domain) -> bool:
@@ -103,13 +130,14 @@ def _quadratic_positive_on_open(domain: Domain) -> bool:
 
 
 @dataclass(frozen=True)
-class UltraGenKernel:
+class UltraGenKernel(_Formula):
     """(1 - 2xy + y^2)^(-beta) where the quadratic stays positive.
 
     beta > 0 is the totally positive regime; beta < 0 is admitted for
     exploration of the sign-regular-but-not-STP behaviour.
     """
 
+    name: ClassVar[str] = "ultra_gen"
     beta: float
     domain: Domain = UNIT_SQUARE
 
@@ -117,74 +145,50 @@ class UltraGenKernel:
         if not _quadratic_positive_on_open(self.domain):
             raise BadParameterError("1 - 2xy + y^2 must stay positive on the domain")
 
-    def evaluate(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        return (1.0 - 2.0 * x * y + y * y) ** (-self.beta)
-
-    def evaluate_exact(self, x, y):
-        x, y = mpmath.mpf(x), mpmath.mpf(y)
-        return mpmath.power(1 - 2 * x * y + y * y, -self.beta)
+    def formula(self, x, y, lib):
+        return (1 - 2 * x * y + y * y) ** (-self.beta)
 
 
 @dataclass(frozen=True)
-class UltraDerivedKernel:
+class UltraDerivedKernel(_Formula):
     """(2a+1)(1-y^2)(1 - 2xy + y^2)^(-a-3/2), the degree-weighted generating
     kernel of the symmetric family."""
 
+    name: ClassVar[str] = "ultra_derived"
     alpha: float
     domain: Domain = UNIT_SQUARE
 
     def __post_init__(self):
-        if not self.alpha > -1.0:
-            raise BadParameterError(f"alpha must exceed -1, got {self.alpha}")
+        check_params(alpha=self.alpha)
         if not _quadratic_positive_on_open(self.domain):
             raise BadParameterError("1 - 2xy + y^2 must stay positive on the domain")
 
-    def evaluate(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        q = 1.0 - 2.0 * x * y + y * y
-        return (2.0 * self.alpha + 1.0) * (1.0 - y * y) * q ** (-self.alpha - 1.5)
-
-    def evaluate_exact(self, x, y):
-        x, y = mpmath.mpf(x), mpmath.mpf(y)
+    def formula(self, x, y, lib):
         q = 1 - 2 * x * y + y * y
-        return (2 * self.alpha + 1) * (1 - y * y) * mpmath.power(q, -self.alpha - 1.5)
+        return (2 * self.alpha + 1) * (1 - y * y) * q ** (-self.alpha - 1.5)
 
 
 @dataclass(frozen=True)
-class JacobiGenKernel:
+class JacobiGenKernel(_Formula):
     """The two-parameter generating kernel
     2^(a+b) / (rho (1+y+rho)^b (1-y+rho)^a) with rho = sqrt(1 - 2xy + y^2)."""
 
+    name: ClassVar[str] = "jacobi_gen"
     alpha: float
     beta: float
     domain: Domain = UNIT_SQUARE
 
     def __post_init__(self):
-        if not (self.alpha > -1.0 and self.beta > -1.0):
-            raise BadParameterError(
-                f"parameters must exceed -1, got ({self.alpha}, {self.beta})"
-            )
+        check_params(alpha=self.alpha, beta=self.beta)
         if not (-1.0 <= self.domain.y[0] and self.domain.y[1] <= 1.0):
             raise BadParameterError("two-parameter kernel needs its y-interval inside [-1, 1]")
         if not _quadratic_positive_on_open(self.domain):
             raise BadParameterError("1 - 2xy + y^2 must stay positive on the domain")
 
-    def evaluate(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        rho = np.sqrt(1.0 - 2.0 * x * y + y * y)
-        return (2.0 ** (self.alpha + self.beta)
-                / (rho * (1.0 + y + rho) ** self.beta * (1.0 - y + rho) ** self.alpha))
-
-    def evaluate_exact(self, x, y):
-        x, y = mpmath.mpf(x), mpmath.mpf(y)
-        rho = mpmath.sqrt(1 - 2 * x * y + y * y)
-        return (mpmath.power(2, self.alpha + self.beta)
-                / (rho * mpmath.power(1 + y + rho, self.beta)
-                   * mpmath.power(1 - y + rho, self.alpha)))
+    def formula(self, x, y, lib):
+        rho = lib.sqrt(1 - 2 * x * y + y * y)
+        return (lib.num(2) ** (self.alpha + self.beta)
+                / (rho * (1 + y + rho) ** self.beta * (1 - y + rho) ** self.alpha))
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,10 @@ class FactorWrappedKernel:
         # the wrapping factors act as a rank-one rescaling, so evaluating
         # them in double does not disturb determinant sign or conditioning
         return (mpmath.mpf(self.phi(float(x))) * mpmath.mpf(self.psi(float(y)))
-                * _exact_entry(self.base, x, y))
+                * self.base.evaluate_exact(x, y))
+
+    def describe(self) -> str:
+        return f"factor_wrapped[{self.base.describe()}]"
 
 
 @dataclass(frozen=True)
@@ -222,39 +229,12 @@ class CustomKernel:
     def evaluate(self, x, y):
         return np.asarray(self.fn(np.asarray(x, float), np.asarray(y, float)), float)
 
+    def evaluate_exact(self, x, y):
+        # the callable runs in double; only its value is lifted
+        return mpmath.mpf(float(self.evaluate(x, y)))
 
-KernelSpec = (
-    ExpKernel | PowerSumKernel | UltraGenKernel | UltraDerivedKernel
-    | JacobiGenKernel | FactorWrappedKernel | CustomKernel
-)
-
-
-def _exact_entry(spec, x, y):
-    exact = getattr(spec, "evaluate_exact", None)
-    if exact is not None:
-        return exact(x, y)
-    return mpmath.mpf(float(spec.evaluate(x, y)))
-
-
-def describe_kernel(spec) -> str:
-    """Short stable descriptor used in reports."""
-    d = spec.domain
-    window = f"({d.x[0]:g},{d.x[1]:g})x({d.y[0]:g},{d.y[1]:g})"
-    if isinstance(spec, ExpKernel):
-        return f"exp_xy on {window}"
-    if isinstance(spec, PowerSumKernel):
-        return f"power_sum(beta={spec.beta:g}) on {window}"
-    if isinstance(spec, UltraGenKernel):
-        return f"ultra_gen(beta={spec.beta:g}) on {window}"
-    if isinstance(spec, UltraDerivedKernel):
-        return f"ultra_derived(alpha={spec.alpha:g}) on {window}"
-    if isinstance(spec, JacobiGenKernel):
-        return f"jacobi_gen(alpha={spec.alpha:g},beta={spec.beta:g}) on {window}"
-    if isinstance(spec, FactorWrappedKernel):
-        return f"factor_wrapped[{describe_kernel(spec.base)}]"
-    if isinstance(spec, CustomKernel):
-        return f"{spec.label} on {window}"
-    return repr(spec)
+    def describe(self) -> str:
+        return f"{self.label} on {self.domain.window}"
 
 
 def kernel_eval(spec, x: float, y: float) -> float:
@@ -298,7 +278,7 @@ def _det_extended(spec, xs, ys, bits: int) -> float:
         matrix = mpmath.matrix(m, m)
         for i in range(m):
             for j in range(m):
-                matrix[i, j] = _exact_entry(spec, xs[i], ys[j])
+                matrix[i, j] = spec.evaluate_exact(xs[i], ys[j])
         if m == 1:
             return float(matrix[0, 0])
         return float(mpmath.det(matrix))
@@ -360,12 +340,14 @@ class SsrReport:
         return [s.inferred_sign for s in self.per_m]
 
 
-def _draw_increasing(rng, lo: float, hi: float, m: int) -> np.ndarray:
-    if (hi - lo) <= (m - 1) * MIN_SEPARATION:
+def draw_separated(rng, lo: float, hi: float, m: int, sep: float = MIN_SEPARATION) -> np.ndarray:
+    """m sorted i.i.d. uniform draws on (lo, hi), redrawn until adjacent
+    values are more than sep apart."""
+    if (hi - lo) <= (m - 1) * sep:
         raise BadParameterError("interval too small for the separation floor")
     for _ in range(1000):
         vals = np.sort(rng.uniform(lo, hi, m))
-        if m == 1 or np.min(np.diff(vals)) > MIN_SEPARATION:
+        if m == 1 or np.min(np.diff(vals)) > sep:
             return vals
     raise BadParameterError("could not draw a separated tuple")
 
@@ -406,8 +388,8 @@ def ssr_scan(
         min_abs = math.inf
         for trial in range(trials_per_m):
             rng = np.random.default_rng((seed, m, trial))
-            xs = _draw_increasing(rng, *spec.domain.x, m)
-            ys = _draw_increasing(rng, *spec.domain.y, m)
+            xs = draw_separated(rng, *spec.domain.x, m)
+            ys = draw_separated(rng, *spec.domain.y, m)
             matrix = _minor_matrix(spec, xs, ys)
             det = (_det_extended(spec, xs, ys, policy.bits) if policy.extended
                    else _det_double(matrix))
@@ -429,7 +411,7 @@ def ssr_scan(
         ))
     per_m = tuple(stats)
     return SsrReport(
-        kernel=describe_kernel(spec), m_max=m_max, trials_per_m=trials_per_m,
+        kernel=spec.describe(), m_max=m_max, trials_per_m=trials_per_m,
         seed=seed, per_m=per_m, verdict=_verdict(per_m),
     )
 
@@ -509,7 +491,7 @@ def composition_kernel(k_spec, l_spec, grid) -> CustomKernel:
     return CustomKernel(
         fn=fn,
         domain=Domain(k_spec.domain.x, l_spec.domain.y),
-        label=f"composition[{describe_kernel(k_spec)} . {describe_kernel(l_spec)}]",
+        label=f"composition[{k_spec.describe()} . {l_spec.describe()}]",
     )
 
 

@@ -3,9 +3,12 @@ polynomial expansions.
 
 All transforms return monomial-basis Poly values so downstream root finding
 is uniform. An exact-rational route exists for the boundary-rooted test
-family (x-1)^n (x+1)^m at integer parameters: its outputs carry roots at
-exactly +-1 with high multiplicity, which double-precision coefficients
-cannot represent faithfully (root scatter grows like eps^(1/multiplicity)).
+family (x-1)^n (x+1)^m: its outputs carry roots at exactly +-1 with high
+multiplicity, which double-precision coefficients cannot represent
+faithfully (root scatter grows like eps^(1/multiplicity)). That route takes
+the parameters as exact rationals, so it serves every float parameter (each
+is a binary rational), not only integers; non-dyadic decimals such as 0.3
+just bring large denominators.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ from .polycore import (
     Poly,
     Ultraspherical,
     basis_to_monomial,
+    check_params,
     jacobi_coefficient_rows,
     jacobi_params,
+    monic_from_roots,
 )
 
 
@@ -41,13 +46,7 @@ class UltraScaled:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > -1.0:
-            raise BadParameterError(f"alpha must exceed -1, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class LegendreExpansion:
-    """x^k -> degree-k Legendre polynomial."""
+        check_params(alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -58,10 +57,7 @@ class JacobiExpansion:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > -1.0 and self.beta > -1.0):
-            raise BadParameterError(
-                f"parameters must exceed -1, got ({self.alpha}, {self.beta})"
-            )
+        check_params(alpha=self.alpha, beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -96,35 +92,45 @@ class OrthogonalSeriesMap:
         return min(len(self.delta), len(self.h)) - 1
 
 
-TransformSpec = (
-    UltraScaled | LegendreExpansion | JacobiExpansion | JacobiFactorial | OrthogonalSeriesMap
-)
+TransformSpec = UltraScaled | JacobiExpansion | JacobiFactorial | OrthogonalSeriesMap
 
 
 # ---------------------------------------------------------------------------
 # the transforms
 # ---------------------------------------------------------------------------
 
-def _expand(f: Poly, alpha: float, beta: float, scale) -> Poly:
-    """sum_k a_k * scale(k) * P_k^(alpha,beta) as a monomial Poly."""
-    f = basis_to_monomial(f)
-    n = f.degree
+def _expand(weighted, alpha, beta) -> np.ndarray:
+    """Ascending monomial coefficients of sum_k w_k P_k^(alpha,beta).
+
+    The weights w_k arrive with their per-degree scale already applied, so
+    each caller keeps its own rounding. Fraction parameters give an exact
+    object array (see jacobi_coefficient_rows). The degree-by-degree
+    accumulation fixes the float rounding; a matrix product would not.
+    """
+    n = len(weighted) - 1
     rows = jacobi_coefficient_rows(n, alpha, beta)
-    out = np.zeros(n + 1)
-    for k, ak in enumerate(f.coeffs):
-        if ak != 0.0:
-            out[: k + 1] += ak * scale(k) * rows[k, : k + 1]
-    return Poly(tuple(out), MONOMIAL)
+    out = np.zeros(n + 1, dtype=rows.dtype)
+    for k, wk in enumerate(weighted):
+        if wk != 0:
+            out[: k + 1] += wk * rows[k, : k + 1]
+    return out
+
+
+def _scaled_expansion(f: Poly, alpha: float, beta: float, scale) -> Poly:
+    """sum_k a_k * scale(k) * P_k^(alpha,beta) as a monomial Poly."""
+    weighted = [ak * scale(k) for k, ak in enumerate(basis_to_monomial(f).coeffs)]
+    return Poly(tuple(_expand(weighted, alpha, beta)), MONOMIAL)
+
+
+def _factorial_scale(k: int, alpha: float) -> float:
+    """k! / Gamma(k+1+alpha), the per-degree factor of the scaled ultraspherical map."""
+    return math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + alpha))
 
 
 def ultra_transform(f: Poly, alpha: float) -> Poly:
     """Map sum a_k x^k to sum a_k (k!/Gamma(k+1+alpha)) P_k^(alpha,alpha)."""
-    if not alpha > -1.0:
-        raise BadParameterError(f"alpha must exceed -1, got {alpha}")
-    return _expand(
-        f, alpha, alpha,
-        lambda k: math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + alpha)),
-    )
+    check_params(alpha=alpha)
+    return _scaled_expansion(f, alpha, alpha, lambda k: _factorial_scale(k, alpha))
 
 
 def legendre_transform(f: Poly) -> Poly:
@@ -134,16 +140,14 @@ def legendre_transform(f: Poly) -> Poly:
 
 def jacobi_transform(f: Poly, alpha: float, beta: float) -> Poly:
     """Map sum a_k x^k to sum a_k P_k^(alpha,beta)."""
-    if not (alpha > -1.0 and beta > -1.0):
-        raise BadParameterError(f"parameters must exceed -1, got ({alpha}, {beta})")
-    return _expand(f, alpha, beta, lambda k: 1.0)
+    check_params(alpha=alpha, beta=beta)
+    return _scaled_expansion(f, alpha, beta, lambda k: 1.0)
 
 
 def jacobi_factorial_transform(f: Poly, alpha: float, beta: float) -> Poly:
     """Map sum a_k x^k to sum a_k P_k^(alpha,beta) / k!."""
-    if not (alpha > -1.0 and beta > -1.0):
-        raise BadParameterError(f"parameters must exceed -1, got ({alpha}, {beta})")
-    return _expand(f, alpha, beta, lambda k: 1.0 / math.factorial(k))
+    check_params(alpha=alpha, beta=beta)
+    return _scaled_expansion(f, alpha, beta, lambda k: 1.0 / math.factorial(k))
 
 
 def orthogonal_series_transform(q, spec: OrthogonalSeriesMap) -> Poly:
@@ -154,21 +158,14 @@ def orthogonal_series_transform(q, spec: OrthogonalSeriesMap) -> Poly:
         raise IncompleteSpecError(
             f"spec provides constants through degree {spec.max_degree}, input has degree {n}"
         )
-    alpha, beta = jacobi_params(spec.family)
-    rows = jacobi_coefficient_rows(n, alpha, beta)
-    out = np.zeros(n + 1)
-    for k, qk in enumerate(q):
-        if qk != 0.0:
-            out[: k + 1] += qk / (spec.delta[k] * spec.h[k]) * rows[k, : k + 1]
-    return Poly(tuple(out), MONOMIAL)
+    weighted = [qk / (spec.delta[k] * spec.h[k]) for k, qk in enumerate(q)]
+    return Poly(tuple(_expand(weighted, *jacobi_params(spec.family))), MONOMIAL)
 
 
 def apply_transform(spec: TransformSpec, f: Poly) -> Poly:
     """Dispatch a transform spec onto a polynomial."""
     if isinstance(spec, UltraScaled):
         return ultra_transform(f, spec.alpha)
-    if isinstance(spec, LegendreExpansion):
-        return legendre_transform(f)
     if isinstance(spec, JacobiFactorial):
         return jacobi_factorial_transform(f, spec.alpha, spec.beta)
     if isinstance(spec, JacobiExpansion):
@@ -201,8 +198,7 @@ def scale_ratio_sequence(alpha: float, max_degree: int) -> list[float]:
     spec = ultra_series_spec(alpha, max_degree)
     out = []
     for k in range(max_degree + 1):
-        factorial_scale = math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + alpha))
-        out.append(factorial_scale * spec.delta[k] * spec.h[k])
+        out.append(_factorial_scale(k, alpha) * spec.delta[k] * spec.h[k])
     return out
 
 
@@ -210,60 +206,24 @@ def scale_ratio_sequence(alpha: float, max_degree: int) -> list[float]:
 # exact-rational route for the boundary-rooted family
 # ---------------------------------------------------------------------------
 
-def jacobi_rows_exact(n: int, alpha: int, beta: int) -> list[list[Fraction]]:
-    """Fraction-valued monomial coefficient rows, integer parameters only."""
-    a, b = Fraction(alpha), Fraction(beta)
-    if not (a > -1 and b > -1):
-        raise BadParameterError(f"parameters must exceed -1, got ({alpha}, {beta})")
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    rows[0][0] = Fraction(1)
-    if n >= 1:
-        rows[1][0] = (a - b) / 2
-        rows[1][1] = (a + b + 2) / 2
-    for k in range(1, n):
-        den = 2 * (k + 1) * (k + 1 + a + b) * (2 * k + a + b)
-        ca = (2 * k + a + b + 1) * (2 * k + a + b + 2) * (2 * k + a + b) / den
-        cb = (2 * k + a + b + 1) * (a * a - b * b) / den
-        cc = 2 * (k + a) * (k + b) * (2 * k + a + b + 2) / den
-        for j in range(k + 1):
-            rows[k + 1][j + 1] += ca * rows[k][j]
-            rows[k + 1][j] += cb * rows[k][j]
-        for j in range(k):
-            rows[k + 1][j] -= cc * rows[k - 1][j]
-    return rows
-
-
 def boundary_input_coeffs(n: int, m: int) -> list[Fraction]:
     """Ascending exact coefficients of (x-1)^n (x+1)^m."""
-    c = [Fraction(1)]
-    for root in [1] * n + [-1] * m:
-        nxt = [Fraction(0)] * (len(c) + 1)
-        for j, cj in enumerate(c):
-            nxt[j + 1] += cj
-            nxt[j] -= root * cj
-        c = nxt
-    return c
+    return monic_from_roots([Fraction(1)] * n + [Fraction(-1)] * m)
 
 
 def boundary_transform_exact(
-    n: int, m: int, alpha: int, beta: int, factorial: bool = False
+    n: int, m: int, alpha, beta, factorial: bool = False
 ) -> list[Fraction]:
     """Exact coefficients of the transform applied to (x-1)^n (x+1)^m.
 
-    factorial=True divides the degree-k image by k! (the factorial variant).
+    The parameters are taken as exact rationals (a float converts without
+    rounding). factorial=True divides the degree-k image by k! (the
+    factorial variant).
     """
     f = boundary_input_coeffs(n, m)
-    deg = n + m
-    rows = jacobi_rows_exact(deg, alpha, beta)
-    out = [Fraction(0)] * (deg + 1)
-    for k, ak in enumerate(f):
-        if ak == 0:
-            continue
-        if factorial:
-            ak = ak / math.factorial(k)
-        for j in range(k + 1):
-            out[j] += ak * rows[k][j]
-    return out
+    if factorial:
+        f = [Fraction(ak, math.factorial(k)) for k, ak in enumerate(f)]
+    return list(_expand(f, Fraction(alpha), Fraction(beta)))
 
 
 def deflate_exact_root(coeffs: list[Fraction], at: int) -> tuple[list[Fraction], int]:

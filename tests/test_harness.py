@@ -1,6 +1,7 @@
 """Campaign runner contracts: determinism, workload accounting, report
 schemas, serialization round-trips, and the CLI surface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -344,3 +345,36 @@ def test_exit_code_two_on_proven_violation(monkeypatch, capsys):
     code = cli.main(["theorem12", "--alpha", "0", "--trials", "1"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
+    from mpmath.libmp import NoConvergence
+
+    def fake_run(config):
+        raise NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+    monkeypatch.setitem(cli.__dict__, "run_campaign", fake_run)
+    code = cli.main(["q31", "--alpha", "0", "--beta", "0", "--deg-cap", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "did not converge" in err
+
+
+# sha256 of report_to_json at artifact_version 0.1.0. Both routes run in exact
+# rationals and mpmath, away from BLAS and LAPACK, so the digests do not depend
+# on the numpy build; a change here is a change of report bytes.
+PINNED_DIGESTS = [
+    (CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
+                    trials=1, seed=3),
+     "14a879886be725213957b4943bc2e38d4e526bf50fdf1a2349e6dde93c296f94"),
+    (CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
+                    trials=30, seed=3, precision="extended:128"),
+     "f034bc763e9a313c1a75055714101a0ce0bc2dc846ac32a63b40a7c7296c80a6"),
+]
+
+
+@pytest.mark.parametrize("config,digest", PINNED_DIGESTS,
+                         ids=[c.campaign for c, _ in PINNED_DIGESTS])
+def test_pinned_report_digests(config, digest):
+    text = report_to_json(run_campaign(config).to_dict())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -1,6 +1,7 @@
 """Polynomial core: arithmetic, evaluation, roots, classification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from orthozero.errors import (
     BadParameterError,
     DegreeZeroError,
 )
+from orthozero.polycore import monic_from_roots
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +315,13 @@ def test_classify_bad_interval():
 def test_min_boundary_distance():
     assert math.isclose(min_boundary_distance([0.25], (-1.0, 1.0)), 0.75)
     assert math.isinf(min_boundary_distance([], (-1.0, 1.0)))
+
+
+def test_monic_from_roots_reproduces_np_poly():
+    # np.poly is the reference: same convolutions, so equal to the last bit
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        roots = rng.uniform(-0.99, 0.99, int(rng.integers(1, 31)))
+        assert tuple(monic_from_roots(roots)) == tuple(np.poly(roots)[::-1])
+    exact = monic_from_roots([Fraction(1, 2), Fraction(-1, 3)])
+    assert exact == [Fraction(-1, 6), Fraction(-1, 6), 1]

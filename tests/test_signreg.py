@@ -61,6 +61,32 @@ def test_wrapped_kernel_eval():
                         6.0 * math.exp(0.25), rel_tol=1e-14)
 
 
+FORMULA_KERNELS = [ExpKernel(), PowerSumKernel(1.5), UltraGenKernel(-0.5),
+                   UltraDerivedKernel(0.5), JacobiGenKernel(1.0, 0.25)]
+
+
+def test_double_and_extended_routes_agree():
+    for spec in FORMULA_KERNELS:
+        (xlo, xhi), (ylo, yhi) = spec.domain.x, spec.domain.y
+        x, y = 0.6 * xlo + 0.4 * xhi, 0.3 * ylo + 0.7 * yhi
+        assert math.isclose(float(spec.evaluate_exact(x, y)), float(spec.evaluate(x, y)),
+                            rel_tol=1e-14)
+
+
+def test_kernels_describe_themselves():
+    assert [spec.describe() for spec in FORMULA_KERNELS] == [
+        "exp_xy on (-3,3)x(-3,3)",
+        "power_sum(beta=1.5) on (0.1,10)x(0.1,10)",
+        "ultra_gen(beta=-0.5) on (-1,1)x(-1,1)",
+        "ultra_derived(alpha=0.5) on (-1,1)x(-1,1)",
+        "jacobi_gen(alpha=1,beta=0.25) on (-1,1)x(-1,1)",
+    ]
+    wrapped = FactorWrappedKernel(UltraGenKernel(2.0), abs, abs)
+    assert wrapped.describe() == "factor_wrapped[ultra_gen(beta=2) on (-1,1)x(-1,1)]"
+    custom = CustomKernel(fn=np.multiply, domain=Domain((0, 1), (0, 2)), label="xy")
+    assert custom.describe() == "xy on (0,1)x(0,2)"
+
+
 # ---------------------------------------------------------------------------
 # minors
 # ---------------------------------------------------------------------------

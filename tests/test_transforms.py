@@ -11,7 +11,6 @@ from orthozero import (
     MONOMIAL,
     JacobiExpansion,
     JacobiFactorial,
-    LegendreExpansion,
     OrthogonalSeriesMap,
     Poly,
     RootLocation,
@@ -29,11 +28,11 @@ from orthozero import (
     ultra_transform,
 )
 from orthozero.errors import BadParameterError, IncompleteSpecError
+from orthozero.polycore import jacobi_coefficient_rows
 from orthozero.transforms import (
     boundary_input_coeffs,
     boundary_transform_exact,
     deflate_exact_root,
-    jacobi_rows_exact,
 )
 
 X_SQUARED = Poly((0.0, 0.0, 1.0))
@@ -130,7 +129,7 @@ def test_spec_validation():
 def test_apply_transform_dispatch():
     f = X_SQUARED
     assert apply_transform(UltraScaled(0.0), f).coeffs == ultra_transform(f, 0.0).coeffs
-    assert apply_transform(LegendreExpansion(), f).coeffs == legendre_transform(f).coeffs
+    assert apply_transform(UltraScaled(0.0), f).coeffs == legendre_transform(f).coeffs
     assert apply_transform(JacobiExpansion(1.0, 2.0), f).coeffs == \
         jacobi_transform(f, 1.0, 2.0).coeffs
     assert apply_transform(JacobiFactorial(1.0, 2.0), f).coeffs == \
@@ -237,12 +236,14 @@ def test_boundary_input_coeffs():
 
 
 def test_exact_rows_match_float_rows():
-    from orthozero.polycore import jacobi_coefficient_rows
-
-    exact = jacobi_rows_exact(8, 2, 3)
-    approx = jacobi_coefficient_rows(8, 2.0, 3.0)
-    for k in range(9):
-        assert np.allclose([float(v) for v in exact[k]], approx[k], rtol=1e-13)
+    # Fraction parameters select the exact route of the same recurrence
+    for alpha, beta in [(2, 3), (Fraction(-1, 2), Fraction(0.3))]:
+        exact = jacobi_coefficient_rows(8, Fraction(alpha), Fraction(beta))
+        approx = jacobi_coefficient_rows(8, float(alpha), float(beta))
+        assert exact.dtype == object and approx.dtype == float
+        assert all(isinstance(v, Fraction) for k in range(9) for v in exact[k, : k + 1])
+        for k in range(9):
+            assert np.allclose([float(v) for v in exact[k]], approx[k], rtol=1e-13)
 
 
 def test_exact_transform_matches_float_transform():
