@@ -221,6 +221,10 @@ def _weighted_moments(nodes, alpha: float, powers: int) -> np.ndarray:
     raise QuadratureError("weighted moment quadrature failed to converge")
 
 
+EQUIV_ALPHA_HALF = ("alpha = -1/2 makes the degree-weighted kernel's prefactor "
+                    "2a+1 vanish, so the equivalence check is undefined there")
+
+
 def transform_equivalence_check(
     f: Poly,
     alpha: float,
@@ -231,9 +235,13 @@ def transform_equivalence_check(
     built from the degree-weighted generating kernel (with the family
     weight) at nodes equal to f's roots.
 
-    Requires f to have distinct real roots strictly inside (-1, 1).
+    Requires f to have distinct real roots strictly inside (-1, 1), and
+    alpha != -1/2: there the kernel's prefactor 2a+1 vanishes, so every
+    moment is zero and the system has no solution.
     """
     check_params(alpha=alpha)
+    if alpha == -0.5:
+        raise BadParameterError(EQUIV_ALPHA_HALF)
     f = basis_to_monomial(f)
     n = f.degree
     if n == 0:

@@ -10,8 +10,10 @@ arithmetic: its transform images have roots at +-1 of high multiplicity,
 and float coefficients perturb those roots by roughly eps^(1/multiplicity),
 orders of magnitude beyond the campaign tolerances. Every float parameter
 is an exact binary rational, so all of them go through the exact-rational
-route with deflation at +-1; any residual factor is root-found at high
-precision.
+route with deflation at +-1. The residual factor's verdict is an exact
+Sturm certificate (distinct real roots counted over the integers); only
+when the certificate fails is the residual root-found by 400-bit
+mpmath.polyroots.
 
 Each campaign is a sequence of case specs plus a per-case body; one loop
 (_run_cases) numbers, seeds, times and frames the cases of every campaign.
@@ -20,24 +22,33 @@ Each campaign is a sequence of case specs plus a per-case body; one loop
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import io
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 
 from . import __version__ as ARTIFACT_VERSION
-from .biortho import transform_equivalence_check
+from .biortho import EQUIV_ALPHA_HALF, transform_equivalence_check
 from .errors import BadParameterError, SingularSystemError
 from .polycore import (
     MONOMIAL,
     Poly,
     RootLocation,
     classify_roots,
+    count_roots,
+    descartes_bound,
+    jacobi_coefficient_rows,
     min_boundary_distance,
     monic_from_roots,
+    nearest_double_root,
     poly_roots,
+    primitive_part,
+    root_bound,
+    sturm_sequence,
 )
 from .precision import PrecisionPolicy, parse_precision
 from .signreg import (
@@ -90,6 +101,8 @@ class CampaignConfig:
             raise BadParameterError("trials must be at least 1")
         if not self.alpha_grid or not self.beta_grid:
             raise BadParameterError("parameter grids must be non-empty")
+        if self.campaign == "biortho-equiv" and -0.5 in self.alpha_grid:
+            raise BadParameterError(EQUIV_ALPHA_HALF)
 
     @property
     def policy(self) -> PrecisionPolicy:
@@ -211,27 +224,68 @@ def boundary_family_roots(
     beta: float,
     factorial: bool,
     policy: PrecisionPolicy,
+    interval: tuple[int, int] | None = None,
+    rows=None,
 ) -> tuple[list[complex], dict]:
-    """Roots of the transform image of (x-1)^n (x+1)^m, computed exactly.
+    """Roots of the transform image of (x-1)^n (x+1)^m that decide its verdicts.
 
     The parameters are taken as exact binary rationals, the transform runs
-    in Fraction arithmetic, roots at exactly +-1 are deflated, and any
-    residual factor goes to high-precision root finding.
+    in Fraction arithmetic (rows: exact Jacobi rows to reuse, see
+    boundary_transform_exact) and roots at exactly +-1 are deflated. The
+    residual's verdict is then an exact Sturm certificate: the distinct
+    real roots of its squarefree part are counted in the open interval, or
+    over the whole line when interval is None (a Descartes sign-change
+    bound rules most failing cases out first). If that count is the
+    squarefree degree, every residual root is real (and inside), and only
+    the smallest and largest distinct ones are returned, as the nearest
+    doubles; together with the +-1 roots they fix every classification and
+    boundary distance against the interval. Otherwise the certificate fails
+    and the residual goes to 400-bit mpmath.polyroots, which returns all of
+    its roots.
     """
-    coeffs = boundary_transform_exact(n, m, alpha, beta, factorial)
+    coeffs = boundary_transform_exact(n, m, alpha, beta, factorial, rows)
     coeffs, mult_plus = deflate_exact_root(coeffs, 1)
     coeffs, mult_minus = deflate_exact_root(coeffs, -1)
     roots: list[complex] = [complex(1.0)] * mult_plus + [complex(-1.0)] * mult_minus
     detail = {"mult_plus": mult_plus, "mult_minus": mult_minus,
               "residual_degree": len(coeffs) - 1}
     if len(coeffs) > 1:
-        bits = max(policy.bits or 0, 400)
-        with mpmath.workprec(bits):
-            mp_coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                         for c in coeffs[::-1]]
-            found = mpmath.polyroots(mp_coeffs, maxsteps=200, extraprec=bits)
-        roots.extend(complex(r) for r in found)
+        extremes = _certified_extremes(primitive_part(coeffs), interval)
+        roots.extend(extremes if extremes is not None else _residual_roots(coeffs, policy))
     return roots, detail
+
+
+def _certified_extremes(p: list[int], interval) -> list[complex] | None:
+    """Nearest doubles of the smallest and largest distinct roots of p when
+    every root is certified real and inside interval (the whole line when
+    None), else None."""
+    if interval is None:
+        bound = root_bound(p)
+        interval = (-bound, bound)
+    lo, hi = interval
+    if descartes_bound(p, lo, hi) < len(p) - 1:
+        return None  # fewer sign changes than roots: some root is not inside
+    seq = sturm_sequence(p)
+    distinct = len(seq[0]) - 1
+    if count_roots(seq, lo, hi) != distinct:
+        return None
+    return [complex(nearest_double_root(seq, lo, hi, i)) for i in sorted({0, distinct - 1})]
+
+
+def _residual_roots(coeffs, policy: PrecisionPolicy) -> list[complex]:
+    """All roots of a rational polynomial by mpmath.polyroots at >= 400 bits."""
+    bits = max(policy.bits or 0, 400)
+    with mpmath.workprec(bits):
+        mp_coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+                     for c in coeffs[::-1]]
+        found = mpmath.polyroots(mp_coeffs, maxsteps=200, extraprec=bits)
+    return [complex(r) for r in found]
+
+
+def _exact_rows(config: CampaignConfig):
+    """rows(alpha, beta): exact Jacobi rows at deg_cap, built once per grid point."""
+    return functools.cache(lambda alpha, beta: jacobi_coefficient_rows(
+        config.deg_cap, Fraction(alpha), Fraction(beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +340,14 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
     """
     policy = config.policy
     tol = config.effective_tol
+    rows = _exact_rows(config)
 
     def case(spec, rng, _):
         alpha, beta, pair = spec
         if pair is not None:
             n, m = pair
-            roots, detail = boundary_family_roots(n, m, alpha, beta, False, policy)
+            roots, detail = boundary_family_roots(
+                n, m, alpha, beta, False, policy, interval=(-1, 1), rows=rows(alpha, beta))
             in_closed, flag = _classify_closed(roots, tol)
             text, degree, family = f"(x-1)^{n} (x+1)^{m}", n + m, "boundary"
             outcome = "pass" if in_closed else "violation"
@@ -334,10 +390,12 @@ def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
     gathering only, with per-parameter violation counts."""
     policy = config.policy
     tol = config.effective_tol
+    rows = _exact_rows(config)
 
     def case(spec, rng, _):
         alpha, beta, (n, m) = spec
-        roots, detail = boundary_family_roots(n, m, alpha, beta, True, policy)
+        roots, detail = boundary_family_roots(
+            n, m, alpha, beta, True, policy, rows=rows(alpha, beta))
         max_imag = max((abs(r.imag) for r in roots), default=0.0)
         real_rooted = max_imag <= tol
         return {

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, gammasgn
+from scipy.special import gammaln
 
 from . import powerseries as ps
 from .errors import BadParameterError
@@ -120,30 +120,27 @@ def ultra_derived_taylor(x: float, alpha: float, order: int) -> np.ndarray:
 # orthogonality constants and quadrature
 # ---------------------------------------------------------------------------
 
-def _log_gamma_signed(x: float) -> tuple[float, float]:
-    """(sign, log|Gamma(x)|), valid for negative non-integer arguments too."""
-    return float(gammasgn(x)), float(gammaln(x))
-
-
 def ortho_constant(n: int, alpha: float, beta: float) -> OrthoConstant:
     """Diagonal constant of the weighted orthogonality relation.
 
     h = 2^(1+a+b) Gamma(1+a+n) Gamma(1+b+n)
         / ((2n+1+a+b) n! Gamma(1+a+b+n)),
-    evaluated in the log domain with sign tracking (1+a+b may be negative
-    for n = 0 when a + b < -1, but h itself is always positive).
+    evaluated in the log domain. At n = 0 the factor (1+a+b) Gamma(1+a+b)
+    is Gamma(2+a+b), which stays finite where 1+a+b vanishes (a + b = -1,
+    e.g. a = b = -1/2) and positive where it is negative; for n >= 1 every
+    argument is positive.
     """
     check_params(alpha=alpha, beta=beta)
     if n < 0:
         raise BadParameterError("degree must be nonnegative")
-    s1, l1 = _log_gamma_signed(1.0 + alpha + n)
-    s2, l2 = _log_gamma_signed(1.0 + beta + n)
-    s3, l3 = _log_gamma_signed(1.0 + alpha + beta + n)
-    lead = 2.0 * n + 1.0 + alpha + beta
-    log_h = ((1.0 + alpha + beta) * math.log(2.0) + l1 + l2
-             - math.log(abs(lead)) - gammaln(n + 1.0) - l3)
-    sign = s1 * s2 * math.copysign(1.0, lead) / s3
-    h = sign * math.exp(log_h)
+    log_h = ((1.0 + alpha + beta) * math.log(2.0) + gammaln(1.0 + alpha + n)
+             + gammaln(1.0 + beta + n))
+    if n == 0:
+        log_h -= gammaln(2.0 + alpha + beta)
+    else:
+        log_h = (log_h - math.log(2.0 * n + 1.0 + alpha + beta) - gammaln(n + 1.0)
+                 - gammaln(1.0 + alpha + beta + n))
+    h = math.exp(log_h)
     if not h > 0:
         raise BadParameterError(f"orthogonality constant came out nonpositive: {h}")
     return OrthoConstant(n=n, alpha=alpha, beta=beta, h=h)

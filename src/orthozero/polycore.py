@@ -184,6 +184,166 @@ def monic_from_roots(roots) -> list:
 
 
 # ---------------------------------------------------------------------------
+# exact real-root counting: Sturm sequences over the integers
+# ---------------------------------------------------------------------------
+#
+# Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 2 and 8.
+# Polynomials are ascending lists of Python ints and points are dyadic
+# rationals num / 2^k, so counting and bisection never leave the integers.
+
+def primitive_part(coeffs) -> list[int]:
+    """The primitive integer polynomial with the roots of rational coeffs:
+    denominators cleared, content divided out, trailing zeros trimmed."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _primitive(p: list[int]) -> list[int]:
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _signed_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b, primitive ([] if zero).
+
+    Pseudo-division scaled by |lc(b)| at every step keeps the remainder's
+    sign, which is what a Sturm sequence needs.
+    """
+    r, lc, db = list(a), b[-1], len(b) - 1
+    negated = False
+    while len(r) > db:
+        g = math.gcd(lc, r[-1])
+        s, t, shift = lc // g, r[-1] // g, len(r) - 1 - db
+        if s != 1:
+            r = [s * c for c in r]
+            negated ^= s < 0
+        for i, c in enumerate(b):
+            r[shift + i] -= t * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    if not r:
+        return r
+    return _primitive([-c for c in r] if negated else r)
+
+
+def _remainder_sequence(p: list[int]) -> list[list[int]]:
+    seq = [p, _primitive([k * c for k, c in enumerate(p)][1:])]
+    while r := _signed_remainder(seq[-2], seq[-1]):
+        seq.append([-c for c in r])
+    return seq
+
+
+def _divide_exact(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials known to divide exactly."""
+    r, q = list(a), [0] * (len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = r[i + len(b) - 1] // b[-1]
+        for j, c in enumerate(b):
+            r[i + j] -= q[i] * c
+    return q
+
+
+def sturm_sequence(p: list[int]) -> list[list[int]]:
+    """Sturm sequence of the squarefree part of an integer polynomial.
+
+    The first entry is the primitive squarefree part p / gcd(p, p'), the
+    second its derivative, and each further entry a positive multiple of
+    minus the remainder of the two before it, made primitive.
+    """
+    seq = _remainder_sequence(p)
+    if len(seq[-1]) > 1:  # gcd(p, p') is not constant: p has a multiple root
+        seq = _remainder_sequence(_primitive(_divide_exact(p, seq[-1])))
+    return seq
+
+
+def _taylor_shift(p: list[int], c: int) -> list[int]:
+    """p(x + c)."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += c * p[j + 1]
+    return p
+
+
+def descartes_bound(p: list[int], lo: int, hi: int) -> int:
+    """Sign changes of (1+y)^d p((lo + hi y) / (1+y)), which maps (lo, hi)
+    onto y > 0. By Descartes' rule this bounds from above the number of
+    roots of p in (lo, hi), counted with multiplicity, and has its parity."""
+    q = _taylor_shift(p, hi)
+    q = _taylor_shift([c * (lo - hi) ** k for k, c in enumerate(q)][::-1], 1)
+    signs = [c > 0 for c in q if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sign_at(p: list[int], num: int, k: int) -> int:
+    """Sign of p(num / 2^k), from 2^(k deg p) p(num / 2^k) by Horner."""
+    acc = p[-1]
+    for j, c in enumerate(reversed(p[:-1]), 1):
+        acc = acc * num + (c << (k * j))
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(seq: list[list[int]], num: int, k: int) -> int:
+    """Sign changes along seq at num / 2^k, zeros skipped."""
+    count, last = 0, 0
+    for p in seq:
+        s = _sign_at(p, num, k)
+        if s:
+            count += last == -s
+            last = s
+    return count
+
+
+def root_bound(p: list[int]) -> int:
+    """A power of two that every root of p is smaller than in modulus (Cauchy)."""
+    spread = max(abs(c) for c in p).bit_length() - abs(p[-1]).bit_length()
+    return 1 << max(spread + 2, 1)
+
+
+def count_roots(seq: list[list[int]], lo: int, hi: int) -> int:
+    """Distinct real roots in (lo, hi] of the Sturm sequence's first entry."""
+    return _variations(seq, lo, 0) - _variations(seq, hi, 0)
+
+
+def nearest_double_root(seq: list[list[int]], lo: int, hi: int, index: int) -> float:
+    """The double nearest the index-th smallest (from 0) distinct root in
+    (lo, hi] of the Sturm sequence's first entry.
+
+    Sturm counts isolate the root; bisection on the sign of the first entry
+    then runs until both ends of its interval round to the same double.
+    """
+    k, v_lo, v_hi = 0, _variations(seq, lo, 0), _variations(seq, hi, 0)
+    while v_lo - v_hi > 1:  # invariant: the root is the index-th in (lo, hi]
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        v_mid = _variations(seq, mid, k)
+        if index < v_lo - v_mid:
+            hi, v_hi = mid, v_mid
+        else:
+            index -= v_lo - v_mid
+            lo, v_lo = mid, v_mid
+    p = seq[0]
+    s_hi = _sign_at(p, hi, k)
+    if s_hi == 0:
+        return hi / (1 << k)
+    while lo / (1 << k) != hi / (1 << k):  # p changes sign once, in (lo, hi)
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        s = _sign_at(p, mid, k)
+        if s == 0:
+            return mid / (1 << k)
+        if s == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    return hi / (1 << k)
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 

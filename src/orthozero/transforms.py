@@ -99,16 +99,19 @@ TransformSpec = UltraScaled | JacobiExpansion | JacobiFactorial | OrthogonalSeri
 # the transforms
 # ---------------------------------------------------------------------------
 
-def _expand(weighted, alpha, beta) -> np.ndarray:
+def _expand(weighted, alpha, beta, rows=None) -> np.ndarray:
     """Ascending monomial coefficients of sum_k w_k P_k^(alpha,beta).
 
     The weights w_k arrive with their per-degree scale already applied, so
     each caller keeps its own rounding. Fraction parameters give an exact
     object array (see jacobi_coefficient_rows). The degree-by-degree
     accumulation fixes the float rounding; a matrix product would not.
+    rows, when given, are jacobi_coefficient_rows of these parameters at
+    any degree >= len(weighted) - 1 (row k does not depend on that degree).
     """
     n = len(weighted) - 1
-    rows = jacobi_coefficient_rows(n, alpha, beta)
+    if rows is None:
+        rows = jacobi_coefficient_rows(n, alpha, beta)
     out = np.zeros(n + 1, dtype=rows.dtype)
     for k, wk in enumerate(weighted):
         if wk != 0:
@@ -179,11 +182,21 @@ def apply_transform(spec: TransformSpec, f: Poly) -> Poly:
 # cross-consistency between the two scaling conventions
 # ---------------------------------------------------------------------------
 
-def ultra_series_spec(alpha: float, max_degree: int) -> OrthogonalSeriesMap:
-    """Generic-map spec for the symmetric family with delta_k = 2k+2a+1 and
-    h_k taken from the weighted orthogonality relation at beta = alpha."""
+def _ultra_series_constants(alpha: float, max_degree: int):
+    """delta_k = 2k+2a+1 and h_k from the weighted orthogonality relation at
+    beta = alpha, for k through max_degree."""
     delta = tuple(2.0 * k + 2.0 * alpha + 1.0 for k in range(max_degree + 1))
     h = tuple(ortho_constant(k, alpha, alpha).h for k in range(max_degree + 1))
+    return delta, h
+
+
+def ultra_series_spec(alpha: float, max_degree: int) -> OrthogonalSeriesMap:
+    """Generic-map spec for the symmetric family with delta_k = 2k+2a+1 and
+    h_k taken from the weighted orthogonality relation at beta = alpha.
+
+    At alpha = -1/2, delta_0 vanishes and the spec is rejected.
+    """
+    delta, h = _ultra_series_constants(alpha, max_degree)
     return OrthogonalSeriesMap(delta=delta, h=h, family=Ultraspherical(alpha))
 
 
@@ -193,13 +206,11 @@ def scale_ratio_sequence(alpha: float, max_degree: int) -> list[float]:
 
     Constant exactly when the two conventions produce proportional outputs
     (alpha = 0 gives the constant 2); otherwise the sequence itself is the
-    interesting record.
+    interesting record. At alpha = -1/2 the degree-0 ratio is 0, because
+    delta_0 vanishes there.
     """
-    spec = ultra_series_spec(alpha, max_degree)
-    out = []
-    for k in range(max_degree + 1):
-        out.append(_factorial_scale(k, alpha) * spec.delta[k] * spec.h[k])
-    return out
+    delta, h = _ultra_series_constants(alpha, max_degree)
+    return [_factorial_scale(k, alpha) * delta[k] * h[k] for k in range(max_degree + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +223,19 @@ def boundary_input_coeffs(n: int, m: int) -> list[Fraction]:
 
 
 def boundary_transform_exact(
-    n: int, m: int, alpha, beta, factorial: bool = False
+    n: int, m: int, alpha, beta, factorial: bool = False, rows=None
 ) -> list[Fraction]:
     """Exact coefficients of the transform applied to (x-1)^n (x+1)^m.
 
     The parameters are taken as exact rationals (a float converts without
     rounding). factorial=True divides the degree-k image by k! (the
-    factorial variant).
+    factorial variant). rows may carry exact Jacobi rows of these
+    parameters at any degree >= n + m, so a sweep builds them once.
     """
     f = boundary_input_coeffs(n, m)
     if factorial:
         f = [Fraction(ak, math.factorial(k)) for k, ak in enumerate(f)]
-    return list(_expand(f, Fraction(alpha), Fraction(beta)))
+    return list(_expand(f, Fraction(alpha), Fraction(beta), rows))
 
 
 def deflate_exact_root(coeffs: list[Fraction], at: int) -> tuple[list[Fraction], int]:

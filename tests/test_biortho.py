@@ -229,3 +229,10 @@ def test_equivalence_rejects_complex_roots():
 def test_equivalence_rejects_outside_roots():
     with pytest.raises(BadNodesError):
         transform_equivalence_check(Poly((-4.0, 0.0, 1.0)), 0.0)
+
+
+def test_equivalence_rejects_alpha_minus_half():
+    # the prefactor 2a+1 zeroes every moment, so the system has no solution
+    f = Poly(tuple(np.poly([-0.5, 0.1, 0.3])[::-1]), tau_trim=0.0)
+    with pytest.raises(BadParameterError, match="prefactor 2a\\+1 vanish"):
+        transform_equivalence_check(f, -0.5)

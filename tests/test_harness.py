@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from orthozero.errors import BadParameterError
@@ -22,7 +23,9 @@ from orthozero.harness import (
     run_campaign,
     run_selftest,
 )
+from orthozero.polycore import RootLocation, classify_roots, min_boundary_distance
 from orthozero.precision import DOUBLE
+from orthozero.transforms import boundary_transform_exact, deflate_exact_root
 from orthozero import cli
 
 SMALL = dict(deg_cap=6, trials=10, seed=21)
@@ -93,6 +96,43 @@ def test_boundary_family_noninteger_parameters():
     assert any(abs(r.imag) <= 1e-12 and abs(r.real) > 1.0 + 1e-7 for r in roots)
     again, _ = boundary_family_roots(3, 2, 0.5, 0.5, False, DOUBLE)
     assert roots == again
+
+
+def _polyroots_reference(n, m, alpha, beta, factorial):
+    """Every root of the image: exact deflation at +-1, then 400-bit polyroots."""
+    coeffs = boundary_transform_exact(n, m, alpha, beta, factorial)
+    coeffs, plus = deflate_exact_root(coeffs, 1)
+    coeffs, minus = deflate_exact_root(coeffs, -1)
+    roots = [complex(1.0)] * plus + [complex(-1.0)] * minus
+    if len(coeffs) > 1:
+        with mpmath.workprec(400):
+            found = mpmath.polyroots(
+                [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in coeffs[::-1]],
+                maxsteps=200, extraprec=400)
+        roots += [complex(r) for r in found]
+    return roots
+
+
+def _verdicts(roots, tol=1e-7):
+    """What the q31 and conj32 cases report from a root list."""
+    max_imag = max((abs(r.imag) for r in roots), default=0.0)
+    in_closed = all(abs(r.imag) <= tol and -1 - tol <= r.real <= 1 + tol for r in roots)
+    flag = (classify_roots(roots, (-1.0, 1.0), tol).classification if roots
+            else RootLocation.ALL_STRICTLY_INSIDE)
+    return max_imag, in_closed, flag, min_boundary_distance(roots, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("alpha,beta", [(-0.5, 0.3), (-0.5, 1.0), (0.0, 0.0), (0.5, 0.5)])
+def test_certified_boundary_verdicts_match_polyroots(alpha, beta):
+    # the Sturm route must report what full 400-bit root finding reports:
+    # max_imag over the line, closed-interval flag and distance on (-1, 1)
+    for factorial in (False, True):
+        for n, m in boundary_pairs(8):
+            reference = _verdicts(_polyroots_reference(n, m, alpha, beta, factorial))
+            line, _ = boundary_family_roots(n, m, alpha, beta, factorial, DOUBLE)
+            unit, _ = boundary_family_roots(n, m, alpha, beta, factorial, DOUBLE, (-1, 1))
+            assert _verdicts(line)[0] == reference[0], (n, m, factorial)
+            assert _verdicts(unit)[1:] == reference[1:], (n, m, factorial)
 
 
 def test_conj32_campaign_counts_and_flags():
@@ -360,21 +400,40 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
-# sha256 of report_to_json at artifact_version 0.1.0. Both routes run in exact
-# rationals and mpmath, away from BLAS and LAPACK, so the digests do not depend
-# on the numpy build; a change here is a change of report bytes.
+# sha256 of report_to_json at artifact_version 0.1.0. The q31 and ssr routes
+# run in exact rationals and mpmath, away from BLAS and LAPACK, so their
+# digests do not depend on the numpy build; the conj32 runs also hold ten
+# random cases per grid point, whose roots come from LAPACK. The conj32-int
+# run takes the certified Sturm route and has non-zero boundary distances;
+# conj32-nondyadic mostly fails the certificate and falls back to polyroots.
+# A change here is a change of report bytes.
 PINNED_DIGESTS = [
-    (CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
-                    trials=1, seed=3),
+    ("q31", CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
+                           trials=1, seed=3),
      "14a879886be725213957b4943bc2e38d4e526bf50fdf1a2349e6dde93c296f94"),
-    (CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
-                    trials=30, seed=3, precision="extended:128"),
+    ("ssr", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
+                           trials=30, seed=3, precision="extended:128"),
      "f034bc763e9a313c1a75055714101a0ce0bc2dc846ac32a63b40a7c7296c80a6"),
+    ("conj32-int", CampaignConfig("conj32", alpha_grid=(0.0, 2.0), beta_grid=(1.0, 3.0),
+                                  deg_cap=8, trials=10, seed=1),
+     "df7353d01cf3b4d05a09bb08c9764c71e3690f5df0a11d5a3b98a4d231f6f24a"),
+    ("conj32-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
+                                        deg_cap=8, trials=10, seed=1),
+     "e96aaeadb6497b02db80a6f9898cab51a859862e4a600a24771610f9ca30c279"),
 ]
 
 
-@pytest.mark.parametrize("config,digest", PINNED_DIGESTS,
-                         ids=[c.campaign for c, _ in PINNED_DIGESTS])
+@pytest.mark.parametrize("config,digest", [entry[1:] for entry in PINNED_DIGESTS],
+                         ids=[entry[0] for entry in PINNED_DIGESTS])
 def test_pinned_report_digests(config, digest):
     text = report_to_json(run_campaign(config).to_dict())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_biortho_equiv_rejects_alpha_minus_half(capsys):
+    with pytest.raises(BadParameterError, match="2a\\+1"):
+        CampaignConfig("biortho-equiv", alpha_grid=(0.0, -0.5))
+    code = cli.main(["biortho-equiv", "--alpha", "-0.5", "--trials", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "2a+1 vanish" in err

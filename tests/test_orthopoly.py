@@ -20,6 +20,7 @@ from orthozero import (
     quad_inner_product,
     resolve_diag_constant,
     resolve_ultra_derived_factor,
+    scale_ratio_sequence,
     ultra_derived_taylor,
 )
 from orthozero.errors import BadParameterError
@@ -176,8 +177,14 @@ def test_constant_at_zero():
     assert math.isclose(ortho_constant(0, 0.0, 0.0).h, 2.0, rel_tol=1e-14)
 
 
+def test_constant_at_vanishing_one_plus_a_plus_b():
+    # 1 + a + b = 0: h_0 is the weight's mass, 2^0 Gamma(1/2)^2 / Gamma(1) = pi
+    assert abs(ortho_constant(0, -0.5, -0.5).h - math.pi) <= 1e-14 * math.pi
+    assert all(math.isfinite(r) for r in scale_ratio_sequence(-0.5, 3))
+
+
 def test_constant_positive_for_small_parameters():
-    # 1 + a + b < 0 here, so the sign bookkeeping matters
+    # 1 + a + b < 0 here, while h_0 is still the weight's positive mass
     h = ortho_constant(0, -0.9, -0.9).h
     x, w = gauss_jacobi_rule(6, -0.9, -0.9)
     assert h > 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthozero import (
     LEGENDRE,
@@ -28,7 +29,15 @@ from orthozero.errors import (
     BadParameterError,
     DegreeZeroError,
 )
-from orthozero.polycore import monic_from_roots
+from orthozero.polycore import (
+    count_roots,
+    descartes_bound,
+    monic_from_roots,
+    nearest_double_root,
+    primitive_part,
+    root_bound,
+    sturm_sequence,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +334,127 @@ def test_monic_from_roots_reproduces_np_poly():
         assert tuple(monic_from_roots(roots)) == tuple(np.poly(roots)[::-1])
     exact = monic_from_roots([Fraction(1, 2), Fraction(-1, 3)])
     assert exact == [Fraction(-1, 6), Fraction(-1, 6), 1]
+
+
+# ---------------------------------------------------------------------------
+# exact real-root counting
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+def _real_count(p, seq):
+    bound = root_bound(p)
+    return count_roots(seq, -bound, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots=st.lists(st.tuples(RATIONALS, st.integers(1, 3)), min_size=1, max_size=6),
+       lead=RATIONALS.filter(lambda c: c != 0))
+def test_sturm_certifies_rational_products(roots, lead):
+    # repeated factors leave the squarefree part: one root per distinct value
+    expanded = [r for r, mult in roots for _ in range(mult)]
+    p = primitive_part([lead * c for c in monic_from_roots(expanded)])
+    distinct = sorted(set(expanded))
+    seq = sturm_sequence(p)
+    assert len(seq[0]) - 1 == len(distinct)
+    assert _real_count(p, seq) == len(distinct)
+    bound = root_bound(p)
+    assert descartes_bound(p, -bound, bound) == len(expanded)
+    for i, r in enumerate(distinct):
+        assert nearest_double_root(seq, -bound, bound, i) == float(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(roots=st.lists(RATIONALS, min_size=0, max_size=5),
+       c=RATIONALS.filter(lambda c: c > 0))
+def test_sturm_does_not_certify_a_complex_pair(roots, c):
+    # x^2 + c has no real root, so the count stays below the squarefree degree
+    coeffs = monic_from_roots(roots)
+    coeffs = [(coeffs[k - 2] if k >= 2 else 0) + c * (coeffs[k] if k < len(coeffs) else 0)
+              for k in range(len(coeffs) + 2)]
+    p = primitive_part(coeffs)
+    seq = sturm_sequence(p)
+    assert len(seq[0]) - 1 == len(set(roots)) + 2
+    assert _real_count(p, seq) == len(set(roots))
+
+
+def _textbook_count(coeffs, lo, hi):
+    """Distinct real roots in (lo, hi) by the Sturm sequence p, p', -rem, ...
+    over Fractions with exact remainders; lo and hi must not be roots."""
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            for i, c in enumerate(b):
+                a[len(a) - len(b) + i] -= q * c
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    seq = [[Fraction(c) for c in coeffs]]
+    seq.append([k * c for k, c in enumerate(seq[0])][1:])
+    while r := rem(seq[-2], seq[-1]):
+        seq.append([-c for c in r])
+
+    def variations(x):
+        signs = [v > 0 for v in (sum(c * x**k for k, c in enumerate(q)) for q in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(Fraction(lo)) - variations(Fraction(hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.integers(-6, 6), min_size=2, max_size=8).filter(
+    lambda c: c[-1] != 0 and any(c[:-1])))
+def test_sturm_count_matches_textbook_sturm(coeffs):
+    # sparse integer polynomials give degree gaps and negative leading
+    # coefficients along the sequence, where the pseudo-remainder's sign matters
+    p = primitive_part(coeffs)
+    bound = root_bound(p)
+    for lo, hi in ((-1, 1), (-bound, bound)):
+        if sum(c * lo**k for k, c in enumerate(p)) and sum(c * hi**k for k, c in enumerate(p)):
+            assert count_roots(sturm_sequence(p), lo, hi) == _textbook_count(coeffs, lo, hi)
+
+
+def test_sturm_counts_in_the_unit_interval():
+    F = Fraction
+    cases = [
+        ([F(1, 2), F(-1, 3), F(2), F(-5, 4)], 2),
+        ([F(1, 2), F(1, 2), F(-1, 2), F(-1, 2), F(3)], 2),  # (x^2 - 1/4)^2 (x - 3)
+        ([F(-1, 2), F(1)], 2),  # the count is over (-1, 1], so 1 counts
+        ([F(-1), F(3, 2)], 0),  # and -1 does not
+        ([F(99, 100), F(-99, 100), F(0)], 3),
+    ]
+    for roots, inside in cases:
+        p = primitive_part(monic_from_roots(roots))
+        assert count_roots(sturm_sequence(p), -1, 1) == inside
+    assert count_roots(sturm_sequence([1, 0, 1]), -1, 1) == 0  # x^2 + 1
+
+
+def test_descartes_bound_on_the_unit_interval():
+    # an upper bound on the roots inside, with multiplicity and of equal parity
+    F = Fraction
+    cases = [
+        ([F(1, 2), F(1, 2), F(-1, 3)], 3),  # all inside: exact
+        ([F(1, 2), F(-1, 3), F(2)], 2),  # one outside: fewer than the degree
+        ([F(1, 2), F(3), F(-3)], 1),
+    ]
+    for roots, bound in cases:
+        assert descartes_bound(primitive_part(monic_from_roots(roots)), -1, 1) == bound
+    # x^2 + 1/100 has no real root, yet its sign changes allow two
+    assert descartes_bound([1, 0, 100], -1, 1) == 2
+
+
+def test_nearest_double_root():
+    seq = sturm_sequence([-2, 0, 1])  # x^2 - 2; sqrt is correctly rounded
+    assert nearest_double_root(seq, -2, 2, 0) == -math.sqrt(2.0)
+    assert nearest_double_root(seq, -2, 2, 1) == math.sqrt(2.0)
+    dyadic = [Fraction(1, 2), Fraction(-3, 4), Fraction(0)]
+    seq = sturm_sequence(primitive_part(monic_from_roots(dyadic)))
+    assert [nearest_double_root(seq, -1, 1, i) for i in range(3)] == [-0.75, 0.0, 0.5]
+    close = [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)]
+    seq = sturm_sequence(primitive_part(monic_from_roots(close)))
+    assert nearest_double_root(seq, -1, 1, 0) == 1 / 3
+    assert nearest_double_root(seq, -1, 1, 1) == float(close[1])
