@@ -40,7 +40,6 @@ from .polycore import (
     RootLocation,
     classify_roots,
     count_roots,
-    descartes_bound,
     jacobi_coefficient_rows,
     min_boundary_distance,
     monic_from_roots,
@@ -224,7 +223,7 @@ def boundary_family_roots(
     beta: float,
     factorial: bool,
     policy: PrecisionPolicy,
-    interval: tuple[int, int] | None = None,
+    unit_interval: bool = False,
     rows=None,
 ) -> tuple[list[complex], dict]:
     """Roots of the transform image of (x-1)^n (x+1)^m that decide its verdicts.
@@ -233,15 +232,14 @@ def boundary_family_roots(
     in Fraction arithmetic (rows: exact Jacobi rows to reuse, see
     boundary_transform_exact) and roots at exactly +-1 are deflated. The
     residual's verdict is then an exact Sturm certificate: the distinct
-    real roots of its squarefree part are counted in the open interval, or
-    over the whole line when interval is None (a Descartes sign-change
-    bound rules most failing cases out first). If that count is the
-    squarefree degree, every residual root is real (and inside), and only
-    the smallest and largest distinct ones are returned, as the nearest
-    doubles; together with the +-1 roots they fix every classification and
-    boundary distance against the interval. Otherwise the certificate fails
-    and the residual goes to 400-bit mpmath.polyroots, which returns all of
-    its roots.
+    real roots of its squarefree part are counted in the open interval
+    (-1, 1) when unit_interval is set, else over the whole line. If that
+    count is the squarefree degree, every residual root is real (and
+    inside), and only the smallest and largest distinct ones are returned,
+    as the nearest doubles; together with the +-1 roots they fix every
+    classification and boundary distance against (-1, 1). Otherwise the
+    certificate fails and the residual goes to 400-bit mpmath.polyroots,
+    which returns all of its roots.
     """
     coeffs = boundary_transform_exact(n, m, alpha, beta, factorial, rows)
     coeffs, mult_plus = deflate_exact_root(coeffs, 1)
@@ -250,21 +248,24 @@ def boundary_family_roots(
     detail = {"mult_plus": mult_plus, "mult_minus": mult_minus,
               "residual_degree": len(coeffs) - 1}
     if len(coeffs) > 1:
-        extremes = _certified_extremes(primitive_part(coeffs), interval)
+        extremes = _certified_extremes(primitive_part(coeffs), unit_interval)
         roots.extend(extremes if extremes is not None else _residual_roots(coeffs, policy))
     return roots, detail
 
 
-def _certified_extremes(p: list[int], interval) -> list[complex] | None:
+def _certified_extremes(p: list[int], unit_interval: bool) -> list[complex] | None:
     """Nearest doubles of the smallest and largest distinct roots of p when
-    every root is certified real and inside interval (the whole line when
-    None), else None."""
-    if interval is None:
-        bound = root_bound(p)
-        interval = (-bound, bound)
-    lo, hi = interval
-    if descartes_bound(p, lo, hi) < len(p) - 1:
-        return None  # fewer sign changes than roots: some root is not inside
+    every root is certified real (and inside (-1, 1) if unit_interval),
+    else None.
+
+    Sturm counts cover (lo, hi], so neither end may be a root: p has none
+    at +-1 after deflation, and none at or beyond its Cauchy bound.
+    """
+    if unit_interval:
+        lo, hi = -1, 1
+    else:
+        hi = root_bound(p)
+        lo = -hi
     seq = sturm_sequence(p)
     distinct = len(seq[0]) - 1
     if count_roots(seq, lo, hi) != distinct:
@@ -282,10 +283,10 @@ def _residual_roots(coeffs, policy: PrecisionPolicy) -> list[complex]:
     return [complex(r) for r in found]
 
 
-def _exact_rows(config: CampaignConfig):
-    """rows(alpha, beta): exact Jacobi rows at deg_cap, built once per grid point."""
-    return functools.cache(lambda alpha, beta: jacobi_coefficient_rows(
-        config.deg_cap, Fraction(alpha), Fraction(beta)))
+@functools.lru_cache(maxsize=1)
+def _exact_rows(deg_cap: int, alpha: float, beta: float):
+    """Exact Jacobi rows at deg_cap; a sweep visits one grid point at a time."""
+    return jacobi_coefficient_rows(deg_cap, Fraction(alpha), Fraction(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +341,14 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
     """
     policy = config.policy
     tol = config.effective_tol
-    rows = _exact_rows(config)
 
     def case(spec, rng, _):
         alpha, beta, pair = spec
         if pair is not None:
             n, m = pair
             roots, detail = boundary_family_roots(
-                n, m, alpha, beta, False, policy, interval=(-1, 1), rows=rows(alpha, beta))
+                n, m, alpha, beta, False, policy, unit_interval=True,
+                rows=_exact_rows(config.deg_cap, alpha, beta))
             in_closed, flag = _classify_closed(roots, tol)
             text, degree, family = f"(x-1)^{n} (x+1)^{m}", n + m, "boundary"
             outcome = "pass" if in_closed else "violation"
@@ -390,12 +391,11 @@ def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
     gathering only, with per-parameter violation counts."""
     policy = config.policy
     tol = config.effective_tol
-    rows = _exact_rows(config)
 
     def case(spec, rng, _):
         alpha, beta, (n, m) = spec
         roots, detail = boundary_family_roots(
-            n, m, alpha, beta, True, policy, rows=rows(alpha, beta))
+            n, m, alpha, beta, True, policy, rows=_exact_rows(config.deg_cap, alpha, beta))
         max_imag = max((abs(r.imag) for r in roots), default=0.0)
         real_rooted = max_imag <= tol
         return {

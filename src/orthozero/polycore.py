@@ -260,25 +260,6 @@ def sturm_sequence(p: list[int]) -> list[list[int]]:
     return seq
 
 
-def _taylor_shift(p: list[int], c: int) -> list[int]:
-    """p(x + c)."""
-    p = list(p)
-    for i in range(len(p) - 1):
-        for j in range(len(p) - 2, i - 1, -1):
-            p[j] += c * p[j + 1]
-    return p
-
-
-def descartes_bound(p: list[int], lo: int, hi: int) -> int:
-    """Sign changes of (1+y)^d p((lo + hi y) / (1+y)), which maps (lo, hi)
-    onto y > 0. By Descartes' rule this bounds from above the number of
-    roots of p in (lo, hi), counted with multiplicity, and has its parity."""
-    q = _taylor_shift(p, hi)
-    q = _taylor_shift([c * (lo - hi) ** k for k, c in enumerate(q)][::-1], 1)
-    signs = [c > 0 for c in q if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
 def _sign_at(p: list[int], num: int, k: int) -> int:
     """Sign of p(num / 2^k), from 2^(k deg p) p(num / 2^k) by Horner."""
     acc = p[-1]

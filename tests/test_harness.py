@@ -130,7 +130,7 @@ def test_certified_boundary_verdicts_match_polyroots(alpha, beta):
         for n, m in boundary_pairs(8):
             reference = _verdicts(_polyroots_reference(n, m, alpha, beta, factorial))
             line, _ = boundary_family_roots(n, m, alpha, beta, factorial, DOUBLE)
-            unit, _ = boundary_family_roots(n, m, alpha, beta, factorial, DOUBLE, (-1, 1))
+            unit, _ = boundary_family_roots(n, m, alpha, beta, factorial, DOUBLE, unit_interval=True)
             assert _verdicts(line)[0] == reference[0], (n, m, factorial)
             assert _verdicts(unit)[1:] == reference[1:], (n, m, factorial)
 

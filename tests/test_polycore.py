@@ -31,7 +31,6 @@ from orthozero.errors import (
 )
 from orthozero.polycore import (
     count_roots,
-    descartes_bound,
     monic_from_roots,
     nearest_double_root,
     primitive_part,
@@ -360,7 +359,6 @@ def test_sturm_certifies_rational_products(roots, lead):
     assert len(seq[0]) - 1 == len(distinct)
     assert _real_count(p, seq) == len(distinct)
     bound = root_bound(p)
-    assert descartes_bound(p, -bound, bound) == len(expanded)
     for i, r in enumerate(distinct):
         assert nearest_double_root(seq, -bound, bound, i) == float(r)
 
@@ -431,20 +429,6 @@ def test_sturm_counts_in_the_unit_interval():
         p = primitive_part(monic_from_roots(roots))
         assert count_roots(sturm_sequence(p), -1, 1) == inside
     assert count_roots(sturm_sequence([1, 0, 1]), -1, 1) == 0  # x^2 + 1
-
-
-def test_descartes_bound_on_the_unit_interval():
-    # an upper bound on the roots inside, with multiplicity and of equal parity
-    F = Fraction
-    cases = [
-        ([F(1, 2), F(1, 2), F(-1, 3)], 3),  # all inside: exact
-        ([F(1, 2), F(-1, 3), F(2)], 2),  # one outside: fewer than the degree
-        ([F(1, 2), F(3), F(-3)], 1),
-    ]
-    for roots, bound in cases:
-        assert descartes_bound(primitive_part(monic_from_roots(roots)), -1, 1) == bound
-    # x^2 + 1/100 has no real root, yet its sign changes allow two
-    assert descartes_bound([1, 0, 100], -1, 1) == 2
 
 
 def test_nearest_double_root():
