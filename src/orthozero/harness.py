@@ -15,6 +15,13 @@ Sturm certificate (distinct real roots counted over the integers); only
 when the certificate fails is the residual root-found by 400-bit
 mpmath.polyroots.
 
+theorem12's interior-rooted inputs have double roots, which are binary
+rationals, so their factorial-scaled images are computed exactly as
+integers. Approximate roots (comrade-matrix eigenvalues) only pick the
+points of a sign-change certificate, whose exact signs decide the verdict;
+when it fails, the Sturm count and then 400-bit polyroots take over, as for
+the boundary family. No theorem12 verdict rests on a rounded image.
+
 Each campaign is a sequence of case specs plus a per-case body; one loop
 (_run_cases) numbers, seeds, times and frames the cases of every campaign.
 """
@@ -38,9 +45,11 @@ from .polycore import (
     MONOMIAL,
     Poly,
     RootLocation,
+    certify_interior_roots,
     classify_roots,
     count_roots,
     jacobi_coefficient_rows,
+    jacobi_series_roots,
     min_boundary_distance,
     monic_from_roots,
     nearest_double_root,
@@ -60,8 +69,10 @@ from .signreg import (
 from .transforms import (
     boundary_transform_exact,
     deflate_exact_root,
+    factorial_scale,
     jacobi_transform,
-    ultra_transform,
+    ultra_rows_int,
+    ultra_transform_exact,
 )
 
 CAMPAIGNS = ("theorem12", "conj32", "q31", "ssr", "biortho-equiv")
@@ -274,7 +285,8 @@ def _certified_extremes(p: list[int], unit_interval: bool) -> list[complex] | No
 
 
 def _residual_roots(coeffs, policy: PrecisionPolicy) -> list[complex]:
-    """All roots of a rational polynomial by mpmath.polyroots at >= 400 bits."""
+    """All roots of a rational polynomial by mpmath.polyroots at >= 400 bits
+    (policy.bits when larger)."""
     bits = max(policy.bits or 0, 400)
     with mpmath.workprec(bits):
         mp_coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
@@ -283,10 +295,38 @@ def _residual_roots(coeffs, policy: PrecisionPolicy) -> list[complex]:
     return [complex(r) for r in found]
 
 
+def certified_interior_verdict(
+    image: list[int], approx, tol: float, policy: PrecisionPolicy
+) -> tuple[RootLocation, list]:
+    """Classification of the integer polynomial image's roots against
+    (-1, 1) with tolerance tol, plus the roots it was read from.
+
+    First the sign-change certificate, with approx (root estimates) picking
+    its points: if it holds, every root is real, simple and inside
+    (-1 + tol, 1 - tol), and the nearest doubles of the extreme roots come
+    back. Otherwise the exact Sturm count on (-1, 1) gives the extremes when
+    all distinct roots lie there, and only when it does not are all roots
+    found by polyroots at >= 400 bits. Those roots are then classified, so
+    a violation is never read from a rounded image.
+    """
+    found = certify_interior_roots(image, approx, tol)
+    if found is not None:
+        return RootLocation.ALL_STRICTLY_INSIDE, found
+    found = (_certified_extremes(primitive_part(image), unit_interval=True)
+             or _residual_roots(image, policy))
+    return classify_roots(found, (-1.0, 1.0), tol).classification, found
+
+
 @functools.lru_cache(maxsize=1)
 def _exact_rows(deg_cap: int, alpha: float, beta: float):
     """Exact Jacobi rows at deg_cap; a sweep visits one grid point at a time."""
     return jacobi_coefficient_rows(deg_cap, Fraction(alpha), Fraction(beta))
+
+
+@functools.lru_cache(maxsize=1)
+def _ultra_rows(deg_cap: int, alpha: float) -> list[list[int]]:
+    """Integer rows of the factorial-scaled map at deg_cap, one alpha at a time."""
+    return ultra_rows_int(deg_cap, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +336,34 @@ def _exact_rows(deg_cap: int, alpha: float, beta: float):
 def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
     """Proven zero-preservation sweep: random interior-rooted inputs through
     the factorial-scaled symmetric transform; every case must classify as
-    strictly inside (-1, 1)."""
+    strictly inside (-1, 1) (by tol).
+
+    The image is computed exactly, as integers (ultra_transform_exact), and
+    its verdict is certified (certified_interior_verdict): the comrade-matrix
+    roots of the double image only pick the points of a sign-change
+    certificate. min_boundary_distance comes from the nearest doubles of
+    the smallest and largest roots. The policy sets only the bits of the
+    polyroots fallback, which the certificate makes rare.
+    """
     policy = config.policy
     tol = config.effective_tol
 
     def case(alpha, rng, _):
         degree = int(rng.integers(1, config.deg_cap + 1))
-        f = poly_from_roots(random_interior_roots(rng, degree))
-        image = ultra_transform(f, alpha)
-        report = classify_roots(poly_roots(image, policy), (-1.0, 1.0), tol)
-        ok = report.classification is RootLocation.ALL_STRICTLY_INSIDE
+        roots = random_interior_roots(rng, degree)
+        image = ultra_transform_exact(roots, _ultra_rows(config.deg_cap, alpha))
+        weights = [a * factorial_scale(k, alpha) for k, a in enumerate(monic_from_roots(roots))]
+        classification, found = certified_interior_verdict(
+            image, jacobi_series_roots(weights, alpha, alpha), tol, policy)
         return {
             "parameters": {"alpha": alpha},
             "input": f"random_interior(degree={degree})",
             "degree": degree,
-            "classification": report.classification.value,
-            "min_boundary_distance": min_boundary_distance(report.roots, (-1.0, 1.0)),
+            "classification": classification.value,
+            "min_boundary_distance": min_boundary_distance(found, (-1.0, 1.0)),
             "proven": True,
-            "outcome": "pass" if ok else "violation",
+            "outcome": ("pass" if classification is RootLocation.ALL_STRICTLY_INSIDE
+                        else "violation"),
         }
 
     return _run_cases(

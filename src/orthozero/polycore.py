@@ -171,6 +171,26 @@ def jacobi_coefficient_rows(n: int, alpha, beta) -> np.ndarray:
     return rows
 
 
+def jacobi_series_roots(weights, alpha: float, beta: float) -> np.ndarray:
+    """Roots of sum_k w_k P_k^(alpha,beta) (w_n != 0), unordered, in double:
+    the eigenvalues of its comrade matrix (Barnett 1975).
+
+    Row k of the matrix writes x P_k in P_(k-1), P_k, P_(k+1) by the
+    three-term recurrence; P_n is eliminated through the series itself.
+    """
+    w = np.asarray(weights, dtype=float)
+    n = len(w) - 1
+    m = np.zeros((n, n))
+    a, b = jacobi_first_degree(alpha, beta)
+    m[0, 0] = -b / a
+    for k in range(1, n):
+        m[k - 1, k] = 1 / a
+        a, b, c = jacobi_recurrence(k, alpha, beta)
+        m[k, k - 1], m[k, k] = c / a, -b / a
+    m[n - 1] -= w[:n] / (w[n] * a)
+    return np.linalg.eigvals(m)
+
+
 def monic_from_roots(roots) -> list:
     """Ascending coefficients of prod_r (x - r) in the roots' number type.
 
@@ -307,7 +327,16 @@ def nearest_double_root(seq: list[list[int]], lo: int, hi: int, index: int) -> f
         else:
             index -= v_lo - v_mid
             lo, v_lo = mid, v_mid
-    p = seq[0]
+    return _bisect_to_double(seq[0], lo, hi, k)
+
+
+def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
+    """The double nearest the root of p in (lo / 2^k, hi / 2^k], where p has
+    one root, at which it changes sign (or which is hi itself).
+
+    Bisection on the exact sign of p runs until both ends round to the same
+    double; rounding is monotone, so the root rounds to it as well.
+    """
     s_hi = _sign_at(p, hi, k)
     if s_hi == 0:
         return hi / (1 << k)
@@ -322,6 +351,71 @@ def nearest_double_root(seq: list[list[int]], lo: int, hi: int, index: int) -> f
         else:
             lo = mid
     return hi / (1 << k)
+
+
+# ---------------------------------------------------------------------------
+# sign-change certificate: approximate roots pick points, exact signs decide
+# ---------------------------------------------------------------------------
+#
+# Rump, "Verification methods", Acta Numerica 2010: the estimates may come
+# from any floating-point method, since a wrong estimate can only make the
+# certificate fail, never make it pass.
+
+# Half-widths of the brackets tried around an estimate before its whole gap.
+# Most estimates are within the first, and each halving it saves is one
+# exact sign evaluation; the second catches most of the rest.
+_BRACKETS = (2.0 ** -46, 2.0 ** -32)
+
+
+def dyadic_numerators(points) -> tuple[list[int], int]:
+    """Integers num and one k >= 0 with x = num / 2^k for each double x
+    (every double is a binary rational)."""
+    ratios = [float(x).as_integer_ratio() for x in points]
+    k = max((den.bit_length() for _, den in ratios), default=1) - 1
+    return [num << (k - den.bit_length() + 1) for num, den in ratios], k
+
+
+def _sign_at_double(p: list[int], x: float) -> int:
+    (num,), k = dyadic_numerators([x])
+    return _sign_at(p, num, k)
+
+
+def certify_interior_roots(p: list[int], approx, tol: float) -> list[float] | None:
+    """Nearest doubles of the smallest and largest roots of the integer
+    polynomial p when exact signs certify that all deg p of its roots are
+    real, simple and inside (-1 + tol, 1 - tol); None when they do not.
+
+    approx, estimates of the roots, only picks the points: -(1 - tol), the
+    midpoints of consecutive sorted real parts, and 1 - tol. If these
+    increase strictly and the signs of p there are nonzero and alternate,
+    each of the deg p gaps holds a root. The two extreme roots are then
+    bisected to their nearest doubles inside the end gaps.
+    """
+    xs = sorted(complex(z).real for z in approx)
+    if len(xs) != len(p) - 1:
+        return None
+    edge = 1.0 - tol
+    points = [-edge, *((a + b) / 2 for a, b in zip(xs, xs[1:])), edge]
+    if any(not a < b for a, b in zip(points, points[1:])):
+        return None
+    signs = [_sign_at_double(p, t) for t in points]
+    if signs[0] == 0 or any(b != -a for a, b in zip(signs, signs[1:])):
+        return None
+    return [_root_between(p, points[0], points[1], signs[0], xs[0]),
+            _root_between(p, points[-2], points[-1], signs[-2], xs[-1])]
+
+
+def _root_between(p: list[int], lo: float, hi: float, s_lo: int, guess: float) -> float:
+    """The double nearest the one root of p in (lo, hi), where p has the
+    nonzero sign s_lo at lo and the opposite one at hi; bisection starts
+    from the first of the narrow brackets around guess that holds the root."""
+    for half in _BRACKETS:
+        a, b = max(lo, guess - half), min(hi, guess + half)
+        if _sign_at_double(p, a) == s_lo and _sign_at_double(p, b) != s_lo:
+            lo, hi = a, b
+            break
+    (num_lo, num_hi), k = dyadic_numerators([lo, hi])
+    return _bisect_to_double(p, num_lo, num_hi, k)
 
 
 # ---------------------------------------------------------------------------

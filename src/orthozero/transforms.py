@@ -29,6 +29,7 @@ from .polycore import (
     Ultraspherical,
     basis_to_monomial,
     check_params,
+    dyadic_numerators,
     jacobi_coefficient_rows,
     jacobi_params,
     monic_from_roots,
@@ -125,7 +126,7 @@ def _scaled_expansion(f: Poly, alpha: float, beta: float, scale) -> Poly:
     return Poly(tuple(_expand(weighted, alpha, beta)), MONOMIAL)
 
 
-def _factorial_scale(k: int, alpha: float) -> float:
+def factorial_scale(k: int, alpha: float) -> float:
     """k! / Gamma(k+1+alpha), the per-degree factor of the scaled ultraspherical map."""
     return math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + alpha))
 
@@ -133,7 +134,7 @@ def _factorial_scale(k: int, alpha: float) -> float:
 def ultra_transform(f: Poly, alpha: float) -> Poly:
     """Map sum a_k x^k to sum a_k (k!/Gamma(k+1+alpha)) P_k^(alpha,alpha)."""
     check_params(alpha=alpha)
-    return _scaled_expansion(f, alpha, alpha, lambda k: _factorial_scale(k, alpha))
+    return _scaled_expansion(f, alpha, alpha, lambda k: factorial_scale(k, alpha))
 
 
 def legendre_transform(f: Poly) -> Poly:
@@ -210,7 +211,49 @@ def scale_ratio_sequence(alpha: float, max_degree: int) -> list[float]:
     delta_0 vanishes there.
     """
     delta, h = _ultra_series_constants(alpha, max_degree)
-    return [_factorial_scale(k, alpha) * delta[k] * h[k] for k in range(max_degree + 1)]
+    return [factorial_scale(k, alpha) * delta[k] * h[k] for k in range(max_degree + 1)]
+
+
+# ---------------------------------------------------------------------------
+# exact integer route for the factorial-scaled map of interior-rooted inputs
+# ---------------------------------------------------------------------------
+
+def ultra_rows_int(deg_cap: int, alpha: float) -> list[list[int]]:
+    """Integer rows of the factorial-scaled ultraspherical map through deg_cap.
+
+    k!/Gamma(k+1+alpha) = k! / (Gamma(1+alpha) (1+alpha)_k), and the common
+    positive factor 1/Gamma(1+alpha) moves no root. Row k is therefore
+    D k!/(1+alpha)_k times the exact Jacobi row k, with one positive integer
+    D clearing every denominator; alpha is taken as an exact binary rational.
+    """
+    a = Fraction(alpha)
+    rows = jacobi_coefficient_rows(deg_cap, a, a)
+    scaled, scale = [], Fraction(1)
+    for k in range(deg_cap + 1):
+        if k:
+            scale *= k / (k + a)
+        scaled.append([scale * c for c in rows[k, : k + 1]])
+    den = math.lcm(*(c.denominator for row in scaled for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in scaled]
+
+
+def ultra_transform_exact(roots, rows) -> list[int]:
+    """Integer coefficients of a positive multiple of the ultra_transform
+    image of prod_r (x - r), for double roots r.
+
+    Each double is an exact binary rational, so 2^K r is an integer for one
+    K and 2^(K n) prod_r (x - r) has the integer coefficients c_k 2^(K k),
+    where c holds those of prod_r (x - 2^K r). rows come from ultra_rows_int
+    at any degree >= len(roots).
+    """
+    scaled, shift = dyadic_numerators(roots)
+    c = monic_from_roots(scaled)
+    out = [0] * len(c)
+    for k, ck in enumerate(c):
+        ck <<= shift * k
+        for j, entry in enumerate(rows[k]):
+            out[j] += ck * entry
+    return out
 
 
 # ---------------------------------------------------------------------------

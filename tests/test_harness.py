@@ -5,8 +5,10 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from orthozero.errors import BadParameterError
@@ -14,6 +16,7 @@ from orthozero.harness import (
     CampaignConfig,
     boundary_family_roots,
     boundary_pairs,
+    certified_interior_verdict,
     emit_report,
     expected_case_count,
     format_number,
@@ -23,7 +26,13 @@ from orthozero.harness import (
     run_campaign,
     run_selftest,
 )
-from orthozero.polycore import RootLocation, classify_roots, min_boundary_distance
+from orthozero.polycore import (
+    RootLocation,
+    classify_roots,
+    min_boundary_distance,
+    monic_from_roots,
+    primitive_part,
+)
 from orthozero.precision import DOUBLE
 from orthozero.transforms import boundary_transform_exact, deflate_exact_root
 from orthozero import cli
@@ -77,6 +86,63 @@ def test_theorem_sweep_all_pass():
     assert report.summary["violations"] == 0
     assert report.summary["passes"] == report.summary["cases"]
     assert not has_proven_violation(report)
+
+
+@pytest.mark.parametrize("deg_cap", [25, 30])
+def test_theorem12_has_no_false_proven_violations(tmp_path, capsys, deg_cap):
+    # a double-rounded image once put roots outside (-1, 1) in 3 (deg_cap 25)
+    # and 23 (deg_cap 30) of these cases, and the CLI exited 2; the exact
+    # image puts every root inside
+    out = tmp_path / "t12.json"
+    code = cli.main(["theorem12", "--alpha", "-0.5", "0", "1", "2.5", "--trials", "250",
+                     "--seed", "1", "--deg-cap", str(deg_cap), "--out", str(out)])
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert code == 0
+    assert report["summary"]["violations"] == 0 and report["summary"]["passes"] == 1000
+    if deg_cap == 30:
+        # max |Re| of their roots: 0.99988 (alpha = 1), 0.99986 and 0.99997 (alpha = -1/2)
+        for index in (650, 132, 166):
+            assert report["cases"][index]["classification"] == "all_strictly_inside"
+            assert 0 < report["cases"][index]["min_boundary_distance"] < 3e-4
+
+
+def test_theorem12_precision_changes_only_the_echo():
+    # the verdicts come from exact signs; the policy only sets fallback bits
+    runs = [run_campaign(CampaignConfig("theorem12", alpha_grid=(-0.5, 0.3, 2.5), deg_cap=20,
+                                        trials=15, seed=4, precision=precision)).to_dict()
+            for precision in ("double", "extended:128")]
+    assert runs[0]["cases"] == runs[1]["cases"]
+    assert runs[0]["summary"] == runs[1]["summary"]
+    assert {k for k in runs[0]["config"] if runs[0]["config"][k] != runs[1]["config"][k]} == {
+        "precision"}
+
+
+def test_certified_interior_verdict_falls_back_to_exact_counts():
+    # the certificate fails on each of these; the fallback must still find
+    # the violation and classify it
+    tol = 1e-8
+    inside = [Fraction(1, 2), Fraction(-1, 3)]
+    cases = [
+        (primitive_part([Fraction(1, 4), 0, 1]), RootLocation.SOME_NON_REAL),
+        (primitive_part(monic_from_roots([*inside, Fraction(3, 2)])), RootLocation.SOME_OUTSIDE),
+        (primitive_part(monic_from_roots([*inside, 1 - Fraction(tol) / 2])),
+         RootLocation.SOME_ON_BOUNDARY),
+        (primitive_part(monic_from_roots([*inside, -1 + Fraction(tol) / 4])),
+         RootLocation.SOME_ON_BOUNDARY),
+    ]
+    for image, expected in cases:
+        approx = np.roots(np.array(image[::-1], dtype=float))
+        classification, roots = certified_interior_verdict(image, approx, tol, DOUBLE)
+        assert classification is expected
+    # a double root inside passes through the Sturm count, not the certificate
+    image = primitive_part(monic_from_roots([*inside, Fraction(1, 2)]))
+    classification, roots = certified_interior_verdict(image, [0.5, 0.5, -1 / 3], tol, DOUBLE)
+    assert classification is RootLocation.ALL_STRICTLY_INSIDE
+    assert roots == [complex(-1 / 3), complex(0.5)]
+    image = primitive_part(monic_from_roots(inside))
+    assert certified_interior_verdict(image, [0.5, -1 / 3], tol, DOUBLE) == (
+        RootLocation.ALL_STRICTLY_INSIDE, [-1 / 3, 0.5])
 
 
 def test_boundary_family_exact_roots():
@@ -400,26 +466,31 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
-# sha256 of report_to_json at artifact_version 0.1.0. The q31 and ssr routes
+# sha256 of report_to_json at artifact_version 0.2.0. The q31 and ssr routes
 # run in exact rationals and mpmath, away from BLAS and LAPACK, so their
 # digests do not depend on the numpy build; the conj32 runs also hold ten
 # random cases per grid point, whose roots come from LAPACK. The conj32-int
 # run takes the certified Sturm route and has non-zero boundary distances;
 # conj32-nondyadic mostly fails the certificate and falls back to polyroots.
-# A change here is a change of report bytes.
+# theorem12 takes its verdicts and distances from exact integer signs, with
+# LAPACK eigenvalues only picking the points, so its bytes do not depend on
+# LAPACK either. A change here is a change of report bytes.
 PINNED_DIGESTS = [
     ("q31", CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
                            trials=1, seed=3),
-     "14a879886be725213957b4943bc2e38d4e526bf50fdf1a2349e6dde93c296f94"),
+     "b5e596faa0b7cf666464d71d6fa20a91b3d4aeaae4ff9260c22ae701e1839f28"),
     ("ssr", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
                            trials=30, seed=3, precision="extended:128"),
-     "f034bc763e9a313c1a75055714101a0ce0bc2dc846ac32a63b40a7c7296c80a6"),
+     "dbac257aef49bac933de7a36d1cfd70bf85a7aece90388015c93140805836fec"),
     ("conj32-int", CampaignConfig("conj32", alpha_grid=(0.0, 2.0), beta_grid=(1.0, 3.0),
                                   deg_cap=8, trials=10, seed=1),
-     "df7353d01cf3b4d05a09bb08c9764c71e3690f5df0a11d5a3b98a4d231f6f24a"),
+     "425c68497ab1e3e623d9b03d72d54645e26ebd5314dab3a10aeae455e1e57f11"),
     ("conj32-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
                                         deg_cap=8, trials=10, seed=1),
-     "e96aaeadb6497b02db80a6f9898cab51a859862e4a600a24771610f9ca30c279"),
+     "105ff1c2ef6b488068ba4de9b3d27cf92d41674b9734525385d673df50c3d68a"),
+    ("theorem12", CampaignConfig("theorem12", alpha_grid=(-0.5, 2.5), deg_cap=30, trials=20,
+                                 seed=1),
+     "8a0aa572cf3a0a3b27c28e0b366079294ad62ac7a33d4e22ff6e01d698ae3385"),
 ]
 
 

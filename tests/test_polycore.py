@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_jacobi
 
 from orthozero import (
     LEGENDRE,
@@ -30,7 +31,11 @@ from orthozero.errors import (
     DegreeZeroError,
 )
 from orthozero.polycore import (
+    _bisect_to_double,
+    certify_interior_roots,
     count_roots,
+    dyadic_numerators,
+    jacobi_series_roots,
     monic_from_roots,
     nearest_double_root,
     primitive_part,
@@ -442,3 +447,83 @@ def test_nearest_double_root():
     seq = sturm_sequence(primitive_part(monic_from_roots(close)))
     assert nearest_double_root(seq, -1, 1, 0) == 1 / 3
     assert nearest_double_root(seq, -1, 1, 1) == float(close[1])
+
+
+def test_bisection_agrees_with_nearest_double_root():
+    # (x^2 - 2)(x^2 - 1/3)(x - 1/7)(x + 9/10): each root bisected from an
+    # isolating interval between neighbouring doubles lands on the double
+    # that Sturm isolation finds
+    coeffs = monic_from_roots([Fraction(1, 7), Fraction(-9, 10)])
+    for q in (Fraction(2), Fraction(1, 3)):
+        coeffs = [(coeffs[k - 2] if k >= 2 else 0) - q * (coeffs[k] if k < len(coeffs) else 0)
+                  for k in range(len(coeffs) + 2)]
+    p = primitive_part(coeffs)
+    seq = sturm_sequence(p)
+    bound = root_bound(p)
+    found = [nearest_double_root(seq, -bound, bound, i) for i in range(len(p) - 1)]
+    expected = [-math.sqrt(2), -0.9, -math.sqrt(1 / 3), 1 / 7, math.sqrt(1 / 3), math.sqrt(2)]
+    assert np.allclose(found, expected, rtol=1e-15, atol=0)
+    cuts = [-bound, *((a + b) / 2 for a, b in zip(found, found[1:])), bound]
+    for i, root in enumerate(found):
+        (lo, hi), k = dyadic_numerators(cuts[i: i + 2])
+        assert _bisect_to_double(p, lo, hi, k) == root
+
+
+# ---------------------------------------------------------------------------
+# comrade matrix and the sign-change certificate
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.3, 1.0, 2.5])
+def test_comrade_roots_of_one_member_are_gauss_nodes(alpha):
+    for n in (1, 2, 5, 12, 30):
+        eig = jacobi_series_roots([0.0] * n + [1.0], alpha, alpha)
+        assert np.max(np.abs(eig.imag)) == 0.0
+        nodes = roots_jacobi(n, alpha, alpha)[0]
+        assert np.max(np.abs(np.sort(eig.real) - nodes)) <= 1e-13
+        if alpha == 0.0:
+            legendre = np.polynomial.legendre.legroots([0.0] * n + [1.0])
+            assert np.max(np.abs(np.sort(eig.real) - legendre)) <= 1e-13
+
+
+def test_comrade_roots_of_a_series():
+    # P_2^(1,1) = (15 x^2 - 3) / 4 and P_0 = 1: 2 P_0 + P_2 has roots +-sqrt(-1/3)
+    eig = jacobi_series_roots([2.0, 0.0, 1.0], 1.0, 1.0)
+    assert np.allclose(np.sort_complex(eig), [-1j / math.sqrt(3), 1j / math.sqrt(3)])
+
+
+INTERIOR = st.builds(Fraction, st.integers(-95, 95), st.integers(1, 100).map(lambda d: 96 + d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(roots=st.lists(INTERIOR, min_size=1, max_size=12, unique=True),
+       lead=RATIONALS.filter(lambda c: c != 0),
+       noise=st.floats(-1e-9, 1e-9))
+def test_certificate_accepts_simple_interior_roots(roots, lead, noise):
+    # rough estimates still pick valid points; the extremes come back as the
+    # nearest doubles, as Sturm isolation finds them
+    p = primitive_part([lead * c for c in monic_from_roots(roots)])
+    approx = [float(r) + noise for r in roots]
+    found = certify_interior_roots(p, approx, 1e-8)
+    assert found == [float(min(roots)), float(max(roots))]
+    seq = sturm_sequence(p)
+    assert found == [nearest_double_root(seq, -1, 1, 0),
+                     nearest_double_root(seq, -1, 1, len(roots) - 1)]
+
+
+def test_certificate_rejects_what_it_cannot_prove():
+    tol = 1e-8
+    inside = [Fraction(1, 2), Fraction(-1, 3)]
+    cases = {
+        "complex pair": primitive_part([Fraction(1, 4), 0, 1]),  # x^2 + 1/4
+        "outside": primitive_part(monic_from_roots([*inside, Fraction(3, 2)])),
+        "within tol of 1": primitive_part(monic_from_roots([*inside, 1 - Fraction(tol) / 2])),
+        "within tol of -1": primitive_part(monic_from_roots([*inside, -1 + Fraction(tol) / 4])),
+        "double root": primitive_part(monic_from_roots([*inside, Fraction(1, 2)])),
+    }
+    for name, p in cases.items():
+        approx = np.roots(np.array(p[::-1], dtype=float))
+        assert certify_interior_roots(p, approx, tol) is None, name
+    p = primitive_part(monic_from_roots(inside))
+    assert certify_interior_roots(p, [0.5], tol) is None  # too few estimates
+    assert certify_interior_roots(p, [0.5, 0.5], tol) is None  # no point between
+    assert certify_interior_roots(p, [0.4, 0.8], tol) is None  # both roots in one gap

@@ -28,11 +28,13 @@ from orthozero import (
     ultra_transform,
 )
 from orthozero.errors import BadParameterError, IncompleteSpecError
-from orthozero.polycore import jacobi_coefficient_rows
+from orthozero.polycore import jacobi_coefficient_rows, monic_from_roots
 from orthozero.transforms import (
     boundary_input_coeffs,
     boundary_transform_exact,
     deflate_exact_root,
+    ultra_rows_int,
+    ultra_transform_exact,
 )
 
 X_SQUARED = Poly((0.0, 0.0, 1.0))
@@ -270,3 +272,34 @@ def test_deflation_counts_multiplicity():
     rest, mult = deflate_exact_root(rest, -1)
     assert mult == 2
     assert rest == [Fraction(1)]
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.3, 1.0, 2.5])
+def test_integer_image_is_a_positive_multiple_of_the_exact_image(alpha):
+    # the exact image sum_k a_k k!/Gamma(k+1+alpha) P_k^(alpha,alpha) over
+    # Fractions, which leaves out the positive factor 1/Gamma(1+alpha); the
+    # double route agrees to rounding once the leading coefficients match
+    rng = np.random.default_rng(31)
+    a = Fraction(alpha)
+    rows = ultra_rows_int(12, alpha)
+    for degree in (1, 2, 7, 12):
+        roots = rng.uniform(-0.99, 0.99, degree)
+        roots[0] = 2.0 ** -70  # a tiny root needs a large power-of-two shift
+        image = ultra_transform_exact(roots, rows)
+        coeffs = monic_from_roots([Fraction(r) for r in roots])
+        scale = [math.factorial(k) / math.prod((i + 1 + a for i in range(k)), start=Fraction(1))
+                 for k in range(degree + 1)]
+        exact = [sum(coeffs[k] * scale[k] * jacobi_coefficient_rows(degree, a, a)[k, j]
+                     for k in range(j, degree + 1)) for j in range(degree + 1)]
+        ratio = Fraction(image[-1]) / exact[-1]
+        assert ratio > 0
+        assert [Fraction(c) for c in image] == [ratio * c for c in exact]
+        double = ultra_transform(Poly(tuple(monic_from_roots(roots)), tau_trim=0.0), alpha).array
+        normed = np.array([float(Fraction(c, image[-1])) for c in image]) * double[-1]
+        assert np.max(np.abs(normed - double)) <= 1e-13 * np.max(np.abs(double))
+
+
+def test_integer_rows_clear_one_common_denominator():
+    # alpha = 0: k!/(1)_k = 1, so the rows are D times the Legendre rows
+    rows = ultra_rows_int(3, 0.0)
+    assert rows == [[2], [0, 2], [-1, 0, 3], [0, -3, 0, 5]]
