@@ -203,6 +203,31 @@ def monic_from_roots(roots) -> list:
     return c
 
 
+def integer_det(rows: list[list[int]]) -> int:
+    """Exact determinant of a square matrix of Python ints.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): by
+    Sylvester's identity every division by the previous pivot is exact, so
+    entries stay integers whose size grows only linearly with the step.
+    """
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1]
+
+
 # ---------------------------------------------------------------------------
 # exact real-root counting: Sturm sequences over the integers
 # ---------------------------------------------------------------------------

@@ -6,6 +6,14 @@ only sample: verdicts here are "consistent with" statements, never proofs.
 Minors are classified determinate only when they clear a threshold relative
 to the matrix row norms; everything else is counted indeterminate rather
 than silently assigned a sign.
+
+In double precision a scan decides each order as one stack: the kernel is
+evaluated once on all tuples of the order and np.linalg.det runs once on
+the (trials, m, m) result. Under the extended policy each minor's entries
+are rebuilt at the working precision, and the determinant of those entries
+is computed exactly, by fraction-free integer elimination, and rounded once
+to a double; the entries carry the only rounding, and there is no
+singularity cutoff.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .errors import (
     BadTupleError,
     OutOfDomainError,
 )
-from .polycore import check_params
+from .polycore import check_params, integer_det
 from .precision import DOUBLE, PrecisionPolicy
 
 MIN_SEPARATION = 1e-3
@@ -259,14 +267,17 @@ def _check_tuple(vals, interval) -> np.ndarray:
     return vals
 
 
-def _minor_matrix(spec, xs, ys) -> np.ndarray:
-    return np.asarray(spec.evaluate(xs[:, None], ys[None, :]), float)
+def _minor_matrices(spec, xs, ys) -> np.ndarray:
+    """The stack [K(xs[t, i], ys[t, j])] for node arrays of shape (trials, m)."""
+    return np.asarray(spec.evaluate(xs[:, :, None], ys[:, None, :]), float)
 
 
-def _det_double(matrix: np.ndarray) -> float:
-    if len(matrix) == 1:
-        return float(matrix[0, 0])
-    return float(np.linalg.det(matrix))
+def _det_double(matrices: np.ndarray) -> np.ndarray:
+    """Determinants of a (trials, m, m) stack; order one reads the entry,
+    which np.linalg.det would round through exp(log|a|)."""
+    if matrices.shape[-1] == 1:
+        return matrices[:, 0, 0]
+    return np.linalg.det(matrices)
 
 
 def _det_extended(spec, xs, ys, bits: int) -> float:
@@ -274,19 +285,36 @@ def _det_extended(spec, xs, ys, bits: int) -> float:
     # exactly-computed determinant still inherits the entry rounding, which
     # dominates for near-singular Cauchy-like minors
     with mpmath.workprec(bits):
-        m = len(xs)
-        matrix = mpmath.matrix(m, m)
-        for i in range(m):
-            for j in range(m):
-                matrix[i, j] = spec.evaluate_exact(xs[i], ys[j])
-        if m == 1:
-            return float(matrix[0, 0])
-        return float(mpmath.det(matrix))
+        xs = [mpmath.mpf(x) for x in xs]
+        ys = [mpmath.mpf(y) for y in ys]
+        entries = [[spec.evaluate_exact(x, y)._mpf_ for y in ys] for x in xs]
+    # each entry is (-1)^sign man 2^exp; scaling row i by 2^-(its least
+    # exponent) makes it integer, and the determinant exact from there
+    rows, shift = [], 0
+    for row in entries:
+        if any(not man and exp for _, man, exp, _ in row):
+            return math.nan  # an infinite or nan entry
+        low = min(exp for _, _, exp, _ in row)
+        rows.append([(-man if sign else man) << (exp - low) for sign, man, exp, _ in row])
+        shift += low
+    return _dyadic_to_float(integer_det(rows), shift)
 
 
-def minor_scale(matrix: np.ndarray) -> float:
-    """Product of row sup-norms: the natural magnitude of the determinant."""
-    return float(np.prod(np.max(np.abs(matrix), axis=1)))
+def _dyadic_to_float(num: int, shift: int) -> float:
+    """num * 2^shift rounded once to the nearest double, +-inf past the range."""
+    try:
+        return num / (1 << -shift) if shift < 0 else float(num << shift)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def minor_scale(matrix: np.ndarray) -> np.ndarray:
+    """Product of row sup-norms: the natural magnitude of the determinant.
+
+    Reduces the last two axes: a (trials, m, m) stack gives one scale per
+    matrix, and a single matrix a numpy scalar.
+    """
+    return np.prod(np.max(np.abs(matrix), axis=-1), axis=-1)
 
 
 def ssr_minor(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> float:
@@ -299,7 +327,7 @@ def ssr_minor(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> float:
         raise BadTupleError("minor order capped at 8")
     if policy.extended:
         return _det_extended(spec, xs, ys, policy.bits)
-    return _det_double(_minor_matrix(spec, xs, ys))
+    return float(_det_double(_minor_matrices(spec, xs[None], ys[None]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +374,9 @@ def draw_separated(rng, lo: float, hi: float, m: int, sep: float = MIN_SEPARATIO
     if (hi - lo) <= (m - 1) * sep:
         raise BadParameterError("interval too small for the separation floor")
     for _ in range(1000):
-        vals = np.sort(rng.uniform(lo, hi, m))
-        if m == 1 or np.min(np.diff(vals)) > sep:
-            return vals
+        vals = sorted(rng.uniform(lo, hi, m).tolist())
+        if all(b - a > sep for a, b in zip(vals, vals[1:])):
+            return np.array(vals)
     raise BadParameterError("could not draw a separated tuple")
 
 
@@ -373,9 +401,14 @@ def ssr_scan(
 
     Tuples are sorted i.i.d. uniform draws with a minimum separation of
     1e-3, redrawn per (seed, m, trial), so reports are reproducible and
-    order-independent. A minor is determinate when |det| exceeds tau_det
-    times the product of row sup-norms; the per-order sign is the majority
-    of determinate signs and any determinate disagreement is a violation.
+    order-independent. All tuples of an order are drawn first and the order
+    is decided as one batch: one stacked kernel evaluation gives the double
+    matrices and their scales, and the determinants come from one stacked
+    np.linalg.det (double) or from an exact determinant of each minor's
+    working-precision entries (extended). A minor is determinate when |det|
+    exceeds tau_det times the product of row sup-norms (a nan determinant
+    never is); the per-order sign is the majority of determinate signs and
+    any determinate disagreement is a violation.
     """
     cap = 8 if policy.extended else 6
     if not 1 <= m_max <= cap:
@@ -384,22 +417,23 @@ def ssr_scan(
         raise BadParameterError("trials_per_m must be at least 1")
     stats = []
     for m in range(1, m_max + 1):
-        pos = neg = ind = 0
-        min_abs = math.inf
+        draws = []
         for trial in range(trials_per_m):
             rng = np.random.default_rng((seed, m, trial))
-            xs = draw_separated(rng, *spec.domain.x, m)
-            ys = draw_separated(rng, *spec.domain.y, m)
-            matrix = _minor_matrix(spec, xs, ys)
-            det = (_det_extended(spec, xs, ys, policy.bits) if policy.extended
-                   else _det_double(matrix))
-            min_abs = min(min_abs, abs(det))
-            if abs(det) <= policy.tau_det * minor_scale(matrix):
-                ind += 1
-            elif det > 0:
-                pos += 1
-            else:
-                neg += 1
+            draws.append((draw_separated(rng, *spec.domain.x, m),
+                          draw_separated(rng, *spec.domain.y, m)))
+        xs, ys = (np.array(nodes) for nodes in zip(*draws))
+        matrices = _minor_matrices(spec, xs, ys)
+        if policy.extended:
+            dets = np.array([_det_extended(spec, x, y, policy.bits) for x, y in draws])
+        else:
+            dets = _det_double(matrices)
+        # a nan determinant (from a non-finite entry) fails this test too
+        determinate = np.abs(dets) > policy.tau_det * minor_scale(matrices)
+        pos = int(np.count_nonzero(determinate & (dets > 0)))
+        neg = int(np.count_nonzero(determinate)) - pos
+        ind = trials_per_m - pos - neg
+        min_abs = min([math.inf, *np.abs(dets).tolist()])  # skips nan
         if pos == 0 and neg == 0:
             sign = None
         else:

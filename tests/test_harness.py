@@ -466,10 +466,12 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
-# sha256 of report_to_json at artifact_version 0.2.0. The q31 and ssr routes
+# sha256 of report_to_json at artifact_version 0.3.0. The q31 and ssr routes
 # run in exact rationals and mpmath, away from BLAS and LAPACK, so their
-# digests do not depend on the numpy build; the conj32 runs also hold ten
-# random cases per grid point, whose roots come from LAPACK. The conj32-int
+# digests do not depend on the numpy build. The ssr minors are exact
+# determinants of the entries rebuilt at the working precision; ssr-e64 pins
+# them at 64 bits, the lowest precision a policy allows. The conj32 runs also
+# hold ten random cases per grid point, whose roots come from LAPACK. The conj32-int
 # run takes the certified Sturm route and has non-zero boundary distances;
 # conj32-nondyadic mostly fails the certificate and falls back to polyroots.
 # theorem12 takes its verdicts and distances from exact integer signs, with
@@ -478,19 +480,22 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 PINNED_DIGESTS = [
     ("q31", CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
                            trials=1, seed=3),
-     "b5e596faa0b7cf666464d71d6fa20a91b3d4aeaae4ff9260c22ae701e1839f28"),
+     "d42a60022f03ed25437d3a076c48c52aebc9214922c619f3d1cdb1e936720e56"),
     ("ssr", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
                            trials=30, seed=3, precision="extended:128"),
-     "dbac257aef49bac933de7a36d1cfd70bf85a7aece90388015c93140805836fec"),
+     "d389214bbe8db010067a37d088c7b19febbe76e552de7df0a790f4bced1d6a4f"),
     ("conj32-int", CampaignConfig("conj32", alpha_grid=(0.0, 2.0), beta_grid=(1.0, 3.0),
                                   deg_cap=8, trials=10, seed=1),
-     "425c68497ab1e3e623d9b03d72d54645e26ebd5314dab3a10aeae455e1e57f11"),
+     "e7d27017d24c9643015344a026670d1846bba8b328e9198390419afe53121bb9"),
     ("conj32-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
                                         deg_cap=8, trials=10, seed=1),
-     "105ff1c2ef6b488068ba4de9b3d27cf92d41674b9734525385d673df50c3d68a"),
+     "fb6f51273710761e6dc596aff11ebab2db4c9a57520e845acb3127c1ea301a8a"),
     ("theorem12", CampaignConfig("theorem12", alpha_grid=(-0.5, 2.5), deg_cap=30, trials=20,
                                  seed=1),
-     "8a0aa572cf3a0a3b27c28e0b366079294ad62ac7a33d4e22ff6e01d698ae3385"),
+     "19d8ec0aadb1967054752610fd9f377465da81297044eeac9eddf6a1e8a7f4a8"),
+    ("ssr-e64", CampaignConfig("ssr", alpha_grid=(-0.7, 0.3), beta_grid=(-0.9, 7.0), m_max=6,
+                               trials=12, seed=2, precision="extended:64"),
+     "6c85dd33f678278b1c87f4fb8b3801badcf51f3dde9293d2f01f746eb8428b9f"),
 ]
 
 

@@ -35,6 +35,7 @@ from orthozero.polycore import (
     certify_interior_roots,
     count_roots,
     dyadic_numerators,
+    integer_det,
     jacobi_series_roots,
     monic_from_roots,
     nearest_double_root,
@@ -527,3 +528,55 @@ def test_certificate_rejects_what_it_cannot_prove():
     assert certify_interior_roots(p, [0.5], tol) is None  # too few estimates
     assert certify_interior_roots(p, [0.5, 0.5], tol) is None  # no point between
     assert certify_interior_roots(p, [0.4, 0.8], tol) is None  # both roots in one gap
+
+
+# ---------------------------------------------------------------------------
+# exact integer determinant
+# ---------------------------------------------------------------------------
+
+def _fraction_det(rows):
+    """Gaussian elimination over Fractions, swapping in the first nonzero pivot."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_integer_det_matches_fraction_elimination(data, n):
+    # small entries make zero pivots and singular matrices common; wide ones
+    # exercise the exact divisions on large integers
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2**200, 2**200))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assert integer_det(rows) == _fraction_det(rows)
+
+
+def test_integer_det_cases():
+    assert integer_det([[-7]]) == -7
+    assert integer_det([[0]]) == 0
+    # zero leading entry: the elimination must swap rows
+    assert integer_det([[0, 2, 1], [3, 1, 0], [1, 0, 2]]) == -13
+    assert integer_det([[0, 1], [1, 0]]) == -1
+    # permutation matrices give the permutation's sign
+    even = [1, 0, 3, 2, 4]  # two transpositions
+    odd = [2, 0, 1, 4, 3]  # a 3-cycle and a transposition
+    assert integer_det([[int(j == p) for j in range(5)] for p in even]) == 1
+    assert integer_det([[int(j == p) for j in range(5)] for p in odd]) == -1
+    # equal rows give exactly zero, even with large entries
+    row = [2**130 + 1, -3, 5**40]
+    assert integer_det([row, [1, 2, 3], row]) == 0
+    # the input is left untouched
+    rows = [[0, 1], [1, 0]]
+    integer_det(rows)
+    assert rows == [[0, 1], [1, 0]]

@@ -3,10 +3,12 @@ of the kernels with known positivity status, factor and composition rules."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from orthozero import (
+    DOUBLE,
     CustomKernel,
     Domain,
     ExpKernel,
@@ -23,7 +25,10 @@ from orthozero import (
     ssr_minor,
     ssr_scan,
 )
+from orthozero.cli import main as cli_main
 from orthozero.errors import BadParameterError, BadTupleError, OutOfDomainError
+from orthozero.harness import CampaignConfig, run_campaign
+from orthozero.signreg import composition_kernel, draw_separated, minor_scale
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +335,123 @@ def test_rank_one_kernel_is_inconclusive_beyond_order_one():
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.signs() == [1, None, None]
     assert all(s.violations == 0 for s in rep.per_m)
+
+
+# ---------------------------------------------------------------------------
+# batched scans: the stacked double route and the exact extended route
+# ---------------------------------------------------------------------------
+
+_POSITIVE = Domain((0.2, 3.0), (0.2, 3.0))
+SCAN_KERNELS = {
+    "ExpKernel": ExpKernel(),
+    "PowerSumKernel": PowerSumKernel(1.5),
+    "UltraGenKernel": UltraGenKernel(-0.5),
+    "UltraDerivedKernel": UltraDerivedKernel(0.5),
+    "JacobiGenKernel": JacobiGenKernel(1.0, 0.25),
+    "FactorWrappedKernel": FactorWrappedKernel(UltraGenKernel(1.5), lambda x: 2.0 - x,
+                                               lambda t: 1.0 - t * t),
+    "composition_kernel": composition_kernel(ExpKernel(_POSITIVE), PowerSumKernel(2.0, _POSITIVE),
+                                             np.linspace(0.3, 2.9, 6)),
+}
+
+
+@pytest.mark.parametrize("policy", [DOUBLE, extended(128)], ids=["double", "extended"])
+@pytest.mark.parametrize("name", list(SCAN_KERNELS))
+def test_scan_equals_minor_by_minor_recomputation(name, policy):
+    # the per-minor loop the batched scan replaced, kept as its reference:
+    # same draws, one ssr_minor and one 2-D scale per tuple
+    spec, seed, trials = SCAN_KERNELS[name], 5, 25
+    rep = ssr_scan(spec, 4, trials, seed, policy)
+    for stats in rep.per_m:
+        pos = neg = ind = 0
+        min_abs = math.inf
+        for trial in range(trials):
+            rng = np.random.default_rng((seed, stats.m, trial))
+            xs = draw_separated(rng, *spec.domain.x, stats.m)
+            ys = draw_separated(rng, *spec.domain.y, stats.m)
+            det = ssr_minor(spec, xs, ys, policy)
+            matrix = np.asarray(spec.evaluate(xs[:, None], ys[None, :]), float)
+            scale = float(np.prod(np.max(np.abs(matrix), axis=1)))
+            min_abs = min(min_abs, abs(det))
+            if abs(det) <= policy.tau_det * scale:
+                ind += 1
+            elif det > 0:
+                pos += 1
+            else:
+                neg += 1
+        assert (stats.positive, stats.negative, stats.indeterminate) == (pos, neg, ind)
+        assert stats.min_abs_det == min_abs
+
+
+def test_stacked_minor_scale_equals_per_matrix():
+    rng = np.random.default_rng(3)
+    for m in range(1, 9):
+        stack = rng.standard_normal((40, m, m)) * 10.0 ** rng.integers(-30, 30, (40, m, 1))
+        scales = minor_scale(stack)
+        assert scales.shape == (40,)
+        for t in range(40):
+            assert scales[t] == minor_scale(stack[t]) == float(np.prod(np.max(np.abs(stack[t]), axis=1)))
+
+
+def _reference_det(spec, xs, ys, bits=128, ref_bits=1500):
+    """mpmath.det at ref_bits of the entries rebuilt at bits."""
+    with mpmath.workprec(bits):
+        entries = mpmath.matrix([[spec.evaluate_exact(x, y) for y in ys] for x in xs])
+    with mpmath.workprec(ref_bits):
+        return float(mpmath.det(entries))
+
+
+def test_extended_minors_have_no_singularity_cutoff():
+    # ultra_gen(150) at seed 1: the row scales of a minor differ by up to
+    # 1e200, and an LU with a pivot cutoff relative to the matrix norm read
+    # 57 of these 100 determinants as 0 (trial 2 of order 2 among them); the
+    # exact determinant of the 128-bit entries equals a 1500-bit elimination
+    spec = UltraGenKernel(150.0)
+    for m in (2, 3):
+        for trial in range(50):
+            rng = np.random.default_rng((1, m, trial))
+            xs = draw_separated(rng, -1.0, 1.0, m)
+            ys = draw_separated(rng, -1.0, 1.0, m)
+            got = ssr_minor(spec, xs, ys, extended(128))
+            assert got == _reference_det(spec, xs, ys) and got != 0.0
+    rng = np.random.default_rng((1, 2, 2))
+    xs = draw_separated(rng, -1.0, 1.0, 2)
+    ys = draw_separated(rng, -1.0, 1.0, 2)
+    assert ssr_minor(spec, xs, ys, extended(128)) == pytest.approx(3.631653787856355e18, rel=1e-15)
+
+
+def test_exact_minors_cut_the_false_indeterminates():
+    config = CampaignConfig("ssr", alpha_grid=(0.0,), beta_grid=(150.0,), m_max=3, trials=50,
+                            seed=1, precision="extended:128")
+    cases = run_campaign(config).to_dict()["cases"]
+    counts = [[(s["indeterminate"], s["min_abs_det"] > 0) for s in case["per_m"][1:]]
+              for case in cases]
+    # with mpmath.det these were 31, 40 and 21, 37, each order with min_abs_det 0
+    assert counts == [[(15, True), (27, True)], [(18, True), (32, True)]]
+
+
+def test_extended_overflow_reads_infinite(capsys):
+    assert ssr_minor(UltraGenKernel(150.0), (0.999,), (0.998,), extended(128)) == math.inf
+    # the double matrices behind the threshold overflow at beta = 300
+    with np.errstate(over="ignore"):
+        code = cli_main(["ssr", "--precision", "extended:128", "--alpha", "0", "--beta", "300",
+                         "--m-max", "2", "--trials", "200"])
+    assert code == 0
+    assert "ssr: 2 cases, 2 passes" in capsys.readouterr().err
+
+
+def test_extended_minor_of_equal_rows_is_exactly_zero():
+    spec = CustomKernel(fn=lambda x, y: np.exp(y) + 0 * x, domain=Domain((-1, 1), (-1, 1)))
+    for m in (2, 3, 5):
+        nodes = np.linspace(-0.9, 0.9, m)
+        assert ssr_minor(spec, nodes, nodes, extended(128)) == 0.0
+
+
+@pytest.mark.parametrize("policy", [DOUBLE, extended(128)], ids=["double", "extended"])
+def test_non_finite_entries_never_give_a_sign(policy):
+    spec = CustomKernel(fn=lambda x, y: np.where(x > 0.5, np.inf, 1.0 + x * y),
+                        domain=Domain((-1, 1), (-1, 1)))
+    with np.errstate(invalid="ignore"):
+        rep = ssr_scan(spec, 3, 20, 1, policy)
+    assert [(s.negative, s.violations) for s in rep.per_m] == [(0, 0)] * 3
+    assert [s.indeterminate for s in rep.per_m] == [7, 8, 20]
