@@ -5,22 +5,22 @@ Reports are byte-identical for identical config+seed: volatile fields
 (timestamp, per-case wall time) are carried in memory but serialized as
 null unless timing output is explicitly requested.
 
-The boundary-rooted family (x-1)^n (x+1)^m needs exact coefficient
-arithmetic: its transform images have roots at +-1 of high multiplicity,
-and float coefficients perturb those roots by roughly eps^(1/multiplicity),
-orders of magnitude beyond the campaign tolerances. Every float parameter
-is an exact binary rational, so all of them go through the exact-rational
-route with deflation at +-1. The residual factor's verdict is an exact
-Sturm certificate (distinct real roots counted over the integers); only
-when the certificate fails is the residual root-found by 400-bit
-mpmath.polyroots.
+Every double is an exact binary rational, so the images of inputs given by
+double roots are computed exactly, in Python ints: the campaign's map as
+integer Jacobi rows (jacobi_rows_int, one set cached per grid point) and
+the image through them (exact_image). The boundary-rooted family
+(x-1)^n (x+1)^m needs that: its images have roots at +-1 of high
+multiplicity, which float coefficients perturb by roughly
+eps^(1/multiplicity), far beyond the campaign tolerances. Those roots are
+deflated by integer synthetic division, and the residual's verdict is an
+exact Sturm certificate; only when it fails is the residual root-found by
+400-bit mpmath.polyroots.
 
-theorem12's interior-rooted inputs have double roots, which are binary
-rationals, so their factorial-scaled images are computed exactly as
-integers. Approximate roots (comrade-matrix eigenvalues) only pick the
-points of a sign-change certificate, whose exact signs decide the verdict;
-when it fails, the Sturm count and then 400-bit polyroots take over, as for
-the boundary family. No theorem12 verdict rests on a rounded image.
+theorem12's interior-rooted inputs have double roots too. Approximate roots
+(comrade-matrix eigenvalues) only pick the points of a sign-change
+certificate, whose exact signs decide the verdict; when it fails, the Sturm
+count and then 400-bit polyroots take over, as for the boundary family. No
+theorem12 verdict rests on a rounded image.
 
 Each campaign is a sequence of case specs plus a per-case body; one loop
 (_run_cases) numbers, seeds, times and frames the cases of every campaign.
@@ -31,9 +31,9 @@ from __future__ import annotations
 import datetime as _dt
 import functools
 import io
+import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -48,7 +48,7 @@ from .polycore import (
     certify_interior_roots,
     classify_roots,
     count_roots,
-    jacobi_coefficient_rows,
+    deflate_root,
     jacobi_series_roots,
     min_boundary_distance,
     monic_from_roots,
@@ -67,12 +67,13 @@ from .signreg import (
     ssr_scan,
 )
 from .transforms import (
-    boundary_transform_exact,
-    deflate_exact_root,
+    exact_image,
+    factorial_row_scale,
     factorial_scale,
+    jacobi_rows_int,
     jacobi_transform,
-    ultra_rows_int,
-    ultra_transform_exact,
+    ultra_row_scale,
+    unit_row_scale,
 )
 
 CAMPAIGNS = ("theorem12", "conj32", "q31", "ssr", "biortho-equiv")
@@ -111,6 +112,11 @@ class CampaignConfig:
             raise BadParameterError("trials must be at least 1")
         if not self.alpha_grid or not self.beta_grid:
             raise BadParameterError("parameter grids must be non-empty")
+        for name, grid in (("alpha_grid", self.alpha_grid), ("beta_grid", self.beta_grid)):
+            if not all(math.isfinite(v) for v in grid):
+                raise BadParameterError(f"{name} values must be finite, got {list(grid)}")
+        if self.tol is not None and not 0 < self.tol < 1:
+            raise BadParameterError(f"tol must lie in (0, 1), got {self.tol}")
         if self.campaign == "biortho-equiv" and -0.5 in self.alpha_grid:
             raise BadParameterError(EQUIV_ALPHA_HALF)
 
@@ -230,68 +236,63 @@ def poly_from_roots(roots) -> Poly:
 def boundary_family_roots(
     n: int,
     m: int,
-    alpha: float,
-    beta: float,
-    factorial: bool,
+    rows: list[list[int]],
     policy: PrecisionPolicy,
     unit_interval: bool = False,
-    rows=None,
 ) -> tuple[list[complex], dict]:
     """Roots of the transform image of (x-1)^n (x+1)^m that decide its verdicts.
 
-    The parameters are taken as exact binary rationals, the transform runs
-    in Fraction arithmetic (rows: exact Jacobi rows to reuse, see
-    boundary_transform_exact) and roots at exactly +-1 are deflated. The
-    residual's verdict is then an exact Sturm certificate: the distinct
-    real roots of its squarefree part are counted in the open interval
-    (-1, 1) when unit_interval is set, else over the whole line. If that
-    count is the squarefree degree, every residual root is real (and
-    inside), and only the smallest and largest distinct ones are returned,
-    as the nearest doubles; together with the +-1 roots they fix every
-    classification and boundary distance against (-1, 1). Otherwise the
-    certificate fails and the residual goes to 400-bit mpmath.polyroots,
-    which returns all of its roots.
+    rows are the map's integer rows (jacobi_rows_int) at any degree >= n+m.
+    The integer image's roots at exactly +-1 are deflated, and the
+    residual's verdict is an exact Sturm certificate: the distinct real
+    roots of its squarefree part are counted in the open interval (-1, 1)
+    when unit_interval is set, else over the whole line. If that count is
+    the squarefree degree, every residual root is real (and inside). On
+    (-1, 1) the nearest doubles of the smallest and largest distinct ones
+    are then returned; with the +-1 roots they fix every classification and
+    boundary distance against (-1, 1). Over the line none is returned, as
+    the roots at +-1 are all that is left to report. Otherwise the residual
+    goes to 400-bit mpmath.polyroots, which returns all of its roots.
     """
-    coeffs = boundary_transform_exact(n, m, alpha, beta, factorial, rows)
-    coeffs, mult_plus = deflate_exact_root(coeffs, 1)
-    coeffs, mult_minus = deflate_exact_root(coeffs, -1)
+    residual = exact_image([1.0] * n + [-1.0] * m, rows)
+    residual, mult_plus = deflate_root(residual, 1)
+    residual, mult_minus = deflate_root(residual, -1)
     roots: list[complex] = [complex(1.0)] * mult_plus + [complex(-1.0)] * mult_minus
     detail = {"mult_plus": mult_plus, "mult_minus": mult_minus,
-              "residual_degree": len(coeffs) - 1}
-    if len(coeffs) > 1:
-        extremes = _certified_extremes(primitive_part(coeffs), unit_interval)
-        roots.extend(extremes if extremes is not None else _residual_roots(coeffs, policy))
+              "residual_degree": len(residual) - 1}
+    if len(residual) > 1:
+        p = primitive_part(residual)
+        extremes = _certified_extremes(p, unit_interval)
+        roots.extend(extremes if extremes is not None else _residual_roots(p, policy))
     return roots, detail
 
 
 def _certified_extremes(p: list[int], unit_interval: bool) -> list[complex] | None:
-    """Nearest doubles of the smallest and largest distinct roots of p when
-    every root is certified real (and inside (-1, 1) if unit_interval),
-    else None.
+    """None unless every root of p is certified real (and inside (-1, 1) if
+    unit_interval); else, on (-1, 1), the nearest doubles of the smallest
+    and largest distinct roots, and over the line no root at all.
 
-    Sturm counts cover (lo, hi], so neither end may be a root: p has none
-    at +-1 after deflation, and none at or beyond its Cauchy bound.
+    Sturm counts cover half-open intervals (lo, hi], so neither end may be
+    a root: p has none at +-1 after deflation, and none at or beyond its
+    Cauchy bound.
     """
-    if unit_interval:
-        lo, hi = -1, 1
-    else:
-        hi = root_bound(p)
-        lo = -hi
     seq = sturm_sequence(p)
     distinct = len(seq[0]) - 1
-    if count_roots(seq, lo, hi) != distinct:
+    if not unit_interval:
+        bound = root_bound(p)
+        return [] if count_roots(seq, -bound, bound) == distinct else None
+    if count_roots(seq, -1, 1) != distinct:
         return None
-    return [complex(nearest_double_root(seq, lo, hi, i)) for i in sorted({0, distinct - 1})]
+    return [complex(nearest_double_root(seq, -1, 1, i)) for i in sorted({0, distinct - 1})]
 
 
-def _residual_roots(coeffs, policy: PrecisionPolicy) -> list[complex]:
-    """All roots of a rational polynomial by mpmath.polyroots at >= 400 bits
+def _residual_roots(p: list[int], policy: PrecisionPolicy) -> list[complex]:
+    """All roots of an integer polynomial by mpmath.polyroots at >= 400 bits
     (policy.bits when larger)."""
     bits = max(policy.bits or 0, 400)
     with mpmath.workprec(bits):
-        mp_coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                     for c in coeffs[::-1]]
-        found = mpmath.polyroots(mp_coeffs, maxsteps=200, extraprec=bits)
+        found = mpmath.polyroots([mpmath.mpf(c) for c in p[::-1]],
+                                 maxsteps=200, extraprec=bits)
     return [complex(r) for r in found]
 
 
@@ -312,21 +313,14 @@ def certified_interior_verdict(
     found = certify_interior_roots(image, approx, tol)
     if found is not None:
         return RootLocation.ALL_STRICTLY_INSIDE, found
-    found = (_certified_extremes(primitive_part(image), unit_interval=True)
-             or _residual_roots(image, policy))
+    p = primitive_part(image)
+    found = _certified_extremes(p, unit_interval=True) or _residual_roots(p, policy)
     return classify_roots(found, (-1.0, 1.0), tol).classification, found
 
 
-@functools.lru_cache(maxsize=1)
-def _exact_rows(deg_cap: int, alpha: float, beta: float):
-    """Exact Jacobi rows at deg_cap; a sweep visits one grid point at a time."""
-    return jacobi_coefficient_rows(deg_cap, Fraction(alpha), Fraction(beta))
-
-
-@functools.lru_cache(maxsize=1)
-def _ultra_rows(deg_cap: int, alpha: float) -> list[list[int]]:
-    """Integer rows of the factorial-scaled map at deg_cap, one alpha at a time."""
-    return ultra_rows_int(deg_cap, alpha)
+# A sweep visits one grid point at a time, so one set of rows is cached,
+# keyed on (deg_cap, alpha, beta, scale): the scale tells the campaigns apart.
+_rows = functools.lru_cache(maxsize=1)(jacobi_rows_int)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +332,7 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
     the factorial-scaled symmetric transform; every case must classify as
     strictly inside (-1, 1) (by tol).
 
-    The image is computed exactly, as integers (ultra_transform_exact), and
+    The image is computed exactly, as integers (exact_image), and
     its verdict is certified (certified_interior_verdict): the comrade-matrix
     roots of the double image only pick the points of a sign-change
     certificate. min_boundary_distance comes from the nearest doubles of
@@ -351,7 +345,7 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
     def case(alpha, rng, _):
         degree = int(rng.integers(1, config.deg_cap + 1))
         roots = random_interior_roots(rng, degree)
-        image = ultra_transform_exact(roots, _ultra_rows(config.deg_cap, alpha))
+        image = exact_image(roots, _rows(config.deg_cap, alpha, alpha, ultra_row_scale))
         weights = [a * factorial_scale(k, alpha) for k, a in enumerate(monic_from_roots(roots))]
         classification, found = certified_interior_verdict(
             image, jacobi_series_roots(weights, alpha, alpha), tol, policy)
@@ -397,8 +391,8 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
         if pair is not None:
             n, m = pair
             roots, detail = boundary_family_roots(
-                n, m, alpha, beta, False, policy, unit_interval=True,
-                rows=_exact_rows(config.deg_cap, alpha, beta))
+                n, m, _rows(config.deg_cap, alpha, beta, unit_row_scale), policy,
+                unit_interval=True)
             in_closed, flag = _classify_closed(roots, tol)
             text, degree, family = f"(x-1)^{n} (x+1)^{m}", n + m, "boundary"
             outcome = "pass" if in_closed else "violation"
@@ -445,7 +439,7 @@ def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
     def case(spec, rng, _):
         alpha, beta, (n, m) = spec
         roots, detail = boundary_family_roots(
-            n, m, alpha, beta, True, policy, rows=_exact_rows(config.deg_cap, alpha, beta))
+            n, m, _rows(config.deg_cap, alpha, beta, factorial_row_scale), policy)
         max_imag = max((abs(r.imag) for r in roots), default=0.0)
         real_rooted = max_imag <= tol
         return {

@@ -28,7 +28,7 @@ def check_params(**params) -> None:
     """Raise BadParameterError unless every named family parameter exceeds -1."""
     for name, value in params.items():
         if not value > -1:
-            raise BadParameterError(f"{name} must exceed -1, got {value}")
+            raise BadParameterError(f"{name} must exceed -1, got {float(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +311,15 @@ def _sign_at(p: list[int], num: int, k: int) -> int:
     for j, c in enumerate(reversed(p[:-1]), 1):
         acc = acc * num + (c << (k * j))
     return (acc > 0) - (acc < 0)
+
+
+def deflate_root(p: list[int], root: int) -> tuple[list[int], int]:
+    """Divide the integer polynomial p by (x - root) while root is a root of
+    the quotient; returns that quotient and the multiplicity removed."""
+    mult = 0
+    while len(p) > 1 and _sign_at(p, root, 0) == 0:
+        p, mult = _divide_exact(p, [-root, 1]), mult + 1
+    return p, mult
 
 
 def _variations(seq: list[list[int]], num: int, k: int) -> int:

@@ -2,13 +2,15 @@
 polynomial expansions.
 
 All transforms return monomial-basis Poly values so downstream root finding
-is uniform. An exact-rational route exists for the boundary-rooted test
-family (x-1)^n (x+1)^m: its outputs carry roots at exactly +-1 with high
-multiplicity, which double-precision coefficients cannot represent
-faithfully (root scatter grows like eps^(1/multiplicity)). That route takes
-the parameters as exact rationals, so it serves every float parameter (each
-is a binary rational), not only integers; non-dyadic decimals such as 0.3
-just bring large denominators.
+is uniform. An exact integer route serves inputs given by double roots, such
+as theorem12's random interior-rooted inputs and the boundary-rooted family
+(x-1)^n (x+1)^m, whose images carry roots at exactly +-1 with high
+multiplicity that double-precision coefficients cannot represent faithfully
+(root scatter grows like eps^(1/multiplicity)). Every double is a binary
+rational, so jacobi_rows_int builds integer rows of any (alpha, beta) and
+per-degree scale, and exact_image maps a root list through them in Python
+ints. Fraction arithmetic stays inside the row construction; non-dyadic
+parameters such as 0.3 just bring larger integers.
 """
 
 from __future__ import annotations
@@ -100,20 +102,16 @@ TransformSpec = UltraScaled | JacobiExpansion | JacobiFactorial | OrthogonalSeri
 # the transforms
 # ---------------------------------------------------------------------------
 
-def _expand(weighted, alpha, beta, rows=None) -> np.ndarray:
+def _expand(weighted, alpha: float, beta: float) -> np.ndarray:
     """Ascending monomial coefficients of sum_k w_k P_k^(alpha,beta).
 
     The weights w_k arrive with their per-degree scale already applied, so
-    each caller keeps its own rounding. Fraction parameters give an exact
-    object array (see jacobi_coefficient_rows). The degree-by-degree
-    accumulation fixes the float rounding; a matrix product would not.
-    rows, when given, are jacobi_coefficient_rows of these parameters at
-    any degree >= len(weighted) - 1 (row k does not depend on that degree).
+    each caller keeps its own rounding. The degree-by-degree accumulation
+    fixes the float rounding; a matrix product would not.
     """
     n = len(weighted) - 1
-    if rows is None:
-        rows = jacobi_coefficient_rows(n, alpha, beta)
-    out = np.zeros(n + 1, dtype=rows.dtype)
+    rows = jacobi_coefficient_rows(n, alpha, beta)
+    out = np.zeros(n + 1)
     for k, wk in enumerate(weighted):
         if wk != 0:
             out[: k + 1] += wk * rows[k, : k + 1]
@@ -215,36 +213,49 @@ def scale_ratio_sequence(alpha: float, max_degree: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# exact integer route for the factorial-scaled map of interior-rooted inputs
+# exact integer route: images of inputs with double roots
 # ---------------------------------------------------------------------------
 
-def ultra_rows_int(deg_cap: int, alpha: float) -> list[list[int]]:
-    """Integer rows of the factorial-scaled ultraspherical map through deg_cap.
+def ultra_row_scale(k: int, alpha: Fraction) -> Fraction:
+    """k!/(1+alpha)_k: k!/Gamma(k+1+alpha) times Gamma(1+alpha) > 0."""
+    return math.factorial(k) / math.prod((alpha + i for i in range(1, k + 1)), start=Fraction(1))
 
-    k!/Gamma(k+1+alpha) = k! / (Gamma(1+alpha) (1+alpha)_k), and the common
-    positive factor 1/Gamma(1+alpha) moves no root. Row k is therefore
-    D k!/(1+alpha)_k times the exact Jacobi row k, with one positive integer
-    D clearing every denominator; alpha is taken as an exact binary rational.
+
+def factorial_row_scale(k: int, alpha: Fraction) -> Fraction:
+    """1/k!, the per-degree factor of jacobi_factorial_transform."""
+    return Fraction(1, math.factorial(k))
+
+
+def unit_row_scale(k: int, alpha: Fraction) -> int:
+    """1, the per-degree factor of jacobi_transform."""
+    return 1
+
+
+def jacobi_rows_int(deg_cap: int, alpha: float, beta: float, scale) -> list[list[int]]:
+    """Integer rows of x^k -> scale(k, alpha) P_k^(alpha,beta) through deg_cap.
+
+    The parameters are taken as exact binary rationals, and scale is one of
+    the positive *_row_scale functions. Row k is D scale(k, alpha) times the
+    exact Jacobi row k, with one positive integer D clearing every
+    denominator, so an image through the rows is a positive multiple of the
+    exact one and has its roots.
     """
     a = Fraction(alpha)
-    rows = jacobi_coefficient_rows(deg_cap, a, a)
-    scaled, scale = [], Fraction(1)
-    for k in range(deg_cap + 1):
-        if k:
-            scale *= k / (k + a)
-        scaled.append([scale * c for c in rows[k, : k + 1]])
+    rows = jacobi_coefficient_rows(deg_cap, a, Fraction(beta))
+    scales = [scale(k, a) for k in range(deg_cap + 1)]
+    scaled = [[s * c for c in rows[k, : k + 1]] for k, s in enumerate(scales)]
     den = math.lcm(*(c.denominator for row in scaled for c in row))
     return [[c.numerator * (den // c.denominator) for c in row] for row in scaled]
 
 
-def ultra_transform_exact(roots, rows) -> list[int]:
-    """Integer coefficients of a positive multiple of the ultra_transform
-    image of prod_r (x - r), for double roots r.
+def exact_image(roots, rows) -> list[int]:
+    """Integer coefficients of a positive multiple of the image of
+    prod_r (x - r), for double roots r, under the map of rows.
 
     Each double is an exact binary rational, so 2^K r is an integer for one
     K and 2^(K n) prod_r (x - r) has the integer coefficients c_k 2^(K k),
-    where c holds those of prod_r (x - 2^K r). rows come from ultra_rows_int
-    at any degree >= len(roots).
+    where c holds those of prod_r (x - 2^K r); the boundary roots +-1.0 have
+    K = 0. rows come from jacobi_rows_int at any degree >= len(roots).
     """
     scaled, shift = dyadic_numerators(roots)
     c = monic_from_roots(scaled)
@@ -254,48 +265,3 @@ def ultra_transform_exact(roots, rows) -> list[int]:
         for j, entry in enumerate(rows[k]):
             out[j] += ck * entry
     return out
-
-
-# ---------------------------------------------------------------------------
-# exact-rational route for the boundary-rooted family
-# ---------------------------------------------------------------------------
-
-def boundary_input_coeffs(n: int, m: int) -> list[Fraction]:
-    """Ascending exact coefficients of (x-1)^n (x+1)^m."""
-    return monic_from_roots([Fraction(1)] * n + [Fraction(-1)] * m)
-
-
-def boundary_transform_exact(
-    n: int, m: int, alpha, beta, factorial: bool = False, rows=None
-) -> list[Fraction]:
-    """Exact coefficients of the transform applied to (x-1)^n (x+1)^m.
-
-    The parameters are taken as exact rationals (a float converts without
-    rounding). factorial=True divides the degree-k image by k! (the
-    factorial variant). rows may carry exact Jacobi rows of these
-    parameters at any degree >= n + m, so a sweep builds them once.
-    """
-    f = boundary_input_coeffs(n, m)
-    if factorial:
-        f = [Fraction(ak, math.factorial(k)) for k, ak in enumerate(f)]
-    return list(_expand(f, Fraction(alpha), Fraction(beta), rows))
-
-
-def deflate_exact_root(coeffs: list[Fraction], at: int) -> tuple[list[Fraction], int]:
-    """Divide out (x - at) while the remainder is exactly zero.
-
-    Returns the deflated coefficients and the multiplicity removed.
-    """
-    mult = 0
-    c = list(coeffs)
-    while len(c) > 1:
-        q = [Fraction(0)] * (len(c) - 1)
-        acc = c[-1]
-        for j in range(len(c) - 2, -1, -1):
-            q[j] = acc
-            acc = c[j] + at * acc
-        if acc != 0:
-            break
-        c = q
-        mult += 1
-    return c, mult

@@ -3,6 +3,7 @@ schemas, serialization round-trips, and the CLI surface."""
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,12 +30,13 @@ from orthozero.harness import (
 from orthozero.polycore import (
     RootLocation,
     classify_roots,
+    jacobi_coefficient_rows,
     min_boundary_distance,
     monic_from_roots,
     primitive_part,
 )
 from orthozero.precision import DOUBLE
-from orthozero.transforms import boundary_transform_exact, deflate_exact_root
+from orthozero.transforms import factorial_row_scale, jacobi_rows_int, unit_row_scale
 from orthozero import cli
 
 SMALL = dict(deg_cap=6, trials=10, seed=21)
@@ -147,7 +149,8 @@ def test_certified_interior_verdict_falls_back_to_exact_counts():
 
 def test_boundary_family_exact_roots():
     # alpha = beta = 0 keeps both boundary roots, e.g. x^2-1 -> 3/2 (x^2-1)
-    roots, detail = boundary_family_roots(1, 1, 0.0, 0.0, False, DOUBLE)
+    roots, detail = boundary_family_roots(1, 1, jacobi_rows_int(2, 0.0, 0.0, unit_row_scale),
+                                          DOUBLE)
     assert detail == {"mult_plus": 1, "mult_minus": 1, "residual_degree": 0}
     assert sorted(r.real for r in roots) == [-1.0, 1.0]
 
@@ -155,21 +158,31 @@ def test_boundary_family_exact_roots():
 def test_boundary_family_noninteger_parameters():
     # half-integer parameters genuinely push roots off [-1,1] (one real root
     # outside plus a complex pair); the exact route must surface that
-    roots, detail = boundary_family_roots(3, 2, 0.5, 0.5, False, DOUBLE)
+    rows = jacobi_rows_int(5, 0.5, 0.5, unit_row_scale)
+    roots, detail = boundary_family_roots(3, 2, rows, DOUBLE)
     assert len(roots) == 5
     assert detail["mult_plus"] == 0 and detail["mult_minus"] == 0
     assert any(abs(r.imag) > 1e-7 for r in roots)
     assert any(abs(r.imag) <= 1e-12 and abs(r.real) > 1.0 + 1e-7 for r in roots)
-    again, _ = boundary_family_roots(3, 2, 0.5, 0.5, False, DOUBLE)
+    again, _ = boundary_family_roots(3, 2, rows, DOUBLE)
     assert roots == again
 
 
 def _polyroots_reference(n, m, alpha, beta, factorial):
-    """Every root of the image: exact deflation at +-1, then 400-bit polyroots."""
-    coeffs = boundary_transform_exact(n, m, alpha, beta, factorial)
-    coeffs, plus = deflate_exact_root(coeffs, 1)
-    coeffs, minus = deflate_exact_root(coeffs, -1)
-    roots = [complex(1.0)] * plus + [complex(-1.0)] * minus
+    """Every root of the image: the image over Fractions, deflated at +-1 by
+    Fraction synthetic division, then 400-bit polyroots."""
+    rows = jacobi_coefficient_rows(n + m, Fraction(alpha), Fraction(beta))
+    f = monic_from_roots([1] * n + [-1] * m)
+    coeffs = [sum(f[k] * rows[k, j] / (math.factorial(k) if factorial else 1)
+                  for k in range(j, n + m + 1)) for j in range(n + m + 1)]
+    roots = []
+    for at in (1, -1):
+        while len(coeffs) > 1 and sum(c * at ** j for j, c in enumerate(coeffs)) == 0:
+            q = [coeffs[-1]]
+            for c in reversed(coeffs[1:-1]):
+                q.append(c + at * q[-1])
+            coeffs = q[::-1]
+            roots.append(complex(at))
     if len(coeffs) > 1:
         with mpmath.workprec(400):
             found = mpmath.polyroots(
@@ -192,11 +205,12 @@ def _verdicts(roots, tol=1e-7):
 def test_certified_boundary_verdicts_match_polyroots(alpha, beta):
     # the Sturm route must report what full 400-bit root finding reports:
     # max_imag over the line, closed-interval flag and distance on (-1, 1)
-    for factorial in (False, True):
+    for factorial, scale in ((False, unit_row_scale), (True, factorial_row_scale)):
+        rows = jacobi_rows_int(8, alpha, beta, scale)
         for n, m in boundary_pairs(8):
             reference = _verdicts(_polyroots_reference(n, m, alpha, beta, factorial))
-            line, _ = boundary_family_roots(n, m, alpha, beta, factorial, DOUBLE)
-            unit, _ = boundary_family_roots(n, m, alpha, beta, factorial, DOUBLE, unit_interval=True)
+            line, _ = boundary_family_roots(n, m, rows, DOUBLE)
+            unit, _ = boundary_family_roots(n, m, rows, DOUBLE, unit_interval=True)
             assert _verdicts(line)[0] == reference[0], (n, m, factorial)
             assert _verdicts(unit)[1:] == reference[1:], (n, m, factorial)
 
@@ -453,6 +467,35 @@ def test_exit_code_two_on_proven_violation(monkeypatch, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["conj32", "--alpha", "inf"], "alpha_grid"),
+    (["theorem12", "--alpha", "inf"], "alpha_grid"),
+    (["ssr", "--alpha", "inf"], "alpha_grid"),
+    (["q31", "--alpha", "nan"], "alpha_grid"),
+    (["q31", "--beta", "inf"], "beta_grid"),
+    (["theorem12", "--tol", "-1"], "tol"),
+    (["q31", "--deg-cap", "3", "--tol", "nan"], "tol"),
+    (["q31", "--alpha", "-1.5"], "alpha must exceed -1, got -1.5"),
+])
+def test_cli_rejects_unusable_configs(capsys, argv, field):
+    # each of these once ended in a traceback, a Fraction repr or a report
+    # of passes or violations; now each exits 1 naming the field
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
+def test_cli_overflow_exits_one(capsys):
+    # 2 ** (alpha + beta) in the two-parameter kernel overflows a double
+    code = cli.main(["ssr", "--alpha", "2000", "--beta", "0.5", "--m-max", "2",
+                     "--trials", "5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "overflow" in err
+
+
 def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     from mpmath.libmp import NoConvergence
 
@@ -467,7 +510,7 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 
 
 # sha256 of report_to_json at artifact_version 0.3.0. The q31 and ssr routes
-# run in exact rationals and mpmath, away from BLAS and LAPACK, so their
+# run in exact integers and mpmath, away from BLAS and LAPACK, so their
 # digests do not depend on the numpy build. The ssr minors are exact
 # determinants of the entries rebuilt at the working precision; ssr-e64 pins
 # them at 64 bits, the lowest precision a policy allows. The conj32 runs also

@@ -1,5 +1,5 @@
 """Transform contracts: worked examples, linearity, degree and parity
-preservation, zero preservation, and the exact-rational boundary route."""
+preservation, zero preservation, and the exact integer route."""
 
 import math
 from fractions import Fraction
@@ -28,13 +28,14 @@ from orthozero import (
     ultra_transform,
 )
 from orthozero.errors import BadParameterError, IncompleteSpecError
-from orthozero.polycore import jacobi_coefficient_rows, monic_from_roots
+from orthozero.harness import boundary_pairs
+from orthozero.polycore import deflate_root, jacobi_coefficient_rows, monic_from_roots
 from orthozero.transforms import (
-    boundary_input_coeffs,
-    boundary_transform_exact,
-    deflate_exact_root,
-    ultra_rows_int,
-    ultra_transform_exact,
+    exact_image,
+    factorial_row_scale,
+    jacobi_rows_int,
+    ultra_row_scale,
+    unit_row_scale,
 )
 
 X_SQUARED = Poly((0.0, 0.0, 1.0))
@@ -229,12 +230,14 @@ def test_per_degree_proportionality_of_conventions():
 
 
 # ---------------------------------------------------------------------------
-# exact-rational boundary route
+# exact integer route
 # ---------------------------------------------------------------------------
 
 def test_boundary_input_coeffs():
-    # (x-1)^2 (x+1) = x^3 - x^2 - x + 1
-    assert boundary_input_coeffs(2, 1) == [1, -1, -1, 1]
+    # (x-1)^2 (x+1) = x^3 - x^2 - x + 1: the doubles +-1 need no power-of-two
+    # shift, so identity rows give the input's own coefficients
+    identity = [[int(j == k) for j in range(k + 1)] for k in range(4)]
+    assert exact_image([1.0, 1.0, -1.0], identity) == [1, -1, -1, 1]
 
 
 def test_exact_rows_match_float_rows():
@@ -249,43 +252,61 @@ def test_exact_rows_match_float_rows():
 
 
 def test_exact_transform_matches_float_transform():
-    f = Poly(tuple(float(c) for c in boundary_input_coeffs(2, 2)), tau_trim=0.0)
+    f = Poly(tuple(monic_from_roots([1.0, 1.0, -1.0, -1.0])), tau_trim=0.0)
     approx = jacobi_transform(f, 1.0, 2.0).array
-    exact = boundary_transform_exact(2, 2, 1, 2)
-    assert np.allclose([float(v) for v in exact], approx, atol=1e-13)
+    exact = exact_image([1.0, 1.0, -1.0, -1.0], jacobi_rows_int(4, 1, 2, unit_row_scale))
+    scale = Fraction(exact[-1]) / Fraction(approx[-1])
+    assert scale > 0
+    assert np.allclose([float(v / scale) for v in exact], approx, atol=1e-13)
 
 
 def test_boundary_example_alpha_beta_zero():
-    # x^2 - 1 maps to 3/2 (x^2 - 1): both boundary roots survive exactly
-    out = boundary_transform_exact(1, 1, 0, 0)
-    assert out == [Fraction(-3, 2), Fraction(0), Fraction(3, 2)]
-    rest, mult_p = deflate_exact_root(out, 1)
-    rest, mult_m = deflate_exact_root(rest, -1)
+    # x^2 - 1 maps to 3/2 (x^2 - 1), here times D = 2: both boundary roots
+    # survive exactly
+    out = exact_image([1.0, -1.0], jacobi_rows_int(2, 0, 0, unit_row_scale))
+    assert out == [-3, 0, 3]
+    rest, mult_p = deflate_root(out, 1)
+    rest, mult_m = deflate_root(rest, -1)
     assert (mult_p, mult_m) == (1, 1)
-    assert rest == [Fraction(3, 2)]
+    assert rest == [3]
 
 
 def test_deflation_counts_multiplicity():
-    coeffs = boundary_input_coeffs(3, 2)
-    rest, mult = deflate_exact_root(coeffs, 1)
+    coeffs = monic_from_roots([1, 1, 1, -1, -1])
+    rest, mult = deflate_root(coeffs, 1)
     assert mult == 3
-    rest, mult = deflate_exact_root(rest, -1)
+    rest, mult = deflate_root(rest, -1)
     assert mult == 2
-    assert rest == [Fraction(1)]
+    assert rest == [1]
 
 
-@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.3, 1.0, 2.5])
+def _fraction_deflate(coeffs, at):
+    """Synthetic division by (x - at) over Fractions while at is a root."""
+    mult = 0
+    while len(coeffs) > 1 and sum(c * at ** j for j, c in enumerate(coeffs)) == 0:
+        q = [coeffs[-1]]
+        for c in reversed(coeffs[1:-1]):
+            q.append(c + at * q[-1])
+        coeffs, mult = q[::-1], mult + 1
+    return coeffs, mult
+
+
+# (alpha, beta) of the boundary images checked alongside the interior ones
+BOUNDARY_BETA = {0.0: 0.0, 3.0: 4.0, 0.1: 0.3, -0.5: 0.3}
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.3, 1.0, 2.5, 0.1, 3.0])
 def test_integer_image_is_a_positive_multiple_of_the_exact_image(alpha):
     # the exact image sum_k a_k k!/Gamma(k+1+alpha) P_k^(alpha,alpha) over
     # Fractions, which leaves out the positive factor 1/Gamma(1+alpha); the
     # double route agrees to rounding once the leading coefficients match
     rng = np.random.default_rng(31)
     a = Fraction(alpha)
-    rows = ultra_rows_int(12, alpha)
+    rows = jacobi_rows_int(12, alpha, alpha, ultra_row_scale)
     for degree in (1, 2, 7, 12):
         roots = rng.uniform(-0.99, 0.99, degree)
         roots[0] = 2.0 ** -70  # a tiny root needs a large power-of-two shift
-        image = ultra_transform_exact(roots, rows)
+        image = exact_image(roots, rows)
         coeffs = monic_from_roots([Fraction(r) for r in roots])
         scale = [math.factorial(k) / math.prod((i + 1 + a for i in range(k)), start=Fraction(1))
                  for k in range(degree + 1)]
@@ -297,9 +318,33 @@ def test_integer_image_is_a_positive_multiple_of_the_exact_image(alpha):
         double = ultra_transform(Poly(tuple(monic_from_roots(roots)), tau_trim=0.0), alpha).array
         normed = np.array([float(Fraction(c, image[-1])) for c in image]) * double[-1]
         assert np.max(np.abs(normed - double)) <= 1e-13 * np.max(np.abs(double))
+    if alpha not in BOUNDARY_BETA:
+        return
+    # the boundary images (x-1)^n (x+1)^m through the Jacobi rows, without
+    # and with the 1/k! scale: a positive multiple of the Fraction image,
+    # with the same multiplicities at +-1 and the residual the same multiple
+    b = Fraction(BOUNDARY_BETA[alpha])
+    jacobi = jacobi_coefficient_rows(8, a, b)
+    for row_scale, factor in ((unit_row_scale, lambda k: 1),
+                              (factorial_row_scale, lambda k: Fraction(1, math.factorial(k)))):
+        rows = jacobi_rows_int(8, alpha, float(b), row_scale)
+        for n, m in boundary_pairs(8):
+            coeffs = monic_from_roots([1] * n + [-1] * m)
+            exact = [sum(coeffs[k] * factor(k) * jacobi[k, j] for k in range(j, n + m + 1))
+                     for j in range(n + m + 1)]
+            image = exact_image([1.0] * n + [-1.0] * m, rows)
+            ratio = Fraction(image[-1]) / exact[-1]
+            assert ratio > 0
+            assert [Fraction(c) for c in image] == [ratio * c for c in exact], (n, m)
+            residual, plus = deflate_root(image, 1)
+            residual, minus = deflate_root(residual, -1)
+            exact, exact_plus = _fraction_deflate(exact, 1)
+            exact, exact_minus = _fraction_deflate(exact, -1)
+            assert (plus, minus) == (exact_plus, exact_minus), (n, m)
+            assert [Fraction(c) for c in residual] == [ratio * c for c in exact], (n, m)
 
 
 def test_integer_rows_clear_one_common_denominator():
     # alpha = 0: k!/(1)_k = 1, so the rows are D times the Legendre rows
-    rows = ultra_rows_int(3, 0.0)
+    rows = jacobi_rows_int(3, 0.0, 0.0, ultra_row_scale)
     assert rows == [[2], [0, 2], [-1, 0, 3], [0, -3, 0, 5]]
