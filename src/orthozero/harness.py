@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__ as ARTIFACT_VERSION
 from .biortho import EQUIV_ALPHA_HALF, transform_equivalence_check
-from .errors import BadParameterError, SingularSystemError
+from .errors import BadParameterError, NonFiniteError, SingularSystemError
 from .polycore import (
     MONOMIAL,
     Poly,
@@ -400,6 +400,10 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
             degree = int(rng.integers(1, 10))
             f = poly_from_roots(random_interior_roots(rng, degree))
             image = jacobi_transform(f, alpha, beta)
+            if not np.isfinite(image.array).all():
+                raise NonFiniteError(
+                    f"the double image of a degree-{degree} input at alpha={alpha:g}, "
+                    f"beta={beta:g} is not finite (parameters too large?)")
             report = classify_roots(poly_roots(image, policy), (-1.0, 1.0), tol)
             roots, detail, flag = report.roots, None, report.classification
             text, family = f"random_interior(degree={degree})", "random"

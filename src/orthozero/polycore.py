@@ -177,6 +177,8 @@ def jacobi_series_roots(weights, alpha: float, beta: float) -> np.ndarray:
 
     Row k of the matrix writes x P_k in P_(k-1), P_k, P_(k+1) by the
     three-term recurrence; P_n is eliminated through the series itself.
+    When the matrix is not finite (weights that underflowed to zero, or an
+    overflowing recurrence) there are no estimates, and the result is empty.
     """
     w = np.asarray(weights, dtype=float)
     n = len(w) - 1
@@ -187,7 +189,10 @@ def jacobi_series_roots(weights, alpha: float, beta: float) -> np.ndarray:
         m[k - 1, k] = 1 / a
         a, b, c = jacobi_recurrence(k, alpha, beta)
         m[k, k - 1], m[k, k] = c / a, -b / a
-    m[n - 1] -= w[:n] / (w[n] * a)
+    with np.errstate(all="ignore"):
+        m[n - 1] -= w[:n] / (w[n] * a)
+    if not np.isfinite(m).all():
+        return np.empty(0, complex)
     return np.linalg.eigvals(m)
 
 

@@ -7,13 +7,15 @@ Minors are classified determinate only when they clear a threshold relative
 to the matrix row norms; everything else is counted indeterminate rather
 than silently assigned a sign.
 
-In double precision a scan decides each order as one stack: the kernel is
-evaluated once on all tuples of the order and np.linalg.det runs once on
-the (trials, m, m) result. Under the extended policy each minor's entries
-are rebuilt at the working precision, and the determinant of those entries
-is computed exactly, by fraction-free integer elimination, and rounded once
-to a double; the entries carry the only rounding, and there is no
-singularity cutoff.
+A scan decides each order as one stack: the kernel formula is evaluated
+once, broadcast over all tuples of the order, giving the (trials, m, m)
+entries. In double precision np.linalg.det then runs once on that stack.
+Under the extended policy the same formula runs on object arrays of mpf at
+the working precision, so each node and each kernel constant is lifted and
+computed once per order; the determinant of each matrix of those entries is
+computed exactly, by fraction-free integer elimination, and rounded once to
+a double. The entries carry the only rounding, and there is no singularity
+cutoff.
 """
 
 from __future__ import annotations
@@ -64,10 +66,18 @@ class Domain:
 
 UNIT_SQUARE = Domain((-1.0, 1.0), (-1.0, 1.0))
 
-# The two number routes a kernel formula runs under: numpy in double, and
-# mpmath at the caller's working precision. `num` lifts a scalar constant.
+# The two number routes a kernel formula runs under: numpy on float arrays,
+# and mpmath at the caller's working precision on object arrays of mpf, where
+# numpy maps every operator and function elementwise. Either way one call
+# evaluates a whole broadcast stack, so per-node subexpressions are computed
+# once per node and constants once per call. `num` lifts a scalar constant.
+# A lifted mpf constant must never stand on the left of an array operator:
+# mpmath then tries to convert the array, building its whole repr, before
+# numpy takes over.
 _NUMPY = SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt)
-_MPMATH = SimpleNamespace(num=mpmath.mpf, exp=mpmath.exp, sqrt=mpmath.sqrt)
+_MPMATH = SimpleNamespace(num=mpmath.mpf, exp=np.frompyfunc(mpmath.exp, 1, 1),
+                          sqrt=np.frompyfunc(mpmath.sqrt, 1, 1))
+_lift = np.frompyfunc(mpmath.mpf, 1, 1)  # floats to mpf at the working precision
 
 
 class _Formula:
@@ -80,7 +90,9 @@ class _Formula:
         return self.formula(np.asarray(x, float), np.asarray(y, float), _NUMPY)
 
     def evaluate_exact(self, x, y):
-        return self.formula(mpmath.mpf(x), mpmath.mpf(y), _MPMATH)
+        """One mpf for scalar x, y; for arrays, an object array of mpf
+        broadcast as `evaluate` broadcasts."""
+        return self.formula(_lift(x), _lift(y), _MPMATH)
 
     def describe(self) -> str:
         """Short stable descriptor used in reports."""
@@ -116,7 +128,7 @@ class PowerSumKernel(_Formula):
             raise BadParameterError("domain must sit inside the positive quadrant")
 
     def formula(self, x, y, lib):
-        return (x + y) ** (-self.beta)
+        return (x + y) ** lib.num(-self.beta)
 
 
 def _quadratic_positive_on_open(domain: Domain) -> bool:
@@ -154,7 +166,7 @@ class UltraGenKernel(_Formula):
             raise BadParameterError("1 - 2xy + y^2 must stay positive on the domain")
 
     def formula(self, x, y, lib):
-        return (1 - 2 * x * y + y * y) ** (-self.beta)
+        return (1 - 2 * x * y + y * y) ** lib.num(-self.beta)
 
 
 @dataclass(frozen=True)
@@ -173,7 +185,7 @@ class UltraDerivedKernel(_Formula):
 
     def formula(self, x, y, lib):
         q = 1 - 2 * x * y + y * y
-        return (2 * self.alpha + 1) * (1 - y * y) * q ** (-self.alpha - 1.5)
+        return (1 - y * y) * lib.num(2 * self.alpha + 1) * q ** lib.num(-self.alpha - 1.5)
 
 
 @dataclass(frozen=True)
@@ -194,9 +206,11 @@ class JacobiGenKernel(_Formula):
             raise BadParameterError("1 - 2xy + y^2 must stay positive on the domain")
 
     def formula(self, x, y, lib):
+        scale = lib.num(2) ** (self.alpha + self.beta)
         rho = lib.sqrt(1 - 2 * x * y + y * y)
-        return (lib.num(2) ** (self.alpha + self.beta)
-                / (rho * (1 + y + rho) ** self.beta * (1 - y + rho) ** self.alpha))
+        denominator = (rho * (1 + y + rho) ** lib.num(self.beta)
+                       * (1 - y + rho) ** lib.num(self.alpha))
+        return np.divide(scale, denominator)  # not "/": the constant stands on the left
 
 
 @dataclass(frozen=True)
@@ -211,16 +225,20 @@ class FactorWrappedKernel:
     def domain(self) -> Domain:
         return self.base.domain
 
-    def evaluate(self, x, y):
+    def _factors(self, x, y):
         phi = np.vectorize(self.phi, otypes=[float])
         psi = np.vectorize(self.psi, otypes=[float])
-        return phi(np.asarray(x, float)) * psi(np.asarray(y, float)) * self.base.evaluate(x, y)
+        return phi(np.asarray(x, float)), psi(np.asarray(y, float))
+
+    def evaluate(self, x, y):
+        phi, psi = self._factors(x, y)
+        return phi * psi * self.base.evaluate(x, y)
 
     def evaluate_exact(self, x, y):
         # the wrapping factors act as a rank-one rescaling, so evaluating
         # them in double does not disturb determinant sign or conditioning
-        return (mpmath.mpf(self.phi(float(x))) * mpmath.mpf(self.psi(float(y)))
-                * self.base.evaluate_exact(x, y))
+        phi, psi = self._factors(x, y)
+        return _lift(phi) * _lift(psi) * self.base.evaluate_exact(x, y)
 
     def describe(self) -> str:
         return f"factor_wrapped[{self.base.describe()}]"
@@ -238,8 +256,8 @@ class CustomKernel:
         return np.asarray(self.fn(np.asarray(x, float), np.asarray(y, float)), float)
 
     def evaluate_exact(self, x, y):
-        # the callable runs in double; only its value is lifted
-        return mpmath.mpf(float(self.evaluate(x, y)))
+        # the callable runs in double; only its values are lifted
+        return _lift(self.evaluate(x, y))
 
     def describe(self) -> str:
         return f"{self.label} on {self.domain.window}"
@@ -267,9 +285,15 @@ def _check_tuple(vals, interval) -> np.ndarray:
     return vals
 
 
-def _minor_matrices(spec, xs, ys) -> np.ndarray:
-    """The stack [K(xs[t, i], ys[t, j])] for node arrays of shape (trials, m)."""
-    return np.asarray(spec.evaluate(xs[:, :, None], ys[:, None, :]), float)
+def _minor_matrices(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> np.ndarray:
+    """The stack [K(xs[t, i], ys[t, j])] for node arrays of shape (trials, m),
+    from one broadcast kernel evaluation: doubles, or under the extended
+    policy mpf entries built at the working precision."""
+    x, y = xs[:, :, None], ys[:, None, :]
+    if policy.extended:
+        with mpmath.workprec(policy.bits):
+            return spec.evaluate_exact(x, y)
+    return np.asarray(spec.evaluate(x, y), float)
 
 
 def _det_double(matrices: np.ndarray) -> np.ndarray:
@@ -280,18 +304,23 @@ def _det_double(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.det(matrices)
 
 
-def _det_extended(spec, xs, ys, bits: int) -> float:
-    # rebuild the entries at working precision: with double entries the
-    # exactly-computed determinant still inherits the entry rounding, which
-    # dominates for near-singular Cauchy-like minors
-    with mpmath.workprec(bits):
-        xs = [mpmath.mpf(x) for x in xs]
-        ys = [mpmath.mpf(y) for y in ys]
-        entries = [[spec.evaluate_exact(x, y)._mpf_ for y in ys] for x in xs]
+def _det_extended(matrices: np.ndarray) -> np.ndarray:
+    """Exact determinants of a (trials, m, m) stack of mpf entries, each
+    rounded once to a double.
+
+    The entries are built at the working precision: with double entries the
+    exactly-computed determinant would still inherit their rounding, which
+    dominates for near-singular Cauchy-like minors.
+    """
+    return np.array([_exact_det(matrix) for matrix in matrices], float)
+
+
+def _exact_det(matrix) -> float:
     # each entry is (-1)^sign man 2^exp; scaling row i by 2^-(its least
     # exponent) makes it integer, and the determinant exact from there
     rows, shift = [], 0
-    for row in entries:
+    for row in matrix:
+        row = [a._mpf_ for a in row]
         if any(not man and exp for _, man, exp, _ in row):
             return math.nan  # an infinite or nan entry
         low = min(exp for _, _, exp, _ in row)
@@ -325,9 +354,9 @@ def ssr_minor(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> float:
         raise BadTupleError("node tuples must have equal length")
     if len(xs) > 8:
         raise BadTupleError("minor order capped at 8")
-    if policy.extended:
-        return _det_extended(spec, xs, ys, policy.bits)
-    return float(_det_double(_minor_matrices(spec, xs[None], ys[None]))[0])
+    matrices = _minor_matrices(spec, xs[None], ys[None], policy)
+    dets = _det_extended(matrices) if policy.extended else _det_double(matrices)
+    return float(dets[0])
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +431,11 @@ def ssr_scan(
     Tuples are sorted i.i.d. uniform draws with a minimum separation of
     1e-3, redrawn per (seed, m, trial), so reports are reproducible and
     order-independent. All tuples of an order are drawn first and the order
-    is decided as one batch: one stacked kernel evaluation gives the double
-    matrices and their scales, and the determinants come from one stacked
-    np.linalg.det (double) or from an exact determinant of each minor's
-    working-precision entries (extended). A minor is determinate when |det|
+    is decided as one batch: one broadcast kernel evaluation gives the
+    double matrices and their scales, and the determinants come from one
+    stacked np.linalg.det (double), or from a second broadcast evaluation
+    at the working precision and an exact determinant of each of its
+    matrices (extended). A minor is determinate when |det|
     exceeds tau_det times the product of row sup-norms (a nan determinant
     never is); the per-order sign is the majority of determinate signs and
     any determinate disagreement is a violation.
@@ -425,7 +455,7 @@ def ssr_scan(
         xs, ys = (np.array(nodes) for nodes in zip(*draws))
         matrices = _minor_matrices(spec, xs, ys)
         if policy.extended:
-            dets = np.array([_det_extended(spec, x, y, policy.bits) for x, y in draws])
+            dets = _det_extended(_minor_matrices(spec, xs, ys, policy))
         else:
             dets = _det_double(matrices)
         # a nan determinant (from a non-finite entry) fails this test too

@@ -496,6 +496,20 @@ def test_cli_overflow_exits_one(capsys):
     assert err.startswith("error: ") and "overflow" in err
 
 
+def test_large_alpha_ends_in_a_verdict_or_a_clear_error(capsys):
+    # factorial_scale underflows at alpha = 2000, so no comrade matrix picks
+    # the certificate's points and the exact Sturm count decides each case
+    code = cli.main(["theorem12", "--alpha", "2000", "--deg-cap", "4", "--trials", "3"])
+    assert code == 0
+    assert "theorem12: 3 cases, 3 passes" in capsys.readouterr().err
+    # the double transform behind conj32's random cases overflows
+    code = cli.main(["conj32", "--alpha", "1e300", "--deg-cap", "4", "--trials", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "double image" in err and "not finite" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     from mpmath.libmp import NoConvergence
 
@@ -509,11 +523,13 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
-# sha256 of report_to_json at artifact_version 0.3.0. The q31 and ssr routes
-# run in exact integers and mpmath, away from BLAS and LAPACK, so their
-# digests do not depend on the numpy build. The ssr minors are exact
-# determinants of the entries rebuilt at the working precision; ssr-e64 pins
-# them at 64 bits, the lowest precision a policy allows. The conj32 runs also
+# sha256 of report_to_json at artifact_version 0.3.0. The q31 and extended
+# ssr routes run in exact integers and mpmath, away from BLAS and LAPACK, so
+# their digests do not depend on the numpy build. The extended ssr minors are
+# exact determinants of the entries built at the working precision; ssr-e64
+# pins them at 64 bits, the lowest precision a policy allows, and ssr-e256 at
+# 256 bits with generic exponents. ssr-double pins the double route, whose
+# determinants come from LAPACK. The conj32 runs also
 # hold ten random cases per grid point, whose roots come from LAPACK. The conj32-int
 # run takes the certified Sturm route and has non-zero boundary distances;
 # conj32-nondyadic mostly fails the certificate and falls back to polyroots.
@@ -539,6 +555,12 @@ PINNED_DIGESTS = [
     ("ssr-e64", CampaignConfig("ssr", alpha_grid=(-0.7, 0.3), beta_grid=(-0.9, 7.0), m_max=6,
                                trials=12, seed=2, precision="extended:64"),
      "6c85dd33f678278b1c87f4fb8b3801badcf51f3dde9293d2f01f746eb8428b9f"),
+    ("ssr-double", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 0.5, 1.5, 3.0),
+                                  m_max=4, trials=50),
+     "760f86ae9b37b01e929989f7fcd1d49dc90b70eeb0392c09e585a82ba36f0ebe"),
+    ("ssr-e256", CampaignConfig("ssr", alpha_grid=(0.3,), beta_grid=(2.2,), m_max=4, trials=10,
+                                precision="extended:256"),
+     "e4b7a87da5117c9c1fcc09203f48cd44ab97cd2c4f78ba18f85d51a487216668"),
 ]
 
 

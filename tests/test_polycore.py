@@ -1,6 +1,7 @@
 """Polynomial core: arithmetic, evaluation, roots, classification."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -490,6 +491,15 @@ def test_comrade_roots_of_a_series():
     # P_2^(1,1) = (15 x^2 - 3) / 4 and P_0 = 1: 2 P_0 + P_2 has roots +-sqrt(-1/3)
     eig = jacobi_series_roots([2.0, 0.0, 1.0], 1.0, 1.0)
     assert np.allclose(np.sort_complex(eig), [-1j / math.sqrt(3), 1j / math.sqrt(3)])
+
+
+def test_comrade_roots_of_a_non_finite_matrix_are_empty():
+    # weights that underflowed to zero (factorial_scale at alpha = 2000) give
+    # 0 / 0 in the last row; no estimates come back, and no warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jacobi_series_roots([0.0] * 5, 2000.0, 2000.0).size == 0
+        assert jacobi_series_roots([1.0, math.inf, 1.0], 0.0, 0.0).size == 0
 
 
 INTERIOR = st.builds(Fraction, st.integers(-95, 95), st.integers(1, 100).map(lambda d: 96 + d))

@@ -2,6 +2,7 @@
 of the kernels with known positivity status, factor and composition rules."""
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -28,7 +29,12 @@ from orthozero import (
 from orthozero.cli import main as cli_main
 from orthozero.errors import BadParameterError, BadTupleError, OutOfDomainError
 from orthozero.harness import CampaignConfig, run_campaign
-from orthozero.signreg import composition_kernel, draw_separated, minor_scale
+from orthozero.signreg import (
+    _minor_matrices,
+    composition_kernel,
+    draw_separated,
+    minor_scale,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +387,63 @@ def test_scan_equals_minor_by_minor_recomputation(name, policy):
                 neg += 1
         assert (stats.positive, stats.negative, stats.indeterminate) == (pos, neg, ind)
         assert stats.min_abs_det == min_abs
+
+
+# One entry at a time, at the current mpmath precision: each kernel formula
+# on two mpf scalars under a scalar namespace, and the wrapping factors in
+# double with their values lifted. This is independent of the broadcast
+# object-array evaluation that builds a scan's entries.
+_SCALAR = SimpleNamespace(num=mpmath.mpf, exp=mpmath.exp, sqrt=mpmath.sqrt)
+
+
+def _entry_by_entry(spec, x, y):
+    if isinstance(spec, FactorWrappedKernel):
+        return (mpmath.mpf(spec.phi(x)) * mpmath.mpf(spec.psi(y))
+                * _entry_by_entry(spec.base, x, y))
+    return spec.formula(mpmath.mpf(x), mpmath.mpf(y), _SCALAR)
+
+
+# integer, half-integer and generic exponents for every kernel type
+ENTRY_KERNELS = {
+    "ExpKernel": lambda e: ExpKernel(),
+    "PowerSumKernel": lambda e: PowerSumKernel(e),
+    "UltraGenKernel": lambda e: UltraGenKernel(e),
+    "UltraDerivedKernel": lambda e: UltraDerivedKernel(e),
+    "JacobiGenKernel": lambda e: JacobiGenKernel(2.2 - e, e),
+    "FactorWrappedKernel": lambda e: FactorWrappedKernel(
+        JacobiGenKernel(e, 0.7), lambda x: 2.0 - x, lambda t: 1.0 - t * t),
+    "composition_kernel": lambda e: composition_kernel(
+        ExpKernel(_POSITIVE), PowerSumKernel(e, _POSITIVE), np.linspace(0.3, 2.9, 6)),
+}
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("name", list(ENTRY_KERNELS))
+def test_broadcast_entries_equal_entry_by_entry_evaluation(name, bits):
+    rng = np.random.default_rng(bits)
+    for exponent in (1.0, 1.5, 0.3):
+        spec = ENTRY_KERNELS[name](exponent)
+        (xlo, xhi), (ylo, yhi) = spec.domain.x, spec.domain.y
+        xs = rng.uniform(xlo + 0.01 * (xhi - xlo), xhi - 0.01 * (xhi - xlo), (5, 4))
+        ys = rng.uniform(ylo + 0.01 * (yhi - ylo), yhi - 0.01 * (yhi - ylo), (5, 4))
+        stack = _minor_matrices(spec, xs, ys, extended(bits))
+        assert stack.shape == (5, 4, 4)
+        # a custom callable runs in double on the whole stack, as in the
+        # double route (numpy's array loops may differ from scalar calls in
+        # the last bit), and only its values are lifted
+        doubles = spec.evaluate(xs[:, :, None], ys[:, None, :])
+        with mpmath.workprec(bits):
+            for (t, i, j), entry in np.ndenumerate(stack):
+                if isinstance(spec, CustomKernel):
+                    reference = mpmath.mpf(float(doubles[t, i, j]))
+                else:
+                    reference = _entry_by_entry(spec, float(xs[t, i]), float(ys[t, j]))
+                assert entry._mpf_ == reference._mpf_, (exponent, t, i, j)
+            # the scalar contract: two floats give one mpf
+            single = spec.evaluate_exact(float(xs[0, 0]), float(ys[0, 0]))
+            assert isinstance(single, mpmath.mpf)
+            if not isinstance(spec, CustomKernel):
+                assert single._mpf_ == stack[0, 0, 0]._mpf_
 
 
 def test_stacked_minor_scale_equals_per_matrix():
