@@ -25,7 +25,7 @@ from .errors import (
     SingularSystemError,
 )
 from .orthopoly import gauss_jacobi_rule
-from .polycore import (Poly, RootReport, basis_to_monomial, check_params, classify_roots,
+from .polycore import (Poly, RootReport, check_params, classify_roots, monic_from_roots,
                        poly_eval, poly_roots)
 from .precision import DOUBLE, PrecisionPolicy
 from .signreg import CustomKernel, Domain, UltraDerivedKernel, minor_scale
@@ -226,36 +226,32 @@ EQUIV_ALPHA_HALF = ("alpha = -1/2 makes the degree-weighted kernel's prefactor "
 
 
 def transform_equivalence_check(
-    f: Poly,
+    nodes,
     alpha: float,
     policy: PrecisionPolicy = DOUBLE,
 ) -> float:
     """Max coefficient deviation between the monic-normalized scaled
-    ultraspherical transform of f and the monic biorthogonal polynomial
-    built from the degree-weighted generating kernel (with the family
-    weight) at nodes equal to f's roots.
+    ultraspherical transform of f = prod (x - t_l) and the monic
+    biorthogonal polynomial built from the degree-weighted generating kernel
+    (with the family weight) at the nodes t_l.
 
-    Requires f to have distinct real roots strictly inside (-1, 1), and
-    alpha != -1/2: there the kernel's prefactor 2a+1 vanishes, so every
-    moment is zero and the system has no solution.
+    Requires at most MAX_SYSTEM_SIZE nodes, pairwise more than
+    policy.tau_root apart and strictly inside (-1, 1), and alpha != -1/2:
+    there the kernel's prefactor 2a+1 vanishes, so every moment is zero and
+    the system has no solution.
     """
     check_params(alpha=alpha)
     if alpha == -0.5:
         raise BadParameterError(EQUIV_ALPHA_HALF)
-    f = basis_to_monomial(f)
-    n = f.degree
+    nodes = tuple(sorted(_check_nodes(nodes)))
+    n = len(nodes)
     if n == 0:
         return 0.0
-    if n > MAX_SYSTEM_SIZE:
-        raise BadParameterError(f"degree capped at {MAX_SYSTEM_SIZE}")
-    roots = poly_roots(f, policy)
-    if any(abs(r.imag) > policy.tau_root for r in roots):
-        raise BadNodesError("input must have only real roots")
-    nodes = tuple(sorted(r.real for r in roots))
     if nodes[0] <= -1.0 or nodes[-1] >= 1.0:
-        raise BadNodesError("input roots must lie inside (-1, 1)")
+        raise BadNodesError("nodes must lie inside (-1, 1)")
     if any(b - a <= policy.tau_root for a, b in zip(nodes, nodes[1:])):
-        raise BadNodesError("input roots must be pairwise distinct")
+        raise BadNodesError("nodes must be pairwise distinct")
+    f = Poly(tuple(monic_from_roots(nodes)), tau_trim=0.0)
 
     moments = _weighted_moments(nodes, alpha, n + 1)
     derived = UltraDerivedKernel(alpha)

@@ -43,7 +43,3 @@ class BadNodesError(OrthozeroError, ValueError):
 
 class SingularSystemError(OrthozeroError, ArithmeticError):
     """The biorthogonality moment determinant is numerically singular."""
-
-
-class NonFiniteError(OrthozeroError, ArithmeticError):
-    """A double-precision result overflowed or became undefined."""

@@ -12,15 +12,16 @@ the image through them (exact_image). The boundary-rooted family
 (x-1)^n (x+1)^m needs that: its images have roots at +-1 of high
 multiplicity, which float coefficients perturb by roughly
 eps^(1/multiplicity), far beyond the campaign tolerances. Those roots are
-deflated by integer synthetic division, and the residual's verdict is an
-exact Sturm certificate; only when it fails is the residual root-found by
-400-bit mpmath.polyroots.
+deflated by integer synthetic division, and exact Sturm counts on the
+residual decide the verdict.
 
-theorem12's interior-rooted inputs have double roots too. Approximate roots
-(comrade-matrix eigenvalues) only pick the points of a sign-change
-certificate, whose exact signs decide the verdict; when it fails, the Sturm
-count and then 400-bit polyroots take over, as for the boundary family. No
-theorem12 verdict rests on a rounded image.
+The random interior-rooted inputs of theorem12 and conj32 have double roots
+too. Approximate roots (comrade-matrix eigenvalues) only pick the points of
+a sign-change certificate, whose exact signs decide the verdict; when it
+fails, the Sturm counts decide, as for the boundary family. No verdict of
+theorem12, conj32 or q31 rests on a rounded image or a root finder; where a
+reported value needs complex roots, it is a diagnostic read from double
+eigenvalues.
 
 Each campaign is a sequence of case specs plus a per-case body; one loop
 (_run_cases) numbers, seeds, times and frames the cases of every campaign.
@@ -35,27 +36,23 @@ import math
 import time
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from . import __version__ as ARTIFACT_VERSION
 from .biortho import EQUIV_ALPHA_HALF, transform_equivalence_check
-from .errors import BadParameterError, NonFiniteError, SingularSystemError
+from .errors import BadParameterError, SingularSystemError
 from .polycore import (
-    MONOMIAL,
-    Poly,
     RootLocation,
+    all_roots_real,
     certify_interior_roots,
-    classify_roots,
     count_roots,
     deflate_root,
     jacobi_series_roots,
+    locate_roots,
     min_boundary_distance,
     monic_from_roots,
     nearest_double_root,
-    poly_roots,
     primitive_part,
-    root_bound,
     sturm_sequence,
 )
 from .precision import PrecisionPolicy, parse_precision
@@ -71,7 +68,6 @@ from .transforms import (
     factorial_row_scale,
     factorial_scale,
     jacobi_rows_int,
-    jacobi_transform,
     ultra_row_scale,
     unit_row_scale,
 )
@@ -225,97 +221,77 @@ def random_interior_roots(rng, degree: int, margin: float = ROOT_MARGIN) -> np.n
     return rng.uniform(-margin, margin, degree)
 
 
-def poly_from_roots(roots) -> Poly:
-    return Poly(tuple(monic_from_roots(roots)), MONOMIAL, tau_trim=0.0)
-
-
 # ---------------------------------------------------------------------------
-# exact route for the boundary-rooted family
+# exact verdicts
 # ---------------------------------------------------------------------------
 
-def boundary_family_roots(
-    n: int,
-    m: int,
-    rows: list[list[int]],
-    policy: PrecisionPolicy,
-    unit_interval: bool = False,
-) -> tuple[list[complex], dict]:
-    """Roots of the transform image of (x-1)^n (x+1)^m that decide its verdicts.
+def boundary_family_roots(n: int, m: int, rows: list[list[int]]) -> tuple[list[int], dict]:
+    """The roots of the integer image of (x-1)^n (x+1)^m, in two parts.
 
     rows are the map's integer rows (jacobi_rows_int) at any degree >= n+m.
-    The integer image's roots at exactly +-1 are deflated, and the
-    residual's verdict is an exact Sturm certificate: the distinct real
-    roots of its squarefree part are counted in the open interval (-1, 1)
-    when unit_interval is set, else over the whole line. If that count is
-    the squarefree degree, every residual root is real (and inside). On
-    (-1, 1) the nearest doubles of the smallest and largest distinct ones
-    are then returned; with the +-1 roots they fix every classification and
-    boundary distance against (-1, 1). Over the line none is returned, as
-    the roots at +-1 are all that is left to report. Otherwise the residual
-    goes to 400-bit mpmath.polyroots, which returns all of its roots.
+    The image's roots at exactly +-1 are deflated, and detail records their
+    multiplicities; the primitive integer residual holds the rest.
     """
     residual = exact_image([1.0] * n + [-1.0] * m, rows)
     residual, mult_plus = deflate_root(residual, 1)
     residual, mult_minus = deflate_root(residual, -1)
-    roots: list[complex] = [complex(1.0)] * mult_plus + [complex(-1.0)] * mult_minus
-    detail = {"mult_plus": mult_plus, "mult_minus": mult_minus,
-              "residual_degree": len(residual) - 1}
-    if len(residual) > 1:
-        p = primitive_part(residual)
-        extremes = _certified_extremes(p, unit_interval)
-        roots.extend(extremes if extremes is not None else _residual_roots(p, policy))
-    return roots, detail
+    return primitive_part(residual), {"mult_plus": mult_plus, "mult_minus": mult_minus,
+                                      "residual_degree": len(residual) - 1}
 
 
-def _certified_extremes(p: list[int], unit_interval: bool) -> list[complex] | None:
-    """None unless every root of p is certified real (and inside (-1, 1) if
-    unit_interval); else, on (-1, 1), the nearest doubles of the smallest
-    and largest distinct roots, and over the line no root at all.
+def exact_verdict(p: list[int], tol: float) -> tuple[RootLocation, list[complex]]:
+    """Classification of the integer polynomial p's roots against (-1, 1)
+    with tolerance tol, by exact Sturm counts (locate_roots), plus the roots
+    read for the reported distances.
 
-    Sturm counts cover half-open intervals (lo, hi], so neither end may be
-    a root: p has none at +-1 after deflation, and none at or beyond its
-    Cauchy bound.
+    When every distinct root lies in (-1, 1], those are the nearest doubles
+    of the smallest and largest. Otherwise they are diagnostics, not
+    verdicts: the double eigenvalues of p, whose coefficients are first
+    scaled into double range by one power of two.
     """
+    if len(p) == 1:
+        return RootLocation.ALL_STRICTLY_INSIDE, []
     seq = sturm_sequence(p)
     distinct = len(seq[0]) - 1
-    if not unit_interval:
-        bound = root_bound(p)
-        return [] if count_roots(seq, -bound, bound) == distinct else None
-    if count_roots(seq, -1, 1) != distinct:
-        return None
-    return [complex(nearest_double_root(seq, -1, 1, i)) for i in sorted({0, distinct - 1})]
+    location = locate_roots(seq, tol)
+    if count_roots(seq, -1, 1) == distinct:
+        return location, [complex(nearest_double_root(seq, -1, 1, i))
+                          for i in sorted({0, distinct - 1})]
+    return location, _diagnostic_roots(p)
 
 
-def _residual_roots(p: list[int], policy: PrecisionPolicy) -> list[complex]:
-    """All roots of an integer polynomial by mpmath.polyroots at >= 400 bits
-    (policy.bits when larger)."""
-    bits = max(policy.bits or 0, 400)
-    with mpmath.workprec(bits):
-        found = mpmath.polyroots([mpmath.mpf(c) for c in p[::-1]],
-                                 maxsteps=200, extraprec=bits)
-    return [complex(r) for r in found]
+def _diagnostic_roots(p: list[int]) -> list[complex]:
+    """Double eigenvalues of p scaled into double range, for diagnostics."""
+    shift = max(abs(c) for c in p).bit_length() - 512
+    scaled = [c / (1 << shift) if shift > 0 else float(c << -shift) for c in p]
+    return [complex(z) for z in np.roots(scaled[::-1])]
 
 
-def certified_interior_verdict(
-    image: list[int], approx, tol: float, policy: PrecisionPolicy
-) -> tuple[RootLocation, list]:
+def certified_interior_verdict(image: list[int], approx, tol: float) -> tuple[RootLocation, list]:
     """Classification of the integer polynomial image's roots against
-    (-1, 1) with tolerance tol, plus the roots it was read from.
+    (-1, 1) with tolerance tol, plus the roots read for the reported
+    distances.
 
     First the sign-change certificate, with approx (root estimates) picking
     its points: if it holds, every root is real, simple and inside
     (-1 + tol, 1 - tol), and the nearest doubles of the extreme roots come
-    back. Otherwise the exact Sturm count on (-1, 1) gives the extremes when
-    all distinct roots lie there, and only when it does not are all roots
-    found by polyroots at >= 400 bits. Those roots are then classified, so
-    a violation is never read from a rounded image.
+    back. Otherwise exact_verdict decides from Sturm counts, so no verdict
+    is read from a rounded image or a root finder.
     """
     found = certify_interior_roots(image, approx, tol)
     if found is not None:
         return RootLocation.ALL_STRICTLY_INSIDE, found
-    p = primitive_part(image)
-    found = _certified_extremes(p, unit_interval=True) or _residual_roots(p, policy)
-    return classify_roots(found, (-1.0, 1.0), tol).classification, found
+    return exact_verdict(primitive_part(image), tol)
+
+
+def _random_interior_verdict(rng, degree, rows, alpha, beta, scale, tol):
+    """Verdict on a random interior-rooted input of the given degree: its
+    exact image through rows, with the comrade-matrix roots of
+    sum_k a_k scale(k, alpha) P_k^(alpha,beta) picking the certificate's points."""
+    roots = random_interior_roots(rng, degree)
+    weights = [a * scale(k, alpha) for k, a in enumerate(monic_from_roots(roots))]
+    return certified_interior_verdict(
+        exact_image(roots, rows), jacobi_series_roots(weights, alpha, beta), tol)
 
 
 # A sweep visits one grid point at a time, so one set of rows is cached,
@@ -336,19 +312,15 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
     its verdict is certified (certified_interior_verdict): the comrade-matrix
     roots of the double image only pick the points of a sign-change
     certificate. min_boundary_distance comes from the nearest doubles of
-    the smallest and largest roots. The policy sets only the bits of the
-    polyroots fallback, which the certificate makes rare.
+    the smallest and largest roots.
     """
-    policy = config.policy
     tol = config.effective_tol
 
     def case(alpha, rng, _):
         degree = int(rng.integers(1, config.deg_cap + 1))
-        roots = random_interior_roots(rng, degree)
-        image = exact_image(roots, _rows(config.deg_cap, alpha, alpha, ultra_row_scale))
-        weights = [a * factorial_scale(k, alpha) for k, a in enumerate(monic_from_roots(roots))]
-        classification, found = certified_interior_verdict(
-            image, jacobi_series_roots(weights, alpha, alpha), tol, policy)
+        classification, found = _random_interior_verdict(
+            rng, degree, _rows(config.deg_cap, alpha, alpha, ultra_row_scale), alpha, alpha,
+            factorial_scale, tol)
         return {
             "parameters": {"alpha": alpha},
             "input": f"random_interior(degree={degree})",
@@ -364,50 +336,38 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
         config, (a for a in config.alpha_grid for _ in range(config.trials)), case)
 
 
-def _classify_closed(roots, tol: float) -> tuple[bool, RootLocation]:
-    """Closed-interval acceptance for boundary-rooted inputs, plus the
-    strict-interior flag from the open-interval classification."""
-    open_report = classify_roots(roots, (-1.0, 1.0), tol) if roots else None
-    in_closed = all(
-        abs(r.imag) <= tol and -1.0 - tol <= r.real <= 1.0 + tol for r in roots
-    )
-    flag = open_report.classification if open_report else RootLocation.ALL_STRICTLY_INSIDE
-    return in_closed, flag
-
-
 def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
     """Conjectured zero preservation for the two-parameter expansion.
 
     Boundary-rooted inputs (x-1)^n (x+1)^m are judged against the closed
     interval (their zeros sit on the boundary, so no open-interval promise
     applies) with the strict-interior flag recorded; random interior-rooted
-    inputs of degree < 10 are judged against the open interval.
+    inputs of degree < 10 are judged against the open interval. Both take
+    their verdicts from the exact integer image.
     """
-    policy = config.policy
     tol = config.effective_tol
+    closed = (RootLocation.ALL_STRICTLY_INSIDE, RootLocation.SOME_ON_BOUNDARY)
 
     def case(spec, rng, _):
         alpha, beta, pair = spec
+        # one set of rows per grid point serves the pairs and the random
+        # inputs, whose degree is below 10
+        rows = _rows(max(config.deg_cap, 9), alpha, beta, unit_row_scale)
         if pair is not None:
             n, m = pair
-            roots, detail = boundary_family_roots(
-                n, m, _rows(config.deg_cap, alpha, beta, unit_row_scale), policy,
-                unit_interval=True)
-            in_closed, flag = _classify_closed(roots, tol)
+            residual, detail = boundary_family_roots(n, m, rows)
+            flag, roots = exact_verdict(residual, tol)
+            at_ends = [complex(1.0)] * detail["mult_plus"] + [complex(-1.0)] * detail["mult_minus"]
+            if at_ends and flag is RootLocation.ALL_STRICTLY_INSIDE:
+                flag = RootLocation.SOME_ON_BOUNDARY
+            roots = at_ends + roots
             text, degree, family = f"(x-1)^{n} (x+1)^{m}", n + m, "boundary"
-            outcome = "pass" if in_closed else "violation"
+            outcome = "pass" if flag in closed else "violation"
         else:
             degree = int(rng.integers(1, 10))
-            f = poly_from_roots(random_interior_roots(rng, degree))
-            image = jacobi_transform(f, alpha, beta)
-            if not np.isfinite(image.array).all():
-                raise NonFiniteError(
-                    f"the double image of a degree-{degree} input at alpha={alpha:g}, "
-                    f"beta={beta:g} is not finite (parameters too large?)")
-            report = classify_roots(poly_roots(image, policy), (-1.0, 1.0), tol)
-            roots, detail, flag = report.roots, None, report.classification
-            text, family = f"random_interior(degree={degree})", "random"
-            in_closed = flag in (RootLocation.ALL_STRICTLY_INSIDE, RootLocation.SOME_ON_BOUNDARY)
+            flag, roots = _random_interior_verdict(
+                rng, degree, rows, alpha, beta, unit_row_scale, tol)
+            text, family, detail = f"random_interior(degree={degree})", "random", None
             outcome = ("pass" if flag is RootLocation.ALL_STRICTLY_INSIDE
                        else "indeterminate" if flag is RootLocation.SOME_ON_BOUNDARY
                        else "violation")
@@ -419,7 +379,7 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
             "exploratory": not (float(alpha).is_integer() and float(beta).is_integer()
                                 and alpha >= 0 and beta >= 0),
             "classification": flag.value,
-            "in_closed_interval": in_closed,
+            "in_closed_interval": flag in closed,
             "min_boundary_distance": min_boundary_distance(roots, (-1.0, 1.0)),
             "detail": detail,
             "proven": False,
@@ -436,16 +396,19 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
 def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
     """Real-rootedness survey for the factorial-normalized two-parameter
     expansion over a grid that may include negative parameters; evidence
-    gathering only, with per-parameter violation counts."""
-    policy = config.policy
-    tol = config.effective_tol
+    gathering only, with per-parameter violation counts.
+
+    A case is real-rooted when the exact Sturm count of the residual's real
+    roots over the line is its distinct degree. Otherwise max_imag is a
+    diagnostic, read from the residual's double eigenvalues.
+    """
 
     def case(spec, rng, _):
         alpha, beta, (n, m) = spec
-        roots, detail = boundary_family_roots(
-            n, m, _rows(config.deg_cap, alpha, beta, factorial_row_scale), policy)
-        max_imag = max((abs(r.imag) for r in roots), default=0.0)
-        real_rooted = max_imag <= tol
+        residual, detail = boundary_family_roots(
+            n, m, _rows(config.deg_cap, alpha, beta, factorial_row_scale))
+        real_rooted = len(residual) == 1 or all_roots_real(sturm_sequence(residual))
+        max_imag = 0.0 if real_rooted else max(abs(r.imag) for r in _diagnostic_roots(residual))
         return {
             "parameters": {"alpha": alpha, "beta": beta},
             "input": f"(x-1)^{n} (x+1)^{m}",
@@ -520,9 +483,9 @@ def run_biortho_equiv_campaign(config: CampaignConfig) -> CampaignReport:
 
     def case(alpha, rng, _):
         degree = int(rng.integers(1, deg_cap + 1))
-        f = poly_from_roots(draw_separated(rng, -0.95, 0.95, degree, sep=0.05))
+        nodes = draw_separated(rng, -0.95, 0.95, degree, sep=0.05)
         try:
-            deviation = transform_equivalence_check(f, alpha, policy)
+            deviation = transform_equivalence_check(nodes, alpha, policy)
             outcome = "pass" if deviation <= tol else "violation"
             detail = None
         except SingularSystemError as exc:

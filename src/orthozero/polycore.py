@@ -344,20 +344,55 @@ def root_bound(p: list[int]) -> int:
     return 1 << max(spread + 2, 1)
 
 
-def count_roots(seq: list[list[int]], lo: int, hi: int) -> int:
-    """Distinct real roots in (lo, hi] of the Sturm sequence's first entry."""
-    return _variations(seq, lo, 0) - _variations(seq, hi, 0)
+def count_roots(seq: list[list[int]], lo: int, hi: int, k: int = 0) -> int:
+    """Distinct real roots in (lo / 2^k, hi / 2^k] of the Sturm sequence's
+    first entry."""
+    return _variations(seq, lo, k) - _variations(seq, hi, k)
+
+
+def all_roots_real(seq: list[list[int]]) -> bool:
+    """Whether every root of the Sturm sequence's first entry is real: its
+    distinct real roots, all below root_bound, number its degree."""
+    bound = root_bound(seq[0])
+    return count_roots(seq, -bound, bound) == len(seq[0]) - 1
+
+
+def locate_roots(seq: list[list[int]], tol: float) -> RootLocation:
+    """classify_roots' verdict on (-1, 1) with tolerance tol for the roots of
+    the Sturm sequence's first entry, from exact counts; non-real means
+    Im r != 0.
+
+    Fewer real roots than distinct ones means a non-real root; fewer in the
+    closed band [-1 - tol, 1 + tol], one outside; fewer in the open interior
+    (-1 + tol, 1 - tol), one on the boundary. The four ends are the doubles
+    classify_roots compares against, so dyadic. Counts cover (lo, hi], so a
+    root at -1 - tol is added to the band's count and one at 1 - tol taken
+    from the interior's, each found by its exact sign.
+    """
+    p = seq[0]
+    distinct = len(p) - 1
+    if not all_roots_real(seq):
+        return RootLocation.SOME_NON_REAL
+    (lo_out, lo_in, hi_in, hi_out), k = dyadic_numerators(
+        [-1.0 - tol, -1.0 + tol, 1.0 - tol, 1.0 + tol])
+    if count_roots(seq, lo_out, hi_out, k) + (_sign_at(p, lo_out, k) == 0) < distinct:
+        return RootLocation.SOME_OUTSIDE
+    if count_roots(seq, lo_in, hi_in, k) - (_sign_at(p, hi_in, k) == 0) < distinct:
+        return RootLocation.SOME_ON_BOUNDARY
+    return RootLocation.ALL_STRICTLY_INSIDE
 
 
 def nearest_double_root(seq: list[list[int]], lo: int, hi: int, index: int) -> float:
     """The double nearest the index-th smallest (from 0) distinct root in
     (lo, hi] of the Sturm sequence's first entry.
 
-    Sturm counts isolate the root; bisection on the sign of the first entry
-    then runs until both ends of its interval round to the same double.
+    Sturm counts isolate the root, or stop once both ends of its interval
+    round to the same double, which every root inside then rounds to;
+    bisection on the sign of the first entry then runs until they do.
     """
     k, v_lo, v_hi = 0, _variations(seq, lo, 0), _variations(seq, hi, 0)
-    while v_lo - v_hi > 1:  # invariant: the root is the index-th in (lo, hi]
+    # invariant: the root is the index-th in (lo, hi]
+    while v_lo - v_hi > 1 and lo / (1 << k) != hi / (1 << k):
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
         v_mid = _variations(seq, mid, k)
@@ -371,7 +406,8 @@ def nearest_double_root(seq: list[list[int]], lo: int, hi: int, index: int) -> f
 
 def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
     """The double nearest the root of p in (lo / 2^k, hi / 2^k], where p has
-    one root, at which it changes sign (or which is hi itself).
+    one root, at which it changes sign (or which is hi itself), or where
+    both ends already round to the same double.
 
     Bisection on the exact sign of p runs until both ends round to the same
     double; rounding is monotone, so the root rounds to it as well.

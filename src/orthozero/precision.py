@@ -2,9 +2,8 @@
 
 Ill-conditioned determinants (Cauchy-like minors) and root finding beyond
 degree ~20 need more than double precision; everything else runs in numpy.
-The exact integer route (the integer images of theorem12, conj32's boundary
-family and q31) takes its verdicts from exact signs; there the policy only
-sets the bits of the mpmath.polyroots fallback, which never drop below 400.
+theorem12, conj32 and q31 take their verdicts from exact signs on integer
+images and do not read the policy.
 """
 
 from __future__ import annotations

@@ -304,29 +304,35 @@ def _det_double(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.det(matrices)
 
 
-def _det_extended(matrices: np.ndarray) -> np.ndarray:
+def _det_extended(matrices: np.ndarray, tau_det: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact determinants of a (trials, m, m) stack of mpf entries, each
-    rounded once to a double.
+    rounded once to a double, and whether each is determinate: |det| above
+    tau_det times the product of row sup-norms, decided exactly.
 
     The entries are built at the working precision: with double entries the
     exactly-computed determinant would still inherit their rounding, which
     dominates for near-singular Cauchy-like minors.
     """
-    return np.array([_exact_det(matrix) for matrix in matrices], float)
+    dets, determinate = zip(*(_exact_det(matrix, tau_det) for matrix in matrices))
+    return np.array(dets, float), np.array(determinate, bool)
 
 
-def _exact_det(matrix) -> float:
+def _exact_det(matrix, tau_det: float) -> tuple[float, bool]:
     # each entry is (-1)^sign man 2^exp; scaling row i by 2^-(its least
-    # exponent) makes it integer, and the determinant exact from there
-    rows, shift = [], 0
+    # exponent) makes it integer, and the determinant and the row sup-norms
+    # exact from there, all with the same power of two
+    rows, shift, norms = [], 0, 1
     for row in matrix:
         row = [a._mpf_ for a in row]
         if any(not man and exp for _, man, exp, _ in row):
-            return math.nan  # an infinite or nan entry
+            return math.nan, False  # an infinite or nan entry
         low = min(exp for _, _, exp, _ in row)
         rows.append([(-man if sign else man) << (exp - low) for sign, man, exp, _ in row])
         shift += low
-    return _dyadic_to_float(integer_det(rows), shift)
+        norms *= max(map(abs, rows[-1]))
+    det = integer_det(rows)
+    num, den = tau_det.as_integer_ratio()
+    return _dyadic_to_float(det, shift), abs(det) * den > num * norms
 
 
 def _dyadic_to_float(num: int, shift: int) -> float:
@@ -355,8 +361,9 @@ def ssr_minor(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> float:
     if len(xs) > 8:
         raise BadTupleError("minor order capped at 8")
     matrices = _minor_matrices(spec, xs[None], ys[None], policy)
-    dets = _det_extended(matrices) if policy.extended else _det_double(matrices)
-    return float(dets[0])
+    if policy.extended:
+        return float(_det_extended(matrices, policy.tau_det)[0][0])
+    return float(_det_double(matrices)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +439,13 @@ def ssr_scan(
     1e-3, redrawn per (seed, m, trial), so reports are reproducible and
     order-independent. All tuples of an order are drawn first and the order
     is decided as one batch: one broadcast kernel evaluation gives the
-    double matrices and their scales, and the determinants come from one
-    stacked np.linalg.det (double), or from a second broadcast evaluation
-    at the working precision and an exact determinant of each of its
-    matrices (extended). A minor is determinate when |det|
-    exceeds tau_det times the product of row sup-norms (a nan determinant
-    never is); the per-order sign is the majority of determinate signs and
-    any determinate disagreement is a violation.
+    matrices, in double or (extended) at the working precision. The
+    determinants come from one stacked np.linalg.det (double), or from an
+    exact determinant of each matrix (extended). A minor is determinate
+    when |det| exceeds tau_det times the product of row sup-norms (a nan
+    determinant never is), compared exactly under the extended policy; the
+    per-order sign is the majority of determinate signs and any
+    determinate disagreement is a violation.
     """
     cap = 8 if policy.extended else 6
     if not 1 <= m_max <= cap:
@@ -453,13 +460,13 @@ def ssr_scan(
             draws.append((draw_separated(rng, *spec.domain.x, m),
                           draw_separated(rng, *spec.domain.y, m)))
         xs, ys = (np.array(nodes) for nodes in zip(*draws))
-        matrices = _minor_matrices(spec, xs, ys)
+        matrices = _minor_matrices(spec, xs, ys, policy)
         if policy.extended:
-            dets = _det_extended(_minor_matrices(spec, xs, ys, policy))
+            dets, determinate = _det_extended(matrices, policy.tau_det)
         else:
             dets = _det_double(matrices)
-        # a nan determinant (from a non-finite entry) fails this test too
-        determinate = np.abs(dets) > policy.tau_det * minor_scale(matrices)
+            # a nan determinant (from a non-finite entry) fails this test too
+            determinate = np.abs(dets) > policy.tau_det * minor_scale(matrices)
         pos = int(np.count_nonzero(determinate & (dets > 0)))
         neg = int(np.count_nonzero(determinate)) - pos
         ind = trials_per_m - pos - neg

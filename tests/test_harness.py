@@ -19,6 +19,7 @@ from orthozero.harness import (
     boundary_pairs,
     certified_interior_verdict,
     emit_report,
+    exact_verdict,
     expected_case_count,
     format_number,
     has_proven_violation,
@@ -29,13 +30,15 @@ from orthozero.harness import (
 )
 from orthozero.polycore import (
     RootLocation,
+    all_roots_real,
     classify_roots,
+    count_roots,
     jacobi_coefficient_rows,
     min_boundary_distance,
     monic_from_roots,
     primitive_part,
+    sturm_sequence,
 )
-from orthozero.precision import DOUBLE
 from orthozero.transforms import factorial_row_scale, jacobi_rows_int, unit_row_scale
 from orthozero import cli
 
@@ -110,7 +113,7 @@ def test_theorem12_has_no_false_proven_violations(tmp_path, capsys, deg_cap):
 
 
 def test_theorem12_precision_changes_only_the_echo():
-    # the verdicts come from exact signs; the policy only sets fallback bits
+    # the verdicts come from exact signs, whatever the policy
     runs = [run_campaign(CampaignConfig("theorem12", alpha_grid=(-0.5, 0.3, 2.5), deg_cap=20,
                                         trials=15, seed=4, precision=precision)).to_dict()
             for precision in ("double", "extended:128")]
@@ -121,51 +124,77 @@ def test_theorem12_precision_changes_only_the_echo():
 
 
 def test_certified_interior_verdict_falls_back_to_exact_counts():
-    # the certificate fails on each of these; the fallback must still find
-    # the violation and classify it
+    # the certificate fails on each of these; the exact counts must still
+    # find the violation and classify it
     tol = 1e-8
     inside = [Fraction(1, 2), Fraction(-1, 3)]
+    # the band ends are the doubles classify_roots compares against
+    hi_out, lo_out = Fraction(1.0 + tol), Fraction(-1.0 - tol)
+    hi_in, lo_in = Fraction(1.0 - tol), Fraction(-1.0 + tol)
+    tiny = Fraction(1, 2 ** 80)
     cases = [
         (primitive_part([Fraction(1, 4), 0, 1]), RootLocation.SOME_NON_REAL),
+        # 1/2 +- i tol/2: |Im r| <= tol, yet not real
+        (primitive_part([Fraction(1, 4) + (Fraction(tol) / 2) ** 2, -1, 1]),
+         RootLocation.SOME_NON_REAL),
         (primitive_part(monic_from_roots([*inside, Fraction(3, 2)])), RootLocation.SOME_OUTSIDE),
+        (primitive_part(monic_from_roots([*inside, hi_out + tiny])), RootLocation.SOME_OUTSIDE),
+        (primitive_part(monic_from_roots([*inside, lo_out - tiny])), RootLocation.SOME_OUTSIDE),
+        # a root at a band end is counted on its closed side
+        (primitive_part(monic_from_roots([*inside, hi_out])), RootLocation.SOME_ON_BOUNDARY),
+        (primitive_part(monic_from_roots([*inside, lo_out])), RootLocation.SOME_ON_BOUNDARY),
+        (primitive_part(monic_from_roots([*inside, hi_in])), RootLocation.SOME_ON_BOUNDARY),
+        (primitive_part(monic_from_roots([*inside, lo_in])), RootLocation.SOME_ON_BOUNDARY),
+        (primitive_part(monic_from_roots([*inside, hi_in - tiny])),
+         RootLocation.ALL_STRICTLY_INSIDE),
+        (primitive_part(monic_from_roots([*inside, lo_in + tiny])),
+         RootLocation.ALL_STRICTLY_INSIDE),
+        # inside a tol-band
         (primitive_part(monic_from_roots([*inside, 1 - Fraction(tol) / 2])),
          RootLocation.SOME_ON_BOUNDARY),
         (primitive_part(monic_from_roots([*inside, -1 + Fraction(tol) / 4])),
          RootLocation.SOME_ON_BOUNDARY),
+        (primitive_part(monic_from_roots([*inside, 1 + Fraction(tol) / 2])),
+         RootLocation.SOME_ON_BOUNDARY),
     ]
     for image, expected in cases:
         approx = np.roots(np.array(image[::-1], dtype=float))
-        classification, roots = certified_interior_verdict(image, approx, tol, DOUBLE)
-        assert classification is expected
+        classification, roots = certified_interior_verdict(image, approx, tol)
+        assert classification is expected, (image, expected)
+        assert exact_verdict(image, tol)[0] is expected
     # a double root inside passes through the Sturm count, not the certificate
     image = primitive_part(monic_from_roots([*inside, Fraction(1, 2)]))
-    classification, roots = certified_interior_verdict(image, [0.5, 0.5, -1 / 3], tol, DOUBLE)
+    classification, roots = certified_interior_verdict(image, [0.5, 0.5, -1 / 3], tol)
     assert classification is RootLocation.ALL_STRICTLY_INSIDE
     assert roots == [complex(-1 / 3), complex(0.5)]
     image = primitive_part(monic_from_roots(inside))
-    assert certified_interior_verdict(image, [0.5, -1 / 3], tol, DOUBLE) == (
+    assert certified_interior_verdict(image, [0.5, -1 / 3], tol) == (
         RootLocation.ALL_STRICTLY_INSIDE, [-1 / 3, 0.5])
 
 
 def test_boundary_family_exact_roots():
     # alpha = beta = 0 keeps both boundary roots, e.g. x^2-1 -> 3/2 (x^2-1)
-    roots, detail = boundary_family_roots(1, 1, jacobi_rows_int(2, 0.0, 0.0, unit_row_scale),
-                                          DOUBLE)
+    residual, detail = boundary_family_roots(
+        1, 1, jacobi_rows_int(2, 0.0, 0.0, unit_row_scale))
     assert detail == {"mult_plus": 1, "mult_minus": 1, "residual_degree": 0}
-    assert sorted(r.real for r in roots) == [-1.0, 1.0]
+    assert residual == [1]
+    assert exact_verdict(residual, 1e-7) == (RootLocation.ALL_STRICTLY_INSIDE, [])
 
 
 def test_boundary_family_noninteger_parameters():
     # half-integer parameters genuinely push roots off [-1,1] (one real root
-    # outside plus a complex pair); the exact route must surface that
+    # outside plus a complex pair); the exact route must surface that, and
+    # the diagnostic roots show both
     rows = jacobi_rows_int(5, 0.5, 0.5, unit_row_scale)
-    roots, detail = boundary_family_roots(3, 2, rows, DOUBLE)
+    residual, detail = boundary_family_roots(3, 2, rows)
+    assert detail == {"mult_plus": 0, "mult_minus": 0, "residual_degree": 5}
+    assert not all_roots_real(sturm_sequence(residual))
+    classification, roots = exact_verdict(residual, 1e-7)
+    assert classification is RootLocation.SOME_NON_REAL
     assert len(roots) == 5
-    assert detail["mult_plus"] == 0 and detail["mult_minus"] == 0
     assert any(abs(r.imag) > 1e-7 for r in roots)
     assert any(abs(r.imag) <= 1e-12 and abs(r.real) > 1.0 + 1e-7 for r in roots)
-    again, _ = boundary_family_roots(3, 2, rows, DOUBLE)
-    assert roots == again
+    assert exact_verdict(residual, 1e-7) == (classification, roots)
 
 
 def _polyroots_reference(n, m, alpha, beta, factorial):
@@ -203,16 +232,41 @@ def _verdicts(roots, tol=1e-7):
 
 @pytest.mark.parametrize("alpha,beta", [(-0.5, 0.3), (-0.5, 1.0), (0.0, 0.0), (0.5, 0.5)])
 def test_certified_boundary_verdicts_match_polyroots(alpha, beta):
-    # the Sturm route must report what full 400-bit root finding reports:
-    # max_imag over the line, closed-interval flag and distance on (-1, 1)
+    # the exact route must report what full 400-bit root finding reports:
+    # real-rootedness over the line (q31) and the closed-interval and
+    # strict-interior flags on (-1, 1) (conj32). max_imag and the distance
+    # are exact where the counts certify them (all roots real, or all in
+    # (-1, 1]); elsewhere they are double-eigenvalue diagnostics, held to a
+    # relative bound of 1e-9 (1.4e-12 at most here)
+    tol = 1e-7
     for factorial, scale in ((False, unit_row_scale), (True, factorial_row_scale)):
         rows = jacobi_rows_int(8, alpha, beta, scale)
         for n, m in boundary_pairs(8):
-            reference = _verdicts(_polyroots_reference(n, m, alpha, beta, factorial))
-            line, _ = boundary_family_roots(n, m, rows, DOUBLE)
-            unit, _ = boundary_family_roots(n, m, rows, DOUBLE, unit_interval=True)
-            assert _verdicts(line)[0] == reference[0], (n, m, factorial)
-            assert _verdicts(unit)[1:] == reference[1:], (n, m, factorial)
+            max_imag, in_closed, flag, distance = _verdicts(
+                _polyroots_reference(n, m, alpha, beta, factorial), tol)
+            residual, detail = boundary_family_roots(n, m, rows)
+            seq = sturm_sequence(residual) if len(residual) > 1 else None
+            # q31's case
+            real = seq is None or all_roots_real(seq)
+            assert real == (max_imag <= tol), (n, m, factorial)
+            if real:
+                assert max_imag == 0.0, (n, m, factorial)
+            else:
+                got = max(abs(r.imag) for r in exact_verdict(residual, tol)[1])
+                assert got == pytest.approx(max_imag, rel=1e-9, abs=0), (n, m, factorial)
+            # conj32's case
+            got_flag, roots = exact_verdict(residual, tol)
+            at_ends = [complex(1.0)] * detail["mult_plus"] + [complex(-1.0)] * detail["mult_minus"]
+            if at_ends and got_flag is RootLocation.ALL_STRICTLY_INSIDE:
+                got_flag = RootLocation.SOME_ON_BOUNDARY
+            assert got_flag is flag, (n, m, factorial)
+            assert (got_flag in (RootLocation.ALL_STRICTLY_INSIDE,
+                                 RootLocation.SOME_ON_BOUNDARY)) == in_closed, (n, m, factorial)
+            got = min_boundary_distance(at_ends + roots, (-1.0, 1.0))
+            if at_ends or seq is None or count_roots(seq, -1, 1) == len(seq[0]) - 1:
+                assert got == distance, (n, m, factorial)
+            else:
+                assert got == pytest.approx(distance, rel=1e-9, abs=0), (n, m, factorial)
 
 
 def test_conj32_campaign_counts_and_flags():
@@ -502,12 +556,13 @@ def test_large_alpha_ends_in_a_verdict_or_a_clear_error(capsys):
     code = cli.main(["theorem12", "--alpha", "2000", "--deg-cap", "4", "--trials", "3"])
     assert code == 0
     assert "theorem12: 3 cases, 3 passes" in capsys.readouterr().err
-    # the double transform behind conj32's random cases overflows
+    # conj32 once built a double image for its random cases, which overflows
+    # here; from the exact image every case is on the boundary: the 70 pairs
+    # pass, and each of the 15 random cases has a root that rounds to +-1
     code = cli.main(["conj32", "--alpha", "1e300", "--deg-cap", "4", "--trials", "3"])
     err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: ") and "double image" in err and "not finite" in err
-    assert "Traceback" not in err
+    assert code == 0
+    assert "conj32: 85 cases, 70 passes, 0 violations, 15 indeterminate" in err
 
 
 def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
@@ -523,44 +578,45 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
-# sha256 of report_to_json at artifact_version 0.3.0. The q31 and extended
-# ssr routes run in exact integers and mpmath, away from BLAS and LAPACK, so
-# their digests do not depend on the numpy build. The extended ssr minors are
+# sha256 of report_to_json at artifact_version 0.4.0. The extended ssr route
+# runs in exact integers and mpmath, away from BLAS and LAPACK, so its
+# digests do not depend on the numpy build. The extended ssr minors are
 # exact determinants of the entries built at the working precision; ssr-e64
 # pins them at 64 bits, the lowest precision a policy allows, and ssr-e256 at
 # 256 bits with generic exponents. ssr-double pins the double route, whose
-# determinants come from LAPACK. The conj32 runs also
-# hold ten random cases per grid point, whose roots come from LAPACK. The conj32-int
-# run takes the certified Sturm route and has non-zero boundary distances;
-# conj32-nondyadic mostly fails the certificate and falls back to polyroots.
-# theorem12 takes its verdicts and distances from exact integer signs, with
-# LAPACK eigenvalues only picking the points, so its bytes do not depend on
-# LAPACK either. A change here is a change of report bytes.
+# determinants come from LAPACK. theorem12, conj32 and q31 take every verdict
+# from exact integer signs, with LAPACK eigenvalues only picking the points of
+# the sign-change certificate. The distances that certified cases report are
+# nearest doubles of exact roots, so theorem12 and conj32-int (the certified
+# Sturm route, with non-zero boundary distances) do not depend on LAPACK.
+# Where the counts do not certify all roots, the reported max_imag (q31's one
+# non-real case) and distances (most of conj32-nondyadic's pairs) are
+# diagnostics from LAPACK eigenvalues. A change here is a change of report bytes.
 PINNED_DIGESTS = [
     ("q31", CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
                            trials=1, seed=3),
-     "d42a60022f03ed25437d3a076c48c52aebc9214922c619f3d1cdb1e936720e56"),
+     "525ca43223be952f46ec2ec040b688f72ea35e31e69d2eb91a5979d49c0e02f6"),
     ("ssr", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
                            trials=30, seed=3, precision="extended:128"),
-     "d389214bbe8db010067a37d088c7b19febbe76e552de7df0a790f4bced1d6a4f"),
+     "2a2cc92927a20c7d04a71217b71d6fffbc9f6ab6401793e3374acd1547e351e7"),
     ("conj32-int", CampaignConfig("conj32", alpha_grid=(0.0, 2.0), beta_grid=(1.0, 3.0),
                                   deg_cap=8, trials=10, seed=1),
-     "e7d27017d24c9643015344a026670d1846bba8b328e9198390419afe53121bb9"),
+     "97f8e93e2ec1260aaad09b7d473c34af4e297404c84359ea291549dc908a3b1a"),
     ("conj32-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
                                         deg_cap=8, trials=10, seed=1),
-     "fb6f51273710761e6dc596aff11ebab2db4c9a57520e845acb3127c1ea301a8a"),
+     "4ec161392529275aff9f0d4d933068e8c218fbdfbcc0960e26e27dd380033edd"),
     ("theorem12", CampaignConfig("theorem12", alpha_grid=(-0.5, 2.5), deg_cap=30, trials=20,
                                  seed=1),
-     "19d8ec0aadb1967054752610fd9f377465da81297044eeac9eddf6a1e8a7f4a8"),
+     "bd433c7504b062b9bb509ee5ae9c924d323c515938b60ac78addf2da90f55a2d"),
     ("ssr-e64", CampaignConfig("ssr", alpha_grid=(-0.7, 0.3), beta_grid=(-0.9, 7.0), m_max=6,
                                trials=12, seed=2, precision="extended:64"),
-     "6c85dd33f678278b1c87f4fb8b3801badcf51f3dde9293d2f01f746eb8428b9f"),
+     "859debcd573a3b72369fff3f3a0cf2024921c25a748a7997341810de56ee456f"),
     ("ssr-double", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 0.5, 1.5, 3.0),
                                   m_max=4, trials=50),
-     "760f86ae9b37b01e929989f7fcd1d49dc90b70eeb0392c09e585a82ba36f0ebe"),
+     "c29985474fa123e9c9a3e1ea47158a027dce053c1cdc09c55cac10d1f35891db"),
     ("ssr-e256", CampaignConfig("ssr", alpha_grid=(0.3,), beta_grid=(2.2,), m_max=4, trials=10,
                                 precision="extended:256"),
-     "e4b7a87da5117c9c1fcc09203f48cd44ab97cd2c4f78ba18f85d51a487216668"),
+     "69b97d5f61060e0ddb6142a190119cb7ba8b93e1ab95a288124e5ba0ee7b1888"),
 ]
 
 
@@ -569,6 +625,25 @@ PINNED_DIGESTS = [
 def test_pinned_report_digests(config, digest):
     text = report_to_json(run_campaign(config).to_dict())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_transform_verdicts_use_no_root_finder(monkeypatch):
+    # theorem12, conj32 and q31 decide from the integer image alone: the pins
+    # keep their bytes with every root finder and the double transform disabled
+    from orthozero import harness, polycore, transforms
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a root finder or the double transform was called")
+
+    monkeypatch.setattr(mpmath, "polyroots", disabled)
+    monkeypatch.setattr(polycore, "poly_roots", disabled)
+    monkeypatch.setattr(polycore, "_newton_mp", disabled)
+    monkeypatch.setattr(transforms, "jacobi_transform", disabled)
+    for name in ("mpmath", "poly_roots", "jacobi_transform"):
+        assert not hasattr(harness, name)
+    pins = {name: entry for name, *entry in PINNED_DIGESTS}
+    for name in ("q31", "conj32-nondyadic", "theorem12"):
+        test_pinned_report_digests(*pins[name])
 
 
 def test_biortho_equiv_rejects_alpha_minus_half(capsys):

@@ -376,8 +376,13 @@ def test_scan_equals_minor_by_minor_recomputation(name, policy):
             xs = draw_separated(rng, *spec.domain.x, stats.m)
             ys = draw_separated(rng, *spec.domain.y, stats.m)
             det = ssr_minor(spec, xs, ys, policy)
-            matrix = np.asarray(spec.evaluate(xs[:, None], ys[None, :]), float)
-            scale = float(np.prod(np.max(np.abs(matrix), axis=1)))
+            if policy.extended:  # the scale of the working-precision entries
+                with mpmath.workprec(policy.bits):
+                    rows = [[spec.evaluate_exact(x, y) for y in ys] for x in xs]
+                scale = math.prod(max(abs(a) for a in row) for row in rows)
+            else:
+                matrix = np.asarray(spec.evaluate(xs[:, None], ys[None, :]), float)
+                scale = float(np.prod(np.max(np.abs(matrix), axis=1)))
             min_abs = min(min_abs, abs(det))
             if abs(det) <= policy.tau_det * scale:
                 ind += 1
@@ -495,12 +500,26 @@ def test_exact_minors_cut_the_false_indeterminates():
 
 def test_extended_overflow_reads_infinite(capsys):
     assert ssr_minor(UltraGenKernel(150.0), (0.999,), (0.998,), extended(128)) == math.inf
-    # the double matrices behind the threshold overflow at beta = 300
-    with np.errstate(over="ignore"):
+    # no double matrix is built under the extended policy, so no double overflows
+    with np.errstate(all="raise"):
         code = cli_main(["ssr", "--precision", "extended:128", "--alpha", "0", "--beta", "300",
                          "--m-max", "2", "--trials", "200"])
     assert code == 0
     assert "ssr: 2 cases, 2 passes" in capsys.readouterr().err
+
+
+def test_extended_scan_needs_no_double_kernel(capsys):
+    # 2^(alpha+beta) overflows a double at alpha = 1100, while the kernel's
+    # values (2.05e50 at (0.1, 0.2)) do not; the extended scan once built the
+    # double matrices for its threshold anyway and exited 1. Its order-2
+    # minors are at most 3.5e-32 of their row-norm products, against a
+    # threshold of 1e-11, and one of them is past the double range, so that
+    # kernel is inconclusive
+    with np.errstate(all="raise"):
+        code = cli_main(["ssr", "--precision", "extended:128", "--alpha", "1100",
+                         "--beta", "0.5", "--m-max", "2", "--trials", "5"])
+    assert code == 0
+    assert "ssr: 2 cases, 1 passes, 0 violations, 1 indeterminate" in capsys.readouterr().err
 
 
 def test_extended_minor_of_equal_rows_is_exactly_zero():
