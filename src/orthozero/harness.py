@@ -260,6 +260,13 @@ def exact_verdict(p: list[int], tol: float) -> tuple[RootLocation, list[complex]
     return location, _diagnostic_roots(p)
 
 
+def exact_location(p: list[int], tol: float) -> RootLocation:
+    """exact_verdict's classification alone, for callers that read no roots."""
+    if len(p) == 1:
+        return RootLocation.ALL_STRICTLY_INSIDE
+    return locate_roots(sturm_sequence(p), tol)
+
+
 def _diagnostic_roots(p: list[int]) -> list[complex]:
     """Double eigenvalues of p scaled into double range, for diagnostics."""
     shift = max(abs(c) for c in p).bit_length() - 512
@@ -356,11 +363,13 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
         if pair is not None:
             n, m = pair
             residual, detail = boundary_family_roots(n, m, rows)
-            flag, roots = exact_verdict(residual, tol)
             at_ends = [complex(1.0)] * detail["mult_plus"] + [complex(-1.0)] * detail["mult_minus"]
-            if at_ends and flag is RootLocation.ALL_STRICTLY_INSIDE:
-                flag = RootLocation.SOME_ON_BOUNDARY
-            roots = at_ends + roots
+            if at_ends:  # the distance is 0 already, so the residual's roots are not read
+                flag, roots = exact_location(residual, tol), at_ends
+                if flag is RootLocation.ALL_STRICTLY_INSIDE:
+                    flag = RootLocation.SOME_ON_BOUNDARY
+            else:
+                flag, roots = exact_verdict(residual, tol)
             text, degree, family = f"(x-1)^{n} (x+1)^{m}", n + m, "boundary"
             outcome = "pass" if flag in closed else "violation"
         else:
@@ -483,7 +492,7 @@ def run_biortho_equiv_campaign(config: CampaignConfig) -> CampaignReport:
 
     def case(alpha, rng, _):
         degree = int(rng.integers(1, deg_cap + 1))
-        nodes = draw_separated(rng, -0.95, 0.95, degree, sep=0.05)
+        nodes = draw_separated(rng, -0.95, 0.95, degree, sep=0.05)[0]
         try:
             deviation = transform_equivalence_check(nodes, alpha, policy)
             outcome = "pass" if deviation <= tol else "violation"

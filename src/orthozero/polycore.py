@@ -310,12 +310,18 @@ def sturm_sequence(p: list[int]) -> list[list[int]]:
     return seq
 
 
-def _sign_at(p: list[int], num: int, k: int) -> int:
-    """Sign of p(num / 2^k), from 2^(k deg p) p(num / 2^k) by Horner."""
+def _value_at(p: list[int], num: int, k: int) -> int:
+    """2^(k deg p) p(num / 2^k), an integer, by Horner."""
     acc = p[-1]
     for j, c in enumerate(reversed(p[:-1]), 1):
         acc = acc * num + (c << (k * j))
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_at(p: list[int], num: int, k: int) -> int:
+    """Sign of p(num / 2^k)."""
+    value = _value_at(p, num, k)
+    return (value > 0) - (value < 0)
 
 
 def deflate_root(p: list[int], root: int) -> tuple[list[int], int]:
@@ -410,12 +416,18 @@ def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
     both ends already round to the same double.
 
     Bisection on the exact sign of p runs until both ends round to the same
-    double; rounding is monotone, so the root rounds to it as well.
+    double, or to adjacent doubles; rounding is monotone, so the root rounds
+    to that double as well, or to whichever of the two the sign of p at
+    their midpoint picks. That midpoint decides a root exactly halfway
+    between them, which no bisection point need ever hit.
     """
     s_hi = _sign_at(p, hi, k)
     if s_hi == 0:
         return hi / (1 << k)
-    while lo / (1 << k) != hi / (1 << k):  # p changes sign once, in (lo, hi)
+    while (a := lo / (1 << k)) != (b := hi / (1 << k)):  # p changes sign once, in (lo, hi)
+        if math.nextafter(a, b) == b:
+            s, tie = _sign_between(p, a, b)
+            return tie if s == 0 else a if s == s_hi else b
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
         s = _sign_at(p, mid, k)
@@ -425,7 +437,14 @@ def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
             hi = mid
         else:
             lo = mid
-    return hi / (1 << k)
+    return b
+
+
+def _sign_between(p: list[int], a: float, b: float) -> tuple[int, float]:
+    """The sign of p at the midpoint of the adjacent doubles a < b, and that
+    midpoint rounded half to even."""
+    (num_a, num_b), k = dyadic_numerators([a, b])
+    return _sign_at(p, num_a + num_b, k + 1), (num_a + num_b) / (1 << (k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +459,9 @@ def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
 # Most estimates are within the first, and each halving it saves is one
 # exact sign evaluation; the second catches most of the rest.
 _BRACKETS = (2.0 ** -46, 2.0 ** -32)
+# Newton steps from an estimate before its nearest double is checked; from
+# the comrade estimates' few ulps, one step usually lands and one confirms.
+_NEWTON_STEPS = 3
 
 
 def dyadic_numerators(points) -> tuple[list[int], int]:
@@ -464,7 +486,7 @@ def certify_interior_roots(p: list[int], approx, tol: float) -> list[float] | No
     midpoints of consecutive sorted real parts, and 1 - tol. If these
     increase strictly and the signs of p there are nonzero and alternate,
     each of the deg p gaps holds a root. The two extreme roots are then
-    bisected to their nearest doubles inside the end gaps.
+    found to their nearest doubles inside the end gaps (_root_between).
     """
     xs = sorted(complex(z).real for z in approx)
     if len(xs) != len(p) - 1:
@@ -482,8 +504,26 @@ def certify_interior_roots(p: list[int], approx, tol: float) -> list[float] | No
 
 def _root_between(p: list[int], lo: float, hi: float, s_lo: int, guess: float) -> float:
     """The double nearest the one root of p in (lo, hi), where p has the
-    nonzero sign s_lo at lo and the opposite one at hi; bisection starts
-    from the first of the narrow brackets around guess that holds the root."""
+    nonzero sign s_lo at lo and the opposite one at hi.
+
+    Newton steps from guess, each with the exact values of p and p' at the
+    current double, usually land on the answer; it is certified when the
+    exact signs of p at the midpoints to the neighbouring doubles bracket
+    the root inside (lo, hi), since every point between those midpoints
+    rounds to it. Otherwise bisection starts from the first of the narrow
+    brackets around guess that holds the root.
+    """
+    x = _newton_double(p, lo, hi, guess)
+    if lo < x < hi:  # lo and hi are doubles, so both midpoints lie in (lo, hi)
+        below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+        for (a, b), want in (((below, x), s_lo), ((x, above), -s_lo)):
+            s, tie = _sign_between(p, a, b)
+            if s == 0:  # the root itself
+                return tie
+            if s != want:
+                break
+        else:
+            return x
     for half in _BRACKETS:
         a, b = max(lo, guess - half), min(hi, guess + half)
         if _sign_at_double(p, a) == s_lo and _sign_at_double(p, b) != s_lo:
@@ -491,6 +531,26 @@ def _root_between(p: list[int], lo: float, hi: float, s_lo: int, guess: float) -
             break
     (num_lo, num_hi), k = dyadic_numerators([lo, hi])
     return _bisect_to_double(p, num_lo, num_hi, k)
+
+
+def _newton_double(p: list[int], lo: float, hi: float, x: float) -> float:
+    """Up to _NEWTON_STEPS Newton steps for a root of p from the double x,
+    each step p(x) / p'(x) from exact integer values, correctly rounded;
+    stops early when a step leaves x unchanged or would leave (lo, hi)."""
+    dp = [j * c for j, c in enumerate(p)][1:]
+    for _ in range(_NEWTON_STEPS):
+        (num,), k = dyadic_numerators([x])
+        slope = _value_at(dp, num, k) << k  # 2^(k deg p) p'(x): the scale of p's value
+        if slope == 0:
+            break
+        try:
+            moved = x - _value_at(p, num, k) / slope
+        except OverflowError:  # a step past the double range
+            break
+        if moved == x or not lo < moved < hi:
+            break
+        x = moved
+    return x
 
 
 # ---------------------------------------------------------------------------

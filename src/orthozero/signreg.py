@@ -3,6 +3,9 @@ for bivariate kernels.
 
 Sign regularity quantifies over all increasing node tuples, so a program can
 only sample: verdicts here are "consistent with" statements, never proofs.
+Each order draws its tuples from one generator seeded with (seed, m), as two
+(trials, m) blocks of sorted uniform draws (x, then y); the same seed, order,
+trial count and domain give the same tuples.
 Minors are classified determinate only when they clear a threshold relative
 to the matrix row norms; everything else is counted indeterminate rather
 than silently assigned a sign.
@@ -404,15 +407,25 @@ class SsrReport:
         return [s.inferred_sign for s in self.per_m]
 
 
-def draw_separated(rng, lo: float, hi: float, m: int, sep: float = MIN_SEPARATION) -> np.ndarray:
-    """m sorted i.i.d. uniform draws on (lo, hi), redrawn until adjacent
-    values are more than sep apart."""
+def draw_separated(rng, lo: float, hi: float, m: int, trials: int = 1,
+                   sep: float = MIN_SEPARATION) -> np.ndarray:
+    """trials rows of m sorted i.i.d. uniform draws on (lo, hi), as a
+    (trials, m) array: every row whose adjacent values are not more than
+    sep apart is redrawn, all such rows together, until none is left.
+
+    Each round draws its rows as one (rows, m) block, which consumes the
+    generator exactly as drawing those rows one after another would, so a
+    batch of one draws what a single tuple did.
+    """
     if (hi - lo) <= (m - 1) * sep:
         raise BadParameterError("interval too small for the separation floor")
+    out = np.empty((trials, m))
+    redraw = np.arange(trials)
     for _ in range(1000):
-        vals = sorted(rng.uniform(lo, hi, m).tolist())
-        if all(b - a > sep for a, b in zip(vals, vals[1:])):
-            return np.array(vals)
+        out[redraw] = np.sort(rng.uniform(lo, hi, (len(redraw), m)), axis=1)
+        redraw = redraw[np.any(np.diff(out[redraw], axis=1) <= sep, axis=1)]
+        if not len(redraw):
+            return out
     raise BadParameterError("could not draw a separated tuple")
 
 
@@ -435,9 +448,11 @@ def ssr_scan(
 ) -> SsrReport:
     """Sample minors of every order up to m_max and infer the sign pattern.
 
-    Tuples are sorted i.i.d. uniform draws with a minimum separation of
-    1e-3, redrawn per (seed, m, trial), so reports are reproducible and
-    order-independent. All tuples of an order are drawn first and the order
+    Tuples are sorted i.i.d. uniform draws, conditioned on a minimum
+    separation of 1e-3. Each order m has one generator, seeded with
+    (seed, m), which draws all x-tuples of the order as one batch and then
+    all y-tuples (draw_separated), so the same (seed, m, trials_per_m,
+    domain) gives the same tuples and reports are reproducible. The order
     is decided as one batch: one broadcast kernel evaluation gives the
     matrices, in double or (extended) at the working precision. The
     determinants come from one stacked np.linalg.det (double), or from an
@@ -454,12 +469,9 @@ def ssr_scan(
         raise BadParameterError("trials_per_m must be at least 1")
     stats = []
     for m in range(1, m_max + 1):
-        draws = []
-        for trial in range(trials_per_m):
-            rng = np.random.default_rng((seed, m, trial))
-            draws.append((draw_separated(rng, *spec.domain.x, m),
-                          draw_separated(rng, *spec.domain.y, m)))
-        xs, ys = (np.array(nodes) for nodes in zip(*draws))
+        rng = np.random.default_rng((seed, m))
+        xs = draw_separated(rng, *spec.domain.x, m, trials_per_m)
+        ys = draw_separated(rng, *spec.domain.y, m, trials_per_m)
         matrices = _minor_matrices(spec, xs, ys, policy)
         if policy.extended:
             dets, determinate = _det_extended(matrices, policy.tau_det)

@@ -578,7 +578,7 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
-# sha256 of report_to_json at artifact_version 0.4.0. The extended ssr route
+# sha256 of report_to_json at artifact_version 0.5.0. The extended ssr route
 # runs in exact integers and mpmath, away from BLAS and LAPACK, so its
 # digests do not depend on the numpy build. The extended ssr minors are
 # exact determinants of the entries built at the working precision; ssr-e64
@@ -595,28 +595,28 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 PINNED_DIGESTS = [
     ("q31", CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
                            trials=1, seed=3),
-     "525ca43223be952f46ec2ec040b688f72ea35e31e69d2eb91a5979d49c0e02f6"),
+     "44dfb42cd080d914eb5c44c810d8f5fc5da0986d8cc526b55343b1ac9233c7d7"),
     ("ssr", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
                            trials=30, seed=3, precision="extended:128"),
-     "2a2cc92927a20c7d04a71217b71d6fffbc9f6ab6401793e3374acd1547e351e7"),
+     "815f6da299a01b996aa0f75c6402c04aae49c1ea33b06e01a21f443e5b0e5499"),
     ("conj32-int", CampaignConfig("conj32", alpha_grid=(0.0, 2.0), beta_grid=(1.0, 3.0),
                                   deg_cap=8, trials=10, seed=1),
-     "97f8e93e2ec1260aaad09b7d473c34af4e297404c84359ea291549dc908a3b1a"),
+     "9e9a60ec0e0918df3adf41cf46c89f36fd78201193fa6c744af0cddc28679875"),
     ("conj32-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
                                         deg_cap=8, trials=10, seed=1),
-     "4ec161392529275aff9f0d4d933068e8c218fbdfbcc0960e26e27dd380033edd"),
+     "5373b7d626a8fdc5e3b36fd507b9f3ba12075a2c2416e1cad71beae53a2f8748"),
     ("theorem12", CampaignConfig("theorem12", alpha_grid=(-0.5, 2.5), deg_cap=30, trials=20,
                                  seed=1),
-     "bd433c7504b062b9bb509ee5ae9c924d323c515938b60ac78addf2da90f55a2d"),
+     "fad6c45d1c3835e671ab817fddd6550385b852efbbb8d4b3c137784cb6c68f0f"),
     ("ssr-e64", CampaignConfig("ssr", alpha_grid=(-0.7, 0.3), beta_grid=(-0.9, 7.0), m_max=6,
                                trials=12, seed=2, precision="extended:64"),
-     "859debcd573a3b72369fff3f3a0cf2024921c25a748a7997341810de56ee456f"),
+     "fd80473953f1191680719520f46415c6ea40b3b6fbfc99d2f93300effd04b2ce"),
     ("ssr-double", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 0.5, 1.5, 3.0),
                                   m_max=4, trials=50),
-     "c29985474fa123e9c9a3e1ea47158a027dce053c1cdc09c55cac10d1f35891db"),
+     "873cb4cae21648d9a1efeb4e2d4ca1461e69267240981369e2d31025c303eac5"),
     ("ssr-e256", CampaignConfig("ssr", alpha_grid=(0.3,), beta_grid=(2.2,), m_max=4, trials=10,
                                 precision="extended:256"),
-     "69b97d5f61060e0ddb6142a190119cb7ba8b93e1ab95a288124e5ba0ee7b1888"),
+     "3bf556d5b497e18df6d3f4e5b3d635c63d0929702951d8905e9b3c0ee76cc683"),
 ]
 
 

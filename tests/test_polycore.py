@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import roots_jacobi
 
 from orthozero import (
@@ -31,8 +31,11 @@ from orthozero.errors import (
     BadParameterError,
     DegreeZeroError,
 )
+from orthozero import polycore
 from orthozero.polycore import (
     _bisect_to_double,
+    _root_between,
+    _sign_at_double,
     certify_interior_roots,
     count_roots,
     dyadic_numerators,
@@ -538,6 +541,63 @@ def test_certificate_rejects_what_it_cannot_prove():
     assert certify_interior_roots(p, [0.5], tol) is None  # too few estimates
     assert certify_interior_roots(p, [0.5, 0.5], tol) is None  # no point between
     assert certify_interior_roots(p, [0.4, 0.8], tol) is None  # both roots in one gap
+
+
+def _tie_above(x: float) -> Fraction:
+    """The point halfway between the double x and the next double up."""
+    return (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+
+
+_POWER_OF_TWO = st.builds(
+    lambda j, sign, kind: sign * [Fraction(1, 2**j), _tie_above(2.0**-j),
+                                  _tie_above(math.nextafter(2.0**-j, 0.0))][kind],
+    st.integers(1, 60), st.sampled_from([1, -1]), st.integers(0, 2))
+POLISH_TARGETS = st.one_of(
+    st.floats(-0.9, 0.9).map(Fraction),  # a root at a double
+    st.floats(-0.9, 0.9).map(_tie_above),  # a root halfway between two doubles: a tie
+    _POWER_OF_TWO,  # at a power of two, or a tie beside one, where the ulps differ
+)
+POLISH_ULPS = st.one_of(st.integers(-20, 20), st.sampled_from([2**30, -2**40, 2**52]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(target=POLISH_TARGETS, others=st.lists(INTERIOR, max_size=5),
+       lead=st.integers(1, 9), ulps=POLISH_ULPS)
+@example(target=Fraction(0.3), others=[Fraction(-1, 2)], lead=1, ulps=0)
+@example(target=_tie_above(0.3), others=[Fraction(1, 2)], lead=3, ulps=2)
+@example(target=Fraction(1, 4), others=[Fraction(-1, 3)], lead=1, ulps=-5)
+@example(target=_tie_above(math.nextafter(0.25, 0.0)), others=[], lead=1, ulps=7)
+@example(target=Fraction(1, 3), others=[Fraction(1, 2), Fraction(-1, 2)], lead=2, ulps=2**52)
+def test_polishing_returns_the_bisected_double(target, others, lead, ulps):
+    # Newton steps and the midpoint check return exactly the double that
+    # bisection finds, the root's correctly rounded value (ties to even)
+    roots = sorted({target, *(r for r in others if abs(r - target) > Fraction(1, 1000))})
+    p = primitive_part([lead * c for c in monic_from_roots(roots)])
+    i = roots.index(target)
+    lo = float((roots[i - 1] + target) / 2) if i else -1.0
+    hi = float((target + roots[i + 1]) / 2) if i + 1 < len(roots) else 1.0
+    guess = float(target) + ulps * math.ulp(float(target))
+    assume(lo < guess < hi)
+    (num_lo, num_hi), k = dyadic_numerators([lo, hi])
+    want = _bisect_to_double(p, num_lo, num_hi, k)
+    assert want == float(target)
+    assert _root_between(p, lo, hi, _sign_at_double(p, lo), guess) == want
+
+
+def test_polishing_bisects_only_when_newton_misses(monkeypatch):
+    # 2^21 x^21 - 1 has its root at 1/2; from 0.95 each Newton step moves
+    # only about x/21, so three steps miss and bisection runs, while from a
+    # few ulps off no bisection is needed
+    calls = []
+    bisect = polycore._bisect_to_double
+    monkeypatch.setattr(polycore, "_bisect_to_double",
+                        lambda *args: calls.append(args) or bisect(*args))
+    p = [-1] + [0] * 20 + [2**21]
+    assert _root_between(p, 0.0, 1.0, -1, 0.95) == 0.5
+    assert len(calls) == 1
+    for guess in (0.5, 0.5 + 4 * math.ulp(0.5), 0.5 - 9 * math.ulp(0.5)):
+        assert _root_between(p, 0.0, 1.0, -1, guess) == 0.5
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,70 @@ def test_scan_determinism():
     assert a == b
 
 
+class _CountingRng:
+    """A generator that counts its uniform calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def uniform(self, *args):
+        self.calls += 1
+        return self.rng.uniform(*args)
+
+
+@pytest.mark.parametrize("lo,hi,m,trials,sep", [
+    (-1.0, 1.0, 1, 7, 1e-3), (-1.0, 1.0, 4, 200, 1e-3), (0.1, 10.0, 8, 50, 1e-3),
+    (0.0, 1.0, 5, 40, 0.15),  # about 1 row in 100 is separated, so most are redrawn
+])
+def test_batched_tuples_are_sorted_separated_and_reproducible(lo, hi, m, trials, sep):
+    rng = _CountingRng(7)
+    tuples = draw_separated(rng, lo, hi, m, trials, sep)
+    assert tuples.shape == (trials, m)
+    assert np.all(tuples > lo) and np.all(tuples < hi)
+    assert np.all(np.diff(tuples, axis=1) > sep)  # sorted, and every gap above sep
+    assert np.array_equal(tuples, draw_separated(np.random.default_rng(7), lo, hi, m, trials, sep))
+    if sep == 0.15:
+        assert rng.calls > 1
+
+
+def test_batch_of_one_draws_what_a_single_tuple_did():
+    # the one-tuple loop the batched sampler replaced: redraw the whole tuple
+    # until its sorted values are more than sep apart
+    def single(rng, lo, hi, m, sep):
+        while True:
+            vals = sorted(rng.uniform(lo, hi, m).tolist())
+            if all(b - a > sep for a, b in zip(vals, vals[1:])):
+                return vals
+
+    for seed in range(30):
+        for m, sep in ((1, 0.05), (4, 0.05), (6, 0.05), (5, 0.15)):
+            got = draw_separated(np.random.default_rng(seed), -0.95, 0.95, m, sep=sep)
+            assert got.tolist() == [single(np.random.default_rng(seed), -0.95, 0.95, m, sep)]
+
+
+def test_sampler_rejects_what_it_cannot_draw():
+    with pytest.raises(BadParameterError, match="interval too small for the separation floor"):
+        draw_separated(np.random.default_rng(1), 0.0, 1.0, 5, 10, sep=0.25)
+    # a separated row has probability about 1e-7 here: 1000 rounds run out
+    with pytest.raises(BadParameterError, match="could not draw a separated tuple"):
+        draw_separated(np.random.default_rng(1), 0.0, 1.0, 8, 1, sep=0.124)
+
+
+def test_scan_builds_one_generator_per_order(monkeypatch):
+    from orthozero import signreg
+
+    seeds = []
+    make = np.random.default_rng
+
+    def counting(seed):
+        seeds.append(seed)
+        return make(seed)
+
+    monkeypatch.setattr(signreg.np.random, "default_rng", counting)
+    ssr_scan(UltraGenKernel(1.5), m_max=4, trials_per_m=300, seed=9)
+    assert seeds == [(9, 1), (9, 2), (9, 3), (9, 4)]
+
+
 def test_scan_m_cap_by_policy():
     with pytest.raises(BadParameterError):
         ssr_scan(ExpKernel(), m_max=7, trials_per_m=10, seed=1)
@@ -365,16 +429,17 @@ SCAN_KERNELS = {
 @pytest.mark.parametrize("name", list(SCAN_KERNELS))
 def test_scan_equals_minor_by_minor_recomputation(name, policy):
     # the per-minor loop the batched scan replaced, kept as its reference:
-    # same draws, one ssr_minor and one 2-D scale per tuple
+    # same draws (one generator per order, all x-tuples, then all
+    # y-tuples), one ssr_minor and one 2-D scale per tuple
     spec, seed, trials = SCAN_KERNELS[name], 5, 25
     rep = ssr_scan(spec, 4, trials, seed, policy)
     for stats in rep.per_m:
         pos = neg = ind = 0
         min_abs = math.inf
-        for trial in range(trials):
-            rng = np.random.default_rng((seed, stats.m, trial))
-            xs = draw_separated(rng, *spec.domain.x, stats.m)
-            ys = draw_separated(rng, *spec.domain.y, stats.m)
+        rng = np.random.default_rng((seed, stats.m))
+        x_tuples = draw_separated(rng, *spec.domain.x, stats.m, trials)
+        y_tuples = draw_separated(rng, *spec.domain.y, stats.m, trials)
+        for xs, ys in zip(x_tuples, y_tuples):
             det = ssr_minor(spec, xs, ys, policy)
             if policy.extended:  # the scale of the working-precision entries
                 with mpmath.workprec(policy.bits):
@@ -478,13 +543,13 @@ def test_extended_minors_have_no_singularity_cutoff():
     for m in (2, 3):
         for trial in range(50):
             rng = np.random.default_rng((1, m, trial))
-            xs = draw_separated(rng, -1.0, 1.0, m)
-            ys = draw_separated(rng, -1.0, 1.0, m)
+            xs = draw_separated(rng, -1.0, 1.0, m)[0]
+            ys = draw_separated(rng, -1.0, 1.0, m)[0]
             got = ssr_minor(spec, xs, ys, extended(128))
             assert got == _reference_det(spec, xs, ys) and got != 0.0
     rng = np.random.default_rng((1, 2, 2))
-    xs = draw_separated(rng, -1.0, 1.0, 2)
-    ys = draw_separated(rng, -1.0, 1.0, 2)
+    xs = draw_separated(rng, -1.0, 1.0, 2)[0]
+    ys = draw_separated(rng, -1.0, 1.0, 2)[0]
     assert ssr_minor(spec, xs, ys, extended(128)) == pytest.approx(3.631653787856355e18, rel=1e-15)
 
 
@@ -494,8 +559,9 @@ def test_exact_minors_cut_the_false_indeterminates():
     cases = run_campaign(config).to_dict()["cases"]
     counts = [[(s["indeterminate"], s["min_abs_det"] > 0) for s in case["per_m"][1:]]
               for case in cases]
-    # with mpmath.det these were 31, 40 and 21, 37, each order with min_abs_det 0
-    assert counts == [[(15, True), (27, True)], [(18, True), (32, True)]]
+    # mpmath.det of the same 128-bit entries reads 31, 44 and 29, 36, each
+    # order with min_abs_det 0
+    assert counts == [[(19, True), (30, True)], [(25, True), (36, True)]]
 
 
 def test_extended_overflow_reads_infinite(capsys):
@@ -511,15 +577,15 @@ def test_extended_overflow_reads_infinite(capsys):
 def test_extended_scan_needs_no_double_kernel(capsys):
     # 2^(alpha+beta) overflows a double at alpha = 1100, while the kernel's
     # values (2.05e50 at (0.1, 0.2)) do not; the extended scan once built the
-    # double matrices for its threshold anyway and exited 1. Its order-2
-    # minors are at most 3.5e-32 of their row-norm products, against a
-    # threshold of 1e-11, and one of them is past the double range, so that
-    # kernel is inconclusive
+    # double matrices for its threshold anyway and exited 1. Four of its five
+    # order-2 minors are at most 3.2e-47 of their row-norm products, against
+    # a threshold of 1e-11, so they are indeterminate; the fifth clears it at
+    # 3.6e-4 and is positive, so that kernel reads consistent_stp
     with np.errstate(all="raise"):
         code = cli_main(["ssr", "--precision", "extended:128", "--alpha", "1100",
                          "--beta", "0.5", "--m-max", "2", "--trials", "5"])
     assert code == 0
-    assert "ssr: 2 cases, 1 passes, 0 violations, 1 indeterminate" in capsys.readouterr().err
+    assert "ssr: 2 cases, 2 passes, 0 violations, 0 indeterminate" in capsys.readouterr().err
 
 
 def test_extended_minor_of_equal_rows_is_exactly_zero():
@@ -536,4 +602,6 @@ def test_non_finite_entries_never_give_a_sign(policy):
     with np.errstate(invalid="ignore"):
         rep = ssr_scan(spec, 3, 20, 1, policy)
     assert [(s.negative, s.violations) for s in rep.per_m] == [(0, 0)] * 3
-    assert [s.indeterminate for s in rep.per_m] == [7, 8, 20]
+    # orders 1 and 2: the tuples with a node above 0.5 (6 and 9 of 20);
+    # order 3: every minor, since 1 + xy has rank 2
+    assert [s.indeterminate for s in rep.per_m] == [6, 9, 20]
