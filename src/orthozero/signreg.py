@@ -13,17 +13,23 @@ than silently assigned a sign.
 A scan decides each order as one stack: the kernel formula is evaluated
 once, broadcast over all tuples of the order, giving the (trials, m, m)
 entries. In double precision np.linalg.det then runs once on that stack.
-Under the extended policy the same formula runs on object arrays of mpf at
-the working precision, so each node and each kernel constant is lifted and
-computed once per order; the determinant of each matrix of those entries is
-computed exactly, by fraction-free integer elimination, and rounded once to
-a double. The entries carry the only rounding, and there is no singularity
-cutoff.
+Under the extended policy a minor's result is that of the working-precision
+route: the same formula on object arrays of mpf at the working precision,
+each node and kernel constant lifted and computed once per order, and the
+determinant of those entries computed exactly, by fraction-free integer
+elimination, and rounded once to a double. The entries carry the only
+rounding, and there is no singularity cutoff. That route is slow, so the
+formula first runs once more on outward-rounded double intervals: the exact
+determinant of their midpoints and a Hadamard bound on the rest, widened
+for the route's own rounding, settle most signs and threshold tests, and
+only the minors they leave open, plus the candidates for the order's
+smallest |det|, are built at the working precision (_settle_extended).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from types import SimpleNamespace
@@ -69,22 +75,134 @@ class Domain:
 
 UNIT_SQUARE = Domain((-1.0, 1.0), (-1.0, 1.0))
 
-# The two number routes a kernel formula runs under: numpy on float arrays,
-# and mpmath at the caller's working precision on object arrays of mpf, where
-# numpy maps every operator and function elementwise. Either way one call
-# evaluates a whole broadcast stack, so per-node subexpressions are computed
-# once per node and constants once per call. `num` lifts a scalar constant.
-# A lifted mpf constant must never stand on the left of an array operator:
-# mpmath then tries to convert the array, building its whole repr, before
-# numpy takes over.
+
+def _down(v):
+    return np.nextafter(v, -np.inf)
+
+
+def _up(v):
+    return np.nextafter(v, np.inf)
+
+
+_LIBM_SLACK = 2.0 ** -40  # relative widening of exp and power results
+_LIBM_FLOOR = 2.0 ** -1022  # absolute widening: their subnormal results
+
+
+class _Interval:
+    """Closed intervals [lo, hi] on broadcast float arrays, elementwise.
+
+    Each result encloses the exact real result of the same operation on any
+    points of its operands. numpy rounds + - * / and sqrt to nearest, so
+    each endpoint moves one ulp outward. Its exp and power are not correctly
+    rounded and differ between builds (SIMD loops), so their endpoints also
+    widen by a relative 2^-40 and an absolute 2^-1022. Where a divisor
+    contains 0, a ** base is not positive, a sqrt argument is negative or an
+    endpoint is not finite, the result is the unbounded [-inf, inf]. Numbers
+    and arrays combine with an interval as point intervals, under Python
+    operators and numpy ufuncs alike, so a formula runs unchanged on it.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        bad = ~(np.isfinite(lo) & np.isfinite(hi))
+        self.lo = np.where(bad, -np.inf, lo)
+        self.hi = np.where(bad, np.inf, hi)
+
+    @staticmethod
+    def lift(value) -> _Interval:
+        if isinstance(value, _Interval):
+            return value
+        value = np.asarray(value, float)
+        return _Interval(value, value)
+
+    def __add__(self, other):
+        other = _Interval.lift(other)
+        return _Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+
+    def __sub__(self, other):
+        other = _Interval.lift(other)
+        return _Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
+
+    def __mul__(self, other):
+        return self._corners(np.multiply, _Interval.lift(other), True, _down, _up)
+
+    def __truediv__(self, other):
+        other = _Interval.lift(other)
+        return self._corners(np.divide, other, (other.lo > 0) | (other.hi < 0), _down, _up)
+
+    def __pow__(self, other):
+        return self._corners(np.power, _Interval.lift(other), self.lo > 0,
+                             _libm_down, _libm_up)
+
+    def _corners(self, op, other, valid, down, up):
+        # op is monotone in each argument on the valid boxes, so its extremes
+        # sit at the four corners
+        c = [op(a, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        lo = np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3]))
+        hi = np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))
+        return _Interval(np.where(valid, down(lo), np.nan), up(hi))
+
+    def __radd__(self, other):
+        return _Interval.lift(other) + self
+
+    def __rsub__(self, other):
+        return _Interval.lift(other) - self
+
+    def __rmul__(self, other):
+        return _Interval.lift(other) * self
+
+    def __rtruediv__(self, other):
+        return _Interval.lift(other) / self
+
+    def __rpow__(self, other):
+        return _Interval.lift(other) ** self
+
+    def exp(self):
+        return _Interval(_libm_down(np.exp(self.lo)), _libm_up(np.exp(self.hi)))
+
+    def sqrt(self):
+        return _Interval(np.where(self.lo >= 0, _down(np.sqrt(self.lo)), np.nan),
+                         _up(np.sqrt(self.hi)))
+
+    _UFUNCS = {np.add: operator.add, np.subtract: operator.sub, np.multiply: operator.mul,
+               np.divide: operator.truediv, np.power: operator.pow}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        op = _Interval._UFUNCS.get(ufunc)
+        if method != "__call__" or kwargs or op is None:
+            return NotImplemented
+        return op(*map(_Interval.lift, inputs))
+
+
+def _libm_down(v):
+    return _down(v - np.abs(v) * _LIBM_SLACK - _LIBM_FLOOR)
+
+
+def _libm_up(v):
+    return _up(v + np.abs(v) * _LIBM_SLACK + _LIBM_FLOOR)
+
+
+# The three number routes a kernel formula runs under: numpy on float arrays;
+# mpmath at the caller's working precision on object arrays of mpf, where
+# numpy maps every operator and function elementwise; and outward-rounded
+# intervals on float arrays. Each call evaluates a whole broadcast stack, so
+# per-node subexpressions are computed once per node and constants once per
+# call. `num` lifts a scalar constant. A lifted mpf constant must never stand
+# on the left of an array operator: mpmath then tries to convert the array,
+# building its whole repr, before numpy takes over. An interval constant holds
+# a numpy scalar, so that under the interval route's np.errstate an overflow
+# such as 2^1100.5 reads inf instead of raising as Python's float ** does.
 _NUMPY = SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt)
 _MPMATH = SimpleNamespace(num=mpmath.mpf, exp=np.frompyfunc(mpmath.exp, 1, 1),
                           sqrt=np.frompyfunc(mpmath.sqrt, 1, 1))
+_INTERVAL = SimpleNamespace(num=lambda c: _Interval.lift(np.float64(c)),
+                            exp=_Interval.exp, sqrt=_Interval.sqrt)
 _lift = np.frompyfunc(mpmath.mpf, 1, 1)  # floats to mpf at the working precision
 
 
 class _Formula:
-    """A kernel written once as formula(x, y, lib) and evaluated under either
+    """A kernel written once as formula(x, y, lib) and evaluated under any
     route; `name` and its parameter fields (all but `domain`) describe it."""
 
     name: ClassVar[str]
@@ -96,6 +214,13 @@ class _Formula:
         """One mpf for scalar x, y; for arrays, an object array of mpf
         broadcast as `evaluate` broadcasts."""
         return self.formula(_lift(x), _lift(y), _MPMATH)
+
+    def evaluate_interval(self, x, y) -> _Interval:
+        """Intervals enclosing the exact value of the formula at the doubles
+        x, y (constants as `evaluate_exact` lifts them), broadcast as
+        `evaluate` broadcasts."""
+        with np.errstate(all="ignore"):
+            return self.formula(_Interval.lift(x), _Interval.lift(y), _INTERVAL)
 
     def describe(self) -> str:
         """Short stable descriptor used in reports."""
@@ -243,6 +368,11 @@ class FactorWrappedKernel:
         phi, psi = self._factors(x, y)
         return _lift(phi) * _lift(psi) * self.base.evaluate_exact(x, y)
 
+    def evaluate_interval(self, x, y) -> _Interval:
+        phi, psi = self._factors(x, y)
+        with np.errstate(all="ignore"):
+            return _Interval.lift(phi) * _Interval.lift(psi) * self.base.evaluate_interval(x, y)
+
     def describe(self) -> str:
         return f"factor_wrapped[{self.base.describe()}]"
 
@@ -261,6 +391,9 @@ class CustomKernel:
     def evaluate_exact(self, x, y):
         # the callable runs in double; only its values are lifted
         return _lift(self.evaluate(x, y))
+
+    def evaluate_interval(self, x, y) -> _Interval:
+        return _Interval.lift(self.evaluate(x, y))
 
     def describe(self) -> str:
         return f"{self.label} on {self.domain.window}"
@@ -321,21 +454,29 @@ def _det_extended(matrices: np.ndarray, tau_det: float) -> tuple[np.ndarray, np.
 
 
 def _exact_det(matrix, tau_det: float) -> tuple[float, bool]:
-    # each entry is (-1)^sign man 2^exp; scaling row i by 2^-(its least
-    # exponent) makes it integer, and the determinant and the row sup-norms
-    # exact from there, all with the same power of two
-    rows, shift, norms = [], 0, 1
-    for row in matrix:
-        row = [a._mpf_ for a in row]
-        if any(not man and exp for _, man, exp, _ in row):
-            return math.nan, False  # an infinite or nan entry
-        low = min(exp for _, _, exp, _ in row)
-        rows.append([(-man if sign else man) << (exp - low) for sign, man, exp, _ in row])
-        shift += low
-        norms *= max(map(abs, rows[-1]))
+    # each entry is (-1)^sign man 2^exp
+    entries = [[a._mpf_ for a in row] for row in matrix]
+    if any(not man and exp for row in entries for _, man, exp, _ in row):
+        return math.nan, False  # an infinite or nan entry
+    rows, shift = _integer_rows([[-man if sign else man for sign, man, _, _ in row] for row in entries],
+                                [[exp for _, _, exp, _ in row] for row in entries])
     det = integer_det(rows)
+    norms = math.prod(max(map(abs, row)) for row in rows)
     num, den = tau_det.as_integer_ratio()
     return _dyadic_to_float(det, shift), abs(det) * den > num * norms
+
+
+def _integer_rows(mans, exps) -> tuple[list[list[int]], int]:
+    """Integer rows of the matrix with entries man * 2^exp: row i scaled by
+    2^-(its least exponent); and the sum of those exponents. The determinant
+    and the row sup-norms are exact from there, all with the same power of
+    two."""
+    rows, shift = [], 0
+    for row_mans, row_exps in zip(mans, exps):
+        low = min(row_exps)
+        rows.append([man << (exp - low) for man, exp in zip(row_mans, row_exps)])
+        shift += low
+    return rows, shift
 
 
 def _dyadic_to_float(num: int, shift: int) -> float:
@@ -344,6 +485,101 @@ def _dyadic_to_float(num: int, shift: int) -> float:
         return num / (1 << -shift) if shift < 0 else float(num << shift)
     except OverflowError:
         return math.inf if num > 0 else -math.inf
+
+
+def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Decide the minors of one order from interval entries where the bounds
+    clear, as the working-precision route (`_minor_matrices` then
+    `_det_extended`) decides them: the sign each settled minor counts with,
+    0 for indeterminate, and the mask of minors left to that route.
+
+    Let E be a minor's working-precision entries and I their intervals from
+    `evaluate_interval`, which enclose the exact values f of the same
+    formula at the same doubles. The route runs the same operation sequence
+    rounded at unit roundoff 2^-bits, so to first order |E - f| is at most
+    the sum over operations of |df/dv| |v| 2^-bits, where v is an
+    operation's result. Each interval operation widens its endpoints by at
+    least an ulp of double, 2^-53 |v| (exp and ** by 2^-40 |v|), so to first
+    order the width of I is at least twice that sum at 2^-53. Hence
+    |E - f| <= 2^(52 - bits) width(I); the radii take 2^(54 - bits) width,
+    leaving a factor 4 for second-order terms and for mpmath's exp and power,
+    which are accurate to about an ulp.
+
+    Row i is scaled by a power of two, 2^-k_i, which changes no sign or
+    threshold test. With midpoints d and radii r, multilinearity and
+    Hadamard's inequality give |det E - det d| <= prod(|d_i| + |r_i|) -
+    prod |d_i| (row 2-norms; Rump, Acta Numerica 2010). det d is exact
+    (integer_det of the midpoints) and rounded once, and every other bound
+    is rounded outward. A sign, and the
+    exact test |det E| > tau_det prod_i max_j |E_ij|, are settled where these
+    bounds clear them. Left to the route are the minors they do not settle,
+    including any with an unbounded entry; a positive minor small enough to
+    round to +0.0 there; and the candidates for min_abs_det, whose lower
+    bound on |det E| does not exceed the order's smallest upper bound. So
+    every count and min_abs_det is the route's own, bit for bit.
+    """
+    m = xs.shape[1]
+    with np.errstate(all="ignore"):
+        entries = spec.evaluate_interval(xs[:, :, None], ys[:, None, :])
+        lo, hi = np.broadcast_arrays(entries.lo, entries.hi)
+        k = np.frexp(np.maximum(-lo, hi).max(axis=2))[1]
+        scale = -k[:, :, None]
+        lo, hi = _down(np.ldexp(lo, scale)), _up(np.ldexp(hi, scale))
+        mid = lo / 2 + hi / 2
+        spread = _up(np.maximum(hi - mid, mid - lo))
+        rad = _up(spread + _up(spread * 2.0 ** (55 - policy.bits)))
+        bounded = np.isfinite(rad).all(axis=(1, 2))
+
+        frac, exp = np.frexp(np.where(bounded[:, None, None], mid, 0.0))
+        mans, exps = np.ldexp(frac, 53).astype(np.int64).tolist(), (exp - 53).tolist()
+        det_mid = np.full(len(xs), np.nan)
+        for t in np.flatnonzero(bounded):
+            rows, low = _integer_rows(mans[t], exps[t])
+            det_mid[t] = _dyadic_to_float(integer_det(rows), low)
+
+        # the bound grows with the norms, so their upper bounds a, b serve
+        a, b = _row_norm_bounds(np.abs(mid)), _row_norm_bounds(rad)
+        with_rad, without_rad, sup_lo, sup_hi = 1.0, 1.0, 1.0, 1.0
+        for i in range(m):
+            with_rad = _up(with_rad * _up(a[:, i] + b[:, i]))
+            without_rad = _down(without_rad * a[:, i])
+            sup_lo = _down(sup_lo * np.maximum(_down(np.abs(mid[:, i]) - rad[:, i]), 0.0).max(axis=1))
+            sup_hi = _up(sup_hi * _up(np.abs(mid[:, i]) + rad[:, i]).max(axis=1))
+        bound = _up(with_rad - without_rad)
+        det_lo, det_hi = _down(_down(det_mid) - bound), _up(_up(det_mid) + bound)
+        size_lo = np.maximum(np.maximum(det_lo, -det_hi), 0.0)
+        size_hi = np.maximum(-det_lo, det_hi)
+        determinate = size_lo > _up(policy.tau_det * sup_hi)
+        indeterminate = size_hi <= _down(policy.tau_det * sup_lo)
+
+        # |det E| lies in [size_lo, size_hi] * 2^sum(k)
+        frac_lo, exp_lo = _binary(size_lo, k.sum(axis=1))
+        frac_hi, exp_hi = _binary(size_hi, k.sum(axis=1))
+        bounded &= np.isfinite(size_hi)
+        exp_hi[~bounded] = np.inf
+        least = np.lexsort((frac_hi, exp_hi))[0]
+        candidate = (exp_lo < exp_hi[least]) | ((exp_lo == exp_hi[least]) & (frac_lo <= frac_hi[least]))
+        # the route rounds a determinant at most 2^-1075 to 0.0, whose sign reads negative
+        certain = (det_hi < 0) | (exp_lo > -1074)
+        settled = bounded & ((determinate & certain) | indeterminate)
+    sign = np.where(determinate, np.where(det_lo > 0, 1, -1), 0)
+    return sign, ~settled | candidate
+
+
+def _row_norm_bounds(magnitudes: np.ndarray) -> np.ndarray:
+    """Upper bounds of the row 2-norms of a (trials, m, m) stack of
+    non-negative upper bounds."""
+    total = 0.0
+    for j in range(magnitudes.shape[2]):
+        total = _up(total + _up(np.square(magnitudes[:, :, j])))
+    return _up(np.sqrt(total))
+
+
+def _binary(values: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fraction and exponent of values * 2^shift (values >= 0), exact, so
+    that (exponent, fraction) orders them; 0 gets exponent -inf."""
+    frac, exp = np.frexp(values)
+    return frac, np.where(values > 0, exp + shift, -np.inf)
 
 
 def minor_scale(matrix: np.ndarray) -> np.ndarray:
@@ -453,14 +689,16 @@ def ssr_scan(
     (seed, m), which draws all x-tuples of the order as one batch and then
     all y-tuples (draw_separated), so the same (seed, m, trials_per_m,
     domain) gives the same tuples and reports are reproducible. The order
-    is decided as one batch: one broadcast kernel evaluation gives the
-    matrices, in double or (extended) at the working precision. The
-    determinants come from one stacked np.linalg.det (double), or from an
-    exact determinant of each matrix (extended). A minor is determinate
-    when |det| exceeds tau_det times the product of row sup-norms (a nan
-    determinant never is), compared exactly under the extended policy; the
-    per-order sign is the majority of determinate signs and any
-    determinate disagreement is a violation.
+    is decided as one batch. In double, one broadcast kernel evaluation
+    gives the matrices and one stacked np.linalg.det their determinants.
+    Under the extended policy one broadcast interval evaluation settles
+    most minors (_settle_extended), and the rest, with every candidate for
+    min_abs_det, get working-precision entries and an exact determinant
+    each; the counts and min_abs_det are those of building every minor that
+    way. A minor is determinate when |det| exceeds tau_det times the
+    product of row sup-norms (a nan determinant never is), decided exactly
+    under the extended policy; the per-order sign is the majority of
+    determinate signs and any determinate disagreement is a violation.
     """
     cap = 8 if policy.extended else 6
     if not 1 <= m_max <= cap:
@@ -472,17 +710,21 @@ def ssr_scan(
         rng = np.random.default_rng((seed, m))
         xs = draw_separated(rng, *spec.domain.x, m, trials_per_m)
         ys = draw_separated(rng, *spec.domain.y, m, trials_per_m)
-        matrices = _minor_matrices(spec, xs, ys, policy)
         if policy.extended:
+            sign, exact = _settle_extended(spec, xs, ys, policy)
+            matrices = _minor_matrices(spec, xs[exact], ys[exact], policy)
             dets, determinate = _det_extended(matrices, policy.tau_det)
+            settled = sign[~exact]
         else:
+            matrices = _minor_matrices(spec, xs, ys, policy)
             dets = _det_double(matrices)
             # a nan determinant (from a non-finite entry) fails this test too
             determinate = np.abs(dets) > policy.tau_det * minor_scale(matrices)
-        pos = int(np.count_nonzero(determinate & (dets > 0)))
-        neg = int(np.count_nonzero(determinate)) - pos
+            settled = np.zeros(0, int)
+        pos = int(np.count_nonzero(determinate & (dets > 0)) + np.count_nonzero(settled > 0))
+        neg = int(np.count_nonzero(determinate) + np.count_nonzero(settled)) - pos
         ind = trials_per_m - pos - neg
-        min_abs = min([math.inf, *np.abs(dets).tolist()])  # skips nan
+        min_abs = min([math.inf, *np.abs(dets).tolist()])  # skips nan; holds every candidate
         if pos == 0 and neg == 0:
             sign = None
         else:

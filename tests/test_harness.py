@@ -579,8 +579,10 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 
 
 # sha256 of report_to_json at artifact_version 0.5.0. The extended ssr route
-# runs in exact integers and mpmath, away from BLAS and LAPACK, so its
-# digests do not depend on the numpy build. The extended ssr minors are
+# takes every count and min_abs_det from exact integers and mpmath. Its
+# interval filter runs on numpy, but settles only minors whose
+# working-precision result it has bounded, so its digests do not depend on
+# the numpy build either. The extended ssr minors are
 # exact determinants of the entries built at the working precision; ssr-e64
 # pins them at 64 bits, the lowest precision a policy allows, and ssr-e256 at
 # 256 bits with generic exponents. ssr-double pins the double route, whose

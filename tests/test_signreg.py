@@ -2,11 +2,13 @@
 of the kernels with known positivity status, factor and composition rules."""
 
 import math
+import operator
 from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orthozero import (
     DOUBLE,
@@ -29,7 +31,11 @@ from orthozero import (
 from orthozero.cli import main as cli_main
 from orthozero.errors import BadParameterError, BadTupleError, OutOfDomainError
 from orthozero.harness import CampaignConfig, run_campaign
+from orthozero import signreg
 from orthozero.signreg import (
+    _INTERVAL,
+    _det_extended,
+    _Interval,
     _minor_matrices,
     composition_kernel,
     draw_separated,
@@ -566,7 +572,8 @@ def test_exact_minors_cut_the_false_indeterminates():
 
 def test_extended_overflow_reads_infinite(capsys):
     assert ssr_minor(UltraGenKernel(150.0), (0.999,), (0.998,), extended(128)) == math.inf
-    # no double matrix is built under the extended policy, so no double overflows
+    # under the extended policy the only double matrices are the interval
+    # filter's, whose overflows read as unbounded entries, never as errors
     with np.errstate(all="raise"):
         code = cli_main(["ssr", "--precision", "extended:128", "--alpha", "0", "--beta", "300",
                          "--m-max", "2", "--trials", "200"])
@@ -577,10 +584,12 @@ def test_extended_overflow_reads_infinite(capsys):
 def test_extended_scan_needs_no_double_kernel(capsys):
     # 2^(alpha+beta) overflows a double at alpha = 1100, while the kernel's
     # values (2.05e50 at (0.1, 0.2)) do not; the extended scan once built the
-    # double matrices for its threshold anyway and exited 1. Four of its five
-    # order-2 minors are at most 3.2e-47 of their row-norm products, against
-    # a threshold of 1e-11, so they are indeterminate; the fifth clears it at
-    # 3.6e-4 and is positive, so that kernel reads consistent_stp
+    # double matrices for its threshold anyway and exited 1. Its interval
+    # filter's entries overflow too, so every minor is built at the working
+    # precision, where four of its five order-2 minors are at most 3.2e-47
+    # of their row-norm products, against a threshold of 1e-11, so they are
+    # indeterminate; the fifth clears it at 3.6e-4 and is positive, so that
+    # kernel reads consistent_stp
     with np.errstate(all="raise"):
         code = cli_main(["ssr", "--precision", "extended:128", "--alpha", "1100",
                          "--beta", "0.5", "--m-max", "2", "--trials", "5"])
@@ -605,3 +614,192 @@ def test_non_finite_entries_never_give_a_sign(policy):
     # orders 1 and 2: the tuples with a node above 0.5 (6 and 9 of 20);
     # order 3: every minor, since 1 + xy has rank 2
     assert [s.indeterminate for s in rep.per_m] == [6, 9, 20]
+
+
+# ---------------------------------------------------------------------------
+# the interval filter in front of the working-precision route
+# ---------------------------------------------------------------------------
+
+FILTER_KERNELS = {
+    **SCAN_KERNELS,
+    "ultra_gen-20": UltraGenKernel(20.0),
+    "ultra_gen-40": UltraGenKernel(40.0),
+    "jacobi_gen-1100": JacobiGenKernel(1100.0, 0.5),  # double entries overflow
+    # entries near 1e-200: the route rounds the positive order-2 minors to
+    # +0.0 and counts them negative, which the filter must leave to it
+    "exp-underflow": ExpKernel(Domain((-23.0, -22.0), (20.0, 21.0))),
+}
+
+
+def _full_route_stats(spec, m, trials, seed, policy):
+    """An order's counts and min_abs_det with every minor built at the
+    working precision: the route the filter stands in front of."""
+    rng = np.random.default_rng((seed, m))
+    xs = draw_separated(rng, *spec.domain.x, m, trials)
+    ys = draw_separated(rng, *spec.domain.y, m, trials)
+    dets, determinate = _det_extended(_minor_matrices(spec, xs, ys, policy), policy.tau_det)
+    pos = int(np.count_nonzero(determinate & (dets > 0)))
+    neg = int(np.count_nonzero(determinate)) - pos
+    return pos, neg, trials - pos - neg, min([math.inf, *np.abs(dets).tolist()])
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("name", list(FILTER_KERNELS))
+def test_filtered_scan_equals_the_working_precision_route(name, bits):
+    spec, trials, policy = FILTER_KERNELS[name], 25, extended(bits)
+    for seed in (1, 2, 3):
+        with np.errstate(all="raise"):
+            rep = ssr_scan(spec, 5, trials, seed, policy)
+        for s in rep.per_m:
+            assert (s.positive, s.negative, s.indeterminate, s.min_abs_det) == \
+                _full_route_stats(spec, s.m, trials, seed, policy), (seed, s.m)
+
+
+def _count_working_precision_minors(monkeypatch):
+    built = []
+
+    def counting(spec, xs, ys, policy):
+        built.append(len(xs))
+        return _minor_matrices(spec, xs, ys, policy)
+
+    monkeypatch.setattr(signreg, "_minor_matrices", counting)
+    return built
+
+
+def test_well_conditioned_scan_builds_few_working_precision_minors(monkeypatch):
+    built = _count_working_precision_minors(monkeypatch)
+    for seed in (1, 2, 3):
+        built.clear()
+        ssr_scan(JacobiGenKernel(1.0, 1.5), 5, 100, seed, extended(128))
+        assert len(built) == 5 and sum(built) <= 50, (seed, built)
+
+
+def test_unbounded_entries_send_every_minor_to_the_working_precision_route(monkeypatch):
+    built = _count_working_precision_minors(monkeypatch)
+    with np.errstate(all="raise"):
+        ssr_scan(JacobiGenKernel(1100.0, 0.5), 3, 20, 1, extended(128))
+    assert built == [20, 20, 20]
+
+
+def _contains(interval, value):
+    lo, hi = float(interval.lo), float(interval.hi)
+    return mpmath.mpf(lo) <= value <= mpmath.mpf(hi)
+
+
+def _unbounded(interval):
+    return np.all(interval.lo == -np.inf) and np.all(interval.hi == np.inf)
+
+
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+INTERVALS = st.tuples(DOUBLES, DOUBLES).map(sorted)
+OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=INTERVALS, b=INTERVALS, op=st.sampled_from(list(OPERATIONS)),
+       t=st.floats(0, 1), u=st.floats(0, 1))
+@example(a=[1.0, 1.0], b=[3.0, 3.0], op="/", t=0.0, u=0.0)
+@example(a=[-5e-324, 5e-324], b=[1e-300, 1e-300], op="*", t=0.5, u=0.5)
+def test_interval_arithmetic_encloses_the_exact_result(a, b, op, t, u):
+    with np.errstate(all="ignore"):
+        result = OPERATIONS[op](_Interval(*np.array(a)), _Interval(*np.array(b)))
+    for x in _points(a, t):
+        for y in _points(b, u):
+            if op == "/" and y == 0:
+                continue
+            with mpmath.workprec(256):
+                assert _contains(result, OPERATIONS[op](mpmath.mpf(x), mpmath.mpf(y))), (x, y)
+
+
+def _points(pair, t):
+    """Points of [lo, hi]: both ends, and one between unless it overflows."""
+    lo, hi = pair
+    inner = lo + t * (hi - lo)
+    return {lo, hi, inner} if lo <= inner <= hi else {lo, hi}
+
+
+POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=POSITIVE, c=st.floats(-400, 400), e=st.floats(-800, 800), s=st.floats(0, 1e308))
+@example(x=5e-324, c=0.5, e=-745.5, s=5e-324)
+@example(x=2.0, c=1100.5, e=709.8, s=1e308)
+def test_interval_functions_enclose_the_exact_result(x, c, e, s):
+    with np.errstate(all="ignore"):
+        power = _Interval.lift(x) ** _Interval.lift(c)
+        exp = _INTERVAL.exp(_Interval.lift(e))
+        root = _INTERVAL.sqrt(_Interval.lift(s))
+    with mpmath.workprec(256):
+        assert _contains(power, mpmath.power(mpmath.mpf(x), mpmath.mpf(c)))
+        assert _contains(exp, mpmath.exp(mpmath.mpf(e)))
+        assert _contains(root, mpmath.sqrt(mpmath.mpf(s)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["exp", "power_sum", "ultra_gen", "ultra_derived", "jacobi_gen"]),
+       p=st.floats(0.05, 60), q=st.floats(-0.95, 60), t=st.floats(0.001, 0.999),
+       u=st.floats(0.001, 0.999))
+def test_kernel_intervals_enclose_the_exact_value(name, p, q, t, u):
+    spec = {"exp": lambda: ExpKernel(), "power_sum": lambda: PowerSumKernel(p),
+            "ultra_gen": lambda: UltraGenKernel(q), "ultra_derived": lambda: UltraDerivedKernel(q),
+            "jacobi_gen": lambda: JacobiGenKernel(q, p)}[name]()
+    (xlo, xhi), (ylo, yhi) = spec.domain.x, spec.domain.y
+    x, y = xlo + t * (xhi - xlo), ylo + u * (yhi - ylo)
+    with np.errstate(all="raise"):
+        interval = spec.evaluate_interval(x, y)
+    with mpmath.workprec(256):
+        assert _contains(interval, spec.evaluate_exact(x, y))
+
+
+def test_unbounded_intervals():
+    with np.errstate(all="ignore"):  # as under evaluate_interval
+        # a divisor that contains 0
+        assert _unbounded(_Interval.lift(1.0) / _Interval(np.array(-1e-300), np.array(2.0)))
+        assert _unbounded(_Interval.lift(1.0) / _Interval.lift(0.0))
+        # a ** base that is not positive
+        assert _unbounded(_Interval(np.array(0.0), np.array(2.0)) ** 1.5)
+        assert _unbounded(_Interval.lift(-2.0) ** 2.0)
+        # non-finite endpoints, given or reached
+        assert _unbounded(_Interval.lift(np.inf) + 1.0)
+        assert _unbounded(_Interval.lift(np.nan) * 2.0)
+        assert _unbounded(_Interval.lift(1e308) * 10.0)
+        assert _unbounded(_INTERVAL.exp(_Interval.lift(710.0)))
+        assert _unbounded(_INTERVAL.num(2.0) ** 1100.5)
+        # a negative sqrt argument
+        assert _unbounded(_INTERVAL.sqrt(_Interval(np.array(-1e-300), np.array(1.0))))
+
+
+class _Loose:
+    """A kernel whose working-precision entries are its double values, and
+    whose intervals are 1e-3 wide relative to them and off-centre by a
+    fraction that varies from entry to entry, so that the filter's
+    decisions rest on its bounds alone."""
+
+    def __init__(self, base):
+        self.base, self.domain = base, base.domain
+
+    def describe(self):
+        return f"loose[{self.base.describe()}]"
+
+    def evaluate(self, x, y):
+        return self.base.evaluate(x, y)
+
+    def evaluate_exact(self, x, y):
+        return signreg._lift(self.evaluate(x, y))
+
+    def evaluate_interval(self, x, y):
+        values = self.evaluate(x, y)
+        width, below = 1e-3 * np.abs(values), (1e4 * values) % 1.0
+        return _Interval(values - below * width, values + (1.0 - below) * width)
+
+
+@pytest.mark.parametrize("tau_det", [1e-11, 1e-5, 0.3, 0.7])
+@pytest.mark.parametrize("base", [ExpKernel(), UltraGenKernel(-0.5)], ids=["exp", "ultra_gen"])
+def test_filter_decides_only_what_its_bounds_clear(base, tau_det):
+    spec, trials, policy = _Loose(base), 60, extended(128, tau_det=tau_det)
+    for seed in (1, 2):
+        rep = ssr_scan(spec, 4, trials, seed, policy)
+        for s in rep.per_m:
+            assert (s.positive, s.negative, s.indeterminate, s.min_abs_det) == \
+                _full_route_stats(spec, s.m, trials, seed, policy), (seed, s.m)
