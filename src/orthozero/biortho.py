@@ -7,16 +7,20 @@ The biorthogonality measure here is omega(x, t) dx on a bounded interval.
 For the equivalence check the measure must carry the family's weight
 (1-x^2)^alpha alongside the degree-weighted generating kernel; without it
 the moment identity that makes the construction reproduce the transform
-only holds at alpha = 0.
+only holds at alpha = 0. With the weight, every moment is a polynomial in
+the node t whose coefficients come from the Jacobi coefficient rows and the
+orthogonality constants (_moment_table), so the check runs no quadrature.
+The general moment routes (moment, orthogonality_residuals) integrate
+adaptively with scipy, which they import when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     BadNodesError,
@@ -24,12 +28,11 @@ from .errors import (
     QuadratureError,
     SingularSystemError,
 )
-from .orthopoly import gauss_jacobi_rule
-from .polycore import (Poly, RootReport, check_params, classify_roots, monic_from_roots,
-                       poly_eval, poly_roots)
+from .polycore import (Poly, RootReport, check_params, classify_roots,
+                       jacobi_coefficient_rows, monic_from_roots, poly_eval, poly_roots)
 from .precision import DOUBLE, PrecisionPolicy
 from .signreg import CustomKernel, Domain, UltraDerivedKernel, minor_scale
-from .transforms import ultra_transform
+from .transforms import monic_ultra_image
 
 MAX_MOMENT_POWER = 30
 MAX_SYSTEM_SIZE = 8
@@ -55,6 +58,8 @@ def moment(kernel, k: int, t: float, interval) -> float:
     """
     if not 0 <= k <= MAX_MOMENT_POWER:
         raise BadParameterError(f"moment power capped at {MAX_MOMENT_POWER}")
+    from scipy.integrate import quad  # library-only route; scipy stays off the CLI's imports
+
     fn = _as_kernel_fn(kernel)
     a, b = float(interval[0]), float(interval[1])
     result = quad(lambda x: x ** k * fn(x, t), a, b,
@@ -155,6 +160,8 @@ def biorthogonal_poly(
 def orthogonality_residuals(system: BiorthogonalSystem) -> np.ndarray:
     """Fresh quadrature of p(x) omega(x, t_l) for each node (independent of
     the moment matrix the construction consumed)."""
+    from scipy.integrate import quad
+
     fn = _as_kernel_fn(system.kernel)
     a, b = system.interval
     out = np.zeros(len(system.nodes))
@@ -186,39 +193,57 @@ def zeros_in_interval_check(
 # equivalence with the scaled ultraspherical transform
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _cached_gauss_rule(alpha: float, count: int):
-    return gauss_jacobi_rule(count, alpha, alpha)
-
-
-def _weighted_moment_block(nodes, alpha: float, powers: int, count: int) -> np.ndarray:
-    """[integral of x^k (1-x^2)^alpha K(x, t_l) dx] via the weighted Gauss rule."""
-    x, w = _cached_gauss_rule(alpha, count)
-    kernel = UltraDerivedKernel(alpha)
-    xpow = x[None, :] ** np.arange(powers)[:, None]
-    out = np.zeros((len(nodes), powers))
-    for l, t in enumerate(nodes):
-        kv = kernel.evaluate(x, t) * w
-        out[l, :] = xpow @ kv
+def _kernel_coefficient(k: int, a: Fraction) -> Fraction:
+    """(2k+2a+1) (1+2a)_k / (1+a)_k: the coefficient of P_k^(a,a)(x) t^k in
+    the degree-weighted kernel (orthopoly.resolve_ultra_derived_factor)."""
+    out = 2 * k + 2 * a + 1
+    for i in range(k):
+        out *= (1 + 2 * a + i) / (1 + a + i)
     return out
 
 
-def _weighted_moments(nodes, alpha: float, powers: int) -> np.ndarray:
-    """Node-doubled weighted quadrature with convergence control.
+def _norm_ratio(k: int, a: Fraction) -> Fraction:
+    """h_k / h_0 = (1+a)_k^2 (2a+1) / ((2k+2a+1) k! (1+2a)_k), the ratio of
+    the squared weighted norms of P_k^(a,a) and P_0 (orthopoly.ortho_constant)."""
+    out = (2 * a + 1) / (2 * k + 2 * a + 1)
+    for i in range(k):
+        out *= (1 + a + i) ** 2 / ((i + 1) * (1 + 2 * a + i))
+    return out
 
-    Nodes close to the ends of (-1, 1) pull the kernel's branch point toward
-    the interval, so the rule size escalates until successive refinements
-    agree to 1e-9 relative.
+
+@lru_cache(maxsize=64)
+def _moment_table(alpha: float) -> np.ndarray:
+    """Entry (j, k) is the coefficient of t^k in mu_j(t) / h_0, where
+    mu_j(t) is the integral of x^j (1-x^2)^alpha K(x, t) over (-1, 1), K is
+    the degree-weighted kernel and h_0 the weight's mass; j, k run through
+    0..MAX_SYSTEM_SIZE.
+
+    K(x, t) = sum_k d_k P_k(x) t^k with P_k = P_k^(alpha,alpha) and d_k from
+    _kernel_coefficient. Write x^j = sum_{k<=j} c_{j,k} P_k(x); P_k is
+    orthogonal to every power below k, so only k <= j survive and
+    mu_j(t) = sum_{k<=j} d_k c_{j,k} h_k t^k. The c_{j,k} invert the
+    triangular jacobi_coefficient_rows. A double alpha is a binary rational,
+    so every entry is an exact rational rounded once. The positive factor
+    h_0 is left out: it moves neither the solution of the monic system nor
+    its scale-free regularity test, and taking h_k from the log-gamma form
+    loses its digits to cancellation at large alpha.
     """
-    count = 400
-    prev = _weighted_moment_block(nodes, alpha, powers, count)
-    while count <= 3200:
-        count *= 2
-        cur = _weighted_moment_block(nodes, alpha, powers, count)
-        if np.max(np.abs(cur - prev) / (1.0 + np.abs(cur))) <= 1e-9:
-            return cur
-        prev = cur
-    raise QuadratureError("weighted moment quadrature failed to converge")
+    a = Fraction(alpha)
+    size = MAX_SYSTEM_SIZE + 1
+    rows = jacobi_coefficient_rows(MAX_SYSTEM_SIZE, a, a)  # row k: x^i in P_k
+    c = np.zeros((size, size), dtype=object)  # row j: P_k in x^j
+    for j in range(size):
+        c[j, j] = Fraction(1)
+        for i in range(j):
+            c[j] -= rows[j, i] * c[i]
+        c[j] /= rows[j, j]
+    table = np.zeros((size, size))
+    for k in range(size):
+        weight = _kernel_coefficient(k, a) * _norm_ratio(k, a)
+        for j in range(k, size):
+            table[j, k] = float(weight * c[j, k])
+    table.flags.writeable = False  # the cache hands this one array to every caller
+    return table
 
 
 EQUIV_ALPHA_HALF = ("alpha = -1/2 makes the degree-weighted kernel's prefactor "
@@ -253,7 +278,8 @@ def transform_equivalence_check(
         raise BadNodesError("nodes must be pairwise distinct")
     f = Poly(tuple(monic_from_roots(nodes)), tau_trim=0.0)
 
-    moments = _weighted_moments(nodes, alpha, n + 1)
+    powers = np.asarray(nodes)[:, None] ** np.arange(n + 1)
+    moments = powers @ _moment_table(alpha)[: n + 1, : n + 1].T
     derived = UltraDerivedKernel(alpha)
     kernel = CustomKernel(
         fn=lambda x, t: (1.0 - np.asarray(x, float) ** 2) ** alpha * derived.evaluate(x, t),
@@ -262,10 +288,6 @@ def transform_equivalence_check(
     )
     system = biorthogonal_poly(kernel, nodes, (-1.0, 1.0), policy, moments=moments)
 
-    transformed = ultra_transform(f, alpha)
-    monic = transformed.array / transformed.coeffs[-1]
+    monic = monic_ultra_image(f, alpha)
     built = system.poly.array
-    width = max(len(monic), len(built))
-    monic = np.pad(monic, (0, width - len(monic)))
-    built = np.pad(built, (0, width - len(built)))
     return float(np.max(np.abs(monic - built)) / max(1.0, np.max(np.abs(built))))

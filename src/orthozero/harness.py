@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import datetime as _dt
 import functools
-import io
 import math
+import re
 import time
 from dataclasses import dataclass
 
@@ -548,58 +548,72 @@ def format_number(value) -> str:
     return f"{value:.17g}"
 
 
-def _write_json(obj, out: io.StringIO, indent: int) -> None:
-    pad = "  " * indent
-    if obj is None:
-        out.write("null")
-    elif isinstance(obj, (int, float)):  # bool included
-        out.write(format_number(obj))
-    elif isinstance(obj, str):
-        out.write(_json_escape(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.write(f"{pad}  {_json_escape(str(key))}: ")
-            _write_json(value, out, indent + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, value in enumerate(obj):
-            out.write(pad + "  ")
-            _write_json(value, out, indent + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "]")
-    else:
-        raise BadParameterError(f"cannot serialize {type(obj).__name__}")
+# the characters JSON requires escaped; everything else is written as is
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)}
+_JSON_ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\"})
 
 
 def _json_escape(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    if _NEEDS_ESCAPE.search(text) is None:
+        return '"' + text + '"'
+    return '"' + text.translate(_JSON_ESCAPES) + '"'
+
+
+# exact-type formatters, equal to format_number and _json_escape on these
+# types; subclasses (numpy scalars, str enums) take the isinstance route
+_SCALARS = {
+    float: "{:.17g}".format,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def report_to_json(report_dict: dict) -> str:
-    buf = io.StringIO()
-    _write_json(report_dict, buf, 0)
-    buf.write("\n")
-    return buf.getvalue()
+    """The report as indented JSON with keys in insertion order.
+
+    Strings are escaped once per distinct value, and the line starts
+    '<indent>"key": ' of a dict once per indent and key tuple, so the many
+    cases of one shape format little more than their numbers.
+    """
+    heads = {}
+    scalars = dict(_SCALARS)
+    scalars[str] = functools.cache(_json_escape)
+    formatter = scalars.get
+
+    def render(obj, pad: str) -> str:
+        scalar = formatter(type(obj))
+        if scalar is not None:
+            return scalar(obj)
+        if isinstance(obj, (int, float)):  # bool included
+            return format_number(obj)
+        if isinstance(obj, str):
+            return _json_escape(obj)
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            shape = (pad, *obj)
+            starts = heads.get(shape)
+            if starts is None:
+                starts = [f"{inner}{_json_escape(str(key))}: " for key in obj]
+                if all(type(key) is str for key in obj):  # 1 and True would share a shape
+                    heads[shape] = starts
+            items = [start + (scalar(value) if (scalar := formatter(type(value)))
+                              else render(value, inner))
+                     for start, value in zip(starts, obj.values())]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            items = [inner + (scalar(value) if (scalar := formatter(type(value)))
+                              else render(value, inner))
+                     for value in obj]
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        raise BadParameterError(f"cannot serialize {type(obj).__name__}")
+
+    return render(report_dict, "") + "\n"
 
 
 def _flatten_case(case: dict) -> dict:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from . import powerseries as ps
 from .errors import BadParameterError
@@ -133,13 +131,13 @@ def ortho_constant(n: int, alpha: float, beta: float) -> OrthoConstant:
     check_params(alpha=alpha, beta=beta)
     if n < 0:
         raise BadParameterError("degree must be nonnegative")
-    log_h = ((1.0 + alpha + beta) * math.log(2.0) + gammaln(1.0 + alpha + n)
-             + gammaln(1.0 + beta + n))
+    log_h = ((1.0 + alpha + beta) * math.log(2.0) + math.lgamma(1.0 + alpha + n)
+             + math.lgamma(1.0 + beta + n))
     if n == 0:
-        log_h -= gammaln(2.0 + alpha + beta)
+        log_h -= math.lgamma(2.0 + alpha + beta)
     else:
-        log_h = (log_h - math.log(2.0 * n + 1.0 + alpha + beta) - gammaln(n + 1.0)
-                 - gammaln(1.0 + alpha + beta + n))
+        log_h = (log_h - math.log(2.0 * n + 1.0 + alpha + beta) - math.lgamma(n + 1.0)
+                 - math.lgamma(1.0 + alpha + beta + n))
     h = math.exp(log_h)
     if not h > 0:
         raise BadParameterError(f"orthogonality constant came out nonpositive: {h}")
@@ -156,8 +154,8 @@ def jacobi_weight_recurrence(count: int, alpha: float, beta: float):
     b = np.zeros(count)
     s = alpha + beta
     a[0] = (beta - alpha) / (s + 2.0)
-    b[0] = math.exp((s + 1.0) * math.log(2.0) + gammaln(alpha + 1.0)
-                    + gammaln(beta + 1.0) - gammaln(s + 2.0))
+    b[0] = math.exp((s + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+                    + math.lgamma(beta + 1.0) - math.lgamma(s + 2.0))
     for k in range(1, count):
         den = 2.0 * k + s
         a[k] = (beta * beta - alpha * alpha) / (den * (den + 2.0))
@@ -174,14 +172,17 @@ def gauss_jacobi_rule(nodes: int, alpha: float, beta: float):
 
     Golub-Welsch: eigen-decomposition of the symmetric tridiagonal matrix
     built from the weight's recurrence coefficients. Exact for polynomials
-    of degree 2*nodes - 1.
+    of degree 2*nodes - 1. The matrix is solved dense, at O(nodes^3) cost:
+    meant for small rules such as quad_inner_product's, which needs at most
+    2*MAX_QUAD_DEGREE + 4 nodes.
     """
     if nodes < 1:
         raise BadParameterError("need at least one quadrature node")
     a, b = jacobi_weight_recurrence(nodes, alpha, beta)
     if nodes == 1:
         return a[:1].copy(), b[:1].copy()
-    vals, vecs = eigh_tridiagonal(a, np.sqrt(b[1:]))
+    off = np.sqrt(b[1:])
+    vals, vecs = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
     weights = b[0] * vecs[0, :] ** 2
     return vals, weights
 
@@ -239,9 +240,9 @@ def resolve_diag_constant(n: int, alpha: float) -> dict:
     """
     val = quad_inner_product(n, n, alpha, alpha)
     h_2a = ortho_constant(n, alpha, alpha).h
-    h_a = math.exp((1.0 + alpha) * math.log(2.0) + 2.0 * gammaln(1.0 + alpha + n)
-                   - gammaln(n + 1.0) - math.log(2.0 * n + 2.0 * alpha + 1.0)
-                   - gammaln(1.0 + 2.0 * alpha + 2.0 * n))
+    h_a = math.exp((1.0 + alpha) * math.log(2.0) + 2.0 * math.lgamma(1.0 + alpha + n)
+                   - math.lgamma(n + 1.0) - math.log(2.0 * n + 2.0 * alpha + 1.0)
+                   - math.lgamma(1.0 + 2.0 * alpha + 2.0 * n))
     dev_2a = abs(val - h_2a) / abs(val)
     dev_a = abs(val - h_a) / abs(val)
     resolved = "2^(1+2a)" if dev_2a < dev_a else "2^(1+a)"

@@ -135,6 +135,27 @@ def ultra_transform(f: Poly, alpha: float) -> Poly:
     return _scaled_expansion(f, alpha, alpha, lambda k: factorial_scale(k, alpha))
 
 
+def monic_ultra_image(f: Poly, alpha: float) -> np.ndarray:
+    """ultra_transform(f, alpha) divided by its leading coefficient, as all
+    deg f + 1 ascending coefficients (nothing is trimmed).
+
+    The scale of degree k is taken relative to the top degree n's:
+    (k!/Gamma(k+1+alpha)) / (n!/Gamma(n+1+alpha)) = prod_{i=k+1..n} (i+alpha)/i.
+    The common factor moves no coefficient of the monic image, and the ratios
+    stay in range where the scales themselves underflow (alpha above about
+    170) and where every coefficient of the image would fall below Poly's
+    trim threshold (alpha about 20).
+    """
+    check_params(alpha=alpha)
+    weighted = list(basis_to_monomial(f).coeffs)
+    ratio = 1.0
+    for k in range(len(weighted) - 1, 0, -1):
+        ratio *= (k + alpha) / k
+        weighted[k - 1] *= ratio
+    image = _expand(weighted, alpha, alpha)
+    return image / image[-1]
+
+
 def legendre_transform(f: Poly) -> Poly:
     """Map sum a_k x^k to sum a_k P_k (the alpha = 0 ultraspherical case)."""
     return ultra_transform(f, 0.0)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from orthozero import (
     Domain,
@@ -16,13 +17,18 @@ from orthozero import (
     biorthogonal_poly,
     moment,
     moment_matrix,
+    ortho_constant,
     orthogonality_residuals,
     regularity_det,
     ssr_minor,
     transform_equivalence_check,
     zeros_in_interval_check,
 )
+from orthozero import biortho
+from orthozero.biortho import MAX_SYSTEM_SIZE
 from orthozero.errors import BadNodesError, BadParameterError, SingularSystemError
+from orthozero.polycore import monic_from_roots
+from orthozero.transforms import monic_ultra_image
 
 EXP_ON_UNIT = ExpKernel(domain=Domain((0.0, 1.0), (-2.0, 2.0)))
 
@@ -218,6 +224,50 @@ def test_equivalence_random_sweep():
                 continue
             assert transform_equivalence_check(roots, alpha) <= 1e-6
             done += 1
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.3, 0.0, 1.0, 2.5, 4.0])
+def test_closed_form_moments_match_gauss_rule(alpha):
+    # oracle: the weighted moments integrated on scipy's 400-node Gauss-Jacobi
+    # rule, which is accurate to about 4e-11 here (at alpha = -0.9 its own
+    # weights limit it)
+    x, w = roots_jacobi(400, alpha, alpha)
+    kernel = UltraDerivedKernel(alpha)
+    nodes = np.array([-0.95, -0.6, -0.1, 0.0, 0.35, 0.8, 0.95])
+    powers = np.arange(MAX_SYSTEM_SIZE + 1)
+    h0 = ortho_constant(0, alpha, alpha).h
+    closed = h0 * (nodes[:, None] ** powers @ biortho._moment_table(alpha).T)
+    ruled = np.array([[np.sum(w * x ** j * kernel.evaluate(x, t)) for j in powers]
+                      for t in nodes])
+    scale = np.max(np.abs(ruled), axis=1, keepdims=True)
+    assert np.all(np.abs(closed - ruled) <= 1e-10 * scale)
+
+
+def test_mutated_kernel_factor_gives_a_violation(monkeypatch):
+    # the rejected reading 2k+a+1 of the kernel's per-degree factor 2k+2a+1
+    # must fail the check, or the check could not fail at all
+    nodes = (-0.5, 0.1, 0.6)
+    assert transform_equivalence_check(nodes, 1.0) <= 1e-6
+    true_coefficient = biortho._kernel_coefficient
+    monkeypatch.setattr(biortho, "_kernel_coefficient", lambda k, a: true_coefficient(k, a)
+                        * (2 * k + a + 1) / (2 * k + 2 * a + 1))
+    biortho._moment_table.cache_clear()
+    try:
+        assert transform_equivalence_check(nodes, 1.0) > 1e-6
+    finally:
+        biortho._moment_table.cache_clear()
+
+
+@pytest.mark.parametrize("alpha", [20.0, 200.0, 1000.0, 1e12])
+def test_equivalence_at_large_alpha(alpha):
+    # at alpha = 20 every coefficient of the scaled image is below Poly's trim
+    # threshold, and from about 170 the scales k!/Gamma(k+1+alpha) underflow;
+    # the monic image keeps all n+1 coefficients either way. At 1e12 norms
+    # h_k from the log-gamma form would be off by about 1e-3 relative.
+    nodes = (-0.3, 0.1, 0.5)
+    image = monic_ultra_image(Poly(tuple(monic_from_roots(nodes)), tau_trim=0.0), alpha)
+    assert len(image) == 4 and image[-1] == 1.0
+    assert transform_equivalence_check(nodes, alpha) <= 1e-6
 
 
 def test_equivalence_rejects_outside_roots():

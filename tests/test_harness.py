@@ -7,10 +7,12 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthozero.errors import BadParameterError
 from orthozero.harness import (
@@ -40,7 +42,7 @@ from orthozero.polycore import (
     sturm_sequence,
 )
 from orthozero.transforms import factorial_row_scale, jacobi_rows_int, unit_row_scale
-from orthozero import cli
+from orthozero import cli, harness
 
 SMALL = dict(deg_cap=6, trials=10, seed=21)
 
@@ -356,6 +358,77 @@ def test_json_parses_and_roundtrips():
     assert report_to_json(parsed) == text
 
 
+def _reference_escape(text):
+    # the character-by-character escaper the writer had before its fast path
+    out = ['"']
+    for ch in text:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+def _reference_json(obj, indent=0):
+    # the recursive writer the report format was defined by
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, float)):
+        return format_number(obj)
+    if isinstance(obj, str):
+        return _reference_escape(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{pad}  {_reference_escape(str(k))}: {_reference_json(v, indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if not obj:
+        return "[]"
+    items = [pad + "  " + _reference_json(v, indent + 1) for v in obj]
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+
+
+ESCAPE_PRONE = st.text(st.sampled_from('"\\\x00\x01\n\t\x1f\x7f aZ\u00e9\u2028') | st.characters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=ESCAPE_PRONE)
+def test_json_escape_matches_reference(text):
+    assert harness._json_escape(text) == _reference_escape(text)
+    assert json.loads(harness._json_escape(text)) == text
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ESCAPE_PRONE
+    | st.sampled_from([np.float64(0.1), np.float64(-2.5e-300), RootLocation.SOME_ON_BOUNDARY]),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(ESCAPE_PRONE | st.integers() | st.booleans(), inner,
+                                     max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=JSON_VALUES)
+def test_report_writer_matches_reference(obj):
+    # same bytes as the recursive writer, for numpy scalars, str enums, tuples
+    # and non-string keys too
+    assert report_to_json(obj) == _reference_json(obj) + "\n"
+
+
+def test_report_writer_keeps_keys_that_compare_equal_apart():
+    # True == 1, so a cache of key lines by key tuple must not serve one for the other
+    text = report_to_json([{True: 0}, {1: 0}, {1.0: 0}])
+    assert text == _reference_json([{True: 0}, {1: 0}, {1.0: 0}]) + "\n"
+    assert '"True"' in text and '"1"' in text and '"1.0"' in text
+
+
 def test_empty_report_serializes():
     payload = {"config": {}, "cases": [], "summary": {"cases": 0}, "timestamp": None}
     parsed = json.loads(report_to_json(payload))
@@ -494,6 +567,18 @@ def test_cli_entry_point_subprocess():
     assert json.loads(proc.stdout)["summary"]["passes"] == 2
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the adaptive library routes and the tests, so a CLI
+    # process starts without it
+    src = str(Path(harness.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import orthozero.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_selftest_passes():
     results = run_selftest()
     assert all(ok for _, ok, _ in results)
@@ -578,7 +663,7 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
-# sha256 of report_to_json at artifact_version 0.5.0. The extended ssr route
+# sha256 of report_to_json at artifact_version 0.6.0. The extended ssr route
 # takes every count and min_abs_det from exact integers and mpmath. Its
 # interval filter runs on numpy, but settles only minors whose
 # working-precision result it has bounded, so its digests do not depend on
@@ -597,28 +682,28 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 PINNED_DIGESTS = [
     ("q31", CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
                            trials=1, seed=3),
-     "44dfb42cd080d914eb5c44c810d8f5fc5da0986d8cc526b55343b1ac9233c7d7"),
+     "82ba6bcc222d8a59c8fd9c7ab9be6bddb74e6c5e60c52d44e9e76d7fcd8bf288"),
     ("ssr", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
                            trials=30, seed=3, precision="extended:128"),
-     "815f6da299a01b996aa0f75c6402c04aae49c1ea33b06e01a21f443e5b0e5499"),
+     "13637f04121bd8a7a94e6f93653d081912acf01a44e67b64432208c4f0ca0607"),
     ("conj32-int", CampaignConfig("conj32", alpha_grid=(0.0, 2.0), beta_grid=(1.0, 3.0),
                                   deg_cap=8, trials=10, seed=1),
-     "9e9a60ec0e0918df3adf41cf46c89f36fd78201193fa6c744af0cddc28679875"),
+     "696a46c50465f0b6c6bbbbd9302a7c28544c093329688da9a6455ca6fd075878"),
     ("conj32-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
                                         deg_cap=8, trials=10, seed=1),
-     "5373b7d626a8fdc5e3b36fd507b9f3ba12075a2c2416e1cad71beae53a2f8748"),
+     "2d33d56b89d210e475f3acfe5ae3b23068757e7cc58f58b4d567492e6e212872"),
     ("theorem12", CampaignConfig("theorem12", alpha_grid=(-0.5, 2.5), deg_cap=30, trials=20,
                                  seed=1),
-     "fad6c45d1c3835e671ab817fddd6550385b852efbbb8d4b3c137784cb6c68f0f"),
+     "8b06bd15cf820585487a9ea634ffd2b7ecf503486399126e8b0041b62b3f67e9"),
     ("ssr-e64", CampaignConfig("ssr", alpha_grid=(-0.7, 0.3), beta_grid=(-0.9, 7.0), m_max=6,
                                trials=12, seed=2, precision="extended:64"),
-     "fd80473953f1191680719520f46415c6ea40b3b6fbfc99d2f93300effd04b2ce"),
+     "0c03c26dd770625c55b621afe6f712e23988a63f57e92e311a0074aa951de3f9"),
     ("ssr-double", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 0.5, 1.5, 3.0),
                                   m_max=4, trials=50),
-     "873cb4cae21648d9a1efeb4e2d4ca1461e69267240981369e2d31025c303eac5"),
+     "a53e0d3bc4e04b1eaec4c0d63d0a5be0ad8a8ef7e989e2e890d563cf1d151e35"),
     ("ssr-e256", CampaignConfig("ssr", alpha_grid=(0.3,), beta_grid=(2.2,), m_max=4, trials=10,
                                 precision="extended:256"),
-     "3bf556d5b497e18df6d3f4e5b3d635c63d0929702951d8905e9b3c0ee76cc683"),
+     "3fdf59063546a1ef6acdac6fd90f6446585e1066837746ef55639e1f38820096"),
 ]
 
 
@@ -646,6 +731,18 @@ def test_transform_verdicts_use_no_root_finder(monkeypatch):
     pins = {name: entry for name, *entry in PINNED_DIGESTS}
     for name in ("q31", "conj32-nondyadic", "theorem12"):
         test_pinned_report_digests(*pins[name])
+
+
+def test_biortho_equiv_passes_at_large_alpha(tmp_path):
+    # the closed-form moments and the untrimmed monic image hold at large
+    # alpha, where the Gauss-rule moments did not converge and Poly's trim cut
+    # the image to a constant (deviation 1.0)
+    out = tmp_path / "equiv.json"
+    code = cli.main(["biortho-equiv", "--alpha", "5", "10", "100", "--trials", "200",
+                     "--out", str(out)])
+    cases = json.loads(out.read_text(encoding="utf-8"))["cases"]
+    assert code == 0
+    assert len(cases) == 600 and all(c["outcome"] == "pass" for c in cases)
 
 
 def test_biortho_equiv_rejects_alpha_minus_half(capsys):

@@ -2,6 +2,7 @@
 orthogonality constants against quadrature, and the two printed-form
 resolutions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -192,9 +193,10 @@ def test_constant_positive_for_small_parameters():
 
 
 def test_quadrature_rule_matches_scipy():
-    for a, b in PARAM_GRID:
-        x1, w1 = gauss_jacobi_rule(9, a, b)
-        x2, w2 = roots_jacobi(9, a, b)
+    # through 2 * MAX_QUAD_DEGREE + 4 = 34 nodes, the most quad_inner_product uses
+    for nodes, (a, b) in itertools.product((1, 2, 9, 20, 34), PARAM_GRID):
+        x1, w1 = gauss_jacobi_rule(nodes, a, b)
+        x2, w2 = roots_jacobi(nodes, a, b)
         order = np.argsort(x2)
         assert np.allclose(x1, x2[order], atol=1e-13)
         assert np.allclose(w1, w2[order], rtol=1e-12)
