@@ -10,6 +10,7 @@ from .errors import (
     BadTupleError,
     DegreeZeroError,
     IncompleteSpecError,
+    NonFiniteError,
     OrthozeroError,
     OutOfDomainError,
     QuadratureError,

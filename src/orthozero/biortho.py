@@ -16,6 +16,7 @@ adaptively with scipy, which they import when called.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -144,8 +145,14 @@ def biorthogonal_poly(
     if moments.shape != (m, m + 1):
         raise BadParameterError(f"moment matrix must be {m}x{m + 1}")
     square = moments[:, :m]
-    det = np.linalg.det(square) if m > 1 else square[0, 0]
-    if abs(det) <= policy.tau_det * max(minor_scale(square), 1e-300):
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(square) if m > 1 else square[0, 0]
+        scale = minor_scale(square)
+    if not (np.isfinite(moments).all() and np.isfinite(det) and np.isfinite(scale)):
+        raise SingularSystemError(
+            f"the moments overflowed the double range at nodes {nodes}: the moment "
+            f"matrix or its regularity determinant is not finite")
+    if abs(det) <= policy.tau_det * max(scale, 1e-300):
         raise SingularSystemError(
             f"regularity determinant {det:g} below threshold at nodes {nodes}"
         )
@@ -241,7 +248,11 @@ def _moment_table(alpha: float) -> np.ndarray:
     for k in range(size):
         weight = _kernel_coefficient(k, a) * _norm_ratio(k, a)
         for j in range(k, size):
-            table[j, k] = float(weight * c[j, k])
+            value = weight * c[j, k]
+            try:
+                table[j, k] = float(value)
+            except OverflowError:  # biorthogonal_poly reports the non-finite moments
+                table[j, k] = math.inf if value > 0 else -math.inf
     table.flags.writeable = False  # the cache hands this one array to every caller
     return table
 
@@ -279,7 +290,8 @@ def transform_equivalence_check(
     f = Poly(tuple(monic_from_roots(nodes)), tau_trim=0.0)
 
     powers = np.asarray(nodes)[:, None] ** np.arange(n + 1)
-    moments = powers @ _moment_table(alpha)[: n + 1, : n + 1].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = powers @ _moment_table(alpha)[: n + 1, : n + 1].T
     derived = UltraDerivedKernel(alpha)
     kernel = CustomKernel(
         fn=lambda x, t: (1.0 - np.asarray(x, float) ** 2) ** alpha * derived.evaluate(x, t),

@@ -71,7 +71,8 @@ def _add_common_flags(sub):
     sub.add_argument("--config", type=str, default=None,
                      help="flat key = value file supplying defaults for these flags")
     sub.add_argument("--include-timing", action="store_true",
-                     help="emit wall times and timestamp (breaks byte determinism)")
+                     help="emit wall times (a case decided in a group gets an even "
+                          "share of the group's) and timestamp (breaks byte determinism)")
 
 
 def build_parser() -> argparse.ArgumentParser:

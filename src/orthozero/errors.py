@@ -43,3 +43,8 @@ class BadNodesError(OrthozeroError, ValueError):
 
 class SingularSystemError(OrthozeroError, ArithmeticError):
     """The biorthogonality moment determinant is numerically singular."""
+
+
+class NonFiniteError(OrthozeroError, ArithmeticError):
+    """A result would leave the double range: it overflows, or underflows
+    below the normal doubles."""

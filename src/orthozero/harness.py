@@ -17,14 +17,17 @@ residual decide the verdict.
 
 The random interior-rooted inputs of theorem12 and conj32 have double roots
 too. Approximate roots (comrade-matrix eigenvalues) only pick the points of
-a sign-change certificate, whose exact signs decide the verdict; when it
-fails, the Sturm counts decide, as for the boundary family. No verdict of
-theorem12, conj32 or q31 rests on a rounded image or a root finder; where a
-reported value needs complex roots, it is a diagnostic read from double
+a sign-change certificate, whose certified signs (a double filter with an
+a-priori error bound, else exact integers) decide the verdict; when it
+fails, the Sturm counts decide, as for the boundary family. The random
+inputs of one grid point are decided in batches of equal degree. No verdict
+of theorem12, conj32 or q31 rests on a rounded image or a root finder; where
+a reported value needs complex roots, it is a diagnostic read from double
 eigenvalues.
 
-Each campaign is a sequence of case specs plus a per-case body; one loop
-(_run_cases) numbers, seeds, times and frames the cases of every campaign.
+Each campaign is a sequence of groups of case specs plus a body that
+decides one group; one loop (_run_cases) numbers, seeds, times and frames
+the cases of every campaign.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ from .errors import BadParameterError, SingularSystemError
 from .polycore import (
     RootLocation,
     all_roots_real,
+    certify_interior_batch,
     certify_interior_roots,
+    comrade_roots,
     count_roots,
     deflate_root,
-    jacobi_series_roots,
     locate_roots,
     min_boundary_distance,
     monic_from_roots,
@@ -163,21 +167,25 @@ class CampaignReport:
         }
 
 
-def _run_cases(config: CampaignConfig, specs, body) -> CampaignReport:
+def _run_cases(config: CampaignConfig, groups, body) -> CampaignReport:
     """The case loop shared by every campaign.
 
-    body(spec, rng, case_index) returns one case's fields. The loop numbers
-    the cases, gives each a generator seeded with (seed, case_index), times
-    the body, and frames its fields between case_index and wall_time_s (the
-    JSON writer keeps insertion order).
+    groups is a sequence of lists of case specs, and body(specs, rngs,
+    case_indices) returns the fields of each case of one group. The loop
+    numbers the cases, gives each a generator seeded with (seed,
+    case_index), times the body, and frames each case's fields between
+    case_index and wall_time_s (the JSON writer keeps insertion order). A
+    case's wall_time_s is its even share of its group's time.
     """
     cases = []
-    for case_index, spec in enumerate(specs):
-        rng = np.random.default_rng((config.seed, case_index))
+    for specs in groups:
+        indices = range(len(cases), len(cases) + len(specs))
+        rngs = [np.random.default_rng((config.seed, case_index)) for case_index in indices]
         start = time.perf_counter()
-        case = {"case_index": case_index, **body(spec, rng, case_index)}
-        case["wall_time_s"] = time.perf_counter() - start
-        cases.append(case)
+        fields = body(specs, rngs, indices)
+        share = (time.perf_counter() - start) / len(specs)
+        cases.extend({"case_index": case_index, **case, "wall_time_s": share}
+                     for case_index, case in zip(indices, fields))
     passes = sum(1 for c in cases if c["outcome"] == "pass")
     violations = sum(1 for c in cases if c["outcome"] == "violation")
     indeterminates = sum(1 for c in cases if c["outcome"] == "indeterminate")
@@ -193,6 +201,13 @@ def _run_cases(config: CampaignConfig, specs, body) -> CampaignReport:
         },
         timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
+
+
+def _run_each(config: CampaignConfig, specs, body) -> CampaignReport:
+    """_run_cases with every case a group of one: body(spec, rng,
+    case_index) returns one case's fields."""
+    return _run_cases(config, ([spec] for spec in specs),
+                      lambda group, rngs, indices: [body(group[0], rngs[0], indices[0])])
 
 
 def expected_case_count(config: CampaignConfig) -> int:
@@ -285,20 +300,42 @@ def certified_interior_verdict(image: list[int], approx, tol: float) -> tuple[Ro
     back. Otherwise exact_verdict decides from Sturm counts, so no verdict
     is read from a rounded image or a root finder.
     """
-    found = certify_interior_roots(image, approx, tol)
+    return _settle(image, certify_interior_roots(image, approx, tol), tol)
+
+
+def _settle(image: list[int], found, tol: float) -> tuple[RootLocation, list]:
+    """certified_interior_verdict's result, given the certificate's."""
     if found is not None:
         return RootLocation.ALL_STRICTLY_INSIDE, found
     return exact_verdict(primitive_part(image), tol)
 
 
-def _random_interior_verdict(rng, degree, rows, alpha, beta, scale, tol):
-    """Verdict on a random interior-rooted input of the given degree: its
-    exact image through rows, with the comrade-matrix roots of
-    sum_k a_k scale(k, alpha) P_k^(alpha,beta) picking the certificate's points."""
-    roots = random_interior_roots(rng, degree)
-    weights = [a * scale(k, alpha) for k, a in enumerate(monic_from_roots(roots))]
-    return certified_interior_verdict(
-        exact_image(roots, rows), jacobi_series_roots(weights, alpha, beta), tol)
+def _random_interior_verdicts(rngs, degrees, rows, alpha, beta, scale, tol) -> list:
+    """certified_interior_verdict on random interior-rooted inputs, one
+    drawn from each generator at its degree: the exact image through rows,
+    with the comrade-matrix roots of sum_k a_k scale(k, alpha)
+    P_k^(alpha,beta) picking the certificate's points.
+
+    The inputs of one degree are decided together: their monic products
+    and comrade matrices are stacked, one eigvals call gives every
+    estimate, and one filtered_signs pass the certificate's signs. Only one
+    degree's integer images are held at a time.
+    """
+    roots = [random_interior_roots(rng, degree) for rng, degree in zip(rngs, degrees)]
+    verdicts = [None] * len(roots)
+    for degree in sorted(set(degrees)):
+        group = [c for c, d in enumerate(degrees) if d == degree]
+        # over the rows of the transposed stack, each coefficient is an
+        # array over the group's cases (the leading one stays the int 1)
+        monic = monic_from_roots(np.array([roots[c] for c in group]).T)
+        scales = np.array([scale(k, alpha) for k in range(degree + 1)], dtype=float)
+        approx = comrade_roots(np.stack(np.broadcast_arrays(*monic), axis=1) * scales,
+                               alpha, beta)
+        images = [exact_image(roots[c], rows) for c in group]
+        found = certify_interior_batch(images, approx, tol)
+        for c, image, certified in zip(group, images, found):
+            verdicts[c] = _settle(image, certified, tol)
+    return verdicts
 
 
 # A sweep visits one grid point at a time, so one set of rows is cached,
@@ -323,12 +360,13 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
     """
     tol = config.effective_tol
 
-    def case(alpha, rng, _):
-        degree = int(rng.integers(1, config.deg_cap + 1))
-        classification, found = _random_interior_verdict(
-            rng, degree, _rows(config.deg_cap, alpha, alpha, ultra_row_scale), alpha, alpha,
+    def cases(alphas, rngs, _):
+        alpha = alphas[0]
+        degrees = [int(rng.integers(1, config.deg_cap + 1)) for rng in rngs]
+        verdicts = _random_interior_verdicts(
+            rngs, degrees, _rows(config.deg_cap, alpha, alpha, ultra_row_scale), alpha, alpha,
             factorial_scale, tol)
-        return {
+        return [{
             "parameters": {"alpha": alpha},
             "input": f"random_interior(degree={degree})",
             "degree": degree,
@@ -337,10 +375,10 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
             "proven": True,
             "outcome": ("pass" if classification is RootLocation.ALL_STRICTLY_INSIDE
                         else "violation"),
-        }
+        } for degree, (classification, found) in zip(degrees, verdicts)]
 
-    return _run_cases(
-        config, (a for a in config.alpha_grid for _ in range(config.trials)), case)
+    # the trials of one alpha are one group
+    return _run_cases(config, ([a] * config.trials for a in config.alpha_grid), cases)
 
 
 def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
@@ -355,12 +393,12 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
     tol = config.effective_tol
     closed = (RootLocation.ALL_STRICTLY_INSIDE, RootLocation.SOME_ON_BOUNDARY)
 
-    def case(spec, rng, _):
-        alpha, beta, pair = spec
+    def cases(specs, rngs, _):
+        alpha, beta, pair = specs[0]
         # one set of rows per grid point serves the pairs and the random
         # inputs, whose degree is below 10
         rows = _rows(max(config.deg_cap, 9), alpha, beta, unit_row_scale)
-        if pair is not None:
+        if pair is not None:  # a boundary pair is a group of one
             n, m = pair
             residual, detail = boundary_family_roots(n, m, rows)
             at_ends = [complex(1.0)] * detail["mult_plus"] + [complex(-1.0)] * detail["mult_minus"]
@@ -370,36 +408,38 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
                     flag = RootLocation.SOME_ON_BOUNDARY
             else:
                 flag, roots = exact_verdict(residual, tol)
-            text, degree, family = f"(x-1)^{n} (x+1)^{m}", n + m, "boundary"
-            outcome = "pass" if flag in closed else "violation"
-        else:
-            degree = int(rng.integers(1, 10))
-            flag, roots = _random_interior_verdict(
-                rng, degree, rows, alpha, beta, unit_row_scale, tol)
-            text, family, detail = f"random_interior(degree={degree})", "random", None
-            outcome = ("pass" if flag is RootLocation.ALL_STRICTLY_INSIDE
-                       else "indeterminate" if flag is RootLocation.SOME_ON_BOUNDARY
-                       else "violation")
-        return {
+            verdicts = [(f"(x-1)^{n} (x+1)^{m}", n + m, "boundary", flag, roots, detail,
+                         "pass" if flag in closed else "violation")]
+        else:  # the random inputs of a grid point are one group
+            degrees = [int(rng.integers(1, 10)) for rng in rngs]
+            verdicts = [(f"random_interior(degree={degree})", degree, "random", flag, roots, None,
+                         "pass" if flag is RootLocation.ALL_STRICTLY_INSIDE
+                         else "indeterminate" if flag is RootLocation.SOME_ON_BOUNDARY
+                         else "violation")
+                        for degree, (flag, roots) in zip(degrees, _random_interior_verdicts(
+                            rngs, degrees, rows, alpha, beta, unit_row_scale, tol))]
+        exploratory = not (float(alpha).is_integer() and float(beta).is_integer()
+                           and alpha >= 0 and beta >= 0)
+        return [{
             "parameters": {"alpha": alpha, "beta": beta},
             "input": text,
             "degree": degree,
             "family": family,
-            "exploratory": not (float(alpha).is_integer() and float(beta).is_integer()
-                                and alpha >= 0 and beta >= 0),
+            "exploratory": exploratory,
             "classification": flag.value,
             "in_closed_interval": flag in closed,
             "min_boundary_distance": min_boundary_distance(roots, (-1.0, 1.0)),
             "detail": detail,
             "proven": False,
             "outcome": outcome,
-        }
+        } for text, degree, family, flag, roots, detail, outcome in verdicts]
 
-    pairs = boundary_pairs(config.deg_cap) + [None] * config.trials
+    pairs = boundary_pairs(config.deg_cap)
     return _run_cases(config, (
-        (alpha, beta, pair)
-        for alpha in config.alpha_grid for beta in config.beta_grid for pair in pairs
-    ), case)
+        group
+        for alpha in config.alpha_grid for beta in config.beta_grid
+        for group in [*([(alpha, beta, pair)] for pair in pairs), [(alpha, beta, None)] * config.trials]
+    ), cases)
 
 
 def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
@@ -433,7 +473,7 @@ def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
         }
 
     pairs = boundary_pairs(config.deg_cap)
-    report = _run_cases(config, (
+    report = _run_each(config, (
         (alpha, beta, pair)
         for alpha in config.alpha_grid for beta in config.beta_grid for pair in pairs
     ), case)
@@ -479,7 +519,7 @@ def run_ssr_explore(config: CampaignConfig) -> CampaignReport:
     specs = [(UltraGenKernel(beta=beta), beta > 0) for beta in config.beta_grid]
     specs += [(JacobiGenKernel(alpha=alpha, beta=beta), False)
               for alpha in config.alpha_grid for beta in config.beta_grid]
-    return _run_cases(config, specs, case)
+    return _run_each(config, specs, case)
 
 
 def run_biortho_equiv_campaign(config: CampaignConfig) -> CampaignReport:
@@ -514,7 +554,7 @@ def run_biortho_equiv_campaign(config: CampaignConfig) -> CampaignReport:
             "outcome": outcome,
         }
 
-    return _run_cases(
+    return _run_each(
         config, (a for a in config.alpha_grid for _ in range(config.trials)), case)
 
 

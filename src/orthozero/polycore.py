@@ -173,15 +173,25 @@ def jacobi_coefficient_rows(n: int, alpha, beta) -> np.ndarray:
 
 def jacobi_series_roots(weights, alpha: float, beta: float) -> np.ndarray:
     """Roots of sum_k w_k P_k^(alpha,beta) (w_n != 0), unordered, in double:
-    the eigenvalues of its comrade matrix (Barnett 1975).
+    comrade_roots on one series. When its matrix is not finite there are no
+    estimates, and the result is empty."""
+    roots = comrade_roots(np.asarray(weights, dtype=float)[None, :], alpha, beta)[0]
+    return roots if np.isfinite(roots).all() else np.empty(0, complex)
 
-    Row k of the matrix writes x P_k in P_(k-1), P_k, P_(k+1) by the
+
+def comrade_roots(weights, alpha: float, beta: float) -> np.ndarray:
+    """Roots of the series sum_k w[c, k] P_k^(alpha,beta) (w[c, n] != 0)
+    for each row c of weights, unordered, in double, as a (rows, n) array:
+    the eigenvalues of their comrade matrices (Barnett 1975), stacked for
+    one eigvals call.
+
+    Row k of a matrix writes x P_k in P_(k-1), P_k, P_(k+1) by the
     three-term recurrence; P_n is eliminated through the series itself.
-    When the matrix is not finite (weights that underflowed to zero, or an
-    overflowing recurrence) there are no estimates, and the result is empty.
+    A series whose matrix is not finite (weights that underflowed to zero,
+    or an overflowing recurrence) has no estimates: its row is NaN.
     """
     w = np.asarray(weights, dtype=float)
-    n = len(w) - 1
+    n = w.shape[1] - 1
     m = np.zeros((n, n))
     a, b = jacobi_first_degree(alpha, beta)
     m[0, 0] = -b / a
@@ -189,11 +199,14 @@ def jacobi_series_roots(weights, alpha: float, beta: float) -> np.ndarray:
         m[k - 1, k] = 1 / a
         a, b, c = jacobi_recurrence(k, alpha, beta)
         m[k, k - 1], m[k, k] = c / a, -b / a
+    stack = np.repeat(m[None], len(w), axis=0)
     with np.errstate(all="ignore"):
-        m[n - 1] -= w[:n] / (w[n] * a)
-    if not np.isfinite(m).all():
-        return np.empty(0, complex)
-    return np.linalg.eigvals(m)
+        stack[:, n - 1] -= w[:, :n] / (w[:, n:] * a)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    roots = np.full((len(w), n), np.nan, dtype=complex)
+    if finite.any():
+        roots[finite] = np.linalg.eigvals(stack[finite])
+    return roots
 
 
 def monic_from_roots(roots) -> list:
@@ -448,12 +461,18 @@ def _sign_between(p: list[int], a: float, b: float) -> tuple[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# sign-change certificate: approximate roots pick points, exact signs decide
+# sign-change certificate: approximate roots pick points, certified signs decide
 # ---------------------------------------------------------------------------
 #
 # Rump, "Verification methods", Acta Numerica 2010: the estimates may come
 # from any floating-point method, since a wrong estimate can only make the
-# certificate fail, never make it pass.
+# certificate fail, never make it pass. Each sign at a certificate point is
+# the double Horner value's where an a-priori bound on its error clears it
+# (Shewchuk, "Adaptive precision floating-point arithmetic and fast robust
+# geometric predicates", 1997; Higham, Accuracy and Stability of Numerical
+# Algorithms, 5.1 for Horner's bound), and the exact integer sign otherwise.
+# The filter only pays off over many polynomials at once, so the certificate
+# takes a batch of one degree; a single polynomial is a batch of one.
 
 # Half-widths of the brackets tried around an estimate before its whole gap.
 # Most estimates are within the first, and each halving it saves is one
@@ -462,6 +481,8 @@ _BRACKETS = (2.0 ** -46, 2.0 ** -32)
 # Newton steps from an estimate before its nearest double is checked; from
 # the comrade estimates' few ulps, one step usually lands and one confirms.
 _NEWTON_STEPS = 3
+_UNIT_ROUNDOFF = 2.0 ** -53
+_SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
 def dyadic_numerators(points) -> tuple[list[int], int]:
@@ -477,29 +498,93 @@ def _sign_at_double(p: list[int], x: float) -> int:
     return _sign_at(p, num, k)
 
 
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), Higham's bound on k compounded roundings."""
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+
+
+def _unit_scaled(p: list[int]) -> list[float]:
+    """p / 2^s with max |p_i| / 2^s in [1, 2), each coefficient rounded once
+    (int / int true division is correctly rounded)."""
+    scale = 1 << max(max(abs(c) for c in p).bit_length() - 1, 0)
+    return [c / scale for c in p]
+
+
+def filtered_signs(polys: list[list[int]], points: np.ndarray) -> np.ndarray:
+    """Signs of the integer polynomials polys[c], all of one length n + 1,
+    at the finite doubles points[c, :], as a (len(polys), m) int array.
+
+    One Horner pass over all rows gives the values p^(x) of the polynomials
+    scaled by _unit_scaled, and a second one the sums S^(x) of |a^_i| |x|^i.
+    A value's sign is taken where |p^(x)| > gamma_{2n+2} S^(x) (1 +
+    gamma_{2n+1}) + eta, with eta = (4n+4) 2^-1074 max(1, |x|)^n. That
+    bounds the error of the rounded coefficients and of Horner's 2n
+    operations in both passes (Higham, 5.1), with one gamma to spare for
+    the rounding of the bound itself, and eta the absolute error of gradual
+    underflow. Every other sign, and any whose value or bound is not
+    finite, is _sign_at's exact one.
+    """
+    points = np.asarray(points, dtype=float)
+    signs = np.zeros(points.shape, dtype=int)
+    if not polys:
+        return signs
+    n = len(polys[0]) - 1
+    coeffs = np.array([_unit_scaled(p) for p in polys])
+    size = np.abs(points)
+    with np.errstate(all="ignore"):  # overflow is caught by the finiteness test
+        value = np.repeat(coeffs[:, n:], points.shape[1], axis=1)
+        total = np.abs(value)
+        for i in range(n - 1, -1, -1):
+            value = value * points + coeffs[:, i:i + 1]
+            total = total * size + np.abs(coeffs[:, i:i + 1])
+        bound = (_gamma(2 * n + 2) * total * (1 + _gamma(2 * n + 1))
+                 + (4 * n + 4) * _SMALLEST_SUBNORMAL * np.maximum(size, 1.0) ** n)
+        settled = np.isfinite(value) & np.isfinite(bound) & (np.abs(value) > bound)
+    signs[settled] = np.sign(value[settled])
+    for c, j in zip(*np.nonzero(~settled)):
+        signs[c, j] = _sign_at_double(polys[c], points[c, j])
+    return signs
+
+
 def certify_interior_roots(p: list[int], approx, tol: float) -> list[float] | None:
     """Nearest doubles of the smallest and largest roots of the integer
-    polynomial p when exact signs certify that all deg p of its roots are
+    polynomial p when its signs certify that all deg p of its roots are
     real, simple and inside (-1 + tol, 1 - tol); None when they do not.
 
     approx, estimates of the roots, only picks the points: -(1 - tol), the
     midpoints of consecutive sorted real parts, and 1 - tol. If these
-    increase strictly and the signs of p there are nonzero and alternate,
-    each of the deg p gaps holds a root. The two extreme roots are then
-    found to their nearest doubles inside the end gaps (_root_between).
+    increase strictly and the signs of p there (filtered_signs) are nonzero
+    and alternate, each of the deg p gaps holds a root. The two extreme
+    roots are then found to their nearest doubles inside the end gaps
+    (_root_between).
     """
-    xs = sorted(complex(z).real for z in approx)
-    if len(xs) != len(p) - 1:
+    approx = np.asarray(approx, dtype=complex).ravel()
+    if len(p) < 2 or len(approx) != len(p) - 1:
         return None
+    return certify_interior_batch([p], approx[None, :], tol)[0]
+
+
+def certify_interior_batch(polys: list[list[int]], approx, tol: float) -> list:
+    """certify_interior_roots on each of the integer polynomials polys, all
+    of one degree n >= 1, with the estimates approx[c, :] of the roots of
+    polys[c]; approx is (len(polys), n), and a row that is not finite (no
+    estimates) fails. The signs of the whole batch come from one
+    filtered_signs call."""
+    approx = np.asarray(approx, dtype=complex)
+    xs = np.sort(approx.real, axis=1)
     edge = 1.0 - tol
-    points = [-edge, *((a + b) / 2 for a, b in zip(xs, xs[1:])), edge]
-    if any(not a < b for a, b in zip(points, points[1:])):
-        return None
-    signs = [_sign_at_double(p, t) for t in points]
-    if signs[0] == 0 or any(b != -a for a, b in zip(signs, signs[1:])):
-        return None
-    return [_root_between(p, points[0], points[1], signs[0], xs[0]),
-            _root_between(p, points[-2], points[-1], signs[-2], xs[-1])]
+    points = np.empty((len(polys), xs.shape[1] + 1))
+    points[:, 0], points[:, -1] = -edge, edge
+    points[:, 1:-1] = (xs[:, :-1] + xs[:, 1:]) / 2
+    ordered = np.flatnonzero(np.all(points[:, :-1] < points[:, 1:], axis=1))
+    signs = filtered_signs([polys[c] for c in ordered], points[ordered])
+    alternate = (signs[:, 0] != 0) & np.all(signs[:, 1:] == -signs[:, :-1], axis=1)
+    found = [None] * len(polys)
+    for c, s in zip(ordered[alternate], signs[alternate]):
+        t, x, p = points[c].tolist(), xs[c].tolist(), polys[c]
+        found[c] = [_root_between(p, t[0], t[1], int(s[0]), x[0]),
+                    _root_between(p, t[-2], t[-1], int(s[-2]), x[-1])]
+    return found
 
 
 def _root_between(p: list[int], lo: float, hi: float, s_lo: int, guess: float) -> float:

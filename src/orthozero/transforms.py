@@ -16,12 +16,13 @@ parameters such as 0.3 just bring larger integers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadParameterError, IncompleteSpecError
+from .errors import BadParameterError, IncompleteSpecError, NonFiniteError
 from .orthopoly import ortho_constant
 from .polycore import (
     MONOMIAL,
@@ -119,9 +120,13 @@ def _expand(weighted, alpha: float, beta: float) -> np.ndarray:
 
 
 def _scaled_expansion(f: Poly, alpha: float, beta: float, scale) -> Poly:
-    """sum_k a_k * scale(k) * P_k^(alpha,beta) as a monomial Poly."""
+    """sum_k a_k * scale(k) * P_k^(alpha,beta) as a monomial Poly.
+
+    Nothing is trimmed: P_k has a nonzero leading coefficient, so the image
+    keeps the degree of f unless its leading coefficient underflows.
+    """
     weighted = [ak * scale(k) for k, ak in enumerate(basis_to_monomial(f).coeffs)]
-    return Poly(tuple(_expand(weighted, alpha, beta)), MONOMIAL)
+    return Poly(tuple(_expand(weighted, alpha, beta)), MONOMIAL, tau_trim=0.0)
 
 
 def factorial_scale(k: int, alpha: float) -> float:
@@ -130,9 +135,24 @@ def factorial_scale(k: int, alpha: float) -> float:
 
 
 def ultra_transform(f: Poly, alpha: float) -> Poly:
-    """Map sum a_k x^k to sum a_k (k!/Gamma(k+1+alpha)) P_k^(alpha,alpha)."""
+    """Map sum a_k x^k to sum a_k (k!/Gamma(k+1+alpha)) P_k^(alpha,alpha).
+
+    The scales fall below the normal doubles from alpha about 171 (somewhat
+    earlier at high degree), and there NonFiniteError is raised;
+    monic_ultra_image gives the image divided by its leading coefficient at
+    any alpha.
+    """
     check_params(alpha=alpha)
-    return _scaled_expansion(f, alpha, alpha, lambda k: factorial_scale(k, alpha))
+
+    def scale(k: int) -> float:
+        s = factorial_scale(k, alpha)
+        if not sys.float_info.min <= s < math.inf:
+            raise NonFiniteError(
+                f"k!/Gamma(k+1+alpha) at k = {k}, alpha = {alpha:g} leaves the normal "
+                f"double range; monic_ultra_image gives the monic image")
+        return s
+
+    return _scaled_expansion(f, alpha, alpha, scale)
 
 
 def monic_ultra_image(f: Poly, alpha: float) -> np.ndarray:

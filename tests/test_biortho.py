@@ -270,6 +270,15 @@ def test_equivalence_at_large_alpha(alpha):
     assert transform_equivalence_check(nodes, alpha) <= 1e-6
 
 
+@pytest.mark.parametrize("alpha", [1e150, 1e300, 1.7e308])
+def test_equivalence_reports_overflowing_moments(alpha):
+    # the moments (or their determinant) leave the double range; the reason
+    # says so, where it once read "regularity determinant inf below threshold"
+    with pytest.raises(SingularSystemError, match="moments overflowed") as caught:
+        transform_equivalence_check((-0.3, 0.1, 0.5), alpha)
+    assert "below threshold" not in str(caught.value)
+
+
 def test_equivalence_rejects_outside_roots():
     for nodes in ((-2.0, 2.0), (0.1, 1.0), (-1.0,)):
         with pytest.raises(BadNodesError, match="inside"):

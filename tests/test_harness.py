@@ -36,12 +36,20 @@ from orthozero.polycore import (
     classify_roots,
     count_roots,
     jacobi_coefficient_rows,
+    jacobi_series_roots,
     min_boundary_distance,
     monic_from_roots,
     primitive_part,
     sturm_sequence,
 )
-from orthozero.transforms import factorial_row_scale, jacobi_rows_int, unit_row_scale
+from orthozero.transforms import (
+    exact_image,
+    factorial_row_scale,
+    factorial_scale,
+    jacobi_rows_int,
+    ultra_row_scale,
+    unit_row_scale,
+)
 from orthozero import cli, harness
 
 SMALL = dict(deg_cap=6, trials=10, seed=21)
@@ -172,6 +180,55 @@ def test_certified_interior_verdict_falls_back_to_exact_counts():
     image = primitive_part(monic_from_roots(inside))
     assert certified_interior_verdict(image, [0.5, -1 / 3], tol) == (
         RootLocation.ALL_STRICTLY_INSIDE, [-1 / 3, 0.5])
+
+
+def _per_case_verdict(rng, degree, rows, alpha, beta, scale, tol):
+    """One random interior-rooted case decided alone, as the campaigns did
+    before they batched the cases of a grid point: the reference for
+    harness._random_interior_verdicts."""
+    roots = harness.random_interior_roots(rng, degree)
+    weights = [a * scale(k, alpha) for k, a in enumerate(monic_from_roots(roots))]
+    return certified_interior_verdict(
+        exact_image(roots, rows), jacobi_series_roots(weights, alpha, beta), tol)
+
+
+# (campaign, alpha, beta): theorem12's symmetric map, and conj32's random
+# inputs at integer and non-dyadic parameters
+BATCHED_POINTS = [("theorem12", a, a) for a in (-0.5, 0.0, 2.5, 30.0)] + [
+    ("conj32", 0.0, 1.0), ("conj32", 2.0, 3.0), ("conj32", 0.1, 0.3)]
+
+
+@pytest.mark.parametrize("campaign,alpha,beta", BATCHED_POINTS)
+def test_batched_interior_verdicts_equal_per_case(campaign, alpha, beta):
+    # classifications and reported extremes of the batched path equal the
+    # per-case loop's, in the campaign report and directly; a group of one
+    # decides as a large group does
+    if campaign == "theorem12":
+        config = CampaignConfig(campaign, alpha_grid=(alpha,), deg_cap=30, trials=60, seed=1)
+        top, rows = 30, jacobi_rows_int(30, alpha, beta, ultra_row_scale)
+        scale, first = factorial_scale, 0
+    else:
+        config = CampaignConfig(campaign, alpha_grid=(alpha,), beta_grid=(beta,), deg_cap=4,
+                                trials=60, seed=1)
+        top, rows = 9, jacobi_rows_int(9, alpha, beta, unit_row_scale)
+        scale, first = unit_row_scale, len(boundary_pairs(4))
+    tol = config.effective_tol
+
+    def draws():
+        rngs = [np.random.default_rng((1, first + i)) for i in range(60)]
+        return rngs, [int(rng.integers(1, top + 1)) for rng in rngs]
+
+    rngs, degrees = draws()
+    reference = [_per_case_verdict(rng, degree, rows, alpha, beta, scale, tol)
+                 for rng, degree in zip(rngs, degrees)]
+    assert harness._random_interior_verdicts(*draws(), rows, alpha, beta, scale, tol) == reference
+    rngs, degrees = draws()
+    assert [harness._random_interior_verdicts([rng], [degree], rows, alpha, beta, scale, tol)[0]
+            for rng, degree in zip(rngs, degrees)] == reference
+    cases = run_campaign(config).cases[first:]
+    assert [(c["degree"], c["classification"], c["min_boundary_distance"]) for c in cases] == [
+        (degree, flag.value, min_boundary_distance(found, (-1.0, 1.0)))
+        for degree, (flag, found) in zip(degrees, reference)]
 
 
 def test_boundary_family_exact_roots():
@@ -340,6 +397,16 @@ def test_timing_fields_nulled_by_default():
     timed = report.to_dict(include_timing=True)
     assert timed["timestamp"] is not None
     assert all(isinstance(c["wall_time_s"], float) for c in timed["cases"])
+
+
+def test_grouped_cases_share_their_group_time():
+    # theorem12 decides the trials of one alpha as a group; each case's
+    # wall_time_s is an even share of the group's time
+    report = run_campaign(CampaignConfig("theorem12", alpha_grid=(0.0, 1.0), deg_cap=8,
+                                         trials=5, seed=2))
+    times = [c["wall_time_s"] for c in report.to_dict(include_timing=True)["cases"]]
+    assert len(set(times[:5])) == 1 and len(set(times[5:])) == 1 and min(times) > 0
+    assert all(c["wall_time_s"] is None for c in report.to_dict()["cases"])
 
 
 def test_json_schema_fields():
@@ -672,8 +739,10 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 # pins them at 64 bits, the lowest precision a policy allows, and ssr-e256 at
 # 256 bits with generic exponents. ssr-double pins the double route, whose
 # determinants come from LAPACK. theorem12, conj32 and q31 take every verdict
-# from exact integer signs, with LAPACK eigenvalues only picking the points of
-# the sign-change certificate. The distances that certified cases report are
+# from certified signs, with LAPACK eigenvalues only picking the points of
+# the sign-change certificate. Each certificate sign is a double Horner
+# value's where an a-priori error bound clears it, and else the exact
+# integer sign, so it is the exact sign either way. The distances that certified cases report are
 # nearest doubles of exact roots, so theorem12 and conj32-int (the certified
 # Sturm route, with non-zero boundary distances) do not depend on LAPACK.
 # Where the counts do not certify all roots, the reported max_imag (q31's one
@@ -743,6 +812,13 @@ def test_biortho_equiv_passes_at_large_alpha(tmp_path):
     cases = json.loads(out.read_text(encoding="utf-8"))["cases"]
     assert code == 0
     assert len(cases) == 600 and all(c["outcome"] == "pass" for c in cases)
+
+
+def test_biortho_equiv_overflow_is_indeterminate():
+    # beyond the double range the cases end indeterminate, with the reason
+    report = run_campaign(CampaignConfig("biortho-equiv", alpha_grid=(1e300,), trials=3))
+    assert [c["outcome"] for c in report.cases] == ["indeterminate"] * 3
+    assert all("moments overflowed" in c["detail"] for c in report.cases)
 
 
 def test_biortho_equiv_rejects_alpha_minus_half(capsys):

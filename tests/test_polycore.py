@@ -36,9 +36,12 @@ from orthozero.polycore import (
     _bisect_to_double,
     _root_between,
     _sign_at_double,
+    certify_interior_batch,
     certify_interior_roots,
+    comrade_roots,
     count_roots,
     dyadic_numerators,
+    filtered_signs,
     integer_det,
     jacobi_series_roots,
     monic_from_roots,
@@ -598,6 +601,96 @@ def test_polishing_bisects_only_when_newton_misses(monkeypatch):
     for guess in (0.5, 0.5 + 4 * math.ulp(0.5), 0.5 - 9 * math.ulp(0.5)):
         assert _root_between(p, 0.0, 1.0, -1, guess) == 0.5
     assert len(calls) == 1
+
+
+# Integers up to about 2^3000 whose bit lengths spread far enough that, once
+# a polynomial is scaled to max |a_i| in [1, 2), its small coefficients fall
+# into the subnormals or round to zero.
+WIDE_INTS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda sign, mantissa, shift: sign * (mantissa << shift),
+              st.sampled_from([1, -1]), st.integers(1, 2**60), st.integers(0, 2930)))
+# Points where a dyadic root's factor (2^k x - num) is exact: the root itself
+# (sign 0), the doubles next to it, and others, some far enough out that
+# Horner overflows.
+FAR_POINTS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, 3.0, -7.5, 1e10, -1e60, 1e200, -1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), rows=st.integers(1, 3))
+def test_filtered_signs_equal_exact_signs(data, n, rows):
+    # every sign the double filter settles must be the exact one, however the
+    # coefficients spread and wherever Horner loses its digits or overflows
+    polys, points = [], []
+    for _ in range(rows):
+        root = data.draw(st.floats(-4.0, 4.0))
+        q = data.draw(st.lists(WIDE_INTS, min_size=n, max_size=n).filter(lambda c: c[-1]))
+        (num,), k = dyadic_numerators([root])
+        # (2^k x - num) q(x): root is an exact root
+        polys.append([-num * q[0]] + [(c << k) - num * d for c, d in zip(q, q[1:] + [0])])
+        near = [root, math.nextafter(root, -math.inf), math.nextafter(root, math.inf)]
+        points.append(near + data.draw(st.lists(FAR_POINTS, min_size=3, max_size=3)))
+    signs = filtered_signs(polys, np.array(points))
+    for p, row, got in zip(polys, points, signs):
+        assert got[0] == 0
+        assert list(got) == [_sign_at_double(p, x) for x in row]
+
+
+def test_filtered_signs_cover_gradual_underflow():
+    # scaled, p is x^2 + (1.5 2^-537 + 2^-589) x - (2.5 + 2^-53) 2^-1074: at
+    # x = 2^-537 Horner rounds two ties to even and the constant away, and
+    # reads -2^-1074 where p is +2^-1127; only the underflow term eta keeps
+    # that sign from being taken
+    p = [-(5 * 2**53 + 2), 3 * 2**590 + 2**539, 2**1128]
+    x = 2.0**-537
+    a0, a1, a2 = (c / 2**1128 for c in p)
+    assert (a2 * x + a1) * x + a0 == -5e-324
+    assert _sign_at_double(p, x) == 1
+    assert filtered_signs([p], np.array([[x]])).tolist() == [[1]]
+
+
+def test_filtered_signs_settle_certificate_points(monkeypatch):
+    # at points between well-separated roots the double values clear their
+    # bound, so no exact sign is computed; an empty batch needs none
+    roots = [Fraction(k, 37) for k in range(-30, 31, 3)]
+    p = primitive_part(monic_from_roots(roots))
+    points = np.array([[float(r) + 1 / 74 for r in roots]])
+    calls = []
+    exact = polycore._sign_at_double
+    monkeypatch.setattr(polycore, "_sign_at_double",
+                        lambda *args: calls.append(args) or exact(*args))
+    signs = filtered_signs([p], points)
+    assert list(signs[0]) == [(-1) ** (len(roots) - 1 - i) for i in range(len(roots))]
+    assert len(calls) == 0
+    assert filtered_signs([], np.empty((0, 4))).shape == (0, 4)
+
+
+def test_certificate_batch_equals_one_at_a_time():
+    # a batch decides each polynomial as certify_interior_roots does alone,
+    # including rows without estimates and rows whose certificate fails
+    tol = 1e-8
+    polys = [primitive_part(monic_from_roots(r)) for r in (
+        [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 7)],
+        [Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)],
+        [Fraction(9, 10), Fraction(-9, 10), Fraction(0)],
+        [Fraction(1, 5), Fraction(1, 4), Fraction(-1, 5)],
+    )]
+    approx = np.array([np.roots(np.array(p[::-1], dtype=float)) for p in polys], dtype=complex)
+    approx[3] = np.nan
+    found = certify_interior_batch(polys, approx, tol)
+    assert found == [certify_interior_roots(p, a, tol) for p, a in zip(polys, approx)]
+    assert found[0] == [-1 / 3, 0.5] and found[1] is None and found[3] is None
+
+
+def test_comrade_roots_stack_equals_one_at_a_time():
+    # one eigvals call on the stack gives each series' roots, and a series
+    # whose matrix is not finite gets a row of NaN
+    weights = np.array([[2.0, 0.0, 1.0, 0.5], [1.0, -3.0, 0.25, 2.0], [0.0, 0.0, 0.0, 0.0]])
+    stacked = comrade_roots(weights, 1.5, 0.5)
+    for row, w in zip(stacked[:2], weights):
+        assert list(row) == list(jacobi_series_roots(w, 1.5, 0.5))
+    assert np.isnan(stacked[2]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ from orthozero import (
     ultra_series_spec,
     ultra_transform,
 )
-from orthozero.errors import BadParameterError, IncompleteSpecError
+from orthozero.errors import BadParameterError, IncompleteSpecError, NonFiniteError
 from orthozero.harness import boundary_pairs
 from orthozero.polycore import deflate_root, jacobi_coefficient_rows, monic_from_roots
 from orthozero.transforms import (
     exact_image,
+    monic_ultra_image,
     factorial_row_scale,
     jacobi_rows_int,
     ultra_row_scale,
@@ -57,6 +58,21 @@ def test_ultra_on_constant():
     for alpha in (-0.5, 0.0, 1.5):
         out = ultra_transform(Poly((3.0,)), alpha)
         assert math.isclose(out.coeffs[0], 3.0 / math.gamma(1.0 + alpha), rel_tol=1e-13)
+
+
+def test_scaled_transforms_keep_the_degree():
+    # at alpha = 20 every coefficient of the ultraspherical image lies below
+    # Poly's default trim threshold, which once cut it to a constant; from
+    # about 171 the scales underflow, and the error names the monic route.
+    # 1/k! trimmed two degrees off a degree-20 image the same way.
+    f = Poly(tuple(monic_from_roots([-0.3, 0.1, 0.5])), tau_trim=0.0)
+    out = ultra_transform(f, 20.0)
+    assert out.degree == 3 and 0 < out.coeffs[-1] < 1e-18
+    assert np.allclose(out.array / out.coeffs[-1], monic_ultra_image(f, 20.0), rtol=1e-13)
+    with pytest.raises(NonFiniteError, match="monic_ultra_image"):
+        ultra_transform(f, 200.0)
+    f = Poly(tuple(monic_from_roots(np.linspace(-0.9, 0.9, 20))), tau_trim=0.0)
+    assert jacobi_factorial_transform(f, 0.5, 2.0).degree == 20
 
 
 def test_ultra_no_location_guarantee_case():
