@@ -8,10 +8,12 @@ For the equivalence check the measure must carry the family's weight
 (1-x^2)^alpha alongside the degree-weighted generating kernel; without it
 the moment identity that makes the construction reproduce the transform
 only holds at alpha = 0. With the weight, every moment is a polynomial in
-the node t whose coefficients come from the Jacobi coefficient rows and the
-orthogonality constants (_moment_table), so the check runs no quadrature.
-The general moment routes (moment, orthogonality_residuals) integrate
-adaptively with scipy, which they import when called.
+the node t whose coefficients are exact rationals from the Jacobi
+coefficient rows and the orthogonality constants (_moment_table). The check
+asks, in integers, whether the exact image of prod (x - t_l) is annihilated
+by every node's measure; it solves no system and runs no quadrature. The
+general routes (moment, biorthogonal_poly, orthogonality_residuals) work in
+double and integrate adaptively with scipy, which they import when called.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from .errors import (
     QuadratureError,
     SingularSystemError,
 )
-from .polycore import (Poly, RootReport, check_params, classify_roots,
-                       jacobi_coefficient_rows, monic_from_roots, poly_eval, poly_roots)
+from .polycore import (Poly, RootReport, check_params, classify_roots, dyadic_numerators,
+                       jacobi_coefficient_rows, poly_eval, poly_roots)
 from .precision import DOUBLE, PrecisionPolicy
-from .signreg import CustomKernel, Domain, UltraDerivedKernel, minor_scale
-from .transforms import monic_ultra_image
+from .signreg import minor_scale
+from .transforms import exact_image, jacobi_rows_int, ultra_row_scale
 
 MAX_MOMENT_POWER = 30
 MAX_SYSTEM_SIZE = 8
@@ -123,14 +125,10 @@ def biorthogonal_poly(
     nodes,
     interval,
     policy: PrecisionPolicy = DOUBLE,
-    moments: np.ndarray | None = None,
 ) -> BiorthogonalSystem:
     """Monic degree-m polynomial with zero integral against omega(., t_l)
-    for every node t_l.
-
-    moments may supply a precomputed m x (m+1) matrix [I_k(t_l)]; otherwise
-    the adaptive quadrature route fills it in.
-    """
+    for every node t_l, from the moment matrix [I_k(t_l)] by adaptive
+    quadrature."""
     nodes = _check_nodes(nodes)
     m = len(nodes)
     interval = (float(interval[0]), float(interval[1]))
@@ -139,11 +137,7 @@ def biorthogonal_poly(
             nodes=nodes, kernel=kernel, interval=interval,
             moment_matrix=np.zeros((0, 0)), poly=Poly((1.0,)),
         )
-    if moments is None:
-        moments = moment_matrix(kernel, nodes, interval, m + 1)
-    moments = np.asarray(moments, float)
-    if moments.shape != (m, m + 1):
-        raise BadParameterError(f"moment matrix must be {m}x{m + 1}")
+    moments = moment_matrix(kernel, nodes, interval, m + 1)
     square = moments[:, :m]
     with np.errstate(over="ignore", invalid="ignore"):
         det = np.linalg.det(square) if m > 1 else square[0, 0]
@@ -219,7 +213,7 @@ def _norm_ratio(k: int, a: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=64)
-def _moment_table(alpha: float) -> np.ndarray:
+def _moment_table(alpha: float) -> tuple[tuple[Fraction, ...], ...]:
     """Entry (j, k) is the coefficient of t^k in mu_j(t) / h_0, where
     mu_j(t) is the integral of x^j (1-x^2)^alpha K(x, t) over (-1, 1), K is
     the degree-weighted kernel and h_0 the weight's mass; j, k run through
@@ -230,10 +224,9 @@ def _moment_table(alpha: float) -> np.ndarray:
     orthogonal to every power below k, so only k <= j survive and
     mu_j(t) = sum_{k<=j} d_k c_{j,k} h_k t^k. The c_{j,k} invert the
     triangular jacobi_coefficient_rows. A double alpha is a binary rational,
-    so every entry is an exact rational rounded once. The positive factor
-    h_0 is left out: it moves neither the solution of the monic system nor
-    its scale-free regularity test, and taking h_k from the log-gamma form
-    loses its digits to cancellation at large alpha.
+    so every entry is an exact rational. The positive factor h_0 is left
+    out: it moves no moment's sign or zero, and taking h_k from the
+    log-gamma form loses its digits to cancellation at large alpha.
     """
     a = Fraction(alpha)
     size = MAX_SYSTEM_SIZE + 1
@@ -244,17 +237,20 @@ def _moment_table(alpha: float) -> np.ndarray:
         for i in range(j):
             c[j] -= rows[j, i] * c[i]
         c[j] /= rows[j, j]
-    table = np.zeros((size, size))
-    for k in range(size):
-        weight = _kernel_coefficient(k, a) * _norm_ratio(k, a)
-        for j in range(k, size):
-            value = weight * c[j, k]
-            try:
-                table[j, k] = float(value)
-            except OverflowError:  # biorthogonal_poly reports the non-finite moments
-                table[j, k] = math.inf if value > 0 else -math.inf
-    table.flags.writeable = False  # the cache hands this one array to every caller
-    return table
+    weights = [_kernel_coefficient(k, a) * _norm_ratio(k, a) for k in range(size)]
+    return tuple(tuple(weights[k] * c[j, k] if k <= j else Fraction(0) for k in range(size))
+                 for j in range(size))
+
+
+@lru_cache(maxsize=64)
+def _equivalence_rows(alpha: float) -> tuple[list[list[int]], list[list[int]]]:
+    """The integer rows of the scaled ultraspherical map at alpha
+    (jacobi_rows_int with ultra_row_scale), and _moment_table times one
+    positive integer that clears its denominators."""
+    table = _moment_table(alpha)
+    den = math.lcm(*(v.denominator for row in table for v in row))
+    return (jacobi_rows_int(MAX_SYSTEM_SIZE, alpha, alpha, ultra_row_scale),
+            [[v.numerator * (den // v.denominator) for v in row] for row in table])
 
 
 EQUIV_ALPHA_HALF = ("alpha = -1/2 makes the degree-weighted kernel's prefactor "
@@ -266,10 +262,24 @@ def transform_equivalence_check(
     alpha: float,
     policy: PrecisionPolicy = DOUBLE,
 ) -> float:
-    """Max coefficient deviation between the monic-normalized scaled
-    ultraspherical transform of f = prod (x - t_l) and the monic
-    biorthogonal polynomial built from the degree-weighted generating kernel
-    (with the family weight) at the nodes t_l.
+    """Exact residual of the identity between the scaled ultraspherical
+    transform of f = prod (x - t_l) and the monic biorthogonal polynomial
+    built from the degree-weighted generating kernel (with the family
+    weight) at the nodes t_l: 0.0 exactly when the identity holds.
+
+    The image g of f is taken in integers (exact_image), a positive
+    multiple of the true one. Its moment against node t's measure is h_0
+    q(t), with q_k = sum_j g_j T[j][k] and T = _moment_table(alpha). For
+    alpha > -1, alpha != -1/2, and distinct nodes, the square moment matrix
+    [mu_j(t_l) / h_0], j < n, is V T_n^T: the Vandermonde matrix of the
+    nodes times the lower-triangular table, whose diagonal d_k c_kk h_k/h_0
+    has no vanishing factor there. So the monic biorthogonal polynomial
+    exists and is unique, and g, which has degree n, is a multiple of it
+    exactly when q(t_l) = 0 at every node. No determinant is computed and
+    no case is indeterminate.
+
+    The residual returned is max_l |q(t_l)| / sum_k |q_k| |t_l|^k, computed
+    in integers at the dyadic nodes and rounded once to a double.
 
     Requires at most MAX_SYSTEM_SIZE nodes, pairwise more than
     policy.tau_root apart and strictly inside (-1, 1), and alpha != -1/2:
@@ -287,19 +297,15 @@ def transform_equivalence_check(
         raise BadNodesError("nodes must lie inside (-1, 1)")
     if any(b - a <= policy.tau_root for a, b in zip(nodes, nodes[1:])):
         raise BadNodesError("nodes must be pairwise distinct")
-    f = Poly(tuple(monic_from_roots(nodes)), tau_trim=0.0)
 
-    powers = np.asarray(nodes)[:, None] ** np.arange(n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments = powers @ _moment_table(alpha)[: n + 1, : n + 1].T
-    derived = UltraDerivedKernel(alpha)
-    kernel = CustomKernel(
-        fn=lambda x, t: (1.0 - np.asarray(x, float) ** 2) ** alpha * derived.evaluate(x, t),
-        domain=Domain((-1.0, 1.0), (-1.0, 1.0)),
-        label=f"weighted_ultra_derived(alpha={alpha:g})",
-    )
-    system = biorthogonal_poly(kernel, nodes, (-1.0, 1.0), policy, moments=moments)
-
-    monic = monic_ultra_image(f, alpha)
-    built = system.poly.array
-    return float(np.max(np.abs(monic - built)) / max(1.0, np.max(np.abs(built))))
+    image_rows, table = _equivalence_rows(alpha)
+    g = exact_image(nodes, image_rows)
+    q = [sum(g[j] * table[j][k] for j in range(k, n + 1)) for k in range(n + 1)]
+    nums, shift = dyadic_numerators(nodes)
+    worst = Fraction(0)
+    for t in nums:  # 2^(shift n) q(t_l), term by term
+        terms = [(qk * t ** k) << (shift * (n - k)) for k, qk in enumerate(q)]
+        residual = abs(sum(terms))
+        if residual:
+            worst = max(worst, Fraction(residual, sum(map(abs, terms))))
+    return float(worst)

@@ -2,8 +2,9 @@
 
 Ill-conditioned determinants (Cauchy-like minors) and root finding beyond
 degree ~20 need more than double precision; everything else runs in numpy.
-theorem12, conj32 and q31 take their verdicts from exact signs on integer
-images and do not read the policy.
+theorem12, conj32, q31 and biortho-equiv take their verdicts from exact
+integer arithmetic and do not read the precision (biortho-equiv reads only
+tau_root, to reject nodes closer than it).
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ class PrecisionPolicy:
     """Scalar mode plus the tolerance knobs used throughout the package.
 
     mode is "double" or "extended"; bits applies to extended mode only
-    (>= 64). Tolerances: tau_trim for coefficient trimming, tau_root for
-    root classification, tau_det for determinate-sign minor thresholds.
+    (>= 64). Tolerances: tau_root for root classification, tau_det for
+    determinate-sign minor thresholds.
     """
 
     mode: str = "double"
     bits: int | None = None
-    tau_trim: float = DEFAULT_TAU_TRIM
     tau_root: float = DEFAULT_TAU_ROOT
     tau_det: float = DEFAULT_TAU_DET
 
@@ -38,7 +38,7 @@ class PrecisionPolicy:
         if self.mode == "extended":
             if self.bits is None or self.bits < 64:
                 raise BadParameterError("extended mode requires bits >= 64")
-        if min(self.tau_trim, self.tau_root, self.tau_det) <= 0:
+        if min(self.tau_root, self.tau_det) <= 0:
             raise BadParameterError("tolerances must be strictly positive")
 
     @property

@@ -442,28 +442,31 @@ def _det_double(matrices: np.ndarray) -> np.ndarray:
 
 def _det_extended(matrices: np.ndarray, tau_det: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact determinants of a (trials, m, m) stack of mpf entries, each
-    rounded once to a double, and whether each is determinate: |det| above
-    tau_det times the product of row sup-norms, decided exactly.
+    rounded once to a double, and the sign of each, 0 unless it is
+    determinate: |det| above tau_det times the product of row sup-norms.
+    Both the test and the sign are decided on the exact determinant, which
+    may round to +-0.0.
 
     The entries are built at the working precision: with double entries the
     exactly-computed determinant would still inherit their rounding, which
     dominates for near-singular Cauchy-like minors.
     """
-    dets, determinate = zip(*(_exact_det(matrix, tau_det) for matrix in matrices))
-    return np.array(dets, float), np.array(determinate, bool)
+    dets, signs = zip(*(_exact_det(matrix, tau_det) for matrix in matrices))
+    return np.array(dets, float), np.array(signs, int)
 
 
-def _exact_det(matrix, tau_det: float) -> tuple[float, bool]:
+def _exact_det(matrix, tau_det: float) -> tuple[float, int]:
     # each entry is (-1)^sign man 2^exp
     entries = [[a._mpf_ for a in row] for row in matrix]
     if any(not man and exp for row in entries for _, man, exp, _ in row):
-        return math.nan, False  # an infinite or nan entry
+        return math.nan, 0  # an infinite or nan entry
     rows, shift = _integer_rows([[-man if sign else man for sign, man, _, _ in row] for row in entries],
                                 [[exp for _, _, exp, _ in row] for row in entries])
     det = integer_det(rows)
     norms = math.prod(max(map(abs, row)) for row in rows)
     num, den = tau_det.as_integer_ratio()
-    return _dyadic_to_float(det, shift), abs(det) * den > num * norms
+    sign = (det > 0) - (det < 0) if abs(det) * den > num * norms else 0
+    return _dyadic_to_float(det, shift), sign
 
 
 def _integer_rows(mans, exps) -> tuple[list[list[int]], int]:
@@ -513,10 +516,10 @@ def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray,
     is rounded outward. A sign, and the
     exact test |det E| > tau_det prod_i max_j |E_ij|, are settled where these
     bounds clear them. Left to the route are the minors they do not settle,
-    including any with an unbounded entry; a positive minor small enough to
-    round to +0.0 there; and the candidates for min_abs_det, whose lower
-    bound on |det E| does not exceed the order's smallest upper bound. So
-    every count and min_abs_det is the route's own, bit for bit.
+    including any with an unbounded entry, and the candidates for
+    min_abs_det, whose lower bound on |det E| does not exceed the order's
+    smallest upper bound. So every count and min_abs_det is the route's
+    own, bit for bit.
     """
     m = xs.shape[1]
     with np.errstate(all="ignore"):
@@ -559,9 +562,7 @@ def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray,
         exp_hi[~bounded] = np.inf
         least = np.lexsort((frac_hi, exp_hi))[0]
         candidate = (exp_lo < exp_hi[least]) | ((exp_lo == exp_hi[least]) & (frac_lo <= frac_hi[least]))
-        # the route rounds a determinant at most 2^-1075 to 0.0, whose sign reads negative
-        certain = (det_hi < 0) | (exp_lo > -1074)
-        settled = bounded & ((determinate & certain) | indeterminate)
+        settled = bounded & (determinate | indeterminate)
     sign = np.where(determinate, np.where(det_lo > 0, 1, -1), 0)
     return sign, ~settled | candidate
 
@@ -696,9 +697,10 @@ def ssr_scan(
     min_abs_det, get working-precision entries and an exact determinant
     each; the counts and min_abs_det are those of building every minor that
     way. A minor is determinate when |det| exceeds tau_det times the
-    product of row sup-norms (a nan determinant never is), decided exactly
-    under the extended policy; the per-order sign is the majority of
-    determinate signs and any determinate disagreement is a violation.
+    product of row sup-norms (a nan determinant never is); under the
+    extended policy the test and the sign are decided exactly. The
+    per-order sign is the majority of determinate signs and any
+    determinate disagreement is a violation.
     """
     cap = 8 if policy.extended else 6
     if not 1 <= m_max <= cap:
@@ -711,18 +713,18 @@ def ssr_scan(
         xs = draw_separated(rng, *spec.domain.x, m, trials_per_m)
         ys = draw_separated(rng, *spec.domain.y, m, trials_per_m)
         if policy.extended:
-            sign, exact = _settle_extended(spec, xs, ys, policy)
+            settled, exact = _settle_extended(spec, xs, ys, policy)
             matrices = _minor_matrices(spec, xs[exact], ys[exact], policy)
-            dets, determinate = _det_extended(matrices, policy.tau_det)
-            settled = sign[~exact]
+            dets, signs = _det_extended(matrices, policy.tau_det)
+            signs = np.concatenate([signs, settled[~exact]])
         else:
             matrices = _minor_matrices(spec, xs, ys, policy)
             dets = _det_double(matrices)
             # a nan determinant (from a non-finite entry) fails this test too
             determinate = np.abs(dets) > policy.tau_det * minor_scale(matrices)
-            settled = np.zeros(0, int)
-        pos = int(np.count_nonzero(determinate & (dets > 0)) + np.count_nonzero(settled > 0))
-        neg = int(np.count_nonzero(determinate) + np.count_nonzero(settled)) - pos
+            signs = np.where(determinate, np.sign(dets), 0)
+        pos = int(np.count_nonzero(signs > 0))
+        neg = int(np.count_nonzero(signs < 0))
         ind = trials_per_m - pos - neg
         min_abs = min([math.inf, *np.abs(dets).tolist()])  # skips nan; holds every candidate
         if pos == 0 and neg == 0:

@@ -138,9 +138,9 @@ def ultra_transform(f: Poly, alpha: float) -> Poly:
     """Map sum a_k x^k to sum a_k (k!/Gamma(k+1+alpha)) P_k^(alpha,alpha).
 
     The scales fall below the normal doubles from alpha about 171 (somewhat
-    earlier at high degree), and there NonFiniteError is raised;
-    monic_ultra_image gives the image divided by its leading coefficient at
-    any alpha.
+    earlier at high degree), and there NonFiniteError is raised; the exact
+    route (exact_image through jacobi_rows_int with ultra_row_scale) gives a
+    positive multiple of the image at any alpha.
     """
     check_params(alpha=alpha)
 
@@ -149,31 +149,11 @@ def ultra_transform(f: Poly, alpha: float) -> Poly:
         if not sys.float_info.min <= s < math.inf:
             raise NonFiniteError(
                 f"k!/Gamma(k+1+alpha) at k = {k}, alpha = {alpha:g} leaves the normal "
-                f"double range; monic_ultra_image gives the monic image")
+                f"double range; exact_image through jacobi_rows_int(..., ultra_row_scale) "
+                f"gives the exact image")
         return s
 
     return _scaled_expansion(f, alpha, alpha, scale)
-
-
-def monic_ultra_image(f: Poly, alpha: float) -> np.ndarray:
-    """ultra_transform(f, alpha) divided by its leading coefficient, as all
-    deg f + 1 ascending coefficients (nothing is trimmed).
-
-    The scale of degree k is taken relative to the top degree n's:
-    (k!/Gamma(k+1+alpha)) / (n!/Gamma(n+1+alpha)) = prod_{i=k+1..n} (i+alpha)/i.
-    The common factor moves no coefficient of the monic image, and the ratios
-    stay in range where the scales themselves underflow (alpha above about
-    170) and where every coefficient of the image would fall below Poly's
-    trim threshold (alpha about 20).
-    """
-    check_params(alpha=alpha)
-    weighted = list(basis_to_monomial(f).coeffs)
-    ratio = 1.0
-    for k in range(len(weighted) - 1, 0, -1):
-        ratio *= (k + alpha) / k
-        weighted[k - 1] *= ratio
-    image = _expand(weighted, alpha, alpha)
-    return image / image[-1]
 
 
 def legendre_transform(f: Poly) -> Poly:

@@ -2,10 +2,13 @@
 the monic annihilated polynomial, its zero locations, and equivalence with
 the factorial-scaled transform."""
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import roots_jacobi
 
 from orthozero import (
@@ -24,11 +27,10 @@ from orthozero import (
     transform_equivalence_check,
     zeros_in_interval_check,
 )
-from orthozero import biortho
+from orthozero import biortho, cli
 from orthozero.biortho import MAX_SYSTEM_SIZE
 from orthozero.errors import BadNodesError, BadParameterError, SingularSystemError
-from orthozero.polycore import monic_from_roots
-from orthozero.transforms import monic_ultra_image
+from orthozero.transforms import exact_image, jacobi_rows_int, ultra_row_scale
 
 EXP_ON_UNIT = ExpKernel(domain=Domain((0.0, 1.0), (-2.0, 2.0)))
 
@@ -236,7 +238,8 @@ def test_closed_form_moments_match_gauss_rule(alpha):
     nodes = np.array([-0.95, -0.6, -0.1, 0.0, 0.35, 0.8, 0.95])
     powers = np.arange(MAX_SYSTEM_SIZE + 1)
     h0 = ortho_constant(0, alpha, alpha).h
-    closed = h0 * (nodes[:, None] ** powers @ biortho._moment_table(alpha).T)
+    table = np.array(biortho._moment_table(alpha), dtype=float)
+    closed = h0 * (nodes[:, None] ** powers @ table.T)
     ruled = np.array([[np.sum(w * x ** j * kernel.evaluate(x, t)) for j in powers]
                       for t in nodes])
     scale = np.max(np.abs(ruled), axis=1, keepdims=True)
@@ -251,32 +254,79 @@ def test_mutated_kernel_factor_gives_a_violation(monkeypatch):
     true_coefficient = biortho._kernel_coefficient
     monkeypatch.setattr(biortho, "_kernel_coefficient", lambda k, a: true_coefficient(k, a)
                         * (2 * k + a + 1) / (2 * k + 2 * a + 1))
-    biortho._moment_table.cache_clear()
+    _clear_equivalence_caches()
     try:
         assert transform_equivalence_check(nodes, 1.0) > 1e-6
     finally:
-        biortho._moment_table.cache_clear()
+        _clear_equivalence_caches()
+
+
+def _clear_equivalence_caches():
+    biortho._moment_table.cache_clear()
+    biortho._equivalence_rows.cache_clear()
+
+
+@pytest.fixture
+def perturbed_row_scale(monkeypatch):
+    """Set the relative perturbation of the degree-1 row scale of the image."""
+    true_scale = biortho.ultra_row_scale
+
+    def perturb(eps):
+        factor = 1 + Fraction(eps)
+        monkeypatch.setattr(biortho, "ultra_row_scale",
+                            lambda k, a: true_scale(k, a) * factor if k == 1 else true_scale(k, a))
+        _clear_equivalence_caches()
+
+    yield perturb
+    _clear_equivalence_caches()
+
+
+def test_tiny_row_scale_perturbation_is_seen(perturbed_row_scale):
+    # far below what a comparison of two double computations can resolve
+    nodes = (-0.5, 0.1, 0.6)
+    assert transform_equivalence_check(nodes, 1.0) == 0.0
+    perturbed_row_scale(1e-15)
+    assert transform_equivalence_check(nodes, 1.0) > 0.0
+
+
+def test_row_scale_perturbation_is_a_campaign_violation(perturbed_row_scale, tmp_path):
+    perturbed_row_scale(1e-3)
+    out = tmp_path / "equiv.json"
+    code = cli.main(["biortho-equiv", "--alpha", "0", "1", "--trials", "10",
+                     "--out", str(out)])
+    cases = json.loads(out.read_text(encoding="utf-8"))["cases"]
+    assert code == 2
+    assert all(c["outcome"] == "violation" and c["deviation"] > 1e-6 for c in cases)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=MAX_SYSTEM_SIZE,
+                      unique=True),
+       alpha=st.sampled_from([-0.99, -0.3, 0.0, 0.3, 2.5, 1e12]))
+def test_identity_holds_exactly(nodes, alpha):
+    nodes = sorted(nodes)
+    assume(all(b - a > 1e-9 for a, b in zip(nodes, nodes[1:])))
+    assert transform_equivalence_check(nodes, alpha) == 0.0
 
 
 @pytest.mark.parametrize("alpha", [20.0, 200.0, 1000.0, 1e12])
 def test_equivalence_at_large_alpha(alpha):
-    # at alpha = 20 every coefficient of the scaled image is below Poly's trim
-    # threshold, and from about 170 the scales k!/Gamma(k+1+alpha) underflow;
-    # the monic image keeps all n+1 coefficients either way. At 1e12 norms
-    # h_k from the log-gamma form would be off by about 1e-3 relative.
+    # at alpha = 20 every coefficient of the double image is below Poly's
+    # trim threshold, and from about 170 the scales k!/Gamma(k+1+alpha)
+    # underflow; the exact image keeps all n+1 coefficients either way. At
+    # 1e12 norms h_k from the log-gamma form would be off by about 1e-3
+    # relative.
     nodes = (-0.3, 0.1, 0.5)
-    image = monic_ultra_image(Poly(tuple(monic_from_roots(nodes)), tau_trim=0.0), alpha)
-    assert len(image) == 4 and image[-1] == 1.0
-    assert transform_equivalence_check(nodes, alpha) <= 1e-6
+    image = exact_image(nodes, jacobi_rows_int(3, alpha, alpha, ultra_row_scale))
+    assert len(image) == 4 and image[-1] > 0
+    assert transform_equivalence_check(nodes, alpha) == 0.0
 
 
 @pytest.mark.parametrize("alpha", [1e150, 1e300, 1.7e308])
-def test_equivalence_reports_overflowing_moments(alpha):
-    # the moments (or their determinant) leave the double range; the reason
-    # says so, where it once read "regularity determinant inf below threshold"
-    with pytest.raises(SingularSystemError, match="moments overflowed") as caught:
-        transform_equivalence_check((-0.3, 0.1, 0.5), alpha)
-    assert "below threshold" not in str(caught.value)
+def test_equivalence_holds_past_the_double_range(alpha):
+    # the double moments (or their determinant) overflowed here, and the
+    # cases ended indeterminate; the exact check needs no double range
+    assert transform_equivalence_check((-0.3, 0.1, 0.5), alpha) == 0.0
 
 
 def test_equivalence_rejects_outside_roots():

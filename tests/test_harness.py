@@ -419,6 +419,15 @@ def test_json_schema_fields():
         assert key in case
 
 
+def test_artifact_version_matches_the_package_version():
+    import tomllib
+
+    from orthozero import __version__
+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == __version__
+
+
 def test_json_parses_and_roundtrips():
     text = report_to_json(_tiny_report().to_dict())
     parsed = json.loads(text)
@@ -730,7 +739,7 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
-# sha256 of report_to_json at artifact_version 0.6.0. The extended ssr route
+# sha256 of report_to_json at artifact_version 0.7.0. The extended ssr route
 # takes every count and min_abs_det from exact integers and mpmath. Its
 # interval filter runs on numpy, but settles only minors whose
 # working-precision result it has bounded, so its digests do not depend on
@@ -747,32 +756,36 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 # Sturm route, with non-zero boundary distances) do not depend on LAPACK.
 # Where the counts do not certify all roots, the reported max_imag (q31's one
 # non-real case) and distances (most of conj32-nondyadic's pairs) are
-# diagnostics from LAPACK eigenvalues. A change here is a change of report bytes.
+# diagnostics from LAPACK eigenvalues. biortho-equiv decides each case from
+# exact integers and rounds its deviation once, with no LAPACK call. A change
+# here is a change of report bytes.
 PINNED_DIGESTS = [
     ("q31", CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
                            trials=1, seed=3),
-     "82ba6bcc222d8a59c8fd9c7ab9be6bddb74e6c5e60c52d44e9e76d7fcd8bf288"),
+     "8d7becf34c1b8c475a561d14d075707a27a9bba19b52ffbbd3f31c360e9f59e0"),
     ("ssr", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
                            trials=30, seed=3, precision="extended:128"),
-     "13637f04121bd8a7a94e6f93653d081912acf01a44e67b64432208c4f0ca0607"),
+     "74be4366014218551d85f39bdf63452f2e646b8f1f28ece15e2a5f996ab7a03d"),
     ("conj32-int", CampaignConfig("conj32", alpha_grid=(0.0, 2.0), beta_grid=(1.0, 3.0),
                                   deg_cap=8, trials=10, seed=1),
-     "696a46c50465f0b6c6bbbbd9302a7c28544c093329688da9a6455ca6fd075878"),
+     "28e5d74ce50dbeb4270ccc97cbe1aec3eaa4f4944a06873547479030e7a04b56"),
     ("conj32-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
                                         deg_cap=8, trials=10, seed=1),
-     "2d33d56b89d210e475f3acfe5ae3b23068757e7cc58f58b4d567492e6e212872"),
+     "311840462d9f29a23a1c8127464f48b1b7d4022ee2c57a57db0cf9714f97ffbb"),
     ("theorem12", CampaignConfig("theorem12", alpha_grid=(-0.5, 2.5), deg_cap=30, trials=20,
                                  seed=1),
-     "8b06bd15cf820585487a9ea634ffd2b7ecf503486399126e8b0041b62b3f67e9"),
+     "db57d0356442003110fb3ee072694309ef48c72c016f7b5fc0a0caf507059309"),
     ("ssr-e64", CampaignConfig("ssr", alpha_grid=(-0.7, 0.3), beta_grid=(-0.9, 7.0), m_max=6,
                                trials=12, seed=2, precision="extended:64"),
-     "0c03c26dd770625c55b621afe6f712e23988a63f57e92e311a0074aa951de3f9"),
+     "aade25afc2d04b315d77b10416a6f3aba7a82c2f1d1702e7d100da8b3a5583e4"),
     ("ssr-double", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 0.5, 1.5, 3.0),
                                   m_max=4, trials=50),
-     "a53e0d3bc4e04b1eaec4c0d63d0a5be0ad8a8ef7e989e2e890d563cf1d151e35"),
+     "ce40a738a830a118d59a7bb22babd6376f25bce3cdf8a1b3e8bf16cb81e7e642"),
     ("ssr-e256", CampaignConfig("ssr", alpha_grid=(0.3,), beta_grid=(2.2,), m_max=4, trials=10,
                                 precision="extended:256"),
-     "3fdf59063546a1ef6acdac6fd90f6446585e1066837746ef55639e1f38820096"),
+     "b88007629cad703d75d29babe0e915e488646c122f348dc6092a3647288b2d32"),
+    ("biortho-equiv", CampaignConfig("biortho-equiv", alpha_grid=(-0.99, 0.0, 1e300), trials=20),
+     "9cf589e6a5c3d1fe22f137a4fe0a7b7c462d2a0f0a78af83d9412d407e3dd449"),
 ]
 
 
@@ -814,11 +827,24 @@ def test_biortho_equiv_passes_at_large_alpha(tmp_path):
     assert len(cases) == 600 and all(c["outcome"] == "pass" for c in cases)
 
 
-def test_biortho_equiv_overflow_is_indeterminate():
-    # beyond the double range the cases end indeterminate, with the reason
-    report = run_campaign(CampaignConfig("biortho-equiv", alpha_grid=(1e300,), trials=3))
-    assert [c["outcome"] for c in report.cases] == ["indeterminate"] * 3
-    assert all("moments overflowed" in c["detail"] for c in report.cases)
+def test_biortho_equiv_passes_past_the_double_range():
+    # the double moments overflowed here and every case was indeterminate
+    report = run_campaign(CampaignConfig("biortho-equiv", alpha_grid=(-0.9999, 1e300, 1.7e308),
+                                         trials=20))
+    assert all(c["outcome"] == "pass" and c["deviation"] == 0.0 for c in report.cases)
+    assert report.summary["passes"] == 60
+
+
+def test_biortho_equiv_solves_no_system(monkeypatch):
+    from orthozero import biortho
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a double solve was called")
+
+    monkeypatch.setattr(biortho, "biorthogonal_poly", disabled)
+    monkeypatch.setattr(np.linalg, "solve", disabled)
+    report = run_campaign(CampaignConfig("biortho-equiv", alpha_grid=(0.0, 1.0), trials=50))
+    assert report.summary["passes"] == 100
 
 
 def test_biortho_equiv_rejects_alpha_minus_half(capsys):

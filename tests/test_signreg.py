@@ -625,8 +625,8 @@ FILTER_KERNELS = {
     "ultra_gen-20": UltraGenKernel(20.0),
     "ultra_gen-40": UltraGenKernel(40.0),
     "jacobi_gen-1100": JacobiGenKernel(1100.0, 0.5),  # double entries overflow
-    # entries near 1e-200: the route rounds the positive order-2 minors to
-    # +0.0 and counts them negative, which the filter must leave to it
+    # entries near 1e-200: the positive order-2 minors round to +0.0, and
+    # their signs must come from the exact determinants
     "exp-underflow": ExpKernel(Domain((-23.0, -22.0), (20.0, 21.0))),
 }
 
@@ -637,9 +637,8 @@ def _full_route_stats(spec, m, trials, seed, policy):
     rng = np.random.default_rng((seed, m))
     xs = draw_separated(rng, *spec.domain.x, m, trials)
     ys = draw_separated(rng, *spec.domain.y, m, trials)
-    dets, determinate = _det_extended(_minor_matrices(spec, xs, ys, policy), policy.tau_det)
-    pos = int(np.count_nonzero(determinate & (dets > 0)))
-    neg = int(np.count_nonzero(determinate)) - pos
+    dets, signs = _det_extended(_minor_matrices(spec, xs, ys, policy), policy.tau_det)
+    pos, neg = int(np.count_nonzero(signs > 0)), int(np.count_nonzero(signs < 0))
     return pos, neg, trials - pos - neg, min([math.inf, *np.abs(dets).tolist()])
 
 
@@ -653,6 +652,14 @@ def test_filtered_scan_equals_the_working_precision_route(name, bits):
         for s in rep.per_m:
             assert (s.positive, s.negative, s.indeterminate, s.min_abs_det) == \
                 _full_route_stats(spec, s.m, trials, seed, policy), (seed, s.m)
+
+
+def test_minors_below_the_double_range_keep_their_sign():
+    # a totally positive kernel whose order-2 minors round to +0.0: their
+    # signs once read negative from the rounded double
+    rep = ssr_scan(FILTER_KERNELS["exp-underflow"], 3, 25, 1, extended(128))
+    assert (rep.per_m[1].positive, rep.per_m[1].negative) == (25, 0)
+    assert rep.verdict is Verdict.CONSISTENT_STP
 
 
 def _count_working_precision_minors(monkeypatch):

@@ -32,7 +32,6 @@ from orthozero.harness import boundary_pairs
 from orthozero.polycore import deflate_root, jacobi_coefficient_rows, monic_from_roots
 from orthozero.transforms import (
     exact_image,
-    monic_ultra_image,
     factorial_row_scale,
     jacobi_rows_int,
     ultra_row_scale,
@@ -63,13 +62,16 @@ def test_ultra_on_constant():
 def test_scaled_transforms_keep_the_degree():
     # at alpha = 20 every coefficient of the ultraspherical image lies below
     # Poly's default trim threshold, which once cut it to a constant; from
-    # about 171 the scales underflow, and the error names the monic route.
+    # about 171 the scales underflow, and the error names the exact route.
     # 1/k! trimmed two degrees off a degree-20 image the same way.
-    f = Poly(tuple(monic_from_roots([-0.3, 0.1, 0.5])), tau_trim=0.0)
+    roots = [-0.3, 0.1, 0.5]
+    f = Poly(tuple(monic_from_roots(roots)), tau_trim=0.0)
     out = ultra_transform(f, 20.0)
     assert out.degree == 3 and 0 < out.coeffs[-1] < 1e-18
-    assert np.allclose(out.array / out.coeffs[-1], monic_ultra_image(f, 20.0), rtol=1e-13)
-    with pytest.raises(NonFiniteError, match="monic_ultra_image"):
+    exact = exact_image(roots, jacobi_rows_int(3, 20.0, 20.0, ultra_row_scale))
+    monic = [float(Fraction(c, exact[-1])) for c in exact]
+    assert np.allclose(out.array / out.coeffs[-1], monic, rtol=1e-13)
+    with pytest.raises(NonFiniteError, match="exact_image"):
         ultra_transform(f, 200.0)
     f = Poly(tuple(monic_from_roots(np.linspace(-0.9, 0.9, 20))), tau_trim=0.0)
     assert jacobi_factorial_transform(f, 0.5, 2.0).degree == 20
