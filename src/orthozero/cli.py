@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     except NoConvergence as exc:  # an mpmath iteration ran out of steps
         sys.stderr.write(f"error: extended-precision iteration did not converge: {exc}\n")
         return 1
-    except OverflowError as exc:  # e.g. a kernel constant beyond the double range
+    except OverflowError as exc:  # a Python float result beyond the double range
         sys.stderr.write(f"error: a value overflowed the double range "
                          f"(parameters too large?): {exc}\n")
         return 1

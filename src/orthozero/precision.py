@@ -4,7 +4,9 @@ Ill-conditioned determinants (Cauchy-like minors) and root finding beyond
 degree ~20 need more than double precision; everything else runs in numpy.
 theorem12, conj32, q31 and biortho-equiv take their verdicts from exact
 integer arithmetic and do not read the precision (biortho-equiv reads only
-tau_root, to reject nodes closer than it).
+tau_root, to reject nodes closer than it). Extended ssr takes its signs
+from certified enclosures, so tau_det is read only by double ssr and by
+biortho.biorthogonal_poly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ class PrecisionPolicy:
 
     mode is "double" or "extended"; bits applies to extended mode only
     (>= 64). Tolerances: tau_root for root classification, tau_det for
-    determinate-sign minor thresholds.
+    the determinate-sign threshold of double minors and of
+    biorthogonal_poly's regularity test.
     """
 
     mode: str = "double"

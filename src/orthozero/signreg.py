@@ -5,25 +5,21 @@ Sign regularity quantifies over all increasing node tuples, so a program can
 only sample: verdicts here are "consistent with" statements, never proofs.
 Each order draws its tuples from one generator seeded with (seed, m), as two
 (trials, m) blocks of sorted uniform draws (x, then y); the same seed, order,
-trial count and domain give the same tuples.
-Minors are classified determinate only when they clear a threshold relative
-to the matrix row norms; everything else is counted indeterminate rather
-than silently assigned a sign.
+trial count and domain give the same tuples. A minor that cannot be given a
+sign is counted indeterminate rather than silently assigned one.
 
 A scan decides each order as one stack: the kernel formula is evaluated
 once, broadcast over all tuples of the order, giving the (trials, m, m)
-entries. In double precision np.linalg.det then runs once on that stack.
-Under the extended policy a minor's result is that of the working-precision
-route: the same formula on object arrays of mpf at the working precision,
-each node and kernel constant lifted and computed once per order, and the
-determinant of those entries computed exactly, by fraction-free integer
-elimination, and rounded once to a double. The entries carry the only
-rounding, and there is no singularity cutoff. That route is slow, so the
-formula first runs once more on outward-rounded double intervals: the exact
-determinant of their midpoints and a Hadamard bound on the rest, widened
-for the route's own rounding, settle most signs and threshold tests, and
-only the minors they leave open, plus the candidates for the order's
-smallest |det|, are built at the working precision (_settle_extended).
+entries. In double precision np.linalg.det then runs once on that stack,
+and a minor carries a sign only when |det| clears tau_det times the product
+of its row sup-norms. Under the extended policy a minor carries a sign only
+when an enclosure of its exact determinant (of the kernel's values at the
+drawn doubles) excludes 0, so every counted sign is certified, with no
+threshold: the exact determinant of a centre matrix plus or minus a
+Hadamard bound (_enclose). The centres are first the midpoints of
+outward-rounded double intervals of the entries, and then, only for the
+minors those leave open, the entries built at the working precision
+(_settle_extended).
 """
 
 from __future__ import annotations
@@ -190,14 +186,11 @@ def _libm_up(v):
 # per-node subexpressions are computed once per node and constants once per
 # call. `num` lifts a scalar constant. A lifted mpf constant must never stand
 # on the left of an array operator: mpmath then tries to convert the array,
-# building its whole repr, before numpy takes over. An interval constant holds
-# a numpy scalar, so that under the interval route's np.errstate an overflow
-# such as 2^1100.5 reads inf instead of raising as Python's float ** does.
+# building its whole repr, before numpy takes over.
 _NUMPY = SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt)
 _MPMATH = SimpleNamespace(num=mpmath.mpf, exp=np.frompyfunc(mpmath.exp, 1, 1),
                           sqrt=np.frompyfunc(mpmath.sqrt, 1, 1))
-_INTERVAL = SimpleNamespace(num=lambda c: _Interval.lift(np.float64(c)),
-                            exp=_Interval.exp, sqrt=_Interval.sqrt)
+_INTERVAL = SimpleNamespace(num=_Interval.lift, exp=_Interval.exp, sqrt=_Interval.sqrt)
 _lift = np.frompyfunc(mpmath.mpf, 1, 1)  # floats to mpf at the working precision
 
 
@@ -319,7 +312,9 @@ class UltraDerivedKernel(_Formula):
 @dataclass(frozen=True)
 class JacobiGenKernel(_Formula):
     """The two-parameter generating kernel
-    2^(a+b) / (rho (1+y+rho)^b (1-y+rho)^a) with rho = sqrt(1 - 2xy + y^2)."""
+    (2/(1+y+rho))^b (2/(1-y+rho))^a / rho with rho = sqrt(1 - 2xy + y^2),
+    written so that no constant 2^(a+b) overflows where the kernel does
+    not."""
 
     name: ClassVar[str] = "jacobi_gen"
     alpha: float
@@ -334,11 +329,9 @@ class JacobiGenKernel(_Formula):
             raise BadParameterError("1 - 2xy + y^2 must stay positive on the domain")
 
     def formula(self, x, y, lib):
-        scale = lib.num(2) ** (self.alpha + self.beta)
         rho = lib.sqrt(1 - 2 * x * y + y * y)
-        denominator = (rho * (1 + y + rho) ** lib.num(self.beta)
-                       * (1 - y + rho) ** lib.num(self.alpha))
-        return np.divide(scale, denominator)  # not "/": the constant stands on the left
+        return ((2 / (1 + y + rho)) ** lib.num(self.beta)
+                * (2 / (1 - y + rho)) ** lib.num(self.alpha) / rho)
 
 
 @dataclass(frozen=True)
@@ -440,40 +433,28 @@ def _det_double(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.det(matrices)
 
 
-def _det_extended(matrices: np.ndarray, tau_det: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact determinants of a (trials, m, m) stack of mpf entries, each
-    rounded once to a double, and the sign of each, 0 unless it is
-    determinate: |det| above tau_det times the product of row sup-norms.
-    Both the test and the sign are decided on the exact determinant, which
-    may round to +-0.0.
-
-    The entries are built at the working precision: with double entries the
-    exactly-computed determinant would still inherit their rounding, which
-    dominates for near-singular Cauchy-like minors.
-    """
-    dets, signs = zip(*(_exact_det(matrix, tau_det) for matrix in matrices))
-    return np.array(dets, float), np.array(signs, int)
+def _exact_det(matrix) -> float:
+    """The exact determinant of a matrix of mpf entries, rounded once to a
+    double (+-inf past the range); nan if an entry is not finite."""
+    centre = _mpf_rows(matrix, [0] * len(matrix))
+    return math.nan if centre is None else _dyadic_to_float(integer_det(centre[0]), centre[1])
 
 
-def _exact_det(matrix, tau_det: float) -> tuple[float, int]:
+def _mpf_rows(matrix, scale) -> tuple[list[list[int]], int] | None:
+    """_integer_rows of a matrix of mpf entries with row i multiplied by
+    2^-scale[i]; None if an entry is infinite or nan."""
     # each entry is (-1)^sign man 2^exp
     entries = [[a._mpf_ for a in row] for row in matrix]
     if any(not man and exp for row in entries for _, man, exp, _ in row):
-        return math.nan, 0  # an infinite or nan entry
-    rows, shift = _integer_rows([[-man if sign else man for sign, man, _, _ in row] for row in entries],
-                                [[exp for _, _, exp, _ in row] for row in entries])
-    det = integer_det(rows)
-    norms = math.prod(max(map(abs, row)) for row in rows)
-    num, den = tau_det.as_integer_ratio()
-    sign = (det > 0) - (det < 0) if abs(det) * den > num * norms else 0
-    return _dyadic_to_float(det, shift), sign
+        return None
+    return _integer_rows([[-man if sign else man for sign, man, _, _ in row] for row in entries],
+                         [[exp - k for _, _, exp, _ in row] for row, k in zip(entries, scale)])
 
 
 def _integer_rows(mans, exps) -> tuple[list[list[int]], int]:
     """Integer rows of the matrix with entries man * 2^exp: row i scaled by
-    2^-(its least exponent); and the sum of those exponents. The determinant
-    and the row sup-norms are exact from there, all with the same power of
-    two."""
+    2^-(its least exponent); and the sum of those exponents, the power of
+    two that turns the rows' determinant into the matrix's."""
     rows, shift = [], 0
     for row_mans, row_exps in zip(mans, exps):
         low = min(row_exps)
@@ -490,81 +471,79 @@ def _dyadic_to_float(num: int, shift: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Decide the minors of one order from interval entries where the bounds
-    clear, as the working-precision route (`_minor_matrices` then
-    `_det_extended`) decides them: the sign each settled minor counts with,
-    0 for indeterminate, and the mask of minors left to that route.
+def _enclose(centres, mags, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Certified signs of det(C + R) for a stack of minors, 0 where
+    undecided, and lower bounds of |det(C + R)|, 0 where undecided.
 
-    Let E be a minor's working-precision entries and I their intervals from
-    `evaluate_interval`, which enclose the exact values f of the same
-    formula at the same doubles. The route runs the same operation sequence
+    centres[t] is the centre C as integer rows and a power of two
+    (_integer_rows), or None where there is none; mags and radii are
+    (trials, m, m) upper bounds of |C| and of |R|. Replacing the rows of C by
+    those of C + R one at a time, and bounding each step by Hadamard's
+    inequality, gives
+        |det(C + R) - det C| <= sum_i b_i prod_{j<i} a_j prod_{j>i} (a_j + b_j)
+    with a_i, b_i upper bounds of the row 2-norms of C and R (Rump, Acta
+    Numerica 2010). det C is exact and rounded once; every step of the
+    bound is rounded upward. As this sum the bound keeps its relative
+    accuracy when b is far below a, where prod(a + b) - prod a cancels.
+    """
+    a, b = _row_norm_bounds(mags), _row_norm_bounds(radii)
+    bound, suffix = 0.0, 1.0  # the sum over rows i..m-1, by Horner from the last row
+    for i in reversed(range(a.shape[1])):
+        bound = _up(_up(a[:, i] * bound) + _up(b[:, i] * suffix))
+        suffix = _up(suffix * _up(a[:, i] + b[:, i]))
+    det = np.array([math.nan if c is None else _dyadic_to_float(integer_det(c[0]), c[1])
+                    for c in centres])
+    decided = np.abs(det) > bound  # rounding is monotone, so |det C| > bound too
+    return (np.where(decided, np.sign(det), 0).astype(int),
+            np.where(decided, _down(_down(np.abs(det)) - bound), 0.0))
+
+
+def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """The certified signs of one order's minors, 0 where undecided, and
+    lower bounds of their |det|, 0 where undecided, from enclosures of the
+    exact determinants (_enclose).
+
+    Let I be the entries' intervals from `evaluate_interval`, which enclose
+    the exact values f of the kernel formula at the drawn doubles. Row i of
+    a minor is scaled by a power of two, 2^-k_i, which changes no sign.
+    Stage 1 takes the midpoints of I as centres and their half-widths as
+    radii. Stage 2 runs only on the minors stage 1 leaves open: its centres
+    are the entries E built at the working precision (_minor_matrices), and
+    its radii bound |E - f|. That route runs the same operation sequence
     rounded at unit roundoff 2^-bits, so to first order |E - f| is at most
     the sum over operations of |df/dv| |v| 2^-bits, where v is an
     operation's result. Each interval operation widens its endpoints by at
     least an ulp of double, 2^-53 |v| (exp and ** by 2^-40 |v|), so to first
     order the width of I is at least twice that sum at 2^-53. Hence
     |E - f| <= 2^(52 - bits) width(I); the radii take 2^(54 - bits) width,
-    leaving a factor 4 for second-order terms and for mpmath's exp and power,
-    which are accurate to about an ulp.
-
-    Row i is scaled by a power of two, 2^-k_i, which changes no sign or
-    threshold test. With midpoints d and radii r, multilinearity and
-    Hadamard's inequality give |det E - det d| <= prod(|d_i| + |r_i|) -
-    prod |d_i| (row 2-norms; Rump, Acta Numerica 2010). det d is exact
-    (integer_det of the midpoints) and rounded once, and every other bound
-    is rounded outward. A sign, and the
-    exact test |det E| > tau_det prod_i max_j |E_ij|, are settled where these
-    bounds clear them. Left to the route are the minors they do not settle,
-    including any with an unbounded entry, and the candidates for
-    min_abs_det, whose lower bound on |det E| does not exceed the order's
-    smallest upper bound. So every count and min_abs_det is the route's
-    own, bit for bit.
+    leaving a factor 4 for second-order terms and for mpmath's exp and
+    power, which are accurate to about an ulp. |E| is then at most max |I|
+    plus that radius. A minor with an unbounded entry has no radius: it is
+    undecided and is not built. The lower bounds are unscaled by 2^sum(k)
+    and rounded down.
     """
-    m = xs.shape[1]
     with np.errstate(all="ignore"):
         entries = spec.evaluate_interval(xs[:, :, None], ys[:, None, :])
         lo, hi = np.broadcast_arrays(entries.lo, entries.hi)
         k = np.frexp(np.maximum(-lo, hi).max(axis=2))[1]
-        scale = -k[:, :, None]
-        lo, hi = _down(np.ldexp(lo, scale)), _up(np.ldexp(hi, scale))
+        lo, hi = _down(np.ldexp(lo, -k[:, :, None])), _up(np.ldexp(hi, -k[:, :, None]))
         mid = lo / 2 + hi / 2
-        spread = _up(np.maximum(hi - mid, mid - lo))
-        rad = _up(spread + _up(spread * 2.0 ** (55 - policy.bits)))
+        rad = _up(np.maximum(hi - mid, mid - lo))
         bounded = np.isfinite(rad).all(axis=(1, 2))
 
         frac, exp = np.frexp(np.where(bounded[:, None, None], mid, 0.0))
         mans, exps = np.ldexp(frac, 53).astype(np.int64).tolist(), (exp - 53).tolist()
-        det_mid = np.full(len(xs), np.nan)
-        for t in np.flatnonzero(bounded):
-            rows, low = _integer_rows(mans[t], exps[t])
-            det_mid[t] = _dyadic_to_float(integer_det(rows), low)
+        centres = [_integer_rows(mans[t], exps[t]) if bounded[t] else None
+                   for t in range(len(xs))]
+        signs, lower = _enclose(centres, np.abs(mid), rad)
 
-        # the bound grows with the norms, so their upper bounds a, b serve
-        a, b = _row_norm_bounds(np.abs(mid)), _row_norm_bounds(rad)
-        with_rad, without_rad, sup_lo, sup_hi = 1.0, 1.0, 1.0, 1.0
-        for i in range(m):
-            with_rad = _up(with_rad * _up(a[:, i] + b[:, i]))
-            without_rad = _down(without_rad * a[:, i])
-            sup_lo = _down(sup_lo * np.maximum(_down(np.abs(mid[:, i]) - rad[:, i]), 0.0).max(axis=1))
-            sup_hi = _up(sup_hi * _up(np.abs(mid[:, i]) + rad[:, i]).max(axis=1))
-        bound = _up(with_rad - without_rad)
-        det_lo, det_hi = _down(_down(det_mid) - bound), _up(_up(det_mid) + bound)
-        size_lo = np.maximum(np.maximum(det_lo, -det_hi), 0.0)
-        size_hi = np.maximum(-det_lo, det_hi)
-        determinate = size_lo > _up(policy.tau_det * sup_hi)
-        indeterminate = size_hi <= _down(policy.tau_det * sup_lo)
-
-        # |det E| lies in [size_lo, size_hi] * 2^sum(k)
-        frac_lo, exp_lo = _binary(size_lo, k.sum(axis=1))
-        frac_hi, exp_hi = _binary(size_hi, k.sum(axis=1))
-        bounded &= np.isfinite(size_hi)
-        exp_hi[~bounded] = np.inf
-        least = np.lexsort((frac_hi, exp_hi))[0]
-        candidate = (exp_lo < exp_hi[least]) | ((exp_lo == exp_hi[least]) & (frac_lo <= frac_hi[least]))
-        settled = bounded & (determinate | indeterminate)
-    sign = np.where(determinate, np.where(det_lo > 0, 1, -1), 0)
-    return sign, ~settled | candidate
+        rebuild = np.flatnonzero(bounded & (signs == 0))
+        lo, hi = lo[rebuild], hi[rebuild]
+        rad = _up(np.ldexp(_up(hi - lo), 54 - policy.bits))
+        matrices = _minor_matrices(spec, xs[rebuild], ys[rebuild], policy)
+        centres = [_mpf_rows(matrix, scale) for matrix, scale in zip(matrices, k[rebuild].tolist())]
+        signs[rebuild], lower[rebuild] = _enclose(centres, _up(np.maximum(-lo, hi) + rad), rad)
+        return signs, np.maximum(_down(np.ldexp(lower, k.sum(axis=1))), 0.0)
 
 
 def _row_norm_bounds(magnitudes: np.ndarray) -> np.ndarray:
@@ -574,13 +553,6 @@ def _row_norm_bounds(magnitudes: np.ndarray) -> np.ndarray:
     for j in range(magnitudes.shape[2]):
         total = _up(total + _up(np.square(magnitudes[:, :, j])))
     return _up(np.sqrt(total))
-
-
-def _binary(values: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fraction and exponent of values * 2^shift (values >= 0), exact, so
-    that (exponent, fraction) orders them; 0 gets exponent -inf."""
-    frac, exp = np.frexp(values)
-    return frac, np.where(values > 0, exp + shift, -np.inf)
 
 
 def minor_scale(matrix: np.ndarray) -> np.ndarray:
@@ -593,7 +565,9 @@ def minor_scale(matrix: np.ndarray) -> np.ndarray:
 
 
 def ssr_minor(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> float:
-    """Determinant of [K(x_i, y_j)] for strictly increasing node tuples."""
+    """Determinant of [K(x_i, y_j)] for strictly increasing node tuples: in
+    double, or under the extended policy the exact determinant of the
+    entries built at the working precision, rounded once."""
     xs = _check_tuple(xs, spec.domain.x)
     ys = _check_tuple(ys, spec.domain.y)
     if len(xs) != len(ys):
@@ -602,7 +576,7 @@ def ssr_minor(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> float:
         raise BadTupleError("minor order capped at 8")
     matrices = _minor_matrices(spec, xs[None], ys[None], policy)
     if policy.extended:
-        return float(_det_extended(matrices, policy.tau_det)[0][0])
+        return _exact_det(matrices[0])
     return float(_det_double(matrices)[0])
 
 
@@ -691,14 +665,14 @@ def ssr_scan(
     all y-tuples (draw_separated), so the same (seed, m, trials_per_m,
     domain) gives the same tuples and reports are reproducible. The order
     is decided as one batch. In double, one broadcast kernel evaluation
-    gives the matrices and one stacked np.linalg.det their determinants.
-    Under the extended policy one broadcast interval evaluation settles
-    most minors (_settle_extended), and the rest, with every candidate for
-    min_abs_det, get working-precision entries and an exact determinant
-    each; the counts and min_abs_det are those of building every minor that
-    way. A minor is determinate when |det| exceeds tau_det times the
-    product of row sup-norms (a nan determinant never is); under the
-    extended policy the test and the sign are decided exactly. The
+    gives the matrices and one stacked np.linalg.det their determinants; a
+    minor is determinate when |det| exceeds tau_det times the product of
+    row sup-norms (a nan determinant, from an overflowing entry, never is),
+    and min_abs_det is the smallest |det|. Under the extended policy a
+    minor is determinate only when an enclosure of its exact determinant
+    excludes 0 (_settle_extended), so its sign is certified, and tau_det is
+    not read; min_abs_det is the smallest certified lower bound of |det|,
+    rounded down, and 0.0 when any minor of the order is indeterminate. The
     per-order sign is the majority of determinate signs and any
     determinate disagreement is a violation.
     """
@@ -713,20 +687,19 @@ def ssr_scan(
         xs = draw_separated(rng, *spec.domain.x, m, trials_per_m)
         ys = draw_separated(rng, *spec.domain.y, m, trials_per_m)
         if policy.extended:
-            settled, exact = _settle_extended(spec, xs, ys, policy)
-            matrices = _minor_matrices(spec, xs[exact], ys[exact], policy)
-            dets, signs = _det_extended(matrices, policy.tau_det)
-            signs = np.concatenate([signs, settled[~exact]])
+            signs, lower = _settle_extended(spec, xs, ys, policy)
+            min_abs = float(lower.min()) if signs.all() else 0.0
         else:
-            matrices = _minor_matrices(spec, xs, ys, policy)
-            dets = _det_double(matrices)
-            # a nan determinant (from a non-finite entry) fails this test too
-            determinate = np.abs(dets) > policy.tau_det * minor_scale(matrices)
+            with np.errstate(all="ignore"):  # an overflowing entry reads inf
+                matrices = _minor_matrices(spec, xs, ys, policy)
+                dets = _det_double(matrices)
+                # a nan determinant (from a non-finite entry) fails this test too
+                determinate = np.abs(dets) > policy.tau_det * minor_scale(matrices)
             signs = np.where(determinate, np.sign(dets), 0)
+            min_abs = min([math.inf, *np.abs(dets).tolist()])  # skips nan
         pos = int(np.count_nonzero(signs > 0))
         neg = int(np.count_nonzero(signs < 0))
         ind = trials_per_m - pos - neg
-        min_abs = min([math.inf, *np.abs(dets).tolist()])  # skips nan; holds every candidate
         if pos == 0 and neg == 0:
             sign = None
         else:

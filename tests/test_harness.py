@@ -702,10 +702,21 @@ def test_cli_rejects_unusable_configs(capsys, argv, field):
     assert "Traceback" not in err
 
 
-def test_cli_overflow_exits_one(capsys):
-    # 2 ** (alpha + beta) in the two-parameter kernel overflows a double
+def test_cli_overflow_exits_one(monkeypatch, capsys):
+    # the two-parameter kernel once computed 2 ** (alpha + beta) first, which
+    # overflows a double at alpha = 2000 and exited 1; its entries that
+    # overflow now read inf, so their minors are indeterminate
     code = cli.main(["ssr", "--alpha", "2000", "--beta", "0.5", "--m-max", "2",
                      "--trials", "5"])
+    assert code == 0
+    assert "ssr: 2 cases, 2 passes" in capsys.readouterr().err
+    # an overflow that does reach the CLI exits 1 with a clear message
+
+    def overflowing(config):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setitem(cli.__dict__, "run_campaign", overflowing)
+    code = cli.main(["ssr", "--m-max", "2", "--trials", "5"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "overflow" in err
@@ -739,14 +750,16 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
-# sha256 of report_to_json at artifact_version 0.7.0. The extended ssr route
-# takes every count and min_abs_det from exact integers and mpmath. Its
-# interval filter runs on numpy, but settles only minors whose
-# working-precision result it has bounded, so its digests do not depend on
-# the numpy build either. The extended ssr minors are
-# exact determinants of the entries built at the working precision; ssr-e64
-# pins them at 64 bits, the lowest precision a policy allows, and ssr-e256 at
-# 256 bits with generic exponents. ssr-double pins the double route, whose
+# sha256 of report_to_json at artifact_version 0.8.0. The extended ssr route
+# counts a sign only where an enclosure of the exact determinant excludes 0:
+# the exact determinant of a centre (the midpoints of numpy's outward-rounded
+# intervals, or the entries built with mpmath at the working precision) plus
+# or minus a bound. A certified sign cannot differ between numpy builds, but
+# the intervals' exp and power are numpy's, so a minor near the edge of its
+# bound can move between signed and indeterminate, and min_abs_det (the
+# smallest certified lower bound) in its last bits. ssr-e64 pins the route
+# at 64 bits, the lowest precision a policy allows, and ssr-e256 at 256 bits
+# with generic exponents. ssr-double pins the double route, whose
 # determinants come from LAPACK. theorem12, conj32 and q31 take every verdict
 # from certified signs, with LAPACK eigenvalues only picking the points of
 # the sign-change certificate. Each certificate sign is a double Horner
@@ -762,30 +775,30 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 PINNED_DIGESTS = [
     ("q31", CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
                            trials=1, seed=3),
-     "8d7becf34c1b8c475a561d14d075707a27a9bba19b52ffbbd3f31c360e9f59e0"),
+     "eadc824451a950c02c176f86d225c1115f881a3649190ebbf5f9d3822ee6a8b8"),
     ("ssr", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
                            trials=30, seed=3, precision="extended:128"),
-     "74be4366014218551d85f39bdf63452f2e646b8f1f28ece15e2a5f996ab7a03d"),
+     "7210f584bc3d50a80d7c9a5b682bf9354241cd6af4695ecc09b61cee55619594"),
     ("conj32-int", CampaignConfig("conj32", alpha_grid=(0.0, 2.0), beta_grid=(1.0, 3.0),
                                   deg_cap=8, trials=10, seed=1),
-     "28e5d74ce50dbeb4270ccc97cbe1aec3eaa4f4944a06873547479030e7a04b56"),
+     "de696614c2beb12ba76427d779967a5f388498a847368aa049e355ba690e6b76"),
     ("conj32-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
                                         deg_cap=8, trials=10, seed=1),
-     "311840462d9f29a23a1c8127464f48b1b7d4022ee2c57a57db0cf9714f97ffbb"),
+     "4da1332eee5e02c85f384ef14de71be6d17565aba5dfe8a1248cbf047c01f2e7"),
     ("theorem12", CampaignConfig("theorem12", alpha_grid=(-0.5, 2.5), deg_cap=30, trials=20,
                                  seed=1),
-     "db57d0356442003110fb3ee072694309ef48c72c016f7b5fc0a0caf507059309"),
+     "c8f2d645521a8c1294fa81f6375a5f41c047462afd6232689dd0c96085f22e94"),
     ("ssr-e64", CampaignConfig("ssr", alpha_grid=(-0.7, 0.3), beta_grid=(-0.9, 7.0), m_max=6,
                                trials=12, seed=2, precision="extended:64"),
-     "aade25afc2d04b315d77b10416a6f3aba7a82c2f1d1702e7d100da8b3a5583e4"),
+     "42aa895833cccca843da0dee39d60b3c498a40428a798701d5510671af7458b7"),
     ("ssr-double", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 0.5, 1.5, 3.0),
                                   m_max=4, trials=50),
-     "ce40a738a830a118d59a7bb22babd6376f25bce3cdf8a1b3e8bf16cb81e7e642"),
+     "3d2e89de5de0b715b4ac39259d635032e82a03d2bd48bbc9147d3ada8479c133"),
     ("ssr-e256", CampaignConfig("ssr", alpha_grid=(0.3,), beta_grid=(2.2,), m_max=4, trials=10,
                                 precision="extended:256"),
-     "b88007629cad703d75d29babe0e915e488646c122f348dc6092a3647288b2d32"),
+     "6d1018ef995b5c0fb711a22724874f836ae78841d20adbb0ee82569d90360305"),
     ("biortho-equiv", CampaignConfig("biortho-equiv", alpha_grid=(-0.99, 0.0, 1e300), trials=20),
-     "9cf589e6a5c3d1fe22f137a4fe0a7b7c462d2a0f0a78af83d9412d407e3dd449"),
+     "17485d6b134ed7f80bd664ee9a7aef2171a7d6878a0709a1f06dd7253d4e9fb8"),
 ]
 
 

@@ -1,8 +1,11 @@
 """Sign-regularity machinery: minors against closed forms, randomized scans
 of the kernels with known positivity status, factor and composition rules."""
 
+import json
 import math
 import operator
+import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -32,11 +35,13 @@ from orthozero.cli import main as cli_main
 from orthozero.errors import BadParameterError, BadTupleError, OutOfDomainError
 from orthozero.harness import CampaignConfig, run_campaign
 from orthozero import signreg
+from orthozero.polycore import integer_det
 from orthozero.signreg import (
     _INTERVAL,
-    _det_extended,
     _Interval,
     _minor_matrices,
+    _mpf_rows,
+    _settle_extended,
     composition_kernel,
     draw_separated,
     minor_scale,
@@ -404,17 +409,19 @@ def test_custom_kernel_scan():
 
 def test_rank_one_kernel_is_inconclusive_beyond_order_one():
     # every minor of order >= 2 vanishes for phi(x)psi(y), so no sign can be
-    # inferred there and the scan must say so rather than guess
+    # inferred there and the scan must say so rather than guess; under the
+    # extended policy each of them is exactly 0, which no enclosure excludes
     spec = CustomKernel(fn=lambda x, y: (1.0 + 0 * x) * (1.0 + 0 * y),
                         domain=Domain((-1, 1), (-1, 1)))
-    rep = ssr_scan(spec, m_max=3, trials_per_m=100, seed=13)
-    assert rep.verdict is Verdict.INCONCLUSIVE
-    assert rep.signs() == [1, None, None]
-    assert all(s.violations == 0 for s in rep.per_m)
+    for policy in (DOUBLE, extended(128)):
+        rep = ssr_scan(spec, m_max=3, trials_per_m=100, seed=13, policy=policy)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.signs() == [1, None, None]
+        assert all(s.violations == 0 for s in rep.per_m)
 
 
 # ---------------------------------------------------------------------------
-# batched scans: the stacked double route and the exact extended route
+# batched scans: the stacked double route and the certified extended route
 # ---------------------------------------------------------------------------
 
 _POSITIVE = Domain((0.2, 3.0), (0.2, 3.0))
@@ -436,33 +443,37 @@ SCAN_KERNELS = {
 def test_scan_equals_minor_by_minor_recomputation(name, policy):
     # the per-minor loop the batched scan replaced, kept as its reference:
     # same draws (one generator per order, all x-tuples, then all
-    # y-tuples), one ssr_minor and one 2-D scale per tuple
+    # y-tuples), one ssr_minor per tuple and, in double, one 2-D scale per
+    # tuple; under the extended policy the enclosure of each minor on its
+    # own, whose sign, where it has one, is that of ssr_minor's
+    # working-precision determinant
     spec, seed, trials = SCAN_KERNELS[name], 5, 25
     rep = ssr_scan(spec, 4, trials, seed, policy)
     for stats in rep.per_m:
         pos = neg = ind = 0
         min_abs = math.inf
-        rng = np.random.default_rng((seed, stats.m))
-        x_tuples = draw_separated(rng, *spec.domain.x, stats.m, trials)
-        y_tuples = draw_separated(rng, *spec.domain.y, stats.m, trials)
+        x_tuples, y_tuples = _draws(spec, stats.m, trials, seed)
         for xs, ys in zip(x_tuples, y_tuples):
             det = ssr_minor(spec, xs, ys, policy)
-            if policy.extended:  # the scale of the working-precision entries
-                with mpmath.workprec(policy.bits):
-                    rows = [[spec.evaluate_exact(x, y) for y in ys] for x in xs]
-                scale = math.prod(max(abs(a) for a in row) for row in rows)
+            if policy.extended:
+                (sign,), (lower,) = _settle_extended(spec, xs[None], ys[None], policy)
+                assert sign in (0, np.sign(det))
+                min_abs = min(min_abs, lower)  # 0.0 where the sign is undecided
             else:
                 matrix = np.asarray(spec.evaluate(xs[:, None], ys[None, :]), float)
                 scale = float(np.prod(np.max(np.abs(matrix), axis=1)))
-            min_abs = min(min_abs, abs(det))
-            if abs(det) <= policy.tau_det * scale:
-                ind += 1
-            elif det > 0:
-                pos += 1
-            else:
-                neg += 1
+                sign = 0 if abs(det) <= policy.tau_det * scale else (1 if det > 0 else -1)
+                min_abs = min(min_abs, abs(det))
+            pos, neg, ind = pos + (sign > 0), neg + (sign < 0), ind + (sign == 0)
         assert (stats.positive, stats.negative, stats.indeterminate) == (pos, neg, ind)
         assert stats.min_abs_det == min_abs
+
+
+def _draws(spec, m, trials, seed):
+    """The x- and y-tuples a scan draws for order m."""
+    rng = np.random.default_rng((seed, m))
+    return (draw_separated(rng, *spec.domain.x, m, trials),
+            draw_separated(rng, *spec.domain.y, m, trials))
 
 
 # One entry at a time, at the current mpmath precision: each kernel formula
@@ -565,9 +576,11 @@ def test_exact_minors_cut_the_false_indeterminates():
     cases = run_campaign(config).to_dict()["cases"]
     counts = [[(s["indeterminate"], s["min_abs_det"] > 0) for s in case["per_m"][1:]]
               for case in cases]
-    # mpmath.det of the same 128-bit entries reads 31, 44 and 29, 36, each
-    # order with min_abs_det 0
-    assert counts == [[(19, True), (30, True)], [(25, True), (36, True)]]
+    # orders 2 and 3: mpmath.det of the same 128-bit entries reads 31, 44
+    # and 29, 36 indeterminate, and the threshold on exact determinants
+    # 19, 30 and 25, 36; the certified enclosures leave 10, 14 and 7, 13,
+    # and an order with an indeterminate minor reports min_abs_det 0
+    assert counts == [[(10, False), (14, False)], [(7, False), (13, False)]]
 
 
 def test_extended_overflow_reads_infinite(capsys):
@@ -582,17 +595,32 @@ def test_extended_overflow_reads_infinite(capsys):
 
 
 def test_extended_scan_needs_no_double_kernel(capsys):
-    # 2^(alpha+beta) overflows a double at alpha = 1100, while the kernel's
-    # values (2.05e50 at (0.1, 0.2)) do not; the extended scan once built the
-    # double matrices for its threshold anyway and exited 1. Its interval
-    # filter's entries overflow too, so every minor is built at the working
-    # precision, where four of its five order-2 minors are at most 3.2e-47
-    # of their row-norm products, against a threshold of 1e-11, so they are
-    # indeterminate; the fifth clears it at 3.6e-4 and is positive, so that
-    # kernel reads consistent_stp
+    # the kernel's values at alpha = 1100 fit a double (2.05e50 at (0.1,
+    # 0.2)); the extended scan once built the double matrices for its
+    # threshold anyway and exited 1. Four of its five order-2 minors are at
+    # most 3.2e-47 of their row-norm products, below what 128-bit entries
+    # can certify, so they are indeterminate; the fifth is certified
+    # positive, so that kernel reads consistent_stp
     with np.errstate(all="raise"):
         code = cli_main(["ssr", "--precision", "extended:128", "--alpha", "1100",
                          "--beta", "0.5", "--m-max", "2", "--trials", "5"])
+    assert code == 0
+    assert "ssr: 2 cases, 2 passes, 0 violations, 0 indeterminate" in capsys.readouterr().err
+
+
+def test_two_parameter_kernel_keeps_its_scale_inside_the_powers(capsys):
+    # the formula once computed the constant 2^(alpha+beta) before dividing,
+    # which overflows a double at alpha = 1100 and made the double scan exit
+    # 1, although the kernel's values fit a double
+    spec = JacobiGenKernel(1100.0, 0.5)
+    with mpmath.workprec(128):
+        assert math.isclose(float(spec.evaluate_exact(0.1, 0.2)), 2.05372965490396e50,
+                            rel_tol=1e-12)
+    assert math.isclose(float(spec.evaluate(0.1, 0.2)), 2.05372965490396e50, rel_tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["ssr", "--alpha", "1100", "--beta", "0.5", "--m-max", "2",
+                         "--trials", "5"])
     assert code == 0
     assert "ssr: 2 cases, 2 passes, 0 violations, 0 indeterminate" in capsys.readouterr().err
 
@@ -606,52 +634,72 @@ def test_extended_minor_of_equal_rows_is_exactly_zero():
 
 @pytest.mark.parametrize("policy", [DOUBLE, extended(128)], ids=["double", "extended"])
 def test_non_finite_entries_never_give_a_sign(policy):
-    spec = CustomKernel(fn=lambda x, y: np.where(x > 0.5, np.inf, 1.0 + x * y),
+    spec = CustomKernel(fn=lambda x, y: np.where(x > 0.5, np.inf, np.exp(x * y)),
                         domain=Domain((-1, 1), (-1, 1)))
     with np.errstate(invalid="ignore"):
         rep = ssr_scan(spec, 3, 20, 1, policy)
     assert [(s.negative, s.violations) for s in rep.per_m] == [(0, 0)] * 3
-    # orders 1 and 2: the tuples with a node above 0.5 (6 and 9 of 20);
-    # order 3: every minor, since 1 + xy has rank 2
-    assert [s.indeterminate for s in rep.per_m] == [6, 9, 20]
+    # the tuples with a node above 0.5: 6, 9 and 12 of 20 at orders 1 to 3
+    assert [s.indeterminate for s in rep.per_m] == [6, 9, 12]
 
 
 # ---------------------------------------------------------------------------
-# the interval filter in front of the working-precision route
+# certified extended signs: the interval stage, then working-precision entries
 # ---------------------------------------------------------------------------
 
 FILTER_KERNELS = {
     **SCAN_KERNELS,
     "ultra_gen-20": UltraGenKernel(20.0),
     "ultra_gen-40": UltraGenKernel(40.0),
-    "jacobi_gen-1100": JacobiGenKernel(1100.0, 0.5),  # double entries overflow
-    # entries near 1e-200: the positive order-2 minors round to +0.0, and
-    # their signs must come from the exact determinants
+    "jacobi_gen-1100": JacobiGenKernel(1100.0, 0.5),  # values up to about 1e300
+    # entries near 1e-200, whose order-2 minors lie below the double range
     "exp-underflow": ExpKernel(Domain((-23.0, -22.0), (20.0, 21.0))),
+    # nearly rank one: the signs of its order-5 midpoint determinants are
+    # rounding noise, which only the bound keeps from being counted
+    "exp-narrow": ExpKernel(Domain((0.0, 0.1), (0.0, 0.1))),
 }
 
 
-def _full_route_stats(spec, m, trials, seed, policy):
-    """An order's counts and min_abs_det with every minor built at the
-    working precision: the route the filter stands in front of."""
-    rng = np.random.default_rng((seed, m))
-    xs = draw_separated(rng, *spec.domain.x, m, trials)
-    ys = draw_separated(rng, *spec.domain.y, m, trials)
-    dets, signs = _det_extended(_minor_matrices(spec, xs, ys, policy), policy.tau_det)
-    pos, neg = int(np.count_nonzero(signs > 0)), int(np.count_nonzero(signs < 0))
-    return pos, neg, trials - pos - neg, min([math.inf, *np.abs(dets).tolist()])
+def _exact_dets(spec, xs, ys, bits):
+    """Exact determinants of the kernel's entries built at `bits`, as
+    Fractions; None for a minor with a non-finite entry."""
+    dets = []
+    for matrix in _minor_matrices(spec, xs, ys, extended(bits)):
+        centre = _mpf_rows(matrix, [0] * len(matrix))
+        dets.append(None if centre is None else Fraction(integer_det(centre[0])) * Fraction(2) ** centre[1])
+    return dets
+
+
+def _signs(dets):
+    return np.array([0 if det is None else (det > 0) - (det < 0) for det in dets])
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
 @pytest.mark.parametrize("name", list(FILTER_KERNELS))
 def test_filtered_scan_equals_the_working_precision_route(name, bits):
+    # every sign the scan counts is the sign of the kernel's 600-bit
+    # determinant, the oracle for its exact determinant, and of the exact
+    # determinant of the entries built at the working precision
     spec, trials, policy = FILTER_KERNELS[name], 25, extended(bits)
     for seed in (1, 2, 3):
         with np.errstate(all="raise"):
             rep = ssr_scan(spec, 5, trials, seed, policy)
         for s in rep.per_m:
-            assert (s.positive, s.negative, s.indeterminate, s.min_abs_det) == \
-                _full_route_stats(spec, s.m, trials, seed, policy), (seed, s.m)
+            xs, ys = _draws(spec, s.m, trials, seed)
+            signs, _ = _settle_extended(spec, xs, ys, policy)
+            assert (s.positive, s.negative) == (np.sum(signs > 0), np.sum(signs < 0))
+            counted = signs != 0
+            for reference_bits in (600, bits):
+                reference = _signs(_exact_dets(spec, xs[counted], ys[counted], reference_bits))
+                assert np.array_equal(signs[counted], reference), (seed, s.m, reference_bits)
+
+
+def test_large_beta_scans_read_no_false_violation(capsys):
+    # ultra_gen(20) and ultra_gen(40) are totally positive; in double their
+    # ill-conditioned minors read negative and the campaign exits 2
+    code = cli_main(["ssr", "--precision", "extended:128", "--beta", "20", "40"])
+    assert code == 0
+    assert "ssr: 6 cases, 6 passes, 0 violations" in capsys.readouterr().err
 
 
 def test_minors_below_the_double_range_keep_their_sign():
@@ -662,30 +710,70 @@ def test_minors_below_the_double_range_keep_their_sign():
     assert rep.verdict is Verdict.CONSISTENT_STP
 
 
-def _count_working_precision_minors(monkeypatch):
+def test_extended_min_abs_det_bounds_every_minor(tmp_path):
+    # min_abs_det is the smallest certified lower bound of |det| over an
+    # order's minors, rounded down: positive when every minor is signed, 0.0
+    # when one is not (ultra_gen(300) and jacobi_gen(0, 300) have
+    # overflowing entries), never inf, so the report always parses
+    out = tmp_path / "ssr.json"
+    code = cli_main(["ssr", "--precision", "extended:128", "--alpha", "0", "--beta", "1.5", "300",
+                     "--m-max", "3", "--trials", "20", "--out", str(out)])
+    assert code == 0
+    cases = json.loads(out.read_text(encoding="utf-8"))["cases"]
+    specs = [UltraGenKernel(1.5), UltraGenKernel(300.0), JacobiGenKernel(0.0, 1.5),
+             JacobiGenKernel(0.0, 300.0)]
+    indeterminate = []
+    for case, spec in zip(cases, specs):
+        assert case["input"] == spec.describe()
+        for s in case["per_m"]:
+            xs, ys = _draws(spec, s["m"], 20, 1 + case["case_index"])
+            smallest = min(abs(det) for det in _exact_dets(spec, xs, ys, 600))
+            indeterminate.append(s["indeterminate"])
+            if s["indeterminate"]:
+                assert s["min_abs_det"] == 0.0
+            else:
+                assert 0.0 < s["min_abs_det"] and Fraction(s["min_abs_det"]) <= smallest
+    assert 0 in indeterminate and max(indeterminate) > 0
+
+
+def _record_working_precision_minors(monkeypatch):
+    """The node arrays of each call that builds working-precision entries."""
     built = []
 
-    def counting(spec, xs, ys, policy):
-        built.append(len(xs))
+    def recording(spec, xs, ys, policy):
+        built.append(xs)
         return _minor_matrices(spec, xs, ys, policy)
 
-    monkeypatch.setattr(signreg, "_minor_matrices", counting)
+    monkeypatch.setattr(signreg, "_minor_matrices", recording)
     return built
 
 
 def test_well_conditioned_scan_builds_few_working_precision_minors(monkeypatch):
-    built = _count_working_precision_minors(monkeypatch)
+    built = _record_working_precision_minors(monkeypatch)
     for seed in (1, 2, 3):
         built.clear()
         ssr_scan(JacobiGenKernel(1.0, 1.5), 5, 100, seed, extended(128))
-        assert len(built) == 5 and sum(built) <= 50, (seed, built)
+        sizes = [len(xs) for xs in built]
+        assert len(sizes) == 5 and sum(sizes) <= 50, (seed, sizes)
 
 
-def test_unbounded_entries_send_every_minor_to_the_working_precision_route(monkeypatch):
-    built = _count_working_precision_minors(monkeypatch)
+def test_unbounded_entries_are_indeterminate_and_not_rebuilt(monkeypatch):
+    # ultra_gen(300) overflows a double where 1 - 2xy + y^2 < 0.094: a minor
+    # with such an entry has no radius, so it is indeterminate, and it is not
+    # built at the working precision
+    spec, built = UltraGenKernel(300.0), _record_working_precision_minors(monkeypatch)
     with np.errstate(all="raise"):
-        ssr_scan(JacobiGenKernel(1100.0, 0.5), 3, 20, 1, extended(128))
-    assert built == [20, 20, 20]
+        rep = ssr_scan(spec, 3, 20, 1, extended(128))
+    assert [s.indeterminate for s in rep.per_m] == [0, 6, 9]
+    assert [len(xs) for xs in built] == [0, 8, 12]
+    unbounded = []
+    for s, rebuilt in zip(rep.per_m, built):
+        xs, ys = _draws(spec, s.m, 20, 1)
+        entries = spec.evaluate_interval(xs[:, :, None], ys[:, None, :])
+        overflowing = ~np.isfinite(entries.hi).all(axis=(1, 2))
+        unbounded.append(int(overflowing.sum()))
+        assert not any((rebuilt == x).all(axis=1).any() for x in xs[overflowing])
+    assert unbounded == [0, 1, 1]
 
 
 def _contains(interval, value):
@@ -804,9 +892,17 @@ class _Loose:
 @pytest.mark.parametrize("tau_det", [1e-11, 1e-5, 0.3, 0.7])
 @pytest.mark.parametrize("base", [ExpKernel(), UltraGenKernel(-0.5)], ids=["exp", "ultra_gen"])
 def test_filter_decides_only_what_its_bounds_clear(base, tau_det):
-    spec, trials, policy = _Loose(base), 60, extended(128, tau_det=tau_det)
+    # the extended scan reads no tau_det, and every sign it counts is the
+    # sign of the exact determinant of _Loose's double values, which are its
+    # exact values
+    spec, trials = _Loose(base), 60
     for seed in (1, 2):
-        rep = ssr_scan(spec, 4, trials, seed, policy)
+        rep = ssr_scan(spec, 4, trials, seed, extended(128, tau_det=tau_det))
+        assert rep == ssr_scan(spec, 4, trials, seed, extended(128))
         for s in rep.per_m:
-            assert (s.positive, s.negative, s.indeterminate, s.min_abs_det) == \
-                _full_route_stats(spec, s.m, trials, seed, policy), (seed, s.m)
+            xs, ys = _draws(spec, s.m, trials, seed)
+            signs, lower = _settle_extended(spec, xs, ys, extended(128))
+            dets = _exact_dets(spec, xs, ys, 128)
+            assert (s.positive, s.negative) == (np.sum(signs > 0), np.sum(signs < 0))
+            for sign, low, det in zip(signs, lower, dets):
+                assert sign in (0, (det > 0) - (det < 0)) and Fraction(low) <= abs(det)
