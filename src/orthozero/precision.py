@@ -5,8 +5,8 @@ degree ~20 need more than double precision; everything else runs in numpy.
 theorem12, conj32, q31 and biortho-equiv take their verdicts from exact
 integer arithmetic and do not read the precision (biortho-equiv reads only
 tau_root, to reject nodes closer than it). Extended ssr takes its signs
-from certified enclosures, so tau_det is read only by double ssr and by
-biortho.biorthogonal_poly.
+from enclosures of the exact determinants, so tau_det is read only by
+double ssr and by biortho.biorthogonal_poly.
 """
 
 from __future__ import annotations

@@ -14,12 +14,15 @@ entries. In double precision np.linalg.det then runs once on that stack,
 and a minor carries a sign only when |det| clears tau_det times the product
 of its row sup-norms. Under the extended policy a minor carries a sign only
 when an enclosure of its exact determinant (of the kernel's values at the
-drawn doubles) excludes 0, so every counted sign is certified, with no
-threshold: the exact determinant of a centre matrix plus or minus a
-Hadamard bound (_enclose). The centres are first the midpoints of
-outward-rounded double intervals of the entries, and then, only for the
-minors those leave open, the entries built at the working precision
-(_settle_extended).
+drawn doubles) excludes 0, with no threshold: the exact determinant of a
+centre matrix plus or minus a Hadamard bound (_enclose). The centres are
+first the midpoints of outward-rounded double intervals of the entries,
+and then, only for the minors those leave open, the entries built at the
+working precision (_settle_extended). The signs are certified under that
+function's error model, not rigorously: the intervals take numpy's exp and
+power to be accurate to a relative 2^-40, and the second stage's radii
+bound the working-precision entries' error to first order, with a factor
+4 to spare (mpmath.iv would make that stage rigorous).
 """
 
 from __future__ import annotations
@@ -196,9 +199,12 @@ _lift = np.frompyfunc(mpmath.mpf, 1, 1)  # floats to mpf at the working precisio
 
 class _Formula:
     """A kernel written once as formula(x, y, lib) and evaluated under any
-    route; `name` and its parameter fields (all but `domain`) describe it."""
+    route; `name` and its parameter fields (all but `domain`) describe it.
+    Its working-precision entries run the formula's own operations, so they
+    refine its intervals (_settle_extended)."""
 
     name: ClassVar[str]
+    refines: ClassVar[bool] = True
 
     def evaluate(self, x, y):
         return self.formula(np.asarray(x, float), np.asarray(y, float), _NUMPY)
@@ -361,6 +367,10 @@ class FactorWrappedKernel:
         phi, psi = self._factors(x, y)
         return _lift(phi) * _lift(psi) * self.base.evaluate_exact(x, y)
 
+    @property
+    def refines(self) -> bool:
+        return self.base.refines
+
     def evaluate_interval(self, x, y) -> _Interval:
         phi, psi = self._factors(x, y)
         with np.errstate(all="ignore"):
@@ -372,8 +382,13 @@ class FactorWrappedKernel:
 
 @dataclass(frozen=True)
 class CustomKernel:
-    """Arbitrary callable kernel with an explicit scan domain."""
+    """Arbitrary callable kernel with an explicit scan domain. The callable
+    runs in double; its intervals take each value to be as accurate as
+    _Interval takes numpy's exp and power, so the rounded minors of a
+    rank-deficient kernel stay undecided, and lifting the values refines
+    nothing."""
 
+    refines: ClassVar[bool] = False
     fn: Callable
     domain: Domain
     label: str = "custom"
@@ -386,7 +401,9 @@ class CustomKernel:
         return _lift(self.evaluate(x, y))
 
     def evaluate_interval(self, x, y) -> _Interval:
-        return _Interval.lift(self.evaluate(x, y))
+        values = self.evaluate(x, y)
+        with np.errstate(all="ignore"):
+            return _Interval(_libm_down(values), _libm_up(values))
 
     def describe(self) -> str:
         return f"{self.label} on {self.domain.window}"
@@ -504,20 +521,22 @@ def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray,
     exact determinants (_enclose).
 
     Let I be the entries' intervals from `evaluate_interval`, which enclose
-    the exact values f of the kernel formula at the drawn doubles. Row i of
-    a minor is scaled by a power of two, 2^-k_i, which changes no sign.
-    Stage 1 takes the midpoints of I as centres and their half-widths as
-    radii. Stage 2 runs only on the minors stage 1 leaves open: its centres
-    are the entries E built at the working precision (_minor_matrices), and
-    its radii bound |E - f|. That route runs the same operation sequence
-    rounded at unit roundoff 2^-bits, so to first order |E - f| is at most
-    the sum over operations of |df/dv| |v| 2^-bits, where v is an
-    operation's result. Each interval operation widens its endpoints by at
-    least an ulp of double, 2^-53 |v| (exp and ** by 2^-40 |v|), so to first
-    order the width of I is at least twice that sum at 2^-53. Hence
-    |E - f| <= 2^(52 - bits) width(I); the radii take 2^(54 - bits) width,
-    leaving a factor 4 for second-order terms and for mpmath's exp and
-    power, which are accurate to about an ulp. |E| is then at most max |I|
+    the exact values f of the kernel at the drawn doubles. Row i of a minor
+    is scaled by a power of two, 2^-k_i, which changes no sign. Stage 1
+    takes the midpoints of I as centres and their half-widths as radii.
+    Stage 2 runs only on the minors stage 1 leaves open, and only for a
+    kernel whose working-precision entries refine its intervals
+    (`refines`): its centres are the entries E built at the working
+    precision (_minor_matrices), and its radii bound |E - f|. That route
+    runs the same operation sequence rounded at unit roundoff 2^-bits, so
+    to first order |E - f| is at most the sum over operations of
+    |df/dv| |v| 2^-bits, where v is an operation's result. Each interval
+    operation widens its endpoints by at least an ulp of double, 2^-53 |v|
+    (exp and ** by 2^-40 |v|), so to first order the width of I is at least
+    twice that sum at 2^-53. Hence |E - f| <= 2^(52 - bits) width(I); the
+    radii take 2^(54 - bits) width, leaving a factor 4 for second-order
+    terms and for mpmath's exp and power, which are accurate to about an
+    ulp. That is an error model, not a proof. |E| is then at most max |I|
     plus that radius. A minor with an unbounded entry has no radius: it is
     undecided and is not built. The lower bounds are unscaled by 2^sum(k)
     and rounded down.
@@ -537,7 +556,7 @@ def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray,
                    for t in range(len(xs))]
         signs, lower = _enclose(centres, np.abs(mid), rad)
 
-        rebuild = np.flatnonzero(bounded & (signs == 0))
+        rebuild = np.flatnonzero(bounded & (signs == 0) & spec.refines)
         lo, hi = lo[rebuild], hi[rebuild]
         rad = _up(np.ldexp(_up(hi - lo), 54 - policy.bits))
         matrices = _minor_matrices(spec, xs[rebuild], ys[rebuild], policy)
@@ -670,9 +689,12 @@ def ssr_scan(
     row sup-norms (a nan determinant, from an overflowing entry, never is),
     and min_abs_det is the smallest |det|. Under the extended policy a
     minor is determinate only when an enclosure of its exact determinant
-    excludes 0 (_settle_extended), so its sign is certified, and tau_det is
-    not read; min_abs_det is the smallest certified lower bound of |det|,
-    rounded down, and 0.0 when any minor of the order is indeterminate. The
+    excludes 0 (_settle_extended), and tau_det is not read: its sign is
+    certified under that function's error model (numpy's exp and power
+    accurate to 2^-40, and a first-order bound on the working-precision
+    entries), which is not a rigorous proof. min_abs_det is the smallest
+    lower bound of |det| from the enclosures, rounded down, and 0.0 when any
+    minor of the order is indeterminate. The
     per-order sign is the majority of determinate signs and any
     determinate disagreement is a violation.
     """

@@ -754,10 +754,13 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 # counts a sign only where an enclosure of the exact determinant excludes 0:
 # the exact determinant of a centre (the midpoints of numpy's outward-rounded
 # intervals, or the entries built with mpmath at the working precision) plus
-# or minus a bound. A certified sign cannot differ between numpy builds, but
-# the intervals' exp and power are numpy's, so a minor near the edge of its
-# bound can move between signed and indeterminate, and min_abs_det (the
-# smallest certified lower bound) in its last bits. ssr-e64 pins the route
+# or minus a bound. Such a sign is certified under the route's error model
+# (numpy's exp and power accurate to 2^-40, and a first-order bound on the
+# working-precision entries), so within that model it cannot differ between
+# numpy builds; but the intervals' exp and power are numpy's, so a minor
+# near the edge of its bound can move between signed and indeterminate, and
+# min_abs_det (the smallest lower bound from the enclosures) in its last
+# bits. ssr-e64 pins the route
 # at 64 bits, the lowest precision a policy allows, and ssr-e256 at 256 bits
 # with generic exponents. ssr-double pins the double route, whose
 # determinants come from LAPACK. theorem12, conj32 and q31 take every verdict

@@ -634,13 +634,14 @@ def test_extended_minor_of_equal_rows_is_exactly_zero():
 
 @pytest.mark.parametrize("policy", [DOUBLE, extended(128)], ids=["double", "extended"])
 def test_non_finite_entries_never_give_a_sign(policy):
-    spec = CustomKernel(fn=lambda x, y: np.where(x > 0.5, np.inf, np.exp(x * y)),
+    spec = CustomKernel(fn=lambda x, y: np.where(x > 0.5, np.inf, 1.0 + x * y),
                         domain=Domain((-1, 1), (-1, 1)))
     with np.errstate(invalid="ignore"):
         rep = ssr_scan(spec, 3, 20, 1, policy)
     assert [(s.negative, s.violations) for s in rep.per_m] == [(0, 0)] * 3
-    # the tuples with a node above 0.5: 6, 9 and 12 of 20 at orders 1 to 3
-    assert [s.indeterminate for s in rep.per_m] == [6, 9, 12]
+    # orders 1 and 2: the tuples with a node above 0.5 (6 and 9 of 20);
+    # order 3: every minor, since 1 + xy has rank 2
+    assert [s.indeterminate for s in rep.per_m] == [6, 9, 20]
 
 
 # ---------------------------------------------------------------------------
@@ -870,6 +871,8 @@ class _Loose:
     whose intervals are 1e-3 wide relative to them and off-centre by a
     fraction that varies from entry to entry, so that the filter's
     decisions rest on its bounds alone."""
+
+    refines = True
 
     def __init__(self, base):
         self.base, self.domain = base, base.domain
