@@ -14,15 +14,20 @@ entries. In double precision np.linalg.det then runs once on that stack,
 and a minor carries a sign only when |det| clears tau_det times the product
 of its row sup-norms. Under the extended policy a minor carries a sign only
 when an enclosure of its exact determinant (of the kernel's values at the
-drawn doubles) excludes 0, with no threshold: the exact determinant of a
-centre matrix plus or minus a Hadamard bound (_enclose). The centres are
-first the midpoints of outward-rounded double intervals of the entries,
-and then, only for the minors those leave open, the entries built at the
-working precision (_settle_extended). The signs are certified under that
-function's error model, not rigorously: the intervals take numpy's exp and
-power to be accurate to a relative 2^-40, and the second stage's radii
-bound the working-precision entries' error to first order, with a factor
-4 to spare (mpmath.iv would make that stage rigorous).
+drawn doubles) excludes 0, with no threshold (_settle_extended). Stage 1
+encloses every minor at once in double: a partial-pivot LU of the midpoints
+of outward-rounded intervals of the entries, with Higham's backward-error
+bound and the intervals' radii fed into a Hadamard bound (_lu_enclose).
+Stage 2 takes, only for the minors stage 1 leaves open, the exact
+determinant of the entries built at the working precision plus or minus a
+Hadamard bound (_enclose). A stage-1 sign is rigorous for a kernel built
+only from + - * /, sqrt and half-integer powers up to 512, which take
+correctly rounded operations alone; for exp_xy, other exponents and custom
+kernels it rests on numpy's exp and power being accurate to a relative
+2^-40. A stage-2 sign also rests on a first-order bound of the
+working-precision entries' error, with a factor 4 to spare (mpmath.iv would
+make that stage rigorous). So the extended signs are certified under that
+error model, and rigorous only where it is not used.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .errors import (
     BadTupleError,
     OutOfDomainError,
 )
-from .polycore import check_params, integer_det
+from .polycore import _SMALLEST_SUBNORMAL, _gamma, check_params, integer_det
 from .precision import DOUBLE, PrecisionPolicy
 
 MIN_SEPARATION = 1e-3
@@ -85,6 +90,10 @@ def _up(v):
 
 _LIBM_SLACK = 2.0 ** -40  # relative widening of exp and power results
 _LIBM_FLOOR = 2.0 ** -1022  # absolute widening: their subnormal results
+# |e| past which a half-integer power takes the libm route: binary powering
+# widens by a relative |e| 2^-49 or so (2^-39.9 measured at e = 511.5), which
+# must stay below that route's 2^-39
+_EXACT_POWER_CAP = 512
 
 
 class _Interval:
@@ -92,13 +101,15 @@ class _Interval:
 
     Each result encloses the exact real result of the same operation on any
     points of its operands. numpy rounds + - * / and sqrt to nearest, so
-    each endpoint moves one ulp outward. Its exp and power are not correctly
-    rounded and differ between builds (SIMD loops), so their endpoints also
-    widen by a relative 2^-40 and an absolute 2^-1022. Where a divisor
-    contains 0, a ** base is not positive, a sqrt argument is negative or an
-    endpoint is not finite, the result is the unbounded [-inf, inf]. Numbers
-    and arrays combine with an interval as point intervals, under Python
-    operators and numpy ufuncs alike, so a formula runs unchanged on it.
+    each endpoint moves one ulp outward; `pow` with a half-integer exponent
+    is built from these alone. numpy's exp and power are not correctly
+    rounded and differ between builds (SIMD loops), so exp's and **'s
+    endpoints also widen by a relative 2^-40 and an absolute 2^-1022. Where
+    a divisor contains 0, a ** or pow base is not positive, a sqrt argument
+    is negative or an endpoint is not finite, the result is the unbounded
+    [-inf, inf]. Numbers and arrays combine with an interval as point
+    intervals, under Python operators and numpy ufuncs alike, so a formula
+    runs unchanged on it.
     """
 
     __slots__ = ("lo", "hi")
@@ -160,6 +171,33 @@ class _Interval:
     def exp(self):
         return _Interval(_libm_down(np.exp(self.lo)), _libm_up(np.exp(self.hi)))
 
+    def pow(self, e: float) -> _Interval:
+        """self ** e for a constant exponent e. Where 2e is an integer and
+        |e| <= _EXACT_POWER_CAP this uses only correctly rounded operations,
+        each rounded outward: the square root when 2e is odd, then binary
+        powering, then the reciprocal when e < 0; every other e takes the
+        libm route of **. Unbounded where the base is not positive."""
+        twice = 2.0 * e
+        if not twice.is_integer() or abs(e) > _EXACT_POWER_CAP:
+            return self ** e
+        n = abs(int(twice))
+        square, result = self, None
+        if n % 2:
+            square = self.sqrt()
+        else:
+            n //= 2
+        while n:
+            if n & 1:
+                result = square if result is None else result * square
+            n >>= 1
+            if n:
+                square = square * square
+        if result is None:  # e == 0
+            result = _Interval.lift(np.ones_like(self.lo))
+        if e < 0:
+            result = 1.0 / result
+        return _Interval(np.where(self.lo > 0, result.lo, np.nan), result.hi)
+
     def sqrt(self):
         return _Interval(np.where(self.lo >= 0, _down(np.sqrt(self.lo)), np.nan),
                          _up(np.sqrt(self.hi)))
@@ -189,11 +227,20 @@ def _libm_up(v):
 # per-node subexpressions are computed once per node and constants once per
 # call. `num` lifts a scalar constant. A lifted mpf constant must never stand
 # on the left of an array operator: mpmath then tries to convert the array,
-# building its whole repr, before numpy takes over.
-_NUMPY = SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt)
+# building its whole repr, before numpy takes over. `pow(base, e)` raises to a
+# constant exponent: numpy's power in double, as ** always did, so double
+# entries keep their bits; on intervals _Interval.pow, exact up to outward
+# rounding for half-integer e; and mpmath's power, which for half-integer e
+# already takes the square root (with 10 guard bits), then the integer power
+# (exact and rounded once, or binary powering with guard bits), then the
+# reciprocal, so it runs _Interval.pow's operations with fewer roundings.
+_NUMPY = SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt,
+                         pow=lambda base, e: base ** float(e))
 _MPMATH = SimpleNamespace(num=mpmath.mpf, exp=np.frompyfunc(mpmath.exp, 1, 1),
-                          sqrt=np.frompyfunc(mpmath.sqrt, 1, 1))
-_INTERVAL = SimpleNamespace(num=_Interval.lift, exp=_Interval.exp, sqrt=_Interval.sqrt)
+                          sqrt=np.frompyfunc(mpmath.sqrt, 1, 1),
+                          pow=lambda base, e: base ** mpmath.mpf(e))
+_INTERVAL = SimpleNamespace(num=_Interval.lift, exp=_Interval.exp, sqrt=_Interval.sqrt,
+                            pow=_Interval.pow)
 _lift = np.frompyfunc(mpmath.mpf, 1, 1)  # floats to mpf at the working precision
 
 
@@ -255,7 +302,7 @@ class PowerSumKernel(_Formula):
             raise BadParameterError("domain must sit inside the positive quadrant")
 
     def formula(self, x, y, lib):
-        return (x + y) ** lib.num(-self.beta)
+        return lib.pow(x + y, -self.beta)
 
 
 def _quadratic_positive_on_open(domain: Domain) -> bool:
@@ -293,7 +340,7 @@ class UltraGenKernel(_Formula):
             raise BadParameterError("1 - 2xy + y^2 must stay positive on the domain")
 
     def formula(self, x, y, lib):
-        return (1 - 2 * x * y + y * y) ** lib.num(-self.beta)
+        return lib.pow(1 - 2 * x * y + y * y, -self.beta)
 
 
 @dataclass(frozen=True)
@@ -312,7 +359,7 @@ class UltraDerivedKernel(_Formula):
 
     def formula(self, x, y, lib):
         q = 1 - 2 * x * y + y * y
-        return (1 - y * y) * lib.num(2 * self.alpha + 1) * q ** lib.num(-self.alpha - 1.5)
+        return (1 - y * y) * lib.num(2 * self.alpha + 1) * lib.pow(q, -self.alpha - 1.5)
 
 
 @dataclass(frozen=True)
@@ -336,8 +383,8 @@ class JacobiGenKernel(_Formula):
 
     def formula(self, x, y, lib):
         rho = lib.sqrt(1 - 2 * x * y + y * y)
-        return ((2 / (1 + y + rho)) ** lib.num(self.beta)
-                * (2 / (1 - y + rho)) ** lib.num(self.alpha) / rho)
+        return (lib.pow(2 / (1 + y + rho), self.beta)
+                * lib.pow(2 / (1 - y + rho), self.alpha) / rho)
 
 
 @dataclass(frozen=True)
@@ -494,20 +541,10 @@ def _enclose(centres, mags, radii) -> tuple[np.ndarray, np.ndarray]:
 
     centres[t] is the centre C as integer rows and a power of two
     (_integer_rows), or None where there is none; mags and radii are
-    (trials, m, m) upper bounds of |C| and of |R|. Replacing the rows of C by
-    those of C + R one at a time, and bounding each step by Hadamard's
-    inequality, gives
-        |det(C + R) - det C| <= sum_i b_i prod_{j<i} a_j prod_{j>i} (a_j + b_j)
-    with a_i, b_i upper bounds of the row 2-norms of C and R (Rump, Acta
-    Numerica 2010). det C is exact and rounded once; every step of the
-    bound is rounded upward. As this sum the bound keeps its relative
-    accuracy when b is far below a, where prod(a + b) - prod a cancels.
+    (trials, m, m) upper bounds of |C| and of |R|. det C is exact and
+    rounded once, and _hadamard_bound bounds the rest.
     """
-    a, b = _row_norm_bounds(mags), _row_norm_bounds(radii)
-    bound, suffix = 0.0, 1.0  # the sum over rows i..m-1, by Horner from the last row
-    for i in reversed(range(a.shape[1])):
-        bound = _up(_up(a[:, i] * bound) + _up(b[:, i] * suffix))
-        suffix = _up(suffix * _up(a[:, i] + b[:, i]))
+    bound = _hadamard_bound(_row_norm_bounds(mags), _row_norm_bounds(radii))
     det = np.array([math.nan if c is None else _dyadic_to_float(integer_det(c[0]), c[1])
                     for c in centres])
     decided = np.abs(det) > bound  # rounding is monotone, so |det C| > bound too
@@ -515,31 +552,103 @@ def _enclose(centres, mags, radii) -> tuple[np.ndarray, np.ndarray]:
             np.where(decided, _down(_down(np.abs(det)) - bound), 0.0))
 
 
+def _hadamard_bound(a, b) -> np.ndarray:
+    """An upper bound of |det(C + R) - det C| for each minor of a stack,
+    from (trials, m) upper bounds a and b of the row 2-norms of C and R.
+    Replacing the rows of C by those of C + R one at a time, and bounding
+    each step by Hadamard's inequality, gives
+        |det(C + R) - det C| <= sum_i b_i prod_{j<i} a_j prod_{j>i} (a_j + b_j)
+    (Rump, Acta Numerica 2010), here rounded upward at every step. As this
+    sum the bound keeps its relative accuracy when b is far below a, where
+    prod(a + b) - prod a cancels."""
+    bound, suffix = 0.0, 1.0  # the sum over rows i..m-1, by Horner from the last row
+    for i in reversed(range(a.shape[1])):
+        bound = _up(_up(a[:, i] * bound) + _up(b[:, i] * suffix))
+        suffix = _up(suffix * _up(a[:, i] + b[:, i]))
+    return bound
+
+
+def _lu_enclose(mid, rad) -> tuple[np.ndarray, np.ndarray]:
+    """Certified signs of det(mid + R) over every |R| <= rad, for
+    (trials, m, m) stacks of doubles, 0 where undecided, and lower bounds of
+    |det(mid + R)|, 0 where undecided.
+
+    Gaussian elimination with partial pivoting runs on all midpoints at once,
+    one column at a time. Its computed factors satisfy P mid + dA = L^U^ with
+    |dA| <= gamma_m |L^||U^| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Thm 9.3), plus, where products and quotients underflow,
+    at most (m + max_k |u^_kk|) 2^-1074 per entry. So det(mid + R) is
+    sign(P) det(C + E) with the centre C = L^U^ and
+    |E| <= gamma_m |L^||U^| + P rad + that absolute term. det C is
+    prod_k u^_kk, whose rounded product is within a relative gamma_{m-1};
+    |L^||U^| is formed with every operation rounded upward and bounds |C|,
+    and _hadamard_bound bounds det(C + E) - det C. A minor with a pivot or a
+    partial product of pivots that is not finite or not normal is
+    undecided; so is one with a non-finite entry or radius.
+    """
+    trials, m, _ = mid.shape
+    t = np.arange(trials)[:, None]
+    lu, rows = mid.copy(), np.tile(np.arange(m), (trials, 1))
+    flips = np.zeros(trials, bool)  # the parity of the row swaps
+    with np.errstate(all="ignore"):
+        for j in range(m - 1):
+            p = j + np.argmax(np.abs(lu[:, j:, j]), axis=1)
+            flips ^= p != j
+            swap = np.stack([np.full(trials, j), p], axis=1)
+            lu[t, swap], rows[t, swap] = lu[t, swap[:, ::-1]], rows[t, swap[:, ::-1]]
+            lu[:, j + 1:, j] /= lu[:, j, j, None]
+            lu[:, j + 1:, j + 1:] -= lu[:, j + 1:, j, None] * lu[:, j, None, j + 1:]
+        abs_l, abs_u = np.abs(np.tril(lu, -1)) + np.eye(m), np.abs(np.triu(lu))
+        size = 0.0  # |L^||U^|, rounded upward
+        for k in range(m):
+            size = _up(size + _up(abs_l[:, :, k, None] * abs_u[:, None, k, :]))
+        pivots = np.diagonal(lu, axis1=1, axis2=2)
+        det, normal = np.where(flips, -1.0, 1.0), np.ones(trials, bool)
+        for k in range(m):
+            det = det * pivots[:, k]
+            # a non-finite pivot leaves det inf or nan
+            normal &= (np.minimum(np.abs(pivots[:, k]), np.abs(det)) >= np.finfo(float).tiny) \
+                & np.isfinite(det)
+        underflow = _up((m + np.abs(pivots).max(axis=1)) * _SMALLEST_SUBNORMAL)[:, None, None]
+        permuted_rad = np.take_along_axis(rad, rows[:, :, None], axis=1)
+        radii = _up(_up(_up(_up(_gamma(m)) * size) + permuted_rad) + underflow)
+        bound = _hadamard_bound(_row_norm_bounds(size), _row_norm_bounds(radii))
+        centre = _down(np.abs(det) * _down(1.0 - _up(_gamma(m - 1))))
+        decided = normal & (centre > bound)
+        return (np.where(decided, np.sign(det), 0).astype(int),
+                np.where(decided, _down(centre - bound), 0.0))
+
+
 def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray, np.ndarray]:
     """The certified signs of one order's minors, 0 where undecided, and
     lower bounds of their |det|, 0 where undecided, from enclosures of the
-    exact determinants (_enclose).
+    exact determinants.
 
     Let I be the entries' intervals from `evaluate_interval`, which enclose
     the exact values f of the kernel at the drawn doubles. Row i of a minor
     is scaled by a power of two, 2^-k_i, which changes no sign. Stage 1
-    takes the midpoints of I as centres and their half-widths as radii.
-    Stage 2 runs only on the minors stage 1 leaves open, and only for a
-    kernel whose working-precision entries refine its intervals
+    encloses each determinant over the box of I's midpoints and half-widths
+    (_lu_enclose). Stage 2 runs only on the minors stage 1 leaves open, and
+    only for a kernel whose working-precision entries refine its intervals
     (`refines`): its centres are the entries E built at the working
-    precision (_minor_matrices), and its radii bound |E - f|. That route
-    runs the same operation sequence rounded at unit roundoff 2^-bits, so
-    to first order |E - f| is at most the sum over operations of
-    |df/dv| |v| 2^-bits, where v is an operation's result. Each interval
-    operation widens its endpoints by at least an ulp of double, 2^-53 |v|
-    (exp and ** by 2^-40 |v|), so to first order the width of I is at least
-    twice that sum at 2^-53. Hence |E - f| <= 2^(52 - bits) width(I); the
-    radii take 2^(54 - bits) width, leaving a factor 4 for second-order
-    terms and for mpmath's exp and power, which are accurate to about an
-    ulp. That is an error model, not a proof. |E| is then at most max |I|
-    plus that radius. A minor with an unbounded entry has no radius: it is
-    undecided and is not built. The lower bounds are unscaled by 2^sum(k)
-    and rounded down.
+    precision (_minor_matrices), and its radii bound |E - f| (_enclose).
+
+    That route runs the formula's operations rounded at unit roundoff
+    2^-bits, so to first order |E - f| is at most the sum over its roundings
+    of |df/dv| |v| 2^-bits, where v is the rounded result. Each rounding
+    has an interval operation with the same exact result: a half-integer
+    power is a square root, then an integer power, then a reciprocal on
+    both routes (mpmath's power rounds the integer power once, where
+    _Interval.pow ends it with a multiplication, and takes the root with 10
+    guard bits). Each interval operation widens its endpoints by at least an
+    ulp of double, 2^-53 |v| (exp and other powers by 2^-40 |v|), so to
+    first order the width of I is at least twice that sum at 2^-53. Hence
+    |E - f| <= 2^(52 - bits) width(I); the radii take 2^(54 - bits) width,
+    leaving a factor 4 for second-order terms and for mpmath's exp and
+    other powers, which are accurate to about an ulp. That is an error
+    model, not a proof. |E| is then at most max |I| plus that radius. A
+    minor with an unbounded entry has no radius: it is undecided and is not
+    built. The lower bounds are unscaled by 2^sum(k) and rounded down.
     """
     with np.errstate(all="ignore"):
         entries = spec.evaluate_interval(xs[:, :, None], ys[:, None, :])
@@ -549,12 +658,7 @@ def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray,
         mid = lo / 2 + hi / 2
         rad = _up(np.maximum(hi - mid, mid - lo))
         bounded = np.isfinite(rad).all(axis=(1, 2))
-
-        frac, exp = np.frexp(np.where(bounded[:, None, None], mid, 0.0))
-        mans, exps = np.ldexp(frac, 53).astype(np.int64).tolist(), (exp - 53).tolist()
-        centres = [_integer_rows(mans[t], exps[t]) if bounded[t] else None
-                   for t in range(len(xs))]
-        signs, lower = _enclose(centres, np.abs(mid), rad)
+        signs, lower = _lu_enclose(mid, rad)
 
         rebuild = np.flatnonzero(bounded & (signs == 0) & spec.refines)
         lo, hi = lo[rebuild], hi[rebuild]
@@ -689,14 +793,15 @@ def ssr_scan(
     row sup-norms (a nan determinant, from an overflowing entry, never is),
     and min_abs_det is the smallest |det|. Under the extended policy a
     minor is determinate only when an enclosure of its exact determinant
-    excludes 0 (_settle_extended), and tau_det is not read: its sign is
-    certified under that function's error model (numpy's exp and power
-    accurate to 2^-40, and a first-order bound on the working-precision
-    entries), which is not a rigorous proof. min_abs_det is the smallest
-    lower bound of |det| from the enclosures, rounded down, and 0.0 when any
-    minor of the order is indeterminate. The
-    per-order sign is the majority of determinate signs and any
-    determinate disagreement is a violation.
+    excludes 0 (_settle_extended), and tau_det is not read. Its sign is
+    rigorous when stage 1 decides it for a kernel built from + - * /, sqrt
+    and half-integer powers; otherwise it is certified under that
+    function's error model (numpy's exp and other powers accurate to 2^-40,
+    and a first-order bound on the working-precision entries), which is not
+    a proof. min_abs_det is the smallest lower bound of |det| from the
+    enclosures, rounded down, and 0.0 when any minor of the order is
+    indeterminate. The per-order sign is the majority of determinate signs
+    and any determinate disagreement is a violation.
     """
     cap = 8 if policy.extended else 6
     if not 1 <= m_max <= cap:

@@ -750,19 +750,21 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
-# sha256 of report_to_json at artifact_version 0.8.0. The extended ssr route
+# sha256 of report_to_json at artifact_version 0.9.0. The extended ssr route
 # counts a sign only where an enclosure of the exact determinant excludes 0:
-# the exact determinant of a centre (the midpoints of numpy's outward-rounded
-# intervals, or the entries built with mpmath at the working precision) plus
-# or minus a bound. Such a sign is certified under the route's error model
-# (numpy's exp and power accurate to 2^-40, and a first-order bound on the
-# working-precision entries), so within that model it cannot differ between
-# numpy builds; but the intervals' exp and power are numpy's, so a minor
-# near the edge of its bound can move between signed and indeterminate, and
-# min_abs_det (the smallest lower bound from the enclosures) in its last
-# bits. ssr-e64 pins the route
-# at 64 bits, the lowest precision a policy allows, and ssr-e256 at 256 bits
-# with generic exponents. ssr-double pins the double route, whose
+# first a partial-pivot LU of the midpoints of numpy's outward-rounded
+# intervals with Higham's backward-error bound, then, for the minors that
+# leaves open, the exact determinant of the entries built with mpmath at the
+# working precision, each plus or minus a Hadamard bound. Such a sign is
+# certified under the route's error model (numpy's exp and non-half-integer
+# powers accurate to 2^-40, and a first-order bound on the working-precision
+# entries), so within that model it cannot differ between numpy builds.
+# Half-integer powers take only correctly rounded operations, but exp and
+# other powers are numpy's, so a minor near the edge of its bound can move
+# between signed and indeterminate, and min_abs_det (the smallest lower
+# bound from the enclosures) in its last bits. ssr-e64 pins the route at 64
+# bits, the lowest precision a policy allows, and ssr-e256 at 256 bits with
+# generic exponents. ssr-double pins the double route, whose
 # determinants come from LAPACK. theorem12, conj32 and q31 take every verdict
 # from certified signs, with LAPACK eigenvalues only picking the points of
 # the sign-change certificate. Each certificate sign is a double Horner
@@ -778,30 +780,30 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 PINNED_DIGESTS = [
     ("q31", CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
                            trials=1, seed=3),
-     "eadc824451a950c02c176f86d225c1115f881a3649190ebbf5f9d3822ee6a8b8"),
+     "f1791f3af4c023667f6105265e476eb234c6d2a2bc7409b2eafab82804b49d8b"),
     ("ssr", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
                            trials=30, seed=3, precision="extended:128"),
-     "7210f584bc3d50a80d7c9a5b682bf9354241cd6af4695ecc09b61cee55619594"),
+     "320f2d80059827401e5431afa60f6141fc1fe96986558da37037bb9a6fef384e"),
     ("conj32-int", CampaignConfig("conj32", alpha_grid=(0.0, 2.0), beta_grid=(1.0, 3.0),
                                   deg_cap=8, trials=10, seed=1),
-     "de696614c2beb12ba76427d779967a5f388498a847368aa049e355ba690e6b76"),
+     "92c17732a01b68a4d54f4d01c33517ee06907e71fdecd58753f6ef0958b1e088"),
     ("conj32-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
                                         deg_cap=8, trials=10, seed=1),
-     "4da1332eee5e02c85f384ef14de71be6d17565aba5dfe8a1248cbf047c01f2e7"),
+     "83ab320b72ba3fc6ed3edf9844c347712715ef7de0508e422295960cf256b63c"),
     ("theorem12", CampaignConfig("theorem12", alpha_grid=(-0.5, 2.5), deg_cap=30, trials=20,
                                  seed=1),
-     "c8f2d645521a8c1294fa81f6375a5f41c047462afd6232689dd0c96085f22e94"),
+     "cece43f117a87f7b1859ac7dea66ab97b9a71b493772027b2443ff6a31f37493"),
     ("ssr-e64", CampaignConfig("ssr", alpha_grid=(-0.7, 0.3), beta_grid=(-0.9, 7.0), m_max=6,
                                trials=12, seed=2, precision="extended:64"),
-     "42aa895833cccca843da0dee39d60b3c498a40428a798701d5510671af7458b7"),
+     "548607b9fac05a67f1295ef39c1b68e7d9cbfcb62c4c380e41822bc57b9d44df"),
     ("ssr-double", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 0.5, 1.5, 3.0),
                                   m_max=4, trials=50),
-     "3d2e89de5de0b715b4ac39259d635032e82a03d2bd48bbc9147d3ada8479c133"),
+     "8976f781b98b0410f6799fa93d1f9acee2eebc57fdf8dac422ca88c810cf1dee"),
     ("ssr-e256", CampaignConfig("ssr", alpha_grid=(0.3,), beta_grid=(2.2,), m_max=4, trials=10,
                                 precision="extended:256"),
-     "6d1018ef995b5c0fb711a22724874f836ae78841d20adbb0ee82569d90360305"),
+     "95a70055e23b1ac8f9b6e529533c15055209b6def35ba9272ebb52669a1842c0"),
     ("biortho-equiv", CampaignConfig("biortho-equiv", alpha_grid=(-0.99, 0.0, 1e300), trials=20),
-     "17485d6b134ed7f80bd664ee9a7aef2171a7d6878a0709a1f06dd7253d4e9fb8"),
+     "99181c3bacb00c91b81719a99098ef763fda86ee2d286d5554f6c56f99d73a94"),
 ]
 
 

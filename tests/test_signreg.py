@@ -39,6 +39,7 @@ from orthozero.polycore import integer_det
 from orthozero.signreg import (
     _INTERVAL,
     _Interval,
+    _lu_enclose,
     _minor_matrices,
     _mpf_rows,
     _settle_extended,
@@ -480,7 +481,7 @@ def _draws(spec, m, trials, seed):
 # on two mpf scalars under a scalar namespace, and the wrapping factors in
 # double with their values lifted. This is independent of the broadcast
 # object-array evaluation that builds a scan's entries.
-_SCALAR = SimpleNamespace(num=mpmath.mpf, exp=mpmath.exp, sqrt=mpmath.sqrt)
+_SCALAR = SimpleNamespace(num=mpmath.mpf, exp=mpmath.exp, sqrt=mpmath.sqrt, pow=mpmath.power)
 
 
 def _entry_by_entry(spec, x, y):
@@ -658,6 +659,9 @@ FILTER_KERNELS = {
     # nearly rank one: the signs of its order-5 midpoint determinants are
     # rounding noise, which only the bound keeps from being counted
     "exp-narrow": ExpKernel(Domain((0.0, 0.1), (0.0, 0.1))),
+    # the benchmark's kernels, on the exact half-integer power route
+    "jacobi_gen-1-1.5": JacobiGenKernel(1.0, 1.5),
+    "ultra_gen-3": UltraGenKernel(3.0),
 }
 
 
@@ -758,6 +762,18 @@ def test_well_conditioned_scan_builds_few_working_precision_minors(monkeypatch):
         assert len(sizes) == 5 and sum(sizes) <= 50, (seed, sizes)
 
 
+def test_benchmark_scan_builds_few_working_precision_minors(monkeypatch):
+    # at the benchmark's extended ssr flags stage 1 decides all but a few of
+    # the 6000 minors; with libm-widened powers and exact integer centres it
+    # left 217 to be built at 128 bits
+    built = _record_working_precision_minors(monkeypatch)
+    config = CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 0.5, 1.5, 3.0),
+                            m_max=5, trials=100, seed=1, precision="extended:128")
+    report = run_campaign(config)
+    assert (report.summary["passes"], report.summary["violations"]) == (10, 2)
+    assert sum(len(xs) for xs in built) <= 100
+
+
 def test_unbounded_entries_are_indeterminate_and_not_rebuilt(monkeypatch):
     # ultra_gen(300) overflows a double where 1 - 2xy + y^2 < 0.094: a minor
     # with such an entry has no radius, so it is indeterminate, and it is not
@@ -818,18 +834,47 @@ POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
 
 
 @settings(max_examples=300, deadline=None)
-@given(x=POSITIVE, c=st.floats(-400, 400), e=st.floats(-800, 800), s=st.floats(0, 1e308))
-@example(x=5e-324, c=0.5, e=-745.5, s=5e-324)
-@example(x=2.0, c=1100.5, e=709.8, s=1e308)
-def test_interval_functions_enclose_the_exact_result(x, c, e, s):
+@given(x=POSITIVE, c=st.floats(-400, 400), h=st.integers(-2048, 2048).map(lambda k: k / 2),
+       e=st.floats(-800, 800), s=st.floats(0, 1e308))
+@example(x=5e-324, c=0.5, h=-0.5, e=-745.5, s=5e-324)
+@example(x=2.0, c=1100.5, h=1023.5, e=709.8, s=1e308)
+@example(x=1e-300, c=0.5, h=7.5, e=0.0, s=0.0)  # an underflowing square
+@example(x=0.7, c=0.5, h=0.0, e=0.0, s=0.0)
+def test_interval_functions_enclose_the_exact_result(x, c, h, e, s):
     with np.errstate(all="ignore"):
         power = _Interval.lift(x) ** _Interval.lift(c)
+        half_integer_power = _INTERVAL.pow(_Interval.lift(x), h)
         exp = _INTERVAL.exp(_Interval.lift(e))
         root = _INTERVAL.sqrt(_Interval.lift(s))
     with mpmath.workprec(256):
         assert _contains(power, mpmath.power(mpmath.mpf(x), mpmath.mpf(c)))
+        exact = mpmath.power(mpmath.mpf(x), mpmath.mpf(h))
+        assert _contains(half_integer_power, exact)
         assert _contains(exp, mpmath.exp(mpmath.mpf(e)))
         assert _contains(root, mpmath.sqrt(mpmath.mpf(s)))
+        # tight where every intermediate power is normal: some |e| ulps, not
+        # the 2^-40 of the libm route
+        if abs(h) <= 8 and 2 ** -1000 < exact < 2 ** 1000:
+            lo, hi = float(half_integer_power.lo), float(half_integer_power.hi)
+            assert mpmath.mpf(hi) - mpmath.mpf(lo) < exact * 2 ** -45
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_mpmath_power_route_is_mpmath_power(bits):
+    # the working-precision route raises each entry by mpmath's own power,
+    # to within an ulp of the exact value for half-integer exponents up to 8
+    rng = np.random.default_rng(bits)
+    bases = rng.uniform(0.0, 4.0, 40) ** 3
+    with mpmath.workprec(bits):
+        lifted = signreg._lift(bases)
+        for e in [k / 2 for k in range(-16, 17)] + [0.3, -2.7]:
+            powers = signreg._MPMATH.pow(lifted, e)
+            for base, power in zip(bases.tolist(), powers):
+                assert power._mpf_ == mpmath.power(base, e)._mpf_, (base, e)
+                if float(2 * e).is_integer():
+                    with mpmath.workprec(600):
+                        exact = mpmath.power(mpmath.mpf(base), mpmath.mpf(e))
+                    assert abs(power - exact) <= mpmath.ldexp(abs(power), 1 - bits), (base, e)
 
 
 @settings(max_examples=150, deadline=None)
@@ -862,8 +907,64 @@ def test_unbounded_intervals():
         assert _unbounded(_Interval.lift(1e308) * 10.0)
         assert _unbounded(_INTERVAL.exp(_Interval.lift(710.0)))
         assert _unbounded(_INTERVAL.num(2.0) ** 1100.5)
+        assert _unbounded(_INTERVAL.pow(_INTERVAL.num(2.0), 1100.5))  # past the cap: libm
+        assert _unbounded(_INTERVAL.pow(_INTERVAL.num(4.0), 512.0))  # binary powering
+        for e in (1.5, 2.0, 0.0, -0.5):
+            assert _unbounded(_INTERVAL.pow(_Interval(np.array(0.0), np.array(2.0)), e))
+            assert _unbounded(_INTERVAL.pow(_Interval.lift(-2.0), e))
         # a negative sqrt argument
         assert _unbounded(_INTERVAL.sqrt(_Interval(np.array(-1e-300), np.array(1.0))))
+
+
+def _fraction_det(rows) -> Fraction:
+    """Exact determinant of a matrix of dyadic rationals: each row scaled to
+    integers by its largest denominator, a power of two."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    scales = [max(v.denominator for v in row) for row in rows]
+    return Fraction(integer_det([[int(v * s) for v in row] for row, s in zip(rows, scales)]),
+                    math.prod(scales))
+
+
+def test_lu_filter_signs_no_singular_matrix():
+    # one row is the sum of two others, exactly, in 21-bit dyadics, so every
+    # determinant is 0; the midpoint LU's is rounding noise that only the
+    # backward-error term gamma_m |L||U| keeps from being counted
+    rng = np.random.default_rng(16)
+    for m in range(3, 9):
+        mid = rng.integers(-2 ** 20, 2 ** 20, (350, m, m)) / 2.0 ** 20
+        mid[:, -1] = mid[:, 0] + mid[:, 1]
+        order = rng.permuted(np.tile(np.arange(m), (350, 1)), axis=1)
+        mid = np.take_along_axis(mid, order[:, :, None], axis=1)
+        signs, lower = _lu_enclose(mid, np.zeros_like(mid))
+        assert not signs.any() and not lower.any(), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1), dependent=st.booleans(),
+       tiny=st.sampled_from([0, -1000, -1040, -1070]),
+       radius=st.sampled_from([0.0, 2.0 ** -60, 2.0 ** -30]))
+def test_lu_filter_signs_agree_with_the_exact_determinant(m, seed, dependent, tiny, radius):
+    # rows of varying scale with small integer or uniform entries, about a
+    # third of the entries scaled by 2^tiny, to or below the bottom of the
+    # normal range, where the elimination's products underflow; sometimes
+    # one row is the rounded sum of two others. The sign and the lower
+    # bound hold for the midpoints and for one corner of the radius box, in
+    # exact rational arithmetic
+    rng = np.random.default_rng(seed)
+    entries = np.where(rng.random((m, m)) < 0.5, rng.integers(-3, 4, (m, m)),
+                       rng.uniform(-1.0, 1.0, (m, m)))
+    scales = rng.integers(-60, 61, (m, 1)) + np.where(rng.random((m, m)) < 0.3, tiny, 0)
+    mid = np.ldexp(entries, scales)
+    if dependent and m >= 3:
+        mid[-1] = mid[0] + mid[1]
+    rad = radius * np.abs(mid)
+    (sign,), (lower,) = _lu_enclose(mid[None], rad[None])
+    flips = rng.choice([-1, 1], (m, m))
+    for matrix in (mid.tolist(), [[Fraction(c) + f * Fraction(r) for c, f, r in zip(*row)]
+                                  for row in zip(mid.tolist(), flips.tolist(), rad.tolist())]):
+        det = _fraction_det(matrix)
+        assert sign in (0, (det > 0) - (det < 0))
+        assert Fraction(lower) <= abs(det)
 
 
 class _Loose:
