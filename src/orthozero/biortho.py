@@ -31,8 +31,8 @@ from .errors import (
     QuadratureError,
     SingularSystemError,
 )
-from .polycore import (Poly, RootReport, check_params, classify_roots, dyadic_numerators,
-                       jacobi_coefficient_rows, poly_eval, poly_roots)
+from .polycore import (Poly, RootReport, check_params, dyadic_numerators, integer_poly,
+                       jacobi_coefficient_rows, poly_eval, root_report)
 from .precision import DOUBLE, PrecisionPolicy
 from .signreg import minor_scale
 from .transforms import exact_image, jacobi_rows_int, ultra_row_scale
@@ -178,16 +178,16 @@ def zeros_in_interval_check(
     tol: float | None = None,
     policy: PrecisionPolicy = DOUBLE,
 ) -> RootReport:
-    """Classify the constructed polynomial's roots against the interval.
+    """Classify the constructed polynomial's roots against the interval,
+    exactly: root_report on its double coefficients taken as the binary
+    rationals they are (integer_poly). tol defaults to policy.tau_root.
 
     For a sign-regular kernel weight (callers record scan evidence, the
     check does not re-prove it) the expected outcome is strictly-inside
     with pairwise distinct real roots.
     """
-    if system.poly.degree == 0:
-        return classify_roots((), system.interval, tol or policy.tau_root)
-    roots = poly_roots(system.poly, policy)
-    return classify_roots(roots, system.interval, tol or policy.tau_root)
+    tol = tol if tol is not None else policy.tau_root
+    return root_report(integer_poly(system.poly), system.interval, tol)
 
 
 # ---------------------------------------------------------------------------

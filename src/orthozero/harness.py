@@ -12,19 +12,14 @@ the image through them (exact_image). The boundary-rooted family
 (x-1)^n (x+1)^m needs that: its images have roots at +-1 of high
 multiplicity, which float coefficients perturb by roughly
 eps^(1/multiplicity), far beyond the campaign tolerances. Those roots are
-deflated by integer synthetic division, and exact Sturm counts on the
-residual decide the verdict.
-
-The random interior-rooted inputs of theorem12 and conj32 have double roots
-too. Approximate roots (comrade-matrix eigenvalues) only pick the points of
-a sign-change certificate, whose certified signs (a double filter with an
-a-priori error bound, else exact integers) decide the verdict; when it
-fails, the Sturm counts decide, as for the boundary family. The random
-inputs of one grid point are decided in batches of equal degree. No verdict
-of theorem12, conj32 or q31 rests on a rounded image or a root finder; where
-a reported value needs complex roots, it is a diagnostic read from double
-eigenvalues. biortho-equiv checks its identity exactly, on the same integer
-rows (transform_equivalence_check).
+deflated by integer synthetic division. polycore decides where the roots
+of every image lie, by exact Sturm counts (exact_verdict, locate), for the
+random interior-rooted inputs of theorem12 and conj32 behind a sign-change
+certificate whose points comrade-matrix eigenvalues pick; those inputs are
+decided in batches of equal degree per grid point. No verdict of
+theorem12, conj32 or q31 rests on a rounded image or a root finder.
+biortho-equiv checks its identity exactly, on the same integer rows
+(transform_equivalence_check).
 
 Each campaign is a sequence of groups of case specs plus a body that
 decides one group; one loop (_run_cases) numbers, seeds, times and frames
@@ -48,15 +43,14 @@ from .errors import BadParameterError
 from .polycore import (
     RootLocation,
     all_roots_real,
-    certify_interior_batch,
-    certify_interior_roots,
+    certified_interior_verdicts,
     comrade_roots,
-    count_roots,
     deflate_root,
-    locate_roots,
+    diagnostic_roots,
+    exact_verdict,
+    locate,
     min_boundary_distance,
     monic_from_roots,
-    nearest_double_root,
     primitive_part,
     sturm_sequence,
 )
@@ -238,7 +232,7 @@ def random_interior_roots(rng, degree: int, margin: float = ROOT_MARGIN) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# exact verdicts
+# exact images (polycore decides where their roots lie)
 # ---------------------------------------------------------------------------
 
 def boundary_family_roots(n: int, m: int, rows: list[list[int]]) -> tuple[list[int], dict]:
@@ -255,67 +249,12 @@ def boundary_family_roots(n: int, m: int, rows: list[list[int]]) -> tuple[list[i
                                       "residual_degree": len(residual) - 1}
 
 
-def exact_verdict(p: list[int], tol: float) -> tuple[RootLocation, list[complex]]:
-    """Classification of the integer polynomial p's roots against (-1, 1)
-    with tolerance tol, by exact Sturm counts (locate_roots), plus the roots
-    read for the reported distances.
-
-    When every distinct root lies in (-1, 1], those are the nearest doubles
-    of the smallest and largest. Otherwise they are diagnostics, not
-    verdicts: the double eigenvalues of p, whose coefficients are first
-    scaled into double range by one power of two.
-    """
-    if len(p) == 1:
-        return RootLocation.ALL_STRICTLY_INSIDE, []
-    seq = sturm_sequence(p)
-    distinct = len(seq[0]) - 1
-    location = locate_roots(seq, tol)
-    if count_roots(seq, -1, 1) == distinct:
-        return location, [complex(nearest_double_root(seq, -1, 1, i))
-                          for i in sorted({0, distinct - 1})]
-    return location, _diagnostic_roots(p)
-
-
-def exact_location(p: list[int], tol: float) -> RootLocation:
-    """exact_verdict's classification alone, for callers that read no roots."""
-    if len(p) == 1:
-        return RootLocation.ALL_STRICTLY_INSIDE
-    return locate_roots(sturm_sequence(p), tol)
-
-
-def _diagnostic_roots(p: list[int]) -> list[complex]:
-    """Double eigenvalues of p scaled into double range, for diagnostics."""
-    shift = max(abs(c) for c in p).bit_length() - 512
-    scaled = [c / (1 << shift) if shift > 0 else float(c << -shift) for c in p]
-    return [complex(z) for z in np.roots(scaled[::-1])]
-
-
-def certified_interior_verdict(image: list[int], approx, tol: float) -> tuple[RootLocation, list]:
-    """Classification of the integer polynomial image's roots against
-    (-1, 1) with tolerance tol, plus the roots read for the reported
-    distances.
-
-    First the sign-change certificate, with approx (root estimates) picking
-    its points: if it holds, every root is real, simple and inside
-    (-1 + tol, 1 - tol), and the nearest doubles of the extreme roots come
-    back. Otherwise exact_verdict decides from Sturm counts, so no verdict
-    is read from a rounded image or a root finder.
-    """
-    return _settle(image, certify_interior_roots(image, approx, tol), tol)
-
-
-def _settle(image: list[int], found, tol: float) -> tuple[RootLocation, list]:
-    """certified_interior_verdict's result, given the certificate's."""
-    if found is not None:
-        return RootLocation.ALL_STRICTLY_INSIDE, found
-    return exact_verdict(primitive_part(image), tol)
-
-
 def _random_interior_verdicts(rngs, degrees, rows, alpha, beta, scale, tol) -> list:
-    """certified_interior_verdict on random interior-rooted inputs, one
-    drawn from each generator at its degree: the exact image through rows,
-    with the comrade-matrix roots of sum_k a_k scale(k, alpha)
-    P_k^(alpha,beta) picking the certificate's points.
+    """certified_interior_verdict (polycore) on random interior-rooted
+    inputs, one drawn from each generator at its degree: the exact image
+    through rows, with the comrade-matrix roots of
+    sum_k a_k scale(k, alpha) P_k^(alpha,beta) picking the certificate's
+    points.
 
     The inputs of one degree are decided together: their monic products
     and comrade matrices are stacked, one eigvals call gives every
@@ -333,9 +272,8 @@ def _random_interior_verdicts(rngs, degrees, rows, alpha, beta, scale, tol) -> l
         approx = comrade_roots(np.stack(np.broadcast_arrays(*monic), axis=1) * scales,
                                alpha, beta)
         images = [exact_image(roots[c], rows) for c in group]
-        found = certify_interior_batch(images, approx, tol)
-        for c, image, certified in zip(group, images, found):
-            verdicts[c] = _settle(image, certified, tol)
+        for c, verdict in zip(group, certified_interior_verdicts(images, approx, tol)):
+            verdicts[c] = verdict
     return verdicts
 
 
@@ -404,7 +342,7 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
             residual, detail = boundary_family_roots(n, m, rows)
             at_ends = [complex(1.0)] * detail["mult_plus"] + [complex(-1.0)] * detail["mult_minus"]
             if at_ends:  # the distance is 0 already, so the residual's roots are not read
-                flag, roots = exact_location(residual, tol), at_ends
+                flag, roots = locate(residual, (-1.0, 1.0), tol), at_ends
                 if flag is RootLocation.ALL_STRICTLY_INSIDE:
                     flag = RootLocation.SOME_ON_BOUNDARY
             else:
@@ -458,7 +396,7 @@ def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
         residual, detail = boundary_family_roots(
             n, m, _rows(config.deg_cap, alpha, beta, factorial_row_scale))
         real_rooted = len(residual) == 1 or all_roots_real(sturm_sequence(residual))
-        max_imag = 0.0 if real_rooted else max(abs(r.imag) for r in _diagnostic_roots(residual))
+        max_imag = 0.0 if real_rooted else max(abs(r.imag) for r in diagnostic_roots(residual))
         return {
             "parameters": {"alpha": alpha, "beta": beta},
             "input": f"(x-1)^{n} (x+1)^{m}",

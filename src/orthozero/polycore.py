@@ -3,7 +3,10 @@ and root-location classification against an interval.
 
 A Poly is immutable and carries its basis tag (monomial, ultraspherical, or
 Jacobi). Evaluation uses Horner in the monomial basis and Clenshaw's
-recurrence otherwise; root finding goes through the monomial basis.
+recurrence otherwise. Where roots lie is decided once, here, for the
+campaigns and the library alike: in exact integer arithmetic, by Sturm
+counts behind a sign-change certificate (locate, exact_verdict). Double
+eigenvalues (poly_roots, diagnostic_roots) are diagnostics only.
 """
 
 from __future__ import annotations
@@ -13,15 +16,15 @@ from dataclasses import InitVar, dataclass
 from enum import Enum
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import (
     BadIntervalError,
     BadParameterError,
     DegreeZeroError,
+    NonFiniteError,
 )
-from .precision import DEFAULT_TAU_TRIM, DOUBLE, PrecisionPolicy
+from .precision import DEFAULT_TAU_TRIM
 
 
 def check_params(**params) -> None:
@@ -376,24 +379,25 @@ def all_roots_real(seq: list[list[int]]) -> bool:
     return count_roots(seq, -bound, bound) == len(seq[0]) - 1
 
 
-def locate_roots(seq: list[list[int]], tol: float) -> RootLocation:
-    """classify_roots' verdict on (-1, 1) with tolerance tol for the roots of
-    the Sturm sequence's first entry, from exact counts; non-real means
-    Im r != 0.
+def _locate(seq: list[list[int]], lo: float, hi: float, tol: float) -> RootLocation:
+    """classify_roots' verdict on (lo, hi) with tolerance tol for the roots
+    of the Sturm sequence's first entry, from exact counts.
 
     Fewer real roots than distinct ones means a non-real root; fewer in the
-    closed band [-1 - tol, 1 + tol], one outside; fewer in the open interior
-    (-1 + tol, 1 - tol), one on the boundary. The four ends are the doubles
-    classify_roots compares against, so dyadic. Counts cover (lo, hi], so a
-    root at -1 - tol is added to the band's count and one at 1 - tol taken
-    from the interior's, each found by its exact sign.
+    closed band [lo - tol, hi + tol], one outside; fewer in the open interior
+    (lo + tol, hi - tol), one on the boundary. The four ends are the doubles
+    classify_roots compares against, so dyadic. A count covers (a, b], so
+    a root at lo - tol is added to the band's count and one at hi - tol
+    taken from the interior's, each found by its exact sign.
     """
     p = seq[0]
     distinct = len(p) - 1
+    ends = [lo - tol, lo + tol, hi - tol, hi + tol]
+    if not all(map(math.isfinite, ends)):
+        raise BadIntervalError(f"the band around ({lo}, {hi}) leaves the doubles")
     if not all_roots_real(seq):
         return RootLocation.SOME_NON_REAL
-    (lo_out, lo_in, hi_in, hi_out), k = dyadic_numerators(
-        [-1.0 - tol, -1.0 + tol, 1.0 - tol, 1.0 + tol])
+    (lo_out, lo_in, hi_in, hi_out), k = dyadic_numerators(ends)
     if count_roots(seq, lo_out, hi_out, k) + (_sign_at(p, lo_out, k) == 0) < distinct:
         return RootLocation.SOME_OUTSIDE
     if count_roots(seq, lo_in, hi_in, k) - (_sign_at(p, hi_in, k) == 0) < distinct:
@@ -651,6 +655,13 @@ def poly_eval(p: Poly, x: float) -> float:
     return _clenshaw(p.coeffs, alpha, beta, x)
 
 
+def _horner(asc, z):
+    acc = 0.0
+    for c in asc[::-1]:
+        acc = acc * z + c
+    return acc
+
+
 def _clenshaw(coeffs, alpha: float, beta: float, x: float) -> float:
     y1 = 0.0  # y_{k+1}
     y2 = 0.0  # y_{k+2}
@@ -673,90 +684,39 @@ def basis_to_monomial(p: Poly, tau_trim: float = DEFAULT_TAU_TRIM) -> Poly:
     return Poly(tuple(p.array @ rows), MONOMIAL, tau_trim=tau_trim)
 
 
+def integer_poly(p: Poly) -> list[int]:
+    """The primitive integer polynomial with the roots of p, exactly: its
+    double coefficients, and the parameters of its basis, are binary
+    rationals, so its monomial coefficients are rationals."""
+    if not all(map(math.isfinite, p.coeffs)):
+        raise NonFiniteError(f"coefficients must be finite, got {p.coeffs}")
+    coeffs = np.array([Fraction(c) for c in p.coeffs], dtype=object)
+    params = jacobi_params(p.basis)
+    if params is not None:
+        coeffs = coeffs @ jacobi_coefficient_rows(p.degree, *map(Fraction, params))
+    return primitive_part(coeffs)
+
+
 # ---------------------------------------------------------------------------
-# root finding
+# diagnostic roots: double eigenvalues, read by no verdict
 # ---------------------------------------------------------------------------
 
-def poly_roots(p: Poly, policy: PrecisionPolicy = DOUBLE) -> list[complex]:
-    """All degree-many roots (with multiplicity) of p.
-
-    Double policy: companion-matrix eigenvalues followed by Newton polish,
-    escalating ill-conditioned roots to mpmath. Extended policy: mpmath
-    polyroots at the configured bit count.
-    """
+def poly_roots(p: Poly) -> list[complex]:
+    """All degree-many roots (with multiplicity) of p, as the double
+    eigenvalues of its monomial companion matrix: a diagnostic, read by no
+    verdict (root_report and locate decide where the roots lie)."""
     mono = basis_to_monomial(p)
     if mono.degree < 1:
         raise DegreeZeroError("root finding needs degree >= 1")
-    asc = mono.array
-    if policy.extended:
-        return _roots_extended(asc, policy.bits)
-    roots = np.roots(asc[::-1])
-    return _polish_roots(asc, roots)
+    return [complex(z) for z in np.roots(mono.array[::-1])]
 
 
-def _roots_extended(asc: np.ndarray, bits: int) -> list[complex]:
-    with mpmath.workprec(bits):
-        rts = mpmath.polyroots(
-            [mpmath.mpf(c) for c in asc[::-1]], maxsteps=200, extraprec=bits
-        )
-        return [complex(r) for r in rts]
-
-
-def _polish_roots(asc: np.ndarray, roots: np.ndarray) -> list[complex]:
-    """Newton-polish companion-matrix roots; escalate stubborn ones to mpmath.
-
-    Escalated roots are kept only if they stay near the original estimate and
-    reduce |p|, so genuinely multiple roots keep their clustered multiset.
-    """
-    der = asc[1:] * np.arange(1, len(asc))
-    out = []
-    hard = []
-    for z in roots.astype(complex):
-        for _ in range(2):
-            pv = _horner(asc, z)
-            dv = _horner(der, z)
-            if dv == 0:
-                break
-            step = pv / dv
-            if abs(step) > 0.5 * (1.0 + abs(z)):
-                break
-            z = z - step
-        pv = _horner(asc, z)
-        dv = _horner(der, z)
-        resid = abs(pv / dv) if dv != 0 else np.inf
-        if resid > 5e-12 * (1.0 + abs(z)):
-            hard.append(len(out))
-        out.append(z)
-    for idx in hard:
-        out[idx] = _newton_mp(asc, der, out[idx])
-    return [complex(z) for z in out]
-
-
-def _horner(asc, z):
-    acc = 0.0
-    for c in asc[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _newton_mp(asc, der, z0: complex, bits: int = 160) -> complex:
-    with mpmath.workprec(bits):
-        cs = [mpmath.mpf(c) for c in asc[::-1]]
-        ds = [mpmath.mpf(c) for c in der[::-1]]
-        z = mpmath.mpc(z0)
-        p0 = abs(mpmath.polyval(cs, z))
-        for _ in range(60):
-            dv = mpmath.polyval(ds, z)
-            if dv == 0:
-                break
-            step = mpmath.polyval(cs, z) / dv
-            z = z - step
-            if abs(step) < 1e-30 * (1 + abs(z)):
-                break
-        moved = abs(z - mpmath.mpc(z0))
-        if moved > 1e-2 * (1 + abs(z0)) or abs(mpmath.polyval(cs, z)) > p0:
-            return z0
-        return complex(z)
+def diagnostic_roots(p: list[int]) -> list[complex]:
+    """Double eigenvalues of the integer polynomial p, whose coefficients are
+    first scaled into double range by one power of two: a diagnostic."""
+    shift = max(abs(c) for c in p).bit_length() - 512
+    scaled = [c / (1 << shift) if shift > 0 else float(c << -shift) for c in p]
+    return [complex(z) for z in np.roots(scaled[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -774,9 +734,12 @@ class RootLocation(str, Enum):
 class RootReport:
     """Roots of a polynomial classified against a target interval.
 
-    Classification is all_strictly_inside iff every root r satisfies
-    |Im r| <= tol and lo + tol < Re r < hi - tol. Non-real beats outside
-    beats on-boundary when several roots misbehave.
+    classify_roots reads the classification from the roots it is given:
+    all_strictly_inside iff every root r satisfies |Im r| <= tol and
+    lo + tol < Re r < hi - tol. root_report takes it from exact counts
+    instead, where non-real means Im r != 0 and a multiple root counts once;
+    its roots are read by no verdict. Non-real beats outside beats
+    on-boundary when several roots misbehave.
     """
 
     roots: tuple[complex, ...]
@@ -785,13 +748,19 @@ class RootReport:
     classification: RootLocation
 
 
-def classify_roots(roots, interval, tol: float) -> RootReport:
-    """Classify a root multiset against an open interval with tolerance tol."""
+def _band(interval, tol: float) -> tuple[float, float]:
+    """The interval's ends as doubles, once lo < hi and tol > 0 are checked."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise BadIntervalError(f"need lo < hi, got ({lo}, {hi})")
     if not tol > 0:
         raise BadParameterError("tol must be strictly positive")
+    return lo, hi
+
+
+def classify_roots(roots, interval, tol: float) -> RootReport:
+    """Classify a root multiset against an open interval with tolerance tol."""
+    lo, hi = _band(interval, tol)
     roots = tuple(complex(r) for r in roots)
     any_nonreal = any_outside = any_boundary = False
     for r in roots:
@@ -817,3 +786,86 @@ def min_boundary_distance(roots, interval) -> float:
     lo, hi = interval
     dists = [min(abs(complex(r) - lo), abs(complex(r) - hi)) for r in roots]
     return min(dists) if dists else math.inf
+
+
+# ---------------------------------------------------------------------------
+# exact root location: every verdict on where roots lie
+# ---------------------------------------------------------------------------
+#
+# Integer polynomials come from exact images (transforms.exact_image) or
+# from double Polys (integer_poly). Sturm counts decide, with the
+# sign-change certificate first where root estimates are at hand; a root
+# read from a double eigenvalue is a diagnostic only.
+
+def locate(p: list[int], interval, tol: float) -> RootLocation:
+    """classify_roots' verdict on interval with tolerance tol for the roots
+    of the integer polynomial p, from exact Sturm counts: non-real means
+    Im r != 0, and a multiple root counts once. The interval's ends are
+    doubles."""
+    lo, hi = _band(interval, tol)
+    if len(p) == 1:
+        return RootLocation.ALL_STRICTLY_INSIDE
+    return _locate(sturm_sequence(p), lo, hi, tol)
+
+
+def root_report(p: list[int], interval, tol: float) -> RootReport:
+    """locate's verdict for the integer polynomial p, with its roots: the
+    nearest doubles of its distinct roots, ascending, when all are real, and
+    otherwise its diagnostic_roots."""
+    lo, hi = _band(interval, tol)
+    if len(p) == 1:
+        return RootReport((), (lo, hi), tol, RootLocation.ALL_STRICTLY_INSIDE)
+    seq = sturm_sequence(p)
+    location = _locate(seq, lo, hi, tol)
+    if location is RootLocation.SOME_NON_REAL:
+        roots = diagnostic_roots(p)
+    else:
+        bound = root_bound(seq[0])
+        roots = [nearest_double_root(seq, -bound, bound, i) for i in range(len(seq[0]) - 1)]
+    return RootReport(tuple(map(complex, roots)), (lo, hi), tol, location)
+
+
+def exact_verdict(p: list[int], tol: float) -> tuple[RootLocation, list[complex]]:
+    """locate's verdict on (-1, 1) for the integer polynomial p, plus the
+    roots read for the reported distances.
+
+    When every distinct root lies in (-1, 1], those are the nearest doubles
+    of the smallest and largest. Otherwise they are diagnostic_roots.
+    """
+    if len(p) == 1:
+        return RootLocation.ALL_STRICTLY_INSIDE, []
+    seq = sturm_sequence(p)
+    distinct = len(seq[0]) - 1
+    location = _locate(seq, -1.0, 1.0, tol)
+    if count_roots(seq, -1, 1) == distinct:
+        return location, [complex(nearest_double_root(seq, -1, 1, i))
+                          for i in sorted({0, distinct - 1})]
+    return location, diagnostic_roots(p)
+
+
+def certified_interior_verdict(image: list[int], approx, tol: float) -> tuple[RootLocation, list]:
+    """exact_verdict for the integer polynomial image, with the sign-change
+    certificate first.
+
+    approx (root estimates) picks the certificate's points: if it holds,
+    every root is real, simple and inside (-1 + tol, 1 - tol), and the
+    nearest doubles of the extreme roots come back. Otherwise exact_verdict
+    decides from Sturm counts, so no verdict is read from a rounded image
+    or a root finder.
+    """
+    return _settle(image, certify_interior_roots(image, approx, tol), tol)
+
+
+def certified_interior_verdicts(images: list[list[int]], approx, tol: float) -> list:
+    """certified_interior_verdict on each of the integer images, all of one
+    degree n >= 1, with approx[c, :] estimating the roots of images[c]; the
+    certificate's signs come from one certify_interior_batch call."""
+    return [_settle(image, found, tol)
+            for image, found in zip(images, certify_interior_batch(images, approx, tol))]
+
+
+def _settle(image: list[int], found, tol: float) -> tuple[RootLocation, list]:
+    """certified_interior_verdict's result, given the certificate's."""
+    if found is not None:
+        return RootLocation.ALL_STRICTLY_INSIDE, found
+    return exact_verdict(primitive_part(image), tol)

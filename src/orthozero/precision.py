@@ -1,11 +1,10 @@
 """Scalar precision policy: plain binary64 or mpmath-backed extended precision.
 
-Ill-conditioned determinants (Cauchy-like minors) and root finding beyond
-degree ~20 need more than double precision; everything else runs in numpy.
-theorem12, conj32, q31 and biortho-equiv take their verdicts from exact
-integer arithmetic and do not read the precision (biortho-equiv reads only
-tau_root, to reject nodes closer than it). Extended ssr takes its signs
-from enclosures of the exact determinants, so tau_det is read only by
+Ill-conditioned determinants (Cauchy-like minors) need more than double
+precision; everything else runs in numpy. Where roots lie is decided
+exactly under either policy, so theorem12, conj32, q31, biortho-equiv and
+zeros_in_interval_check read at most tau_root. Extended ssr takes its
+signs from enclosures of the exact determinants, so tau_det is read only by
 double ssr and by biortho.biorthogonal_poly.
 """
 

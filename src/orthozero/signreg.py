@@ -671,11 +671,19 @@ def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray,
 
 def _row_norm_bounds(magnitudes: np.ndarray) -> np.ndarray:
     """Upper bounds of the row 2-norms of a (trials, m, m) stack of
-    non-negative upper bounds."""
+    non-negative upper bounds. Each row is divided by a power of two at or
+    above its largest entry first, so only negligible squares underflow.
+    Its norm is multiplied back; adding 2^-1074 then rounds a subnormal
+    result up, and leaves every result from 2^-1020 up unchanged."""
+    top = magnitudes[:, :, 0]
+    for j in range(1, magnitudes.shape[2]):  # faster than max(axis=2) on short rows
+        top = np.maximum(top, magnitudes[:, :, j])
+    e = np.frexp(top)[1]
+    scaled = np.ldexp(magnitudes, -e[:, :, None])
     total = 0.0
     for j in range(magnitudes.shape[2]):
-        total = _up(total + _up(np.square(magnitudes[:, :, j])))
-    return _up(np.sqrt(total))
+        total = _up(total + _up(np.square(scaled[:, :, j])))
+    return np.ldexp(_up(np.sqrt(total)), e) + _SMALLEST_SUBNORMAL
 
 
 def minor_scale(matrix: np.ndarray) -> np.ndarray:

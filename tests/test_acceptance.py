@@ -19,7 +19,6 @@ from orthozero import (
     UltraGenKernel,
     Verdict,
     biorthogonal_poly,
-    classify_roots,
     extended,
     genfun_taylor,
     jacobi_poly,
@@ -27,7 +26,6 @@ from orthozero import (
     ortho_constant,
     pochhammer,
     poly_eval,
-    poly_roots,
     quad_inner_product,
     resolve_diag_constant,
     resolve_ultra_derived_factor,
@@ -43,6 +41,7 @@ from orthozero.harness import (
     report_to_json,
     run_campaign,
 )
+from orthozero.polycore import integer_poly, locate
 
 
 def _line(tag: str, ok: bool, detail: str) -> None:
@@ -84,8 +83,9 @@ def test_criterion_2_legendre_specialization():
         scale = max(1.0, float(np.max(np.abs(ref.array))))
         worst_coeff_dev = max(worst_coeff_dev,
                               float(np.max(np.abs(out.array - ref.array))) / scale)
-        rep = classify_roots(poly_roots(out), (-1.0, 1.0), 1e-8)
-        if rep.classification is not RootLocation.ALL_STRICTLY_INSIDE:
+        # exact Sturm counts on the double image, taken as the binary
+        # rationals its coefficients are
+        if locate(integer_poly(out), (-1.0, 1.0), 1e-8) is not RootLocation.ALL_STRICTLY_INSIDE:
             mismatches += 1
     ok = mismatches == 0 and worst_coeff_dev <= 1e-14
     _line("criterion 2", ok,
@@ -240,6 +240,7 @@ def test_criterion_7_biorthogonal_equivalence():
         report = zeros_in_interval_check(system)
         reals = sorted(r.real for r in report.roots)
         zero_ok = zero_ok and report.classification is RootLocation.ALL_STRICTLY_INSIDE
+        zero_ok = zero_ok and len(report.roots) == m  # m simple roots
         zero_ok = zero_ok and all(b - a > 1e-9 for a, b in zip(reals, reals[1:]))
         built += 1
     ok = worst <= 1e-6 and count == 200 and zero_ok

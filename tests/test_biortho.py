@@ -187,9 +187,21 @@ def test_zero_theorem_suite():
         system = biorthogonal_poly(kernel, nodes, (-1, 1))
         report = zeros_in_interval_check(system)
         assert report.classification is RootLocation.ALL_STRICTLY_INSIDE
+        assert len(report.roots) == m  # m simple roots
         reals = sorted(r.real for r in report.roots)
         assert all(b - a > 1e-9 for a, b in zip(reals, reals[1:]))
         built += 1
+
+
+def test_zero_check_takes_an_explicit_tol():
+    # an explicit tol <= 0 is rejected as classify_roots rejects it; only a
+    # missing one falls back to the policy's tau_root
+    system = biorthogonal_poly(EXP_ON_UNIT, (0.0, 1.0), (0, 1))
+    for tol in (0.0, -1e-9):
+        with pytest.raises(BadParameterError):
+            zeros_in_interval_check(system, tol=tol)
+    assert zeros_in_interval_check(system).tol == 1e-9
+    assert zeros_in_interval_check(system, tol=0.25).tol == 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,7 @@ from orthozero.harness import (
     CampaignConfig,
     boundary_family_roots,
     boundary_pairs,
-    certified_interior_verdict,
     emit_report,
-    exact_verdict,
     expected_case_count,
     format_number,
     has_proven_violation,
@@ -31,14 +29,20 @@ from orthozero.harness import (
     run_selftest,
 )
 from orthozero.polycore import (
+    Poly,
     RootLocation,
     all_roots_real,
+    certified_interior_verdict,
     classify_roots,
     count_roots,
+    exact_verdict,
+    integer_poly,
     jacobi_coefficient_rows,
     jacobi_series_roots,
+    locate,
     min_boundary_distance,
     monic_from_roots,
+    poly_roots,
     primitive_part,
     sturm_sequence,
 )
@@ -135,44 +139,60 @@ def test_theorem12_precision_changes_only_the_echo():
 
 def test_certified_interior_verdict_falls_back_to_exact_counts():
     # the certificate fails on each of these; the exact counts must still
-    # find the violation and classify it
+    # find the violation and classify it, on (-1, 1) and on any interval
+    # with double ends
     tol = 1e-8
-    inside = [Fraction(1, 2), Fraction(-1, 3)]
-    # the band ends are the doubles classify_roots compares against
-    hi_out, lo_out = Fraction(1.0 + tol), Fraction(-1.0 - tol)
-    hi_in, lo_in = Fraction(1.0 - tol), Fraction(-1.0 + tol)
     tiny = Fraction(1, 2 ** 80)
-    cases = [
-        (primitive_part([Fraction(1, 4), 0, 1]), RootLocation.SOME_NON_REAL),
-        # 1/2 +- i tol/2: |Im r| <= tol, yet not real
-        (primitive_part([Fraction(1, 4) + (Fraction(tol) / 2) ** 2, -1, 1]),
-         RootLocation.SOME_NON_REAL),
-        (primitive_part(monic_from_roots([*inside, Fraction(3, 2)])), RootLocation.SOME_OUTSIDE),
-        (primitive_part(monic_from_roots([*inside, hi_out + tiny])), RootLocation.SOME_OUTSIDE),
-        (primitive_part(monic_from_roots([*inside, lo_out - tiny])), RootLocation.SOME_OUTSIDE),
-        # a root at a band end is counted on its closed side
-        (primitive_part(monic_from_roots([*inside, hi_out])), RootLocation.SOME_ON_BOUNDARY),
-        (primitive_part(monic_from_roots([*inside, lo_out])), RootLocation.SOME_ON_BOUNDARY),
-        (primitive_part(monic_from_roots([*inside, hi_in])), RootLocation.SOME_ON_BOUNDARY),
-        (primitive_part(monic_from_roots([*inside, lo_in])), RootLocation.SOME_ON_BOUNDARY),
-        (primitive_part(monic_from_roots([*inside, hi_in - tiny])),
-         RootLocation.ALL_STRICTLY_INSIDE),
-        (primitive_part(monic_from_roots([*inside, lo_in + tiny])),
-         RootLocation.ALL_STRICTLY_INSIDE),
-        # inside a tol-band
-        (primitive_part(monic_from_roots([*inside, 1 - Fraction(tol) / 2])),
-         RootLocation.SOME_ON_BOUNDARY),
-        (primitive_part(monic_from_roots([*inside, -1 + Fraction(tol) / 4])),
-         RootLocation.SOME_ON_BOUNDARY),
-        (primitive_part(monic_from_roots([*inside, 1 + Fraction(tol) / 2])),
-         RootLocation.SOME_ON_BOUNDARY),
-    ]
-    for image, expected in cases:
-        approx = np.roots(np.array(image[::-1], dtype=float))
-        classification, roots = certified_interior_verdict(image, approx, tol)
-        assert classification is expected, (image, expected)
-        assert exact_verdict(image, tol)[0] is expected
+    for lo, hi in ((-1.0, 1.0), (0.0, 1.0)):
+        a, b = Fraction(lo), Fraction(hi)
+        mid, width = (a + b) / 2, b - a
+        inside = [mid + width / 4, mid - width / 6]
+        # the band ends are the doubles classify_roots compares against
+        hi_out, lo_out = Fraction(hi + tol), Fraction(lo - tol)
+        hi_in, lo_in = Fraction(hi - tol), Fraction(lo + tol)
+        cases = [
+            (primitive_part([mid ** 2 + Fraction(1, 4), -2 * mid, 1]),
+             RootLocation.SOME_NON_REAL),
+            # mid +- i tol/2: |Im r| <= tol, yet not real
+            (primitive_part([mid ** 2 + (Fraction(tol) / 2) ** 2, -2 * mid, 1]),
+             RootLocation.SOME_NON_REAL),
+            (primitive_part(monic_from_roots([*inside, b + width / 4])),
+             RootLocation.SOME_OUTSIDE),
+            (primitive_part(monic_from_roots([*inside, hi_out + tiny])), RootLocation.SOME_OUTSIDE),
+            (primitive_part(monic_from_roots([*inside, lo_out - tiny])), RootLocation.SOME_OUTSIDE),
+            # a root at a band end is counted on its closed side
+            (primitive_part(monic_from_roots([*inside, hi_out])), RootLocation.SOME_ON_BOUNDARY),
+            (primitive_part(monic_from_roots([*inside, lo_out])), RootLocation.SOME_ON_BOUNDARY),
+            (primitive_part(monic_from_roots([*inside, hi_in])), RootLocation.SOME_ON_BOUNDARY),
+            (primitive_part(monic_from_roots([*inside, lo_in])), RootLocation.SOME_ON_BOUNDARY),
+            (primitive_part(monic_from_roots([*inside, hi_in - tiny])),
+             RootLocation.ALL_STRICTLY_INSIDE),
+            (primitive_part(monic_from_roots([*inside, lo_in + tiny])),
+             RootLocation.ALL_STRICTLY_INSIDE),
+            # inside a tol-band
+            (primitive_part(monic_from_roots([*inside, b - Fraction(tol) / 2])),
+             RootLocation.SOME_ON_BOUNDARY),
+            (primitive_part(monic_from_roots([*inside, a + Fraction(tol) / 4])),
+             RootLocation.SOME_ON_BOUNDARY),
+            (primitive_part(monic_from_roots([*inside, b + Fraction(tol) / 2])),
+             RootLocation.SOME_ON_BOUNDARY),
+        ]
+        for image, expected in cases:
+            assert locate(image, (lo, hi), tol) is expected, (lo, hi, image, expected)
+            if (lo, hi) == (-1.0, 1.0):
+                approx = np.roots(np.array(image[::-1], dtype=float))
+                classification, roots = certified_interior_verdict(image, approx, tol)
+                assert classification is expected, (image, expected)
+                assert exact_verdict(image, tol)[0] is expected
+        # on the library route, a double polynomial with a complex pair
+        # 2^-10 +- i 5e-9 is non-real, where its eigenvalues classify inside
+        centre = 2.0 ** -10
+        pair = Poly((centre ** 2 + (tol / 2) ** 2, -2 * centre, 1.0))
+        assert classify_roots(poly_roots(pair), (lo, hi), tol).classification is (
+            RootLocation.ALL_STRICTLY_INSIDE)
+        assert locate(integer_poly(pair), (lo, hi), tol) is RootLocation.SOME_NON_REAL
     # a double root inside passes through the Sturm count, not the certificate
+    inside = [Fraction(1, 2), Fraction(-1, 3)]
     image = primitive_part(monic_from_roots([*inside, Fraction(1, 2)]))
     classification, roots = certified_interior_verdict(image, [0.5, 0.5, -1 / 3], tol)
     assert classification is RootLocation.ALL_STRICTLY_INSIDE
@@ -824,10 +844,10 @@ def test_transform_verdicts_use_no_root_finder(monkeypatch):
 
     monkeypatch.setattr(mpmath, "polyroots", disabled)
     monkeypatch.setattr(polycore, "poly_roots", disabled)
-    monkeypatch.setattr(polycore, "_newton_mp", disabled)
     monkeypatch.setattr(transforms, "jacobi_transform", disabled)
     for name in ("mpmath", "poly_roots", "jacobi_transform"):
         assert not hasattr(harness, name)
+    assert not hasattr(polycore, "mpmath")
     pins = {name: entry for name, *entry in PINNED_DIGESTS}
     for name in ("q31", "conj32-nondyadic", "theorem12"):
         test_pinned_report_digests(*pins[name])

@@ -19,7 +19,6 @@ from orthozero import (
     Ultraspherical,
     basis_to_monomial,
     classify_roots,
-    extended,
     genfun_taylor,
     min_boundary_distance,
     pochhammer,
@@ -30,6 +29,7 @@ from orthozero.errors import (
     BadIntervalError,
     BadParameterError,
     DegreeZeroError,
+    NonFiniteError,
 )
 from orthozero import polycore
 from orthozero.polycore import (
@@ -43,11 +43,13 @@ from orthozero.polycore import (
     dyadic_numerators,
     filtered_signs,
     integer_det,
+    integer_poly,
     jacobi_series_roots,
     monic_from_roots,
     nearest_double_root,
     primitive_part,
     root_bound,
+    root_report,
     sturm_sequence,
 )
 
@@ -221,13 +223,22 @@ def test_roots_count_matches_degree():
         assert len(poly_roots(p)) == p.degree
 
 
+def _exact_real_roots(p: Poly) -> tuple[complex, ...]:
+    """The nearest doubles of the distinct roots of p's double coefficients,
+    all real, from exact Sturm counts (root_report)."""
+    report = root_report(integer_poly(p), (-1.0, 1.0), 1e-9)
+    assert report.classification is not RootLocation.SOME_NON_REAL
+    assert len(report.roots) == p.degree  # simple roots
+    return report.roots
+
+
 def test_roots_backward_error_contract():
     rng = np.random.default_rng(9)
     for deg in [5, 12, 20, 30]:
         for _ in range(5):
             true = rng.uniform(-2, 2, deg)
             monic = np.poly(true)
-            roots = poly_roots(Poly(tuple(monic[::-1]), tau_trim=0.0))
+            roots = _exact_real_roots(Poly(tuple(monic[::-1]), tau_trim=0.0))
             rebuilt = np.real(np.poly(np.array(roots)))
             err = np.max(np.abs(rebuilt - monic)) / np.max(np.abs(monic))
             assert err <= 1e-10, f"deg {deg}: backward error {err:.2e}"
@@ -267,7 +278,7 @@ def test_roots_hausdorff_property():
             if deg > 1 and np.min(np.diff(true)) < 1e-2:
                 continue
             done += 1
-            roots = poly_roots(Poly(_exact_product_coeffs(true), tau_trim=0.0))
+            roots = _exact_real_roots(Poly(_exact_product_coeffs(true), tau_trim=0.0))
             assert _hausdorff(true, roots) <= 1e-8
 
 
@@ -282,10 +293,11 @@ def test_interior_random_roots_classify_inside():
 
 
 def test_roots_extended_policy():
+    # 24 clustered roots once needed 192-bit root finding; the exact roots
+    # of the double coefficients, read under any policy, meet the same bound
     true = np.linspace(-0.9, 0.9, 24)
     p = Poly(tuple(np.poly(true)[::-1]), tau_trim=0.0)
-    roots = poly_roots(p, extended(192))
-    assert _hausdorff(true, roots) <= 1e-9
+    assert _hausdorff(true, _exact_real_roots(p)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +343,16 @@ def test_classify_bad_interval():
         classify_roots([0.0], (1.0, -1.0), 1e-9)
     with pytest.raises(BadParameterError):
         classify_roots([0.0], (-1.0, 1.0), 0.0)
+
+
+def test_integer_poly_is_exact():
+    # P_2 = (3x^2 - 1)/2 and P_1^(1/2,1/4) = (11x + 1)/8, from their basis
+    # coefficients; 0.1 is the binary rational 3602879701896397 / 2^55
+    assert integer_poly(Poly((0.0, 0.0, 1.0), LEGENDRE)) == [-1, 0, 3]
+    assert integer_poly(Poly((0.0, 1.0), Jacobi(0.5, 0.25))) == [1, 11]
+    assert integer_poly(Poly((0.1, 1.0))) == [3602879701896397, 2 ** 55]
+    with pytest.raises(NonFiniteError):
+        integer_poly(Poly((0.5, math.nan, 1.0)))
 
 
 def test_min_boundary_distance():

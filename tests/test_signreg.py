@@ -42,6 +42,7 @@ from orthozero.signreg import (
     _lu_enclose,
     _minor_matrices,
     _mpf_rows,
+    _row_norm_bounds,
     _settle_extended,
     composition_kernel,
     draw_separated,
@@ -713,6 +714,31 @@ def test_minors_below_the_double_range_keep_their_sign():
     rep = ssr_scan(FILTER_KERNELS["exp-underflow"], 3, 25, 1, extended(128))
     assert (rep.per_m[1].positive, rep.per_m[1].negative) == (25, 0)
     assert rep.verdict is Verdict.CONSISTENT_STP
+
+
+def test_row_norm_bounds_keep_their_accuracy_at_every_scale():
+    # upper bounds of the exact row norms, within a few ulps of them
+    # wherever a row's largest entry is normal; every square of a row below
+    # 2^-537 once underflowed, which floored its bound at about 2^-537
+    rng = np.random.default_rng(5)
+    for shift in (-1074, -1060, -1022, -800, -537, 0, 500, 1000):
+        mags = np.ldexp(rng.random((10, 4, 4)), shift)
+        mags[:, 0, 1:] = 0.0
+        bounds = _row_norm_bounds(mags)
+        for row, bound in zip(mags.reshape(-1, 4).tolist(), bounds.ravel().tolist()):
+            square = sum(Fraction(v) ** 2 for v in row)
+            assert Fraction(bound) ** 2 >= square, (shift, row)
+            if max(row) >= np.finfo(float).tiny:
+                assert Fraction(bound) ** 2 <= square * (1 + Fraction(1, 2 ** 40)), (shift, row)
+
+
+def test_minors_far_below_their_row_norms_are_decided():
+    # ultra_gen(150)'s order-3 trial 43 has a determinant 3.4e-251 of its
+    # row norms; with the norms floored at 2^-537 it stayed undecided at
+    # 512 and 1024 bits
+    rep = ssr_scan(UltraGenKernel(150.0), 3, 50, 1, extended(1024))
+    stats = rep.per_m[2]
+    assert (stats.positive, stats.negative, stats.indeterminate) == (50, 0, 0)
 
 
 def test_extended_min_abs_det_bounds_every_minor(tmp_path):
