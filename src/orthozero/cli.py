@@ -8,6 +8,7 @@ operational errors (bad arguments, unreadable config, I/O failures).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from mpmath.libmp import NoConvergence
@@ -133,13 +134,16 @@ def _grid(values, vmax, step, fallback):
     values = tuple(values) if values is not None else (fallback[0],)
     if vmax is None:
         return values
-    start = values[0]
+    if not (math.isfinite(vmax) and math.isfinite(step)):
+        raise OrthozeroError(f"grid max and step must be finite, got {vmax} and {step}")
     if step <= 0:
         raise OrthozeroError("grid step must be positive")
     grid = []
-    v = start
+    v = values[0]
     while v <= vmax + 1e-12:
         grid.append(round(v, 12))
+        if v + step == v:
+            raise OrthozeroError(f"grid step {step} is too small to advance past {v}")
         v += step
     return tuple(grid)
 

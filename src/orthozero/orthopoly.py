@@ -3,8 +3,10 @@ generating-function Taylor oracles that pin them down, orthogonality
 constants, and Gauss quadrature on the Jacobi weight.
 
 Two independent routes exist on purpose: the three-term recurrence builds
-the polynomials, while truncated-series expansion of the generating
-functions provides the correctness witness the tests check against.
+the polynomials, while the generating functions' Taylor series, which read
+no recurrence coefficient, provide the correctness witness the tests check
+against. The series come from signreg's kernel formulas, the ones the ssr
+scans evaluate, run on truncated power series.
 """
 
 from __future__ import annotations
@@ -15,16 +17,18 @@ from enum import Enum
 
 import numpy as np
 
-from . import powerseries as ps
 from .errors import BadParameterError
 from .polycore import (
     MONOMIAL,
     Poly,
     check_params,
     jacobi_coefficient_rows,
+    jacobi_matrix,
     poly_eval,
     pochhammer,
 )
+from .powerseries import Series
+from .signreg import _SERIES, JacobiGenKernel, UltraDerivedKernel, UltraGenKernel
 
 MAX_DEGREE = 64
 MAX_SERIES_ORDER = 64
@@ -32,9 +36,9 @@ MAX_QUAD_DEGREE = 15
 
 
 class GenFunFamily(str, Enum):
-    JACOBI_F = "jacobi_f"        # 2^(a+b) / (rho (1+t+rho)^b (1-t+rho)^a)
-    ULTRA_G = "ultra_g"          # (1 - 2xt + t^2)^(-a-1/2)
-    ULTRA_DERIVED = "ultra_derived"  # (2a+1)(1-t^2) (1 - 2xt + t^2)^(-a-3/2)
+    JACOBI_F = "jacobi_f"        # JacobiGenKernel(a, b)
+    ULTRA_G = "ultra_g"          # UltraGenKernel(a + 1/2)
+    ULTRA_DERIVED = "ultra_derived"  # UltraDerivedKernel(a)
 
 
 @dataclass(frozen=True)
@@ -78,12 +82,9 @@ def jacobi_poly(n: int, alpha: float, beta: float) -> Poly:
 # generating-function Taylor oracles
 # ---------------------------------------------------------------------------
 
-def _quadratic_series(x: float) -> np.ndarray:
-    return np.array([1.0, -2.0 * x, 1.0])
-
-
 def genfun_taylor(spec: GenFunSpec, x: float, order: int) -> np.ndarray:
-    """Taylor coefficients in t (at t=0) of the chosen generating function.
+    """Taylor coefficients in t (at t=0) of the chosen generating function:
+    its signreg kernel's formula K(x, t), run on truncated series in t.
 
     Coefficients are formal; as functions the series converge for
     |x| < 1, |t| < 1. Coefficient k of ULTRA_G equals
@@ -91,27 +92,18 @@ def genfun_taylor(spec: GenFunSpec, x: float, order: int) -> np.ndarray:
     """
     if not 0 <= order <= MAX_SERIES_ORDER:
         raise BadParameterError(f"order must be in [0, {MAX_SERIES_ORDER}], got {order}")
-    q = _quadratic_series(x)
     if spec.family is GenFunFamily.ULTRA_G:
-        return ps.power(q, -spec.alpha - 0.5, order)
-    if spec.family is GenFunFamily.ULTRA_DERIVED:
-        return ultra_derived_taylor(x, spec.alpha, order)
-    rho = ps.power(q, 0.5, order)
-    plus = rho + ps.pad([1.0, 1.0], order)  # 1 + t + rho
-    minus = rho + ps.pad([1.0, -1.0], order)  # 1 - t + rho
-    denom = ps.mul(rho, ps.mul(ps.power(plus, spec.beta, order),
-                               ps.power(minus, spec.alpha, order), order), order)
-    return 2.0 ** (spec.alpha + spec.beta) * ps.reciprocal(denom, order)
+        kernel = UltraGenKernel(beta=spec.alpha + 0.5)
+    elif spec.family is GenFunFamily.ULTRA_DERIVED:
+        kernel = UltraDerivedKernel(spec.alpha)
+    else:
+        kernel = JacobiGenKernel(spec.alpha, spec.beta)
+    return kernel.formula(float(x), Series.variable(order), _SERIES).coef
 
 
 def ultra_derived_taylor(x: float, alpha: float, order: int) -> np.ndarray:
     """Taylor coefficients of (2a+1)(1-t^2)(1-2xt+t^2)^(-a-3/2)."""
-    check_params(alpha=alpha)
-    if not 0 <= order <= MAX_SERIES_ORDER:
-        raise BadParameterError(f"order must be in [0, {MAX_SERIES_ORDER}], got {order}")
-    core = ps.power(_quadratic_series(x), -alpha - 1.5, order)
-    onemt2 = ps.pad([1.0, 0.0, -1.0], order)
-    return (2.0 * alpha + 1.0) * ps.mul(onemt2, core, order)
+    return genfun_taylor(GenFunSpec(GenFunFamily.ULTRA_DERIVED, alpha), x, order)
 
 
 # ---------------------------------------------------------------------------
@@ -144,47 +136,23 @@ def ortho_constant(n: int, alpha: float, beta: float) -> OrthoConstant:
     return OrthoConstant(n=n, alpha=alpha, beta=beta, h=h)
 
 
-def jacobi_weight_recurrence(count: int, alpha: float, beta: float):
-    """Monic recurrence coefficients (a_k, b_k) for the weight (1-x)^a (1+x)^b.
-
-    Returns arrays of length count; b[0] holds the weight's total mass.
-    """
-    check_params(alpha=alpha, beta=beta)
-    a = np.zeros(count)
-    b = np.zeros(count)
-    s = alpha + beta
-    a[0] = (beta - alpha) / (s + 2.0)
-    b[0] = math.exp((s + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
-                    + math.lgamma(beta + 1.0) - math.lgamma(s + 2.0))
-    for k in range(1, count):
-        den = 2.0 * k + s
-        a[k] = (beta * beta - alpha * alpha) / (den * (den + 2.0))
-        if k == 1:
-            b[k] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
-        else:
-            b[k] = (4.0 * k * (k + alpha) * (k + beta) * (k + s)
-                    / (den ** 2 * (den + 1.0) * (den - 1.0)))
-    return a, b
-
-
 def gauss_jacobi_rule(nodes: int, alpha: float, beta: float):
     """Gauss nodes and weights for (1-x)^a (1+x)^b on (-1, 1).
 
-    Golub-Welsch: eigen-decomposition of the symmetric tridiagonal matrix
-    built from the weight's recurrence coefficients. Exact for polynomials
-    of degree 2*nodes - 1. The matrix is solved dense, at O(nodes^3) cost:
-    meant for small rules such as quad_inner_product's, which needs at most
+    Golub-Welsch on polycore.jacobi_matrix made symmetric (off-diagonal
+    sqrt(M[k, k-1] M[k-1, k])): the weights are the weight's mass h_0 times
+    the squared first eigenvector components. Exact for polynomials of degree
+    2*nodes - 1. The matrix is solved dense, at O(nodes^3) cost: meant for
+    small rules such as quad_inner_product's, which needs at most
     2*MAX_QUAD_DEGREE + 4 nodes.
     """
     if nodes < 1:
         raise BadParameterError("need at least one quadrature node")
-    a, b = jacobi_weight_recurrence(nodes, alpha, beta)
-    if nodes == 1:
-        return a[:1].copy(), b[:1].copy()
-    off = np.sqrt(b[1:])
-    vals, vecs = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
-    weights = b[0] * vecs[0, :] ** 2
-    return vals, weights
+    mass = ortho_constant(0, alpha, beta).h
+    m, _ = jacobi_matrix(nodes, alpha, beta)
+    off = np.sqrt(np.diag(m, -1) * np.diag(m, 1))
+    vals, vecs = np.linalg.eigh(np.diag(np.diag(m)) + np.diag(off, 1) + np.diag(off, -1))
+    return vals, mass * vecs[0, :] ** 2
 
 
 def quad_inner_product(n: int, m: int, alpha: float, beta: float) -> float:

@@ -182,19 +182,10 @@ def jacobi_series_roots(weights, alpha: float, beta: float) -> np.ndarray:
     return roots if np.isfinite(roots).all() else np.empty(0, complex)
 
 
-def comrade_roots(weights, alpha: float, beta: float) -> np.ndarray:
-    """Roots of the series sum_k w[c, k] P_k^(alpha,beta) (w[c, n] != 0)
-    for each row c of weights, unordered, in double, as a (rows, n) array:
-    the eigenvalues of their comrade matrices (Barnett 1975), stacked for
-    one eigvals call.
-
-    Row k of a matrix writes x P_k in P_(k-1), P_k, P_(k+1) by the
-    three-term recurrence; P_n is eliminated through the series itself.
-    A series whose matrix is not finite (weights that underflowed to zero,
-    or an overflowing recurrence) has no estimates: its row is NaN.
-    """
-    w = np.asarray(weights, dtype=float)
-    n = w.shape[1] - 1
+def jacobi_matrix(n: int, alpha: float, beta: float) -> tuple[np.ndarray, float]:
+    """The n x n matrix M with x P_k = M[k, k-1] P_(k-1) + M[k, k] P_k +
+    M[k, k+1] P_(k+1) by the three-term recurrence, k < n, whose last row
+    leaves out P_n / A, and A. The eigenvalues of M are the roots of P_n."""
     m = np.zeros((n, n))
     a, b = jacobi_first_degree(alpha, beta)
     m[0, 0] = -b / a
@@ -202,6 +193,22 @@ def comrade_roots(weights, alpha: float, beta: float) -> np.ndarray:
         m[k - 1, k] = 1 / a
         a, b, c = jacobi_recurrence(k, alpha, beta)
         m[k, k - 1], m[k, k] = c / a, -b / a
+    return m, a
+
+
+def comrade_roots(weights, alpha: float, beta: float) -> np.ndarray:
+    """Roots of the series sum_k w[c, k] P_k^(alpha,beta) (w[c, n] != 0)
+    for each row c of weights, unordered, in double, as a (rows, n) array:
+    the eigenvalues of their comrade matrices (Barnett 1975), jacobi_matrix
+    with P_n eliminated from its last row through the series, stacked for
+    one eigvals call.
+
+    A series whose matrix is not finite (weights that underflowed to zero,
+    or an overflowing recurrence) has no estimates: its row is NaN.
+    """
+    w = np.asarray(weights, dtype=float)
+    n = w.shape[1] - 1
+    m, a = jacobi_matrix(n, alpha, beta)
     stack = np.repeat(m[None], len(w), axis=0)
     with np.errstate(all="ignore"):
         stack[:, n - 1] -= w[:, :n] / (w[:, n:] * a)
@@ -405,26 +412,40 @@ def _locate(seq: list[list[int]], lo: float, hi: float, tol: float) -> RootLocat
     return RootLocation.ALL_STRICTLY_INSIDE
 
 
-def nearest_double_root(seq: list[list[int]], lo: int, hi: int, index: int) -> float:
-    """The double nearest the index-th smallest (from 0) distinct root in
-    (lo, hi] of the Sturm sequence's first entry.
+def nearest_double_roots(seq: list[list[int]], lo: int, hi: int, indices=None) -> list[float]:
+    """The doubles nearest the distinct roots in (lo, hi] of the Sturm
+    sequence's first entry, ascending: of the index-th smallest (from 0) for
+    each index in indices, or of all of them.
 
-    Sturm counts isolate the root, or stop once both ends of its interval
-    round to the same double, which every root inside then rounds to;
-    bisection on the sign of the first entry then runs until they do.
+    One pass of Sturm bisection isolates them: an interval is halved while
+    it holds a wanted root and another root, and its ends round to different
+    doubles (once they round to the same one, every root inside does too).
+    Bisection on the sign of the first entry then runs on each isolated root.
     """
-    k, v_lo, v_hi = 0, _variations(seq, lo, 0), _variations(seq, hi, 0)
-    # invariant: the root is the index-th in (lo, hi]
-    while v_lo - v_hi > 1 and lo / (1 << k) != hi / (1 << k):
+    found = []
+    stack = [(lo, hi, 0, _variations(seq, lo, 0), _variations(seq, hi, 0), 0)]
+    while stack:  # depth first, the lower half first; first indexes the lowest root inside
+        lo, hi, k, v_lo, v_hi, first = stack.pop()
+        wanted = [i for i in range(first, first + v_lo - v_hi) if indices is None or i in indices]
+        if not wanted:
+            continue
+        if v_lo - v_hi == 1 or _to_double(lo, k) == _to_double(hi, k):
+            found += [_bisect_to_double(seq[0], lo, hi, k)] * len(wanted)
+            continue
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
         v_mid = _variations(seq, mid, k)
-        if index < v_lo - v_mid:
-            hi, v_hi = mid, v_mid
-        else:
-            index -= v_lo - v_mid
-            lo, v_lo = mid, v_mid
-    return _bisect_to_double(seq[0], lo, hi, k)
+        stack += [(mid, hi, k, v_mid, v_hi, first + v_lo - v_mid), (lo, mid, k, v_lo, v_mid, first)]
+    return found
+
+
+def _to_double(num: int, k: int) -> float:
+    """num / 2^k rounded to nearest, or the infinity it rounds to beyond the
+    doubles."""
+    try:
+        return num / (1 << k)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
@@ -440,8 +461,8 @@ def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
     """
     s_hi = _sign_at(p, hi, k)
     if s_hi == 0:
-        return hi / (1 << k)
-    while (a := lo / (1 << k)) != (b := hi / (1 << k)):  # p changes sign once, in (lo, hi)
+        return _to_double(hi, k)
+    while (a := _to_double(lo, k)) != (b := _to_double(hi, k)):  # one sign change, in (lo, hi)
         if math.nextafter(a, b) == b:
             s, tie = _sign_between(p, a, b)
             return tie if s == 0 else a if s == s_hi else b
@@ -449,7 +470,7 @@ def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
         mid = (lo + hi) // 2
         s = _sign_at(p, mid, k)
         if s == 0:
-            return mid / (1 << k)
+            return _to_double(mid, k)
         if s == s_hi:
             hi = mid
         else:
@@ -459,9 +480,14 @@ def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
 
 def _sign_between(p: list[int], a: float, b: float) -> tuple[int, float]:
     """The sign of p at the midpoint of the adjacent doubles a < b, and that
-    midpoint rounded half to even."""
-    (num_a, num_b), k = dyadic_numerators([a, b])
-    return _sign_at(p, num_a + num_b, k + 1), (num_a + num_b) / (1 << (k + 1))
+    midpoint rounded half to even; an infinite end stands for +-2^1024,
+    where the next double would be."""
+    (num_a, num_b), k = dyadic_numerators([x if math.isfinite(x) else 0.0 for x in (a, b)])
+    if a == -math.inf:
+        num_a = -1 << (1024 + k)
+    if b == math.inf:
+        num_b = 1 << (1024 + k)
+    return _sign_at(p, num_a + num_b, k + 1), _to_double(num_a + num_b, k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +847,7 @@ def root_report(p: list[int], interval, tol: float) -> RootReport:
         roots = diagnostic_roots(p)
     else:
         bound = root_bound(seq[0])
-        roots = [nearest_double_root(seq, -bound, bound, i) for i in range(len(seq[0]) - 1)]
+        roots = nearest_double_roots(seq, -bound, bound)
     return RootReport(tuple(map(complex, roots)), (lo, hi), tol, location)
 
 
@@ -838,8 +864,7 @@ def exact_verdict(p: list[int], tol: float) -> tuple[RootLocation, list[complex]
     distinct = len(seq[0]) - 1
     location = _locate(seq, -1.0, 1.0, tol)
     if count_roots(seq, -1, 1) == distinct:
-        return location, [complex(nearest_double_root(seq, -1, 1, i))
-                          for i in sorted({0, distinct - 1})]
+        return location, list(map(complex, nearest_double_roots(seq, -1, 1, {0, distinct - 1})))
     return location, diagnostic_roots(p)
 
 

@@ -1,11 +1,5 @@
-"""Truncated power series arithmetic on coefficient arrays.
-
-A series is a 1-d float array ``a`` with ``a[k]`` the coefficient of t**k;
-all operations truncate at a fixed order N (arrays of length N+1). These are
-the building blocks for the generating-function Taylor oracles: product,
-reciprocal, and real powers (square roots included) via the J.C.P. Miller
-recurrence.
-"""
+"""Truncated power series as a number type: a formula written for numbers
+runs on a Series and gives its Taylor coefficients."""
 
 from __future__ import annotations
 
@@ -14,46 +8,70 @@ import numpy as np
 from .errors import SeriesDivergenceError
 
 
-def pad(a, order: int) -> np.ndarray:
-    """Zero-pad (or truncate) a coefficient array to length order+1."""
-    a = np.asarray(a, dtype=float)
-    if len(a) >= order + 1:
-        return a[: order + 1].copy()
-    return np.concatenate([a, np.zeros(order + 1 - len(a))])
+class Series:
+    """A power series in t: coef[k] is the coefficient of t**k, truncated at
+    order len(coef) - 1, which the series it combines with share. A number
+    combines with it as a constant series, on either side of + - * /; numpy
+    ufuncs do not take series, so a numpy scalar on the left defers to the
+    reflected operator."""
 
+    __slots__ = ("coef",)
+    __array_ufunc__ = None
 
-def mul(a, b, order: int) -> np.ndarray:
-    """Product of two series, truncated at the given order."""
-    return np.convolve(np.asarray(a, float), np.asarray(b, float))[: order + 1]
+    def __init__(self, coef, order: int | None = None):
+        """The series coef, zero-padded or truncated to order when given."""
+        coef = np.array(coef, dtype=float, ndmin=1)
+        if order is not None:
+            coef = np.concatenate([coef[: order + 1], np.zeros(max(order + 1 - len(coef), 0))])
+        self.coef = coef
 
+    @classmethod
+    def variable(cls, order: int) -> Series:
+        """The series t, truncated at order."""
+        return cls([0.0, 1.0], order)
 
-def reciprocal(a, order: int) -> np.ndarray:
-    """Series 1/a; requires a nonzero constant term.
+    def _coef(self, other) -> np.ndarray:
+        return other.coef if isinstance(other, Series) else Series(other, len(self.coef) - 1).coef
 
-    Uses the direct recurrence b[n] = -(sum_{k>=1} a[k] b[n-k]) / a[0].
-    """
-    a = pad(a, order)
-    if a[0] == 0.0:
-        raise SeriesDivergenceError("reciprocal of series with zero constant term")
-    b = np.zeros(order + 1)
-    b[0] = 1.0 / a[0]
-    for n in range(1, order + 1):
-        b[n] = -np.dot(a[1 : n + 1], b[n - 1 :: -1]) / a[0]
-    return b
+    def __add__(self, other):
+        return Series(self.coef + self._coef(other))
 
+    __radd__ = __add__
 
-def power(a, exponent: float, order: int) -> np.ndarray:
-    """Series a**c for real c via the Miller recurrence.
+    def __sub__(self, other):
+        return Series(self.coef - self._coef(other))
 
-    Requires a positive constant term. g[0] = a[0]**c and
-    n*a[0]*g[n] = sum_{k=1..n} ((c+1)k - n) a[k] g[n-k].
-    """
-    a = pad(a, order)
-    if a[0] <= 0.0:
-        raise SeriesDivergenceError("power of series with nonpositive constant term")
-    g = np.zeros(order + 1)
-    g[0] = a[0] ** exponent
-    for n in range(1, order + 1):
-        k = np.arange(1, n + 1)
-        g[n] = np.dot(((exponent + 1) * k - n) * a[1 : n + 1], g[n - 1 :: -1]) / (n * a[0])
-    return g
+    def __rsub__(self, other):
+        return Series(self._coef(other) - self.coef)
+
+    def __mul__(self, other):
+        if isinstance(other, Series):
+            return Series(np.convolve(self.coef, other.coef)[: len(self.coef)])
+        return Series(self.coef * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Series):
+            return self * other ** -1
+        return Series(self.coef / other)
+
+    def __rtruediv__(self, other):
+        return self ** -1 * other
+
+    def __pow__(self, exponent):
+        """self ** c for a real number c by the Miller recurrence, which needs
+        a nonzero constant term, positive unless c is an integer:
+        g[0] = a[0]**c and n*a[0]*g[n] = sum_{k=1..n} ((c+1)k - n) a[k] g[n-k]."""
+        a, c = self.coef, float(exponent)
+        if not (a[0] > 0 or (a[0] != 0 and c.is_integer())):
+            raise SeriesDivergenceError(f"power {c:g} of a series with constant term {a[0]:g}")
+        g = np.zeros_like(a)
+        g[0] = a[0] ** c
+        for n in range(1, len(a)):
+            k = np.arange(1, n + 1)
+            g[n] = np.dot(((c + 1) * k - n) * a[1 : n + 1], g[n - 1 :: -1]) / (n * a[0])
+        return Series(g)
+
+    def sqrt(self) -> Series:
+        return self ** 0.5

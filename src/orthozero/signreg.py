@@ -49,6 +49,7 @@ from .errors import (
     OutOfDomainError,
 )
 from .polycore import _SMALLEST_SUBNORMAL, _gamma, check_params, integer_det
+from .powerseries import Series
 from .precision import DOUBLE, PrecisionPolicy
 
 MIN_SEPARATION = 1e-3
@@ -220,20 +221,21 @@ def _libm_up(v):
     return _up(v + np.abs(v) * _LIBM_SLACK + _LIBM_FLOOR)
 
 
-# The three number routes a kernel formula runs under: numpy on float arrays;
+# The four number routes a kernel formula runs under: numpy on float arrays;
 # mpmath at the caller's working precision on object arrays of mpf, where
-# numpy maps every operator and function elementwise; and outward-rounded
-# intervals on float arrays. Each call evaluates a whole broadcast stack, so
-# per-node subexpressions are computed once per node and constants once per
-# call. `num` lifts a scalar constant. A lifted mpf constant must never stand
-# on the left of an array operator: mpmath then tries to convert the array,
-# building its whole repr, before numpy takes over. `pow(base, e)` raises to a
-# constant exponent: numpy's power in double, as ** always did, so double
-# entries keep their bits; on intervals _Interval.pow, exact up to outward
-# rounding for half-integer e; and mpmath's power, which for half-integer e
-# already takes the square root (with 10 guard bits), then the integer power
-# (exact and rounded once, or binary powering with guard bits), then the
-# reciprocal, so it runs _Interval.pow's operations with fewer roundings.
+# numpy maps every operator and function elementwise; outward-rounded
+# intervals on float arrays; and, for genfun_taylor only, Series in y at a
+# float x. Each array call evaluates a whole broadcast stack, so per-node
+# subexpressions are computed once per node and constants once per call.
+# `num` lifts a scalar constant. A lifted mpf constant must never stand on the
+# left of an array operator: mpmath then tries to convert the array, building
+# its whole repr, before numpy takes over. `pow(base, e)` raises to a constant
+# exponent: numpy's power in double, as ** always did, so double entries keep
+# their bits; on intervals _Interval.pow, exact up to outward rounding for
+# half-integer e; and mpmath's power, which for half-integer e already takes
+# the square root (with 10 guard bits), then the integer power (exact and
+# rounded once, or binary powering with guard bits), then the reciprocal, so
+# it runs _Interval.pow's operations with fewer roundings.
 _NUMPY = SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt,
                          pow=lambda base, e: base ** float(e))
 _MPMATH = SimpleNamespace(num=mpmath.mpf, exp=np.frompyfunc(mpmath.exp, 1, 1),
@@ -241,6 +243,7 @@ _MPMATH = SimpleNamespace(num=mpmath.mpf, exp=np.frompyfunc(mpmath.exp, 1, 1),
                           pow=lambda base, e: base ** mpmath.mpf(e))
 _INTERVAL = SimpleNamespace(num=_Interval.lift, exp=_Interval.exp, sqrt=_Interval.sqrt,
                             pow=_Interval.pow)
+_SERIES = SimpleNamespace(num=float, sqrt=Series.sqrt, pow=operator.pow)
 _lift = np.frompyfunc(mpmath.mpf, 1, 1)  # floats to mpf at the working precision
 
 

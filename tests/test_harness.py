@@ -711,10 +711,15 @@ def test_exit_code_two_on_proven_violation(monkeypatch, capsys):
     (["theorem12", "--tol", "-1"], "tol"),
     (["q31", "--deg-cap", "3", "--tol", "nan"], "tol"),
     (["q31", "--alpha", "-1.5"], "alpha must exceed -1, got -1.5"),
+    (["q31", "--alpha", "1", "--alpha-max", "2", "--alpha-step", "1e-20"], "grid step 1e-20"),
+    (["q31", "--alpha", "1", "--alpha-max", "inf"], "grid max and step must be finite"),
+    (["q31", "--alpha", "1", "--alpha-max", "2", "--alpha-step", "nan"],
+     "grid max and step must be finite"),
 ])
 def test_cli_rejects_unusable_configs(capsys, argv, field):
-    # each of these once ended in a traceback, a Fraction repr or a report
-    # of passes or violations; now each exits 1 naming the field
+    # each of these once ended in a traceback, a Fraction repr, a report of
+    # passes or violations, a grid that silently dropped its step or a grid
+    # loop that never ended; now each exits 1 naming the field
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 1

@@ -27,6 +27,11 @@ from orthozero import (
 from orthozero.errors import BadParameterError
 
 PARAM_GRID = [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (0.5, 1.5), (-0.3, 0.7)]
+# the generating kernels the ssr campaign scans at its CLI defaults:
+# jacobi_gen(alpha, beta), and ultra_gen(beta) = ULTRA_G at alpha = beta - 1/2
+SSR_DEFAULT_SPECS = (
+    [GenFunSpec(GenFunFamily.JACOBI_F, a, b) for a in (0.0, 1.0) for b in (-0.5, 0.5, 1.5, 3.0)]
+    + [GenFunSpec(GenFunFamily.ULTRA_G, b - 0.5) for b in (0.5, 1.5, 3.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +108,14 @@ def test_symmetric_series_at_one_is_geometric():
 
 
 def test_recurrence_agrees_with_series_oracle():
+    # the oracle runs the formulas the ssr scans evaluate, so this also ties
+    # the scanned kernels to the Jacobi polynomials
     rng = np.random.default_rng(1)
-    for a, b in PARAM_GRID:
-        symmetric = a == b
-        spec = (GenFunSpec(GenFunFamily.ULTRA_G, a) if symmetric
-                else GenFunSpec(GenFunFamily.JACOBI_F, a, b))
+    specs = [GenFunSpec(GenFunFamily.ULTRA_G, a) if a == b
+             else GenFunSpec(GenFunFamily.JACOBI_F, a, b) for a, b in PARAM_GRID]
+    for spec in specs + SSR_DEFAULT_SPECS:
+        symmetric = spec.family is GenFunFamily.ULTRA_G
+        a, b = spec.alpha, spec.alpha if symmetric else spec.beta
         for x in rng.uniform(-1, 1, 20):
             coeffs = genfun_taylor(spec, x, 12)
             for n in range(13):

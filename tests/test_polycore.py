@@ -1,6 +1,7 @@
 """Polynomial core: arithmetic, evaluation, roots, classification."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -46,7 +47,7 @@ from orthozero.polycore import (
     integer_poly,
     jacobi_series_roots,
     monic_from_roots,
-    nearest_double_root,
+    nearest_double_roots,
     primitive_part,
     root_bound,
     root_report,
@@ -394,8 +395,9 @@ def test_sturm_certifies_rational_products(roots, lead):
     assert len(seq[0]) - 1 == len(distinct)
     assert _real_count(p, seq) == len(distinct)
     bound = root_bound(p)
+    assert nearest_double_roots(seq, -bound, bound) == [float(r) for r in distinct]
     for i, r in enumerate(distinct):
-        assert nearest_double_root(seq, -bound, bound, i) == float(r)
+        assert nearest_double_roots(seq, -bound, bound, {i}) == [float(r)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -468,15 +470,15 @@ def test_sturm_counts_in_the_unit_interval():
 
 def test_nearest_double_root():
     seq = sturm_sequence([-2, 0, 1])  # x^2 - 2; sqrt is correctly rounded
-    assert nearest_double_root(seq, -2, 2, 0) == -math.sqrt(2.0)
-    assert nearest_double_root(seq, -2, 2, 1) == math.sqrt(2.0)
+    assert nearest_double_roots(seq, -2, 2) == [-math.sqrt(2.0), math.sqrt(2.0)]
+    assert nearest_double_roots(seq, -2, 2, {1}) == [math.sqrt(2.0)]
     dyadic = [Fraction(1, 2), Fraction(-3, 4), Fraction(0)]
     seq = sturm_sequence(primitive_part(monic_from_roots(dyadic)))
-    assert [nearest_double_root(seq, -1, 1, i) for i in range(3)] == [-0.75, 0.0, 0.5]
+    assert nearest_double_roots(seq, -1, 1) == [-0.75, 0.0, 0.5]
+    assert nearest_double_roots(seq, -1, 1, {0, 2}) == [-0.75, 0.5]
     close = [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)]
     seq = sturm_sequence(primitive_part(monic_from_roots(close)))
-    assert nearest_double_root(seq, -1, 1, 0) == 1 / 3
-    assert nearest_double_root(seq, -1, 1, 1) == float(close[1])
+    assert nearest_double_roots(seq, -1, 1) == [1 / 3, float(close[1])]
 
 
 def test_bisection_agrees_with_nearest_double_root():
@@ -490,7 +492,7 @@ def test_bisection_agrees_with_nearest_double_root():
     p = primitive_part(coeffs)
     seq = sturm_sequence(p)
     bound = root_bound(p)
-    found = [nearest_double_root(seq, -bound, bound, i) for i in range(len(p) - 1)]
+    found = nearest_double_roots(seq, -bound, bound)
     expected = [-math.sqrt(2), -0.9, -math.sqrt(1 / 3), 1 / 7, math.sqrt(1 / 3), math.sqrt(2)]
     assert np.allclose(found, expected, rtol=1e-15, atol=0)
     cuts = [-bound, *((a + b) / 2 for a, b in zip(found, found[1:])), bound]
@@ -533,6 +535,33 @@ def test_comrade_roots_of_a_non_finite_matrix_are_empty():
 INTERIOR = st.builds(Fraction, st.integers(-95, 95), st.integers(1, 100).map(lambda d: 96 + d))
 
 
+def test_root_report_reads_the_per_index_roots():
+    # one bisection pass isolates all the roots, and each comes back as the
+    # double that isolating it alone finds
+    rng = np.random.default_rng(12)
+    for _ in range(2):
+        p = integer_poly(Poly(tuple(np.poly(rng.uniform(-2, 2, 30))[::-1]), tau_trim=0.0))
+        seq = sturm_sequence(p)
+        bound = root_bound(p)
+        roots = [r.real for r in root_report(p, (-1.0, 1.0), 1e-9).roots]
+        assert len(roots) == 30
+        assert roots == [nearest_double_roots(seq, -bound, bound, {i})[0] for i in range(30)]
+
+
+def test_root_report_past_the_double_range():
+    # the Cauchy bound lies past the doubles, where dividing its numerator
+    # once overflowed; roots past them round to the infinity
+    p = integer_poly(Poly((-1.7e308, 0.0, 1.0), tau_trim=0.0))
+    root = math.sqrt(1.7e308)  # correctly rounded
+    assert root_report(p, (-1.0, 1.0), 1e-9).roots == (-root, root)
+    assert root_report([-(2 ** 1100), 0, 1], (-1.0, 1.0), 1e-9).roots == (-2.0 ** 550, 2.0 ** 550)
+    assert root_report([-(2 ** 1100), 1], (-1.0, 1.0), 1e-9).roots == (math.inf,)
+    threshold = 2 ** 1024 - 2 ** 970  # halfway from the largest double to 2^1024
+    for root, want in ((threshold - 1, sys.float_info.max), (threshold, math.inf)):
+        assert root_report([-3 * root, 3], (-1.0, 1.0), 1e-9).roots == (want,)
+        assert root_report([3 * root, 3], (-1.0, 1.0), 1e-9).roots == (-want,)
+
+
 @settings(max_examples=80, deadline=None)
 @given(roots=st.lists(INTERIOR, min_size=1, max_size=12, unique=True),
        lead=RATIONALS.filter(lambda c: c != 0),
@@ -545,8 +574,7 @@ def test_certificate_accepts_simple_interior_roots(roots, lead, noise):
     found = certify_interior_roots(p, approx, 1e-8)
     assert found == [float(min(roots)), float(max(roots))]
     seq = sturm_sequence(p)
-    assert found == [nearest_double_root(seq, -1, 1, 0),
-                     nearest_double_root(seq, -1, 1, len(roots) - 1)]
+    assert found == [nearest_double_roots(seq, -1, 1, {i})[0] for i in (0, len(roots) - 1)]
 
 
 def test_certificate_rejects_what_it_cannot_prove():
