@@ -1,7 +1,7 @@
 """orthozero: zero-preserving monomial-to-orthogonal-basis transforms,
 sign-regular kernel scanning, and biorthogonal polynomial machinery."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .errors import (
     BadIntervalError,

@@ -34,7 +34,6 @@ from .errors import (
 from .polycore import (Poly, RootReport, check_params, dyadic_numerators, integer_poly,
                        jacobi_coefficient_rows, poly_eval, root_report)
 from .precision import DOUBLE, PrecisionPolicy
-from .signreg import minor_scale
 from .transforms import exact_image, jacobi_rows_int, ultra_row_scale
 
 MAX_MOMENT_POWER = 30
@@ -118,6 +117,15 @@ class BiorthogonalSystem:
     interval: tuple[float, float]
     moment_matrix: np.ndarray
     poly: Poly
+
+
+def minor_scale(matrix: np.ndarray) -> np.ndarray:
+    """Product of row sup-norms: the natural magnitude of the determinant.
+
+    Reduces the last two axes: a (trials, m, m) stack gives one scale per
+    matrix, and a single matrix a numpy scalar.
+    """
+    return np.prod(np.max(np.abs(matrix), axis=-1), axis=-1)
 
 
 def biorthogonal_poly(

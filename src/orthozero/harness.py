@@ -448,7 +448,7 @@ def run_ssr_explore(config: CampaignConfig) -> CampaignReport:
             "per_m": [{
                 "m": s.m, "positive": s.positive, "negative": s.negative,
                 "indeterminate": s.indeterminate, "min_abs_det": s.min_abs_det,
-                "violations": s.violations,
+                "min_abs_det_exp2": s.min_abs_det_exp2, "violations": s.violations,
             } for s in rep.per_m],
             "min_boundary_distance": None,
             "proven": proven,

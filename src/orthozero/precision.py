@@ -3,9 +3,9 @@
 Ill-conditioned determinants (Cauchy-like minors) need more than double
 precision; everything else runs in numpy. Where roots lie is decided
 exactly under either policy, so theorem12, conj32, q31, biortho-equiv and
-zeros_in_interval_check read at most tau_root. Extended ssr takes its
-signs from enclosures of the exact determinants, so tau_det is read only by
-double ssr and by biortho.biorthogonal_poly.
+zeros_in_interval_check read at most tau_root. ssr takes its signs from
+enclosures of the exact determinants under either policy, so tau_det is
+read only by biortho.biorthogonal_poly.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ class PrecisionPolicy:
 
     mode is "double" or "extended"; bits applies to extended mode only
     (>= 64). Tolerances: tau_root for root classification, tau_det for
-    the determinate-sign threshold of double minors and of
-    biorthogonal_poly's regularity test.
+    biorthogonal_poly's regularity test, its only reader.
     """
 
     mode: str = "double"

@@ -2,32 +2,27 @@
 for bivariate kernels.
 
 Sign regularity quantifies over all increasing node tuples, so a program can
-only sample: verdicts here are "consistent with" statements, never proofs.
-Each order draws its tuples from one generator seeded with (seed, m), as two
-(trials, m) blocks of sorted uniform draws (x, then y); the same seed, order,
-trial count and domain give the same tuples. A minor that cannot be given a
-sign is counted indeterminate rather than silently assigned one.
+only sample: a scan's verdict, the majority sign of each order over random
+minors, is a "consistent with" statement, never a proof. Each order draws
+its tuples from one generator seeded with (seed, m), as two (trials, m)
+blocks of sorted uniform draws (x, then y); the same seed, order, trial
+count and domain give the same tuples.
 
-A scan decides each order as one stack: the kernel formula is evaluated
-once, broadcast over all tuples of the order, giving the (trials, m, m)
-entries. In double precision np.linalg.det then runs once on that stack,
-and a minor carries a sign only when |det| clears tau_det times the product
-of its row sup-norms. Under the extended policy a minor carries a sign only
-when an enclosure of its exact determinant (of the kernel's values at the
-drawn doubles) excludes 0, with no threshold (_settle_extended). Stage 1
-encloses every minor at once in double: a partial-pivot LU of the midpoints
-of outward-rounded intervals of the entries, with Higham's backward-error
-bound and the intervals' radii fed into a Hadamard bound (_lu_enclose).
-Stage 2 takes, only for the minors stage 1 leaves open, the exact
-determinant of the entries built at the working precision plus or minus a
-Hadamard bound (_enclose). A stage-1 sign is rigorous for a kernel built
-only from + - * /, sqrt and half-integer powers up to 512, which take
-correctly rounded operations alone; for exp_xy, other exponents and custom
-kernels it rests on numpy's exp and power being accurate to a relative
-2^-40. A stage-2 sign also rests on a first-order bound of the
-working-precision entries' error, with a factor 4 to spare (mpmath.iv would
-make that stage rigorous). So the extended signs are certified under that
-error model, and rigorous only where it is not used.
+Each minor's sign is certified: under both precision policies a scan
+decides an order as one stack by one route (_settle), and a minor carries a
+sign only when an enclosure of its exact determinant (of the kernel's
+values at the drawn doubles) excludes 0; otherwise it is indeterminate.
+Stage 1 runs the kernel formula on midpoint-radius double intervals and
+encloses every determinant from a partial-pivot LU of the midpoints
+(_lu_enclose). Under the extended policy, stage 2 rebuilds the minors
+stage 1 leaves open at the working precision (_enclose); the double policy
+has no stage 2. A stage-1 sign is rigorous for a kernel built only from
++ - * /, sqrt and half-integer powers up to 512, which take correctly
+rounded operations alone; for exp_xy, other exponents and custom kernels it
+rests on numpy's exp and power being accurate to a relative 2^-40. A
+stage-2 sign also rests on a first-order bound of the working-precision
+entries' error (mpmath.iv would make that stage rigorous). So the signs are
+certified under that error model, and rigorous only where it is not used.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from .errors import (
     BadTupleError,
     OutOfDomainError,
 )
-from .polycore import _SMALLEST_SUBNORMAL, _gamma, check_params, integer_det
+from .polycore import _SMALLEST_SUBNORMAL, _UNIT_ROUNDOFF, _gamma, check_params, integer_det
 from .powerseries import Series
 from .precision import DOUBLE, PrecisionPolicy
 
@@ -81,12 +76,45 @@ class Domain:
 UNIT_SQUARE = Domain((-1.0, 1.0), (-1.0, 1.0))
 
 
+# The successor rule of Rump, Zimmermann, Boldo and Melquiond ("Computing
+# predecessor and successor in rounding to nearest", BIT 49, 2009): for
+# finite v, v + (|v| phi + eta), rounded to nearest, is at or above the next
+# double after v and at most two doubles above it, and v - (|v| phi + eta)
+# likewise below. An infinite v gives itself on its own side and nan on the
+# other, which _Interval reads as unbounded. |v| phi underflows for tiny v,
+# so callers run it under np.errstate(all="ignore").
+_PHI = _UNIT_ROUNDOFF * (1 + 2 * _UNIT_ROUNDOFF)
+
+
 def _down(v):
-    return np.nextafter(v, -np.inf)
+    return v - (np.abs(v) * _PHI + _SMALLEST_SUBNORMAL)
 
 
 def _up(v):
-    return np.nextafter(v, np.inf)
+    return v + (np.abs(v) * _PHI + _SMALLEST_SUBNORMAL)
+
+
+def _widen(v, k: int):
+    """An upper bound of a sum S of non-negative terms (each a double, or a
+    product, quotient or sum of doubles) from v, S evaluated in rounding to
+    nearest with at most k >= 2 roundings on the way of any one term, at
+    most k - 1 of them products or quotients. Each rounding keeps a relative
+    1 - u of its exact result (u = 2^-53), less 2^-1075 where a product or
+    quotient underflows, so v >= S (1 - u)^k - (k - 1) 2^-1075; then
+    v (1 + (k + 2) 2^-52) + k 2^-1074, rounded to nearest, is at least
+    S (1 + u) + 2^-1075. An array v, always a new one here, is widened in
+    place: on stacks of this size allocation costs more than arithmetic."""
+    v *= 1 + (k + 2) * 2.0 ** -52
+    v += k * _SMALLEST_SUBNORMAL
+    return v
+
+
+def _rounding(c):
+    """u |c|, the error bound of a result c rounded to nearest except where
+    a product or quotient underflows, as a new array to add to."""
+    error = np.abs(c)
+    error *= _UNIT_ROUNDOFF
+    return error
 
 
 _LIBM_SLACK = 2.0 ** -40  # relative widening of exp and power results
@@ -98,70 +126,122 @@ _EXACT_POWER_CAP = 512
 
 
 class _Interval:
-    """Closed intervals [lo, hi] on broadcast float arrays, elementwise.
+    """Closed intervals [mid - rad, mid + rad] on broadcast float arrays,
+    elementwise, in midpoint-radius form (Rump, "Fast and parallel interval
+    arithmetic", BIT 39, 1999) with rounding to nearest only.
 
-    Each result encloses the exact real result of the same operation on any
-    points of its operands. numpy rounds + - * / and sqrt to nearest, so
-    each endpoint moves one ulp outward; `pow` with a half-integer exponent
-    is built from these alone. numpy's exp and power are not correctly
-    rounded and differ between builds (SIMD loops), so exp's and **'s
-    endpoints also widen by a relative 2^-40 and an absolute 2^-1022. Where
-    a divisor contains 0, a ** or pow base is not positive, a sqrt argument
-    is negative or an endpoint is not finite, the result is the unbounded
-    [-inf, inf]. Numbers and arrays combine with an interval as point
-    intervals, under Python operators and numpy ufuncs alike, so a formula
-    runs unchanged on it.
+    Each result encloses the exact result of the same operation on any
+    points of its operands. Its midpoint c is the operation on the
+    midpoints, rounded to nearest, so within u |c| + 2^-1075 of the exact
+    one (u = 2^-53; the 2^-1075 only where a product or quotient
+    underflows). Its radius adds that to the effect of the operands' radii,
+    a sum of non-negative terms that _widen makes an upper bound. The
+    endpoints `lo` and `hi` are mid -+ rad moved one or two doubles outward
+    (_down, _up). `pow` with a half-integer exponent is built from these
+    alone. numpy's exp and power are not correctly rounded and differ
+    between builds (SIMD loops), so exp and ** work on the endpoints and
+    widen them by a relative 2^-40 and an absolute 2^-1022. A radius that is
+    not finite means unbounded, read as [-inf, inf]: where a divisor
+    contains 0, a ** or pow base is not positive, a sqrt argument is
+    negative or a value is not finite. A non-finite midpoint gives a
+    non-finite radius, which every operation keeps. Numbers and arrays
+    combine with an interval as point intervals, under Python operators and
+    numpy ufuncs alike, so a formula runs unchanged on it.
     """
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("mid", "rad")
 
     def __init__(self, lo, hi):
-        bad = ~(np.isfinite(lo) & np.isfinite(hi))
-        self.lo = np.where(bad, -np.inf, lo)
-        self.hi = np.where(bad, np.inf, hi)
+        """The interval [lo, hi], unbounded where an end is not finite."""
+        self.mid = lo / 2 + hi / 2
+        self.rad = _up(np.maximum(hi - self.mid, self.mid - lo))
+
+    @staticmethod
+    def centred(mid, rad) -> _Interval:
+        interval = object.__new__(_Interval)
+        interval.mid, interval.rad = mid, rad
+        return interval
 
     @staticmethod
     def lift(value) -> _Interval:
         if isinstance(value, _Interval):
             return value
+        if isinstance(value, (int, float)):
+            value = np.float64(value)
+            return _Interval.centred(value, 0.0 if math.isfinite(value) else math.inf)
         value = np.asarray(value, float)
-        return _Interval(value, value)
+        finite = np.isfinite(value)
+        return _Interval.centred(value, 0.0 if finite.all() else np.where(finite, 0.0, np.inf))
+
+    @property
+    def lo(self):
+        with np.errstate(all="ignore"):
+            return np.where(np.isfinite(self.rad), _down(self.mid - self.rad), -np.inf)
+
+    @property
+    def hi(self):
+        with np.errstate(all="ignore"):
+            return np.where(np.isfinite(self.rad), _up(self.mid + self.rad), np.inf)
 
     def __add__(self, other):
+        # |exact - c| <= u |c| + ra + rb
         other = _Interval.lift(other)
-        return _Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        c = self.mid + other.mid
+        rad = _rounding(c)
+        rad += self.rad
+        rad += other.rad
+        return _Interval.centred(c, _widen(rad, 2))
 
     def __sub__(self, other):
         other = _Interval.lift(other)
-        return _Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
+        return self + _Interval.centred(-other.mid, other.rad)
 
     def __mul__(self, other):
-        return self._corners(np.multiply, _Interval.lift(other), True, _down, _up)
+        # (ma + a)(mb + b) - ma mb = ma b + a (mb + b), so
+        # |exact - c| <= u |c| + 2^-1075 + |ma| rb + ra (|mb| + rb)
+        other = _Interval.lift(other)
+        c = self.mid * other.mid
+        rad = _rounding(c)
+        rad += np.abs(self.mid) * other.rad
+        rad += self.rad * (np.abs(other.mid) + other.rad)
+        return _Interval.centred(c, _widen(rad, 4))
 
     def __truediv__(self, other):
+        """For B = mb + b with |b| <= rb < |mb|, A / B - ma / mb is
+        ((A - ma) - (ma / mb) b) / B, so with D = |mb| - rb, the quotient's
+        rounding and |ma / mb| <= (|c| + 2^-1074)(1 + u),
+            |exact - c| <= u |c| + 2^-1075 + ra / D + (rb / D)(|c| + 2^-1074)(1 + u).
+        D rounded to nearest is within a relative u of D (a difference is
+        exact where it is subnormal) and has its sign; clamped at 0, it
+        makes ra / D and rb / D infinite or nan, so the quotient unbounded,
+        unless D > 0. rb / D may underflow and lose 2^-1075, which the
+        factor |c| can magnify to 2^-1075 |c|, far below the u |c| (1 + u)
+        that _widen covers with u |c| in the sum."""
         other = _Interval.lift(other)
-        return self._corners(np.divide, other, (other.lo > 0) | (other.hi < 0), _down, _up)
+        c = self.mid / other.mid
+        d = np.maximum(np.abs(other.mid) - other.rad, 0.0)
+        size = np.abs(c)
+        size += _SMALLEST_SUBNORMAL
+        rad = size * _UNIT_ROUNDOFF
+        rad += self.rad / d
+        rad += other.rad / d * size
+        return _Interval.centred(c, _widen(rad, 6))
 
     def __pow__(self, other):
-        return self._corners(np.power, _Interval.lift(other), self.lo > 0,
-                             _libm_down, _libm_up)
+        other = _Interval.lift(other)
+        lo, hi = self.lo, self.hi
+        # power is monotone in each argument where the base is positive, so
+        # its extremes sit at the four corners
+        c = [np.power(a, b) for a in (lo, hi) for b in (other.lo, other.hi)]
+        return _Interval(
+            np.where(lo > 0, _libm_down(np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3]))),
+                     np.nan),
+            _libm_up(np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))))
 
-    def _corners(self, op, other, valid, down, up):
-        # op is monotone in each argument on the valid boxes, so its extremes
-        # sit at the four corners
-        c = [op(a, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        lo = np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3]))
-        hi = np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))
-        return _Interval(np.where(valid, down(lo), np.nan), up(hi))
-
-    def __radd__(self, other):
-        return _Interval.lift(other) + self
+    __radd__, __rmul__ = __add__, __mul__
 
     def __rsub__(self, other):
         return _Interval.lift(other) - self
-
-    def __rmul__(self, other):
-        return _Interval.lift(other) * self
 
     def __rtruediv__(self, other):
         return _Interval.lift(other) / self
@@ -174,10 +254,10 @@ class _Interval:
 
     def pow(self, e: float) -> _Interval:
         """self ** e for a constant exponent e. Where 2e is an integer and
-        |e| <= _EXACT_POWER_CAP this uses only correctly rounded operations,
-        each rounded outward: the square root when 2e is odd, then binary
-        powering, then the reciprocal when e < 0; every other e takes the
-        libm route of **. Unbounded where the base is not positive."""
+        |e| <= _EXACT_POWER_CAP this uses only correctly rounded operations:
+        the square root when 2e is odd, then binary powering, then the
+        reciprocal when e < 0; every other e takes the libm route of **.
+        Unbounded where the base is not positive."""
         twice = 2.0 * e
         if not twice.is_integer() or abs(e) > _EXACT_POWER_CAP:
             return self ** e
@@ -194,14 +274,19 @@ class _Interval:
             if n:
                 square = square * square
         if result is None:  # e == 0
-            result = _Interval.lift(np.ones_like(self.lo))
+            result = _Interval.lift(np.ones_like(self.mid))
         if e < 0:
             result = 1.0 / result
-        return _Interval(np.where(self.lo > 0, result.lo, np.nan), result.hi)
+        return _Interval.centred(result.mid, np.where(self.mid - self.rad > 0, result.rad, np.nan))
 
     def sqrt(self):
-        return _Interval(np.where(self.lo >= 0, _down(np.sqrt(self.lo)), np.nan),
-                         _up(np.sqrt(self.hi)))
+        """For B = mb + b >= 0 with |b| <= rb, |sqrt(B) - sqrt(mb)| is
+        |b| / (sqrt(B) + sqrt(mb)) <= rb / sqrt(mb), and sqrt(mb) is at
+        least c / (1 + u), so |exact - c| <= (rb / c)(1 + u) + u c."""
+        c = np.sqrt(self.mid)
+        rad = c * _UNIT_ROUNDOFF
+        rad += self.rad / c
+        return _Interval.centred(c, np.where(self.mid - self.rad >= 0, _widen(rad, 3), np.nan))
 
     _UFUNCS = {np.add: operator.add, np.subtract: operator.sub, np.multiply: operator.mul,
                np.divide: operator.truediv, np.power: operator.pow}
@@ -223,7 +308,7 @@ def _libm_up(v):
 
 # The four number routes a kernel formula runs under: numpy on float arrays;
 # mpmath at the caller's working precision on object arrays of mpf, where
-# numpy maps every operator and function elementwise; outward-rounded
+# numpy maps every operator and function elementwise; midpoint-radius
 # intervals on float arrays; and, for genfun_taylor only, Series in y at a
 # float x. Each array call evaluates a whole broadcast stack, so per-node
 # subexpressions are computed once per node and constants once per call.
@@ -231,7 +316,7 @@ def _libm_up(v):
 # left of an array operator: mpmath then tries to convert the array, building
 # its whole repr, before numpy takes over. `pow(base, e)` raises to a constant
 # exponent: numpy's power in double, as ** always did, so double entries keep
-# their bits; on intervals _Interval.pow, exact up to outward rounding for
+# their bits; on intervals _Interval.pow, exact up to its rounding terms for
 # half-integer e; and mpmath's power, which for half-integer e already takes
 # the square root (with 10 guard bits), then the integer power (exact and
 # rounded once, or binary powering with guard bits), then the reciprocal, so
@@ -251,7 +336,7 @@ class _Formula:
     """A kernel written once as formula(x, y, lib) and evaluated under any
     route; `name` and its parameter fields (all but `domain`) describe it.
     Its working-precision entries run the formula's own operations, so they
-    refine its intervals (_settle_extended)."""
+    refine its intervals (_settle)."""
 
     name: ClassVar[str]
     refines: ClassVar[bool] = True
@@ -492,14 +577,6 @@ def _minor_matrices(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> np.ndarra
     return np.asarray(spec.evaluate(x, y), float)
 
 
-def _det_double(matrices: np.ndarray) -> np.ndarray:
-    """Determinants of a (trials, m, m) stack; order one reads the entry,
-    which np.linalg.det would round through exp(log|a|)."""
-    if matrices.shape[-1] == 1:
-        return matrices[:, 0, 0]
-    return np.linalg.det(matrices)
-
-
 def _exact_det(matrix) -> float:
     """The exact determinant of a matrix of mpf entries, rounded once to a
     double (+-inf past the range); nan if an entry is not finite."""
@@ -540,7 +617,7 @@ def _dyadic_to_float(num: int, shift: int) -> float:
 
 def _enclose(centres, mags, radii) -> tuple[np.ndarray, np.ndarray]:
     """Certified signs of det(C + R) for a stack of minors, 0 where
-    undecided, and lower bounds of |det(C + R)|, 0 where undecided.
+    undecided, and positive lower bounds of |det(C + R)|, 0 where undecided.
 
     centres[t] is the centre C as integer rows and a power of two
     (_integer_rows), or None where there is none; mags and radii are
@@ -550,9 +627,9 @@ def _enclose(centres, mags, radii) -> tuple[np.ndarray, np.ndarray]:
     bound = _hadamard_bound(_row_norm_bounds(mags), _row_norm_bounds(radii))
     det = np.array([math.nan if c is None else _dyadic_to_float(integer_det(c[0]), c[1])
                     for c in centres])
-    decided = np.abs(det) > bound  # rounding is monotone, so |det C| > bound too
-    return (np.where(decided, np.sign(det), 0).astype(int),
-            np.where(decided, _down(_down(np.abs(det)) - bound), 0.0))
+    lower = _down(_down(np.abs(det)) - bound)
+    decided = lower > 0
+    return np.where(decided, np.sign(det), 0).astype(int), np.where(decided, lower, 0.0)
 
 
 def _hadamard_bound(a, b) -> np.ndarray:
@@ -561,20 +638,21 @@ def _hadamard_bound(a, b) -> np.ndarray:
     Replacing the rows of C by those of C + R one at a time, and bounding
     each step by Hadamard's inequality, gives
         |det(C + R) - det C| <= sum_i b_i prod_{j<i} a_j prod_{j>i} (a_j + b_j)
-    (Rump, Acta Numerica 2010), here rounded upward at every step. As this
-    sum the bound keeps its relative accuracy when b is far below a, where
+    (Rump, Acta Numerica 2010), here evaluated by Horner's rule from the
+    last row and made an upper bound at every step by _widen. As this sum
+    the bound keeps its relative accuracy when b is far below a, where
     prod(a + b) - prod a cancels."""
-    bound, suffix = 0.0, 1.0  # the sum over rows i..m-1, by Horner from the last row
+    bound, suffix = 0.0, 1.0  # the sum over rows i..m-1, and prod_{j>=i} (a_j + b_j)
     for i in reversed(range(a.shape[1])):
-        bound = _up(_up(a[:, i] * bound) + _up(b[:, i] * suffix))
-        suffix = _up(suffix * _up(a[:, i] + b[:, i]))
+        bound = _widen(a[:, i] * bound + b[:, i] * suffix, 3)
+        suffix = _widen(suffix * (a[:, i] + b[:, i]), 3)
     return bound
 
 
 def _lu_enclose(mid, rad) -> tuple[np.ndarray, np.ndarray]:
     """Certified signs of det(mid + R) over every |R| <= rad, for
-    (trials, m, m) stacks of doubles, 0 where undecided, and lower bounds of
-    |det(mid + R)|, 0 where undecided.
+    (trials, m, m) stacks of doubles, 0 where undecided, and positive lower
+    bounds of |det(mid + R)|, 0 where undecided.
 
     Gaussian elimination with partial pivoting runs on all midpoints at once,
     one column at a time. Its computed factors satisfy P mid + dA = L^U^ with
@@ -583,58 +661,66 @@ def _lu_enclose(mid, rad) -> tuple[np.ndarray, np.ndarray]:
     at most (m + max_k |u^_kk|) 2^-1074 per entry. So det(mid + R) is
     sign(P) det(C + E) with the centre C = L^U^ and
     |E| <= gamma_m |L^||U^| + P rad + that absolute term. det C is
-    prod_k u^_kk, whose rounded product is within a relative gamma_{m-1};
-    |L^||U^| is formed with every operation rounded upward and bounds |C|,
-    and _hadamard_bound bounds det(C + E) - det C. A minor with a pivot or a
-    partial product of pivots that is not finite or not normal is
-    undecided; so is one with a non-finite entry or radius.
+    prod_k u^_kk, whose rounded product is within a relative gamma_{m-1}.
+    |L^||U^| is one matmul of non-negative factors, each entry a sum of at
+    most m products, made an upper bound by _widen; it bounds |C|. By the
+    triangle inequality, the row 2-norms of E are at most gamma_m times
+    those of |L^||U^|, plus those of rad (whose rows swap with the
+    elimination's), plus sqrt(m) times the absolute term. _hadamard_bound
+    then bounds det(C + E) - det C, and a minor is decided where the
+    centre's lower bound minus that bound, rounded down, is positive. A
+    minor with a pivot or a partial product of pivots that is not finite or
+    not normal is undecided; so is one with a non-finite entry or radius.
     """
     trials, m, _ = mid.shape
-    t = np.arange(trials)[:, None]
-    lu, rows = mid.copy(), np.tile(np.arange(m), (trials, 1))
+    t = np.arange(trials)
+    # the rows of rad's norms ride along as column m, so they swap with the rows
+    lu = np.concatenate([mid, _row_norm_bounds(rad)[:, :, None]], axis=2)
     flips = np.zeros(trials, bool)  # the parity of the row swaps
     with np.errstate(all="ignore"):
         for j in range(m - 1):
             p = j + np.argmax(np.abs(lu[:, j:, j]), axis=1)
-            flips ^= p != j
-            swap = np.stack([np.full(trials, j), p], axis=1)
-            lu[t, swap], rows[t, swap] = lu[t, swap[:, ::-1]], rows[t, swap[:, ::-1]]
+            swapped = p != j
+            if swapped.any():
+                flips ^= swapped
+                row = lu[t, p]
+                lu[t, p] = lu[:, j]
+                lu[:, j] = row
             lu[:, j + 1:, j] /= lu[:, j, j, None]
-            lu[:, j + 1:, j + 1:] -= lu[:, j + 1:, j, None] * lu[:, j, None, j + 1:]
-        abs_l, abs_u = np.abs(np.tril(lu, -1)) + np.eye(m), np.abs(np.triu(lu))
-        size = 0.0  # |L^||U^|, rounded upward
-        for k in range(m):
-            size = _up(size + _up(abs_l[:, :, k, None] * abs_u[:, None, k, :]))
+            lu[:, j + 1:, j + 1:m] -= lu[:, j + 1:, j, None] * lu[:, j, None, j + 1:m]
+        lu, spread = lu[:, :, :m], lu[:, :, m]
+        size, strict = np.abs(lu), np.tri(m, k=-1, dtype=bool)  # |L^| below the diagonal
+        size = _widen(np.where(strict, size, np.eye(m)) @ np.where(strict, 0.0, size), m + 1)
         pivots = np.diagonal(lu, axis1=1, axis2=2)
-        det, normal = np.where(flips, -1.0, 1.0), np.ones(trials, bool)
-        for k in range(m):
-            det = det * pivots[:, k]
-            # a non-finite pivot leaves det inf or nan
-            normal &= (np.minimum(np.abs(pivots[:, k]), np.abs(det)) >= np.finfo(float).tiny) \
-                & np.isfinite(det)
-        underflow = _up((m + np.abs(pivots).max(axis=1)) * _SMALLEST_SUBNORMAL)[:, None, None]
-        permuted_rad = np.take_along_axis(rad, rows[:, :, None], axis=1)
-        radii = _up(_up(_up(_up(_gamma(m)) * size) + permuted_rad) + underflow)
-        bound = _hadamard_bound(_row_norm_bounds(size), _row_norm_bounds(radii))
-        centre = _down(np.abs(det) * _down(1.0 - _up(_gamma(m - 1))))
-        decided = normal & (centre > bound)
-        return (np.where(decided, np.sign(det), 0).astype(int),
-                np.where(decided, _down(centre - bound), 0.0))
+        partial = np.cumprod(pivots, axis=1)  # a non-finite pivot leaves det inf or nan
+        det = np.where(flips, -partial[:, -1], partial[:, -1])
+        normal = np.isfinite(det) & (np.minimum(np.abs(pivots), np.abs(partial)).min(axis=1)
+                                     >= 2.0 ** -1022)
+        underflow = (m + np.abs(pivots).max(axis=1)) * (m * _SMALLEST_SUBNORMAL)
+        a = _row_norm_bounds(size)  # of C's rows
+        b = _widen(_up(_gamma(m)) * a + spread + underflow[:, None], 3)  # of E's rows
+        bound = _hadamard_bound(a, b)
+        lower = _down(_down(np.abs(det) * _down(1.0 - _up(_gamma(m - 1)))) - bound)
+        decided = normal & (lower > 0)
+        return np.where(decided, np.sign(det), 0).astype(int), np.where(decided, lower, 0.0)
 
 
-def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray, np.ndarray]:
+def _settle(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The certified signs of one order's minors, 0 where undecided, and
-    lower bounds of their |det|, 0 where undecided, from enclosures of the
-    exact determinants.
+    lower bounds of their |det|: each minor's is lower * 2^shift with a
+    positive double `lower`, and `lower` is 0 where the minor is undecided.
+    Both come from enclosures of the exact determinants.
 
     Let I be the entries' intervals from `evaluate_interval`, which enclose
     the exact values f of the kernel at the drawn doubles. Row i of a minor
-    is scaled by a power of two, 2^-k_i, which changes no sign. Stage 1
-    encloses each determinant over the box of I's midpoints and half-widths
-    (_lu_enclose). Stage 2 runs only on the minors stage 1 leaves open, and
-    only for a kernel whose working-precision entries refine its intervals
-    (`refines`): its centres are the entries E built at the working
-    precision (_minor_matrices), and its radii bound |E - f| (_enclose).
+    is scaled by a power of two, 2^-k_i, which changes no sign; shift is
+    sum(k). Stage 1 encloses each determinant over the box of I's midpoints
+    and radii (_lu_enclose). Under the double policy that is all, and
+    an open minor is undecided. Under the extended policy stage 2 runs on
+    the minors stage 1 leaves open, and only for a kernel whose
+    working-precision entries refine its intervals (`refines`): its centres
+    are the entries E built at the working precision (_minor_matrices), and
+    its radii bound |E - f| (_enclose).
 
     That route runs the formula's operations rounded at unit roundoff
     2^-bits, so to first order |E - f| is at most the sum over its roundings
@@ -643,75 +729,75 @@ def _settle_extended(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray,
     power is a square root, then an integer power, then a reciprocal on
     both routes (mpmath's power rounds the integer power once, where
     _Interval.pow ends it with a multiplication, and takes the root with 10
-    guard bits). Each interval operation widens its endpoints by at least an
-    ulp of double, 2^-53 |v| (exp and other powers by 2^-40 |v|), so to
-    first order the width of I is at least twice that sum at 2^-53. Hence
-    |E - f| <= 2^(52 - bits) width(I); the radii take 2^(54 - bits) width,
-    leaving a factor 4 for second-order terms and for mpmath's exp and
-    other powers, which are accurate to about an ulp. That is an error
-    model, not a proof. |E| is then at most max |I| plus that radius. A
-    minor with an unbounded entry has no radius: it is undecided and is not
-    built. The lower bounds are unscaled by 2^sum(k) and rounded down.
+    guard bits). Each interval operation adds at least 2^-53 |v| to its
+    radius (exp and other powers 2^-40 |v|), so to first order the radius
+    of I is at least that sum at 2^-53. Hence |E - f| <= 2^(53 - bits)
+    rad(I); the radii take 2^(55 - bits) rad(I), leaving a factor 4 for
+    second-order terms and for mpmath's exp and other powers, which are
+    accurate to about an ulp. That is an error model, not a proof. |E| is
+    then at most |mid(I)| + rad(I) plus that radius. A minor with an
+    unbounded entry has no radius: it is undecided and is not built.
     """
     with np.errstate(all="ignore"):
         entries = spec.evaluate_interval(xs[:, :, None], ys[:, None, :])
-        lo, hi = np.broadcast_arrays(entries.lo, entries.hi)
-        k = np.frexp(np.maximum(-lo, hi).max(axis=2))[1]
-        lo, hi = _down(np.ldexp(lo, -k[:, :, None])), _up(np.ldexp(hi, -k[:, :, None]))
-        mid = lo / 2 + hi / 2
-        rad = _up(np.maximum(hi - mid, mid - lo))
-        bounded = np.isfinite(rad).all(axis=(1, 2))
+        mid, rad = np.broadcast_arrays(entries.mid, entries.rad)
+        size = np.abs(mid)
+        top = size[:, :, 0]
+        for j in range(1, size.shape[2]):  # faster than max(axis=2) on short rows
+            top = np.maximum(top, size[:, :, j])
+        k = np.frexp(top)[1][:, :, None]
+        # scaling is exact but where it underflows, by at most 2^-1075 for
+        # the midpoint and for the radius, which _widen covers
+        mid, rad = np.ldexp(mid, -k), _widen(np.ldexp(rad, -k), 3)
         signs, lower = _lu_enclose(mid, rad)
-
-        rebuild = np.flatnonzero(bounded & (signs == 0) & spec.refines)
-        lo, hi = lo[rebuild], hi[rebuild]
-        rad = _up(np.ldexp(_up(hi - lo), 54 - policy.bits))
-        matrices = _minor_matrices(spec, xs[rebuild], ys[rebuild], policy)
-        centres = [_mpf_rows(matrix, scale) for matrix, scale in zip(matrices, k[rebuild].tolist())]
-        signs[rebuild], lower[rebuild] = _enclose(centres, _up(np.maximum(-lo, hi) + rad), rad)
-        return signs, np.maximum(_down(np.ldexp(lower, k.sum(axis=1))), 0.0)
+        if policy.extended:
+            bounded = np.isfinite(rad).all(axis=(1, 2))
+            rebuild = np.flatnonzero(bounded & (signs == 0) & spec.refines)
+            mid, rad = mid[rebuild], rad[rebuild]
+            error = _up(np.ldexp(rad, 55 - policy.bits))
+            matrices = _minor_matrices(spec, xs[rebuild], ys[rebuild], policy)
+            centres = [_mpf_rows(matrix, scale)
+                       for matrix, scale in zip(matrices, k[rebuild, :, 0].tolist())]
+            signs[rebuild], lower[rebuild] = _enclose(centres, _widen(np.abs(mid) + rad + error, 2),
+                                                      error)
+        return signs, lower, k.sum(axis=(1, 2))
 
 
 def _row_norm_bounds(magnitudes: np.ndarray) -> np.ndarray:
     """Upper bounds of the row 2-norms of a (trials, m, m) stack of
     non-negative upper bounds. Each row is divided by a power of two at or
-    above its largest entry first, so only negligible squares underflow.
-    Its norm is multiplied back; adding 2^-1074 then rounds a subnormal
-    result up, and leaves every result from 2^-1020 up unchanged."""
+    above its largest entry first, so only negligible squares underflow and
+    a non-zero row's sum of squares is at least 1/4. That sum, rounded to
+    nearest through at most m roundings, keeps a relative 1 - (m + 1) u of
+    the exact one (u = 2^-53), so sqrt(sum) (1 + (m + 3) 2^-52), rounded to
+    nearest, bounds the scaled norm. It is multiplied back; adding 2^-1074
+    then rounds a subnormal result up, and leaves every result from 2^-1020
+    up unchanged."""
+    m = magnitudes.shape[2]
     top = magnitudes[:, :, 0]
-    for j in range(1, magnitudes.shape[2]):  # faster than max(axis=2) on short rows
+    for j in range(1, m):  # faster than max(axis=2) on short rows
         top = np.maximum(top, magnitudes[:, :, j])
     e = np.frexp(top)[1]
     scaled = np.ldexp(magnitudes, -e[:, :, None])
-    total = 0.0
-    for j in range(magnitudes.shape[2]):
-        total = _up(total + _up(np.square(scaled[:, :, j])))
-    return np.ldexp(_up(np.sqrt(total)), e) + _SMALLEST_SUBNORMAL
-
-
-def minor_scale(matrix: np.ndarray) -> np.ndarray:
-    """Product of row sup-norms: the natural magnitude of the determinant.
-
-    Reduces the last two axes: a (trials, m, m) stack gives one scale per
-    matrix, and a single matrix a numpy scalar.
-    """
-    return np.prod(np.max(np.abs(matrix), axis=-1), axis=-1)
+    total = np.einsum("tij,tij->ti", scaled, scaled)
+    return np.ldexp(np.sqrt(total) * (1 + (m + 3) * 2.0 ** -52), e) + _SMALLEST_SUBNORMAL
 
 
 def ssr_minor(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> float:
-    """Determinant of [K(x_i, y_j)] for strictly increasing node tuples: in
-    double, or under the extended policy the exact determinant of the
-    entries built at the working precision, rounded once."""
+    """Determinant of [K(x_i, y_j)] for strictly increasing node tuples: the
+    exact determinant of the entries, rounded once, with the entries in
+    double or, under the extended policy, built at the working precision."""
     xs = _check_tuple(xs, spec.domain.x)
     ys = _check_tuple(ys, spec.domain.y)
     if len(xs) != len(ys):
         raise BadTupleError("node tuples must have equal length")
     if len(xs) > 8:
         raise BadTupleError("minor order capped at 8")
-    matrices = _minor_matrices(spec, xs[None], ys[None], policy)
-    if policy.extended:
-        return _exact_det(matrices[0])
-    return float(_det_double(matrices)[0])
+    matrix = _minor_matrices(spec, xs[None], ys[None], policy)[0]
+    if not policy.extended:
+        with mpmath.workprec(53):  # doubles lift exactly
+            matrix = _lift(matrix)
+    return _exact_det(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +822,7 @@ class MinorStats:
     indeterminate: int
     inferred_sign: int | None
     min_abs_det: float
+    min_abs_det_exp2: int
     violations: int
 
 
@@ -798,25 +885,18 @@ def ssr_scan(
     (seed, m), which draws all x-tuples of the order as one batch and then
     all y-tuples (draw_separated), so the same (seed, m, trials_per_m,
     domain) gives the same tuples and reports are reproducible. The order
-    is decided as one batch. In double, one broadcast kernel evaluation
-    gives the matrices and one stacked np.linalg.det their determinants; a
-    minor is determinate when |det| exceeds tau_det times the product of
-    row sup-norms (a nan determinant, from an overflowing entry, never is),
-    and min_abs_det is the smallest |det|. Under the extended policy a
-    minor is determinate only when an enclosure of its exact determinant
-    excludes 0 (_settle_extended), and tau_det is not read. Its sign is
-    rigorous when stage 1 decides it for a kernel built from + - * /, sqrt
-    and half-integer powers; otherwise it is certified under that
-    function's error model (numpy's exp and other powers accurate to 2^-40,
-    and a first-order bound on the working-precision entries), which is not
-    a proof. min_abs_det is the smallest lower bound of |det| from the
-    enclosures, rounded down, and 0.0 when any minor of the order is
-    indeterminate. The per-order sign is the majority of determinate signs
-    and any determinate disagreement is a violation.
+    is decided as one batch by _settle under either policy: a minor is
+    determinate only when an enclosure of its exact determinant excludes 0,
+    and its sign is certified as the module docstring says.
+    min_abs_det * 2^min_abs_det_exp2 is the smallest lower bound of |det|
+    from the enclosures, rounded down, with min_abs_det in [0.5, 1), so a
+    bound below or above the double range keeps its value; both are 0 when
+    any minor of the order is indeterminate. The per-order sign is the
+    majority of determinate signs and any determinate disagreement is a
+    violation.
     """
-    cap = 8 if policy.extended else 6
-    if not 1 <= m_max <= cap:
-        raise BadParameterError(f"m_max must be in [1, {cap}] under this policy")
+    if not 1 <= m_max <= 8:
+        raise BadParameterError("m_max must be in [1, 8]")
     if trials_per_m < 1:
         raise BadParameterError("trials_per_m must be at least 1")
     stats = []
@@ -824,17 +904,13 @@ def ssr_scan(
         rng = np.random.default_rng((seed, m))
         xs = draw_separated(rng, *spec.domain.x, m, trials_per_m)
         ys = draw_separated(rng, *spec.domain.y, m, trials_per_m)
-        if policy.extended:
-            signs, lower = _settle_extended(spec, xs, ys, policy)
-            min_abs = float(lower.min()) if signs.all() else 0.0
-        else:
-            with np.errstate(all="ignore"):  # an overflowing entry reads inf
-                matrices = _minor_matrices(spec, xs, ys, policy)
-                dets = _det_double(matrices)
-                # a nan determinant (from a non-finite entry) fails this test too
-                determinate = np.abs(dets) > policy.tau_det * minor_scale(matrices)
-            signs = np.where(determinate, np.sign(dets), 0)
-            min_abs = min([math.inf, *np.abs(dets).tolist()])  # skips nan
+        signs, lower, shift = _settle(spec, xs, ys, policy)
+        min_abs, min_exp2 = 0.0, 0
+        if signs.all():
+            mantissa, exp2 = np.frexp(lower)
+            exp2 += shift
+            least = np.lexsort((mantissa, exp2))[0]  # least exponent, then least mantissa
+            min_abs, min_exp2 = float(mantissa[least]), int(exp2[least])
         pos = int(np.count_nonzero(signs > 0))
         neg = int(np.count_nonzero(signs < 0))
         ind = trials_per_m - pos - neg
@@ -845,7 +921,7 @@ def ssr_scan(
         stats.append(MinorStats(
             m=m, trials=trials_per_m, positive=pos, negative=neg,
             indeterminate=ind, inferred_sign=sign,
-            min_abs_det=min_abs, violations=min(pos, neg),
+            min_abs_det=min_abs, min_abs_det_exp2=min_exp2, violations=min(pos, neg),
         ))
     per_m = tuple(stats)
     return SsrReport(

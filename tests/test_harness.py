@@ -4,6 +4,7 @@ schemas, serialization round-trips, and the CLI surface."""
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -654,10 +655,14 @@ def test_cli_extended_precision_runs(capsys):
 
 
 def test_cli_entry_point_subprocess():
+    # pytest's pythonpath setting reaches this process only, so the child
+    # is given the package's source directory itself
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "orthozero.cli", "theorem12", "--alpha", "0",
          "--trials", "2", "--deg-cap", "3", "--seed", "1"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["passes"] == 2
@@ -775,24 +780,26 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
-# sha256 of report_to_json at artifact_version 0.9.0. The extended ssr route
-# counts a sign only where an enclosure of the exact determinant excludes 0:
-# first a partial-pivot LU of the midpoints of numpy's outward-rounded
-# intervals with Higham's backward-error bound, then, for the minors that
-# leaves open, the exact determinant of the entries built with mpmath at the
-# working precision, each plus or minus a Hadamard bound. Such a sign is
-# certified under the route's error model (numpy's exp and non-half-integer
-# powers accurate to 2^-40, and a first-order bound on the working-precision
-# entries), so within that model it cannot differ between numpy builds.
-# Half-integer powers take only correctly rounded operations, but exp and
-# other powers are numpy's, so a minor near the edge of its bound can move
-# between signed and indeterminate, and min_abs_det (the smallest lower
-# bound from the enclosures) in its last bits. ssr-e64 pins the route at 64
-# bits, the lowest precision a policy allows, and ssr-e256 at 256 bits with
-# generic exponents. ssr-double pins the double route, whose
-# determinants come from LAPACK. theorem12, conj32 and q31 take every verdict
-# from certified signs, with LAPACK eigenvalues only picking the points of
-# the sign-change certificate. Each certificate sign is a double Horner
+# sha256 of report_to_json at artifact_version 0.10.0. Both ssr policies
+# count a sign only where an enclosure of the exact determinant excludes 0:
+# first a partial-pivot LU of the midpoints of numpy's midpoint-radius
+# intervals with Higham's backward-error bound, then, under the extended
+# policy only, for the minors that leaves open, the exact determinant of the
+# entries built with mpmath at the working precision, each plus or minus a
+# Hadamard bound. Such a sign is certified under the route's error model
+# (numpy's exp and non-half-integer powers accurate to 2^-40, and a
+# first-order bound on the working-precision entries), so within that model
+# it cannot differ between numpy builds. Half-integer powers take only
+# correctly rounded operations, but exp and other powers are numpy's, and
+# the bound on |L^||U^| comes from a BLAS matmul whose summation order may
+# differ, so a minor near the edge of its bound can move between signed and
+# indeterminate, and min_abs_det (the mantissa of the smallest lower bound
+# from the enclosures) in its last bits. ssr-e64 pins the route at 64 bits,
+# the lowest precision a policy allows, and ssr-e256 at 256 bits with
+# generic exponents. ssr-double pins the double policy, which has no second
+# stage. theorem12, conj32 and q31 take every verdict from certified
+# signs, with LAPACK eigenvalues only picking the points of the sign-change
+# certificate. Each certificate sign is a double Horner
 # value's where an a-priori error bound clears it, and else the exact
 # integer sign, so it is the exact sign either way. The distances that certified cases report are
 # nearest doubles of exact roots, so theorem12 and conj32-int (the certified
@@ -805,30 +812,30 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 PINNED_DIGESTS = [
     ("q31", CampaignConfig("q31", alpha_grid=(-0.5,), beta_grid=(0.3, 1.0), deg_cap=6,
                            trials=1, seed=3),
-     "f1791f3af4c023667f6105265e476eb234c6d2a2bc7409b2eafab82804b49d8b"),
+     "72d5e83435e1d83b786f131adc662ad83930a5ae6c477e6d2002e0099e1139f5"),
     ("ssr", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 1.5), m_max=3,
                            trials=30, seed=3, precision="extended:128"),
-     "320f2d80059827401e5431afa60f6141fc1fe96986558da37037bb9a6fef384e"),
+     "46d5670b8fc5f48eac027e5ed5eeb9829d9cb75083c9cb39168678406a075202"),
     ("conj32-int", CampaignConfig("conj32", alpha_grid=(0.0, 2.0), beta_grid=(1.0, 3.0),
                                   deg_cap=8, trials=10, seed=1),
-     "92c17732a01b68a4d54f4d01c33517ee06907e71fdecd58753f6ef0958b1e088"),
+     "0ace2c54bbdd575b434adb2e9d86032e6ab192f2feae61abc5a46b2031935b76"),
     ("conj32-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
                                         deg_cap=8, trials=10, seed=1),
-     "83ab320b72ba3fc6ed3edf9844c347712715ef7de0508e422295960cf256b63c"),
+     "f5e928f55f971a23ba81a4322262ccd001dd9e73e78ad81a83d697e61aa6e7dd"),
     ("theorem12", CampaignConfig("theorem12", alpha_grid=(-0.5, 2.5), deg_cap=30, trials=20,
                                  seed=1),
-     "cece43f117a87f7b1859ac7dea66ab97b9a71b493772027b2443ff6a31f37493"),
+     "4542741877d6eaf3acc513273e1be1b9e3f9165e0015fadccf0a3a483bec0993"),
     ("ssr-e64", CampaignConfig("ssr", alpha_grid=(-0.7, 0.3), beta_grid=(-0.9, 7.0), m_max=6,
                                trials=12, seed=2, precision="extended:64"),
-     "548607b9fac05a67f1295ef39c1b68e7d9cbfcb62c4c380e41822bc57b9d44df"),
+     "8db8eba9bf4542903ca385b0419f672dda5b330f1f9418b96eccbd96d2c04b98"),
     ("ssr-double", CampaignConfig("ssr", alpha_grid=(0.0, 1.0), beta_grid=(-0.5, 0.5, 1.5, 3.0),
                                   m_max=4, trials=50),
-     "8976f781b98b0410f6799fa93d1f9acee2eebc57fdf8dac422ca88c810cf1dee"),
+     "9ecfefb1767abc911b1a2ecc86d43d4949fcfee9ee2506936f794d0b55226cfe"),
     ("ssr-e256", CampaignConfig("ssr", alpha_grid=(0.3,), beta_grid=(2.2,), m_max=4, trials=10,
                                 precision="extended:256"),
-     "95a70055e23b1ac8f9b6e529533c15055209b6def35ba9272ebb52669a1842c0"),
+     "0585b8d6e5e4c39a4e110d56807c6ecf7703fed4f08863da68065f7c771edf7e"),
     ("biortho-equiv", CampaignConfig("biortho-equiv", alpha_grid=(-0.99, 0.0, 1e300), trials=20),
-     "99181c3bacb00c91b81719a99098ef763fda86ee2d286d5554f6c56f99d73a94"),
+     "efc4fa3a63fcac7eb1ba9ad90e059db06e04f14d25dd487572005ce0537dc298"),
 ]
 
 

@@ -39,15 +39,17 @@ from orthozero.polycore import integer_det
 from orthozero.signreg import (
     _INTERVAL,
     _Interval,
+    _down,
     _lu_enclose,
     _minor_matrices,
     _mpf_rows,
     _row_norm_bounds,
-    _settle_extended,
+    _settle,
+    _up,
     composition_kernel,
     draw_separated,
-    minor_scale,
 )
+from orthozero.biortho import minor_scale
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +312,12 @@ def test_scan_builds_one_generator_per_order(monkeypatch):
 
 
 def test_scan_m_cap_by_policy():
-    with pytest.raises(BadParameterError):
-        ssr_scan(ExpKernel(), m_max=7, trials_per_m=10, seed=1)
-    rep = ssr_scan(ExpKernel(), m_max=7, trials_per_m=10, seed=1, policy=extended(128))
-    assert rep.m_max == 7
+    # both policies decide minors by the same enclosures, under one cap
+    for policy in (DOUBLE, extended(128)):
+        with pytest.raises(BadParameterError, match=r"\[1, 8\]"):
+            ssr_scan(ExpKernel(), m_max=9, trials_per_m=10, seed=1, policy=policy)
+        rep = ssr_scan(ExpKernel(), m_max=8, trials_per_m=10, seed=1, policy=policy)
+        assert rep.m_max == 8 and len(rep.per_m) == 8
 
 
 def test_scan_order_one_signs_kernel_values():
@@ -445,30 +449,24 @@ SCAN_KERNELS = {
 def test_scan_equals_minor_by_minor_recomputation(name, policy):
     # the per-minor loop the batched scan replaced, kept as its reference:
     # same draws (one generator per order, all x-tuples, then all
-    # y-tuples), one ssr_minor per tuple and, in double, one 2-D scale per
-    # tuple; under the extended policy the enclosure of each minor on its
-    # own, whose sign, where it has one, is that of ssr_minor's
-    # working-precision determinant
+    # y-tuples), one ssr_minor per tuple and the enclosure of each minor on
+    # its own, whose sign, where it has one, is that of ssr_minor's
+    # determinant of the double or working-precision entries
     spec, seed, trials = SCAN_KERNELS[name], 5, 25
     rep = ssr_scan(spec, 4, trials, seed, policy)
     for stats in rep.per_m:
         pos = neg = ind = 0
-        min_abs = math.inf
+        bounds = []
         x_tuples, y_tuples = _draws(spec, stats.m, trials, seed)
         for xs, ys in zip(x_tuples, y_tuples):
             det = ssr_minor(spec, xs, ys, policy)
-            if policy.extended:
-                (sign,), (lower,) = _settle_extended(spec, xs[None], ys[None], policy)
-                assert sign in (0, np.sign(det))
-                min_abs = min(min_abs, lower)  # 0.0 where the sign is undecided
-            else:
-                matrix = np.asarray(spec.evaluate(xs[:, None], ys[None, :]), float)
-                scale = float(np.prod(np.max(np.abs(matrix), axis=1)))
-                sign = 0 if abs(det) <= policy.tau_det * scale else (1 if det > 0 else -1)
-                min_abs = min(min_abs, abs(det))
+            (sign,), (lower,), (shift,) = _settle(spec, xs[None], ys[None], policy)
+            assert sign in (0, np.sign(det))
+            bounds.append(Fraction(lower) * Fraction(2) ** int(shift))  # 0 where undecided
             pos, neg, ind = pos + (sign > 0), neg + (sign < 0), ind + (sign == 0)
         assert (stats.positive, stats.negative, stats.indeterminate) == (pos, neg, ind)
-        assert stats.min_abs_det == min_abs
+        assert Fraction(stats.min_abs_det) * Fraction(2) ** stats.min_abs_det_exp2 == min(bounds)
+        assert stats.min_abs_det == 0.0 or 0.5 <= stats.min_abs_det < 1.0
 
 
 def _draws(spec, m, trials, seed):
@@ -680,40 +678,55 @@ def _signs(dets):
     return np.array([0 if det is None else (det > 0) - (det < 0) for det in dets])
 
 
-@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("bits", [pytest.param(None, id="double"), 64, 128, 256])
 @pytest.mark.parametrize("name", list(FILTER_KERNELS))
 def test_filtered_scan_equals_the_working_precision_route(name, bits):
     # every sign the scan counts is the sign of the kernel's 600-bit
-    # determinant, the oracle for its exact determinant, and of the exact
-    # determinant of the entries built at the working precision
-    spec, trials, policy = FILTER_KERNELS[name], 25, extended(bits)
+    # determinant, the oracle for its exact determinant, and under the
+    # extended policy of the exact determinant of the entries built at the
+    # working precision; the double policy has no such entries
+    spec, trials = FILTER_KERNELS[name], 25
+    policy = DOUBLE if bits is None else extended(bits)
     for seed in (1, 2, 3):
         with np.errstate(all="raise"):
             rep = ssr_scan(spec, 5, trials, seed, policy)
         for s in rep.per_m:
             xs, ys = _draws(spec, s.m, trials, seed)
-            signs, _ = _settle_extended(spec, xs, ys, policy)
+            signs, _, _ = _settle(spec, xs, ys, policy)
             assert (s.positive, s.negative) == (np.sum(signs > 0), np.sum(signs < 0))
             counted = signs != 0
-            for reference_bits in (600, bits):
+            for reference_bits in (600,) if bits is None else (600, bits):
                 reference = _signs(_exact_dets(spec, xs[counted], ys[counted], reference_bits))
                 assert np.array_equal(signs[counted], reference), (seed, s.m, reference_bits)
 
 
 def test_large_beta_scans_read_no_false_violation(capsys):
-    # ultra_gen(20) and ultra_gen(40) are totally positive; in double their
-    # ill-conditioned minors read negative and the campaign exits 2
-    code = cli_main(["ssr", "--precision", "extended:128", "--beta", "20", "40"])
-    assert code == 0
-    assert "ssr: 6 cases, 6 passes, 0 violations" in capsys.readouterr().err
+    # ultra_gen(20) and ultra_gen(40) are totally positive; with double
+    # determinants against a threshold their ill-conditioned minors read
+    # negative and the campaign exited 2
+    for precision in ("double", "extended:128"):
+        code = cli_main(["ssr", "--precision", precision, "--beta", "20", "40"])
+        assert code == 0, precision
+        assert "ssr: 6 cases, 6 passes, 0 violations" in capsys.readouterr().err
 
 
 def test_minors_below_the_double_range_keep_their_sign():
     # a totally positive kernel whose order-2 minors round to +0.0: their
-    # signs once read negative from the rounded double
-    rep = ssr_scan(FILTER_KERNELS["exp-underflow"], 3, 25, 1, extended(128))
-    assert (rep.per_m[1].positive, rep.per_m[1].negative) == (25, 0)
-    assert rep.verdict is Verdict.CONSISTENT_STP
+    # signs once read negative from the rounded double. Their lower bounds
+    # of |det|, near 2^-1380, once read 0.0 as min_abs_det; its mantissa
+    # and power of two keep them
+    spec = FILTER_KERNELS["exp-underflow"]
+    for policy in (DOUBLE, extended(128)):
+        rep = ssr_scan(spec, 3, 25, 1, policy)
+        order_2 = rep.per_m[1]
+        assert (order_2.positive, order_2.negative) == (25, 0)
+        assert 0.5 <= order_2.min_abs_det < 1.0 and order_2.min_abs_det_exp2 < -1075
+        xs, ys = _draws(spec, 2, 25, 1)
+        smallest = min(abs(det) for det in _exact_dets(spec, xs, ys, 600))
+        assert Fraction(order_2.min_abs_det) * Fraction(2) ** order_2.min_abs_det_exp2 <= smallest
+        assert rep.verdict is Verdict.CONSISTENT_STP
+    # at 128 bits stage 2 signs every order-3 minor as well
+    assert rep.per_m[2].positive == 25 and rep.per_m[2].min_abs_det_exp2 < -1075
 
 
 def test_row_norm_bounds_keep_their_accuracy_at_every_scale():
@@ -742,9 +755,9 @@ def test_minors_far_below_their_row_norms_are_decided():
 
 
 def test_extended_min_abs_det_bounds_every_minor(tmp_path):
-    # min_abs_det is the smallest certified lower bound of |det| over an
-    # order's minors, rounded down: positive when every minor is signed, 0.0
-    # when one is not (ultra_gen(300) and jacobi_gen(0, 300) have
+    # min_abs_det * 2^min_abs_det_exp2 is the smallest certified lower bound
+    # of |det| over an order's minors, rounded down: positive when every
+    # minor is signed, 0.0 when one is not (ultra_gen(300) and jacobi_gen(0, 300) have
     # overflowing entries), never inf, so the report always parses
     out = tmp_path / "ssr.json"
     code = cli_main(["ssr", "--precision", "extended:128", "--alpha", "0", "--beta", "1.5", "300",
@@ -761,9 +774,10 @@ def test_extended_min_abs_det_bounds_every_minor(tmp_path):
             smallest = min(abs(det) for det in _exact_dets(spec, xs, ys, 600))
             indeterminate.append(s["indeterminate"])
             if s["indeterminate"]:
-                assert s["min_abs_det"] == 0.0
+                assert (s["min_abs_det"], s["min_abs_det_exp2"]) == (0.0, 0)
             else:
-                assert 0.0 < s["min_abs_det"] and Fraction(s["min_abs_det"]) <= smallest
+                assert 0.5 <= s["min_abs_det"] < 1.0
+                assert Fraction(s["min_abs_det"]) * Fraction(2) ** s["min_abs_det_exp2"] <= smallest
     assert 0 in indeterminate and max(indeterminate) > 0
 
 
@@ -820,8 +834,12 @@ def test_unbounded_entries_are_indeterminate_and_not_rebuilt(monkeypatch):
 
 
 def _contains(interval, value):
+    # both forms: the endpoints, and the midpoint and radius themselves,
+    # where the radius is finite
     lo, hi = float(interval.lo), float(interval.hi)
-    return mpmath.mpf(lo) <= value <= mpmath.mpf(hi)
+    mid, rad = float(interval.mid), float(interval.rad)
+    return (mpmath.mpf(lo) <= value <= mpmath.mpf(hi)
+            and (not math.isfinite(rad) or abs(value - mpmath.mpf(mid)) <= mpmath.mpf(rad)))
 
 
 def _unbounded(interval):
@@ -847,6 +865,31 @@ def test_interval_arithmetic_encloses_the_exact_result(a, b, op, t, u):
                 continue
             with mpmath.workprec(256):
                 assert _contains(result, OPERATIONS[op](mpmath.mpf(x), mpmath.mpf(y))), (x, y)
+
+
+RADII = st.one_of(st.just(0.0), st.floats(0, 1e300))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ma=st.floats(-1e300, 1e300), ra=RADII, mb=st.floats(-1e300, 1e300), rb=RADII,
+       op=st.sampled_from(list(OPERATIONS)))
+@example(ma=2.0 ** -1022, ra=0.0, mb=3.0, rb=0.0, op="/")  # an underflowing quotient
+@example(ma=1.0, ra=10.0, mb=3.0, rb=1.0, op="/")  # radii far above the rounding
+def test_interval_radius_covers_every_corner(ma, ra, mb, rb, op):
+    # the midpoint-radius form itself, without the endpoints' outward
+    # rounding: every corner's exact result lies within rad of mid, in exact
+    # rational arithmetic, so a radius short by its last ulps is caught
+    with np.errstate(all="ignore"):
+        result = OPERATIONS[op](_Interval.centred(np.float64(ma), np.float64(ra)),
+                                _Interval.centred(np.float64(mb), np.float64(rb)))
+    mid, rad = float(result.mid), float(result.rad)
+    if op == "/" and abs(Fraction(mb)) <= Fraction(rb):
+        assert not math.isfinite(rad)
+    if not math.isfinite(rad):
+        return
+    for a in (Fraction(ma) - Fraction(ra), Fraction(ma) + Fraction(ra)):
+        for b in (Fraction(mb) - Fraction(rb), Fraction(mb) + Fraction(rb)):
+            assert abs(OPERATIONS[op](a, b) - Fraction(mid)) <= Fraction(rad), (a, b)
 
 
 def _points(pair, t):
@@ -917,6 +960,39 @@ def test_kernel_intervals_enclose_the_exact_value(name, p, q, t, u):
         interval = spec.evaluate_interval(x, y)
     with mpmath.workprec(256):
         assert _contains(interval, spec.evaluate_exact(x, y))
+
+
+def _check_outward_rounding(v):
+    # _down and _up move one or two doubles below and above v
+    with np.errstate(all="ignore"):  # as in every caller: |v| phi underflows
+        down, up = _down(v), _up(v)
+        below, above = np.nextafter(v, -np.inf), np.nextafter(v, np.inf)
+        two_below, two_above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+    assert np.all(down <= below) and np.all(up >= above)
+    assert np.all(down >= two_below) and np.all(up <= two_above)
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=st.floats(allow_nan=False, allow_infinity=False))
+@example(v=0.0)
+@example(v=-5e-324)
+@example(v=-1.7976931348623157e308)
+def test_outward_rounding_moves_one_or_two_doubles(v):
+    _check_outward_rounding(np.float64(v))
+
+
+def test_outward_rounding_at_the_edges_of_the_range():
+    tiny = np.finfo(float).tiny  # 2^-1022
+    edges = np.concatenate([
+        np.ldexp(1.0, np.arange(-1074, 1024)),  # every power of two
+        [0.0, 3 * 5e-324, np.nextafter(tiny, 0), np.nextafter(tiny, 1), np.finfo(float).max],
+        np.nextafter(np.ldexp(1.0, np.arange(-1073, 1024)), 0),  # just below each
+    ])
+    _check_outward_rounding(np.concatenate([edges, -edges]))
+    with np.errstate(all="ignore"):
+        for v in (np.inf, -np.inf, np.nan):
+            v = np.float64(v)
+            assert _unbounded(_Interval(_down(v), _up(v))), v
 
 
 def test_unbounded_intervals():
@@ -1031,8 +1107,9 @@ def test_filter_decides_only_what_its_bounds_clear(base, tau_det):
         assert rep == ssr_scan(spec, 4, trials, seed, extended(128))
         for s in rep.per_m:
             xs, ys = _draws(spec, s.m, trials, seed)
-            signs, lower = _settle_extended(spec, xs, ys, extended(128))
+            signs, lower, shift = _settle(spec, xs, ys, extended(128))
             dets = _exact_dets(spec, xs, ys, 128)
             assert (s.positive, s.negative) == (np.sum(signs > 0), np.sum(signs < 0))
-            for sign, low, det in zip(signs, lower, dets):
-                assert sign in (0, (det > 0) - (det < 0)) and Fraction(low) <= abs(det)
+            for sign, low, k, det in zip(signs, lower, shift.tolist(), dets):
+                assert sign in (0, (det > 0) - (det < 0))
+                assert Fraction(low) * Fraction(2) ** k <= abs(det)
