@@ -14,6 +14,8 @@ asks, in integers, whether the exact image of prod (x - t_l) is annihilated
 by every node's measure; it solves no system and runs no quadrature. The
 general routes (moment, biorthogonal_poly, orthogonality_residuals) work in
 double and integrate adaptively with scipy, which they import when called.
+biorthogonal_poly decides regularity by an enclosure of the moment
+determinant (orthozero.enclosure) with quad's error estimates as radii.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .enclosure import _scaled_lu_enclose
 from .errors import (
     BadNodesError,
     BadParameterError,
@@ -33,7 +36,7 @@ from .errors import (
 )
 from .polycore import (Poly, RootReport, check_params, dyadic_numerators, integer_poly,
                        jacobi_coefficient_rows, poly_eval, root_report)
-from .precision import DOUBLE, PrecisionPolicy
+from .precision import DEFAULT_TAU_ROOT
 from .transforms import exact_image, jacobi_rows_int, ultra_row_scale
 
 MAX_MOMENT_POWER = 30
@@ -58,6 +61,12 @@ def moment(kernel, k: int, t: float, interval) -> float:
     The absolute error estimate must meet 1e-10 * (1 + |value|); otherwise
     QuadratureError is raised.
     """
+    return _moment_estimate(kernel, k, t, interval)[0]
+
+
+def _moment_estimate(kernel, k: int, t: float, interval) -> tuple[float, float]:
+    """moment, and quad's abserr: an estimate of its absolute error from the
+    difference of a Gauss and a Kronrod rule, not a bound."""
     if not 0 <= k <= MAX_MOMENT_POWER:
         raise BadParameterError(f"moment power capped at {MAX_MOMENT_POWER}")
     from scipy.integrate import quad  # library-only route; scipy stays off the CLI's imports
@@ -71,7 +80,7 @@ def moment(kernel, k: int, t: float, interval) -> float:
         raise QuadratureError(
             f"moment k={k}, t={t}: error estimate {err:g} misses target"
         )
-    return float(val)
+    return float(val), float(err)
 
 
 def _check_nodes(nodes) -> tuple[float, ...]:
@@ -85,12 +94,18 @@ def _check_nodes(nodes) -> tuple[float, ...]:
 
 def moment_matrix(kernel, nodes, interval, powers: int) -> np.ndarray:
     """Matrix [I_k(t_l)] with rows over nodes and columns k = 0..powers-1."""
+    return _moment_estimates(kernel, nodes, interval, powers)[0]
+
+
+def _moment_estimates(kernel, nodes, interval, powers: int) -> tuple[np.ndarray, np.ndarray]:
+    """moment_matrix, and the matrix of quad's abserr estimates of its
+    entries' errors (_moment_estimate)."""
     nodes = _check_nodes(nodes)
-    out = np.zeros((len(nodes), powers))
+    out = np.zeros((2, len(nodes), powers))
     for l, t in enumerate(nodes):
         for k in range(powers):
-            out[l, k] = moment(kernel, k, t, interval)
-    return out
+            out[:, l, k] = _moment_estimate(kernel, k, t, interval)
+    return out[0], out[1]
 
 
 def regularity_det(kernel, nodes, interval) -> float:
@@ -119,24 +134,17 @@ class BiorthogonalSystem:
     poly: Poly
 
 
-def minor_scale(matrix: np.ndarray) -> np.ndarray:
-    """Product of row sup-norms: the natural magnitude of the determinant.
-
-    Reduces the last two axes: a (trials, m, m) stack gives one scale per
-    matrix, and a single matrix a numpy scalar.
-    """
-    return np.prod(np.max(np.abs(matrix), axis=-1), axis=-1)
-
-
-def biorthogonal_poly(
-    kernel,
-    nodes,
-    interval,
-    policy: PrecisionPolicy = DOUBLE,
-) -> BiorthogonalSystem:
+def biorthogonal_poly(kernel, nodes, interval) -> BiorthogonalSystem:
     """Monic degree-m polynomial with zero integral against omega(., t_l)
     for every node t_l, from the moment matrix [I_k(t_l)] by adaptive
-    quadrature."""
+    quadrature.
+
+    The system is regular when det [I_k(t_l)], k < m, is not 0, as decided
+    by the stage-1 enclosure of orthozero.enclosure with the moments as
+    midpoints and quad's abserr estimates, which are not bounds, as radii.
+    SingularSystemError is raised where the enclosure contains 0 or a moment
+    is not finite.
+    """
     nodes = _check_nodes(nodes)
     m = len(nodes)
     interval = (float(interval[0]), float(interval[1]))
@@ -145,19 +153,14 @@ def biorthogonal_poly(
             nodes=nodes, kernel=kernel, interval=interval,
             moment_matrix=np.zeros((0, 0)), poly=Poly((1.0,)),
         )
-    moments = moment_matrix(kernel, nodes, interval, m + 1)
+    moments, errors = _moment_estimates(kernel, nodes, interval, m + 1)
+    if not np.isfinite(moments).all():
+        raise SingularSystemError(f"the moments overflowed the double range at nodes {nodes}")
     square = moments[:, :m]
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = np.linalg.det(square) if m > 1 else square[0, 0]
-        scale = minor_scale(square)
-    if not (np.isfinite(moments).all() and np.isfinite(det) and np.isfinite(scale)):
-        raise SingularSystemError(
-            f"the moments overflowed the double range at nodes {nodes}: the moment "
-            f"matrix or its regularity determinant is not finite")
-    if abs(det) <= policy.tau_det * max(scale, 1e-300):
-        raise SingularSystemError(
-            f"regularity determinant {det:g} below threshold at nodes {nodes}"
-        )
+    with np.errstate(all="ignore"):
+        (sign,), *_ = _scaled_lu_enclose(square[None], errors[None, :, :m])
+    if not sign:
+        raise SingularSystemError(f"the regularity determinant's enclosure holds 0 at nodes {nodes}")
     lower = np.linalg.solve(square, -moments[:, m])
     poly = Poly(tuple(lower) + (1.0,))
     return BiorthogonalSystem(
@@ -184,17 +187,16 @@ def orthogonality_residuals(system: BiorthogonalSystem) -> np.ndarray:
 def zeros_in_interval_check(
     system: BiorthogonalSystem,
     tol: float | None = None,
-    policy: PrecisionPolicy = DOUBLE,
 ) -> RootReport:
     """Classify the constructed polynomial's roots against the interval,
     exactly: root_report on its double coefficients taken as the binary
-    rationals they are (integer_poly). tol defaults to policy.tau_root.
+    rationals they are (integer_poly). tol defaults to DEFAULT_TAU_ROOT.
 
     For a sign-regular kernel weight (callers record scan evidence, the
     check does not re-prove it) the expected outcome is strictly-inside
     with pairwise distinct real roots.
     """
-    tol = tol if tol is not None else policy.tau_root
+    tol = tol if tol is not None else DEFAULT_TAU_ROOT
     return root_report(integer_poly(system.poly), system.interval, tol)
 
 
@@ -265,11 +267,7 @@ EQUIV_ALPHA_HALF = ("alpha = -1/2 makes the degree-weighted kernel's prefactor "
                     "2a+1 vanish, so the equivalence check is undefined there")
 
 
-def transform_equivalence_check(
-    nodes,
-    alpha: float,
-    policy: PrecisionPolicy = DOUBLE,
-) -> float:
+def transform_equivalence_check(nodes, alpha: float) -> float:
     """Exact residual of the identity between the scaled ultraspherical
     transform of f = prod (x - t_l) and the monic biorthogonal polynomial
     built from the degree-weighted generating kernel (with the family
@@ -290,7 +288,7 @@ def transform_equivalence_check(
     in integers at the dyadic nodes and rounded once to a double.
 
     Requires at most MAX_SYSTEM_SIZE nodes, pairwise more than
-    policy.tau_root apart and strictly inside (-1, 1), and alpha != -1/2:
+    DEFAULT_TAU_ROOT apart and strictly inside (-1, 1), and alpha != -1/2:
     there the kernel's prefactor 2a+1 vanishes, so every moment is zero and
     the system has no solution.
     """
@@ -303,7 +301,7 @@ def transform_equivalence_check(
         return 0.0
     if nodes[0] <= -1.0 or nodes[-1] >= 1.0:
         raise BadNodesError("nodes must lie inside (-1, 1)")
-    if any(b - a <= policy.tau_root for a, b in zip(nodes, nodes[1:])):
+    if any(b - a <= DEFAULT_TAU_ROOT for a, b in zip(nodes, nodes[1:])):
         raise BadNodesError("nodes must be pairwise distinct")
 
     image_rows, table = _equivalence_rows(alpha)

@@ -468,14 +468,13 @@ def run_biortho_equiv_campaign(config: CampaignConfig) -> CampaignReport:
     the identity holds. A case passes when it is at most tol, so every
     violation is certified (the equivalence is proven, so any violation is
     a defect), and no case is indeterminate."""
-    policy = config.policy
     tol = config.effective_tol
     deg_cap = min(config.deg_cap, 6)
 
     def case(alpha, rng, _):
         degree = int(rng.integers(1, deg_cap + 1))
         nodes = draw_separated(rng, -0.95, 0.95, degree, sep=0.05)[0]
-        deviation = transform_equivalence_check(nodes, alpha, policy)
+        deviation = transform_equivalence_check(nodes, alpha)
         return {
             "parameters": {"alpha": alpha},
             "input": f"random_interior_distinct(degree={degree})",

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .enclosure import _SMALLEST_SUBNORMAL, _gamma, _to_double
 from .errors import (
     BadIntervalError,
     BadParameterError,
@@ -231,31 +232,6 @@ def monic_from_roots(roots) -> list:
     return c
 
 
-def integer_det(rows: list[list[int]]) -> int:
-    """Exact determinant of a square matrix of Python ints.
-
-    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): by
-    Sylvester's identity every division by the previous pivot is exact, so
-    entries stay integers whose size grows only linearly with the step.
-    """
-    a = [list(row) for row in rows]
-    n, sign, prev = len(a), 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * row_k[j]) // prev
-        prev = pivot
-    return sign * a[-1][-1]
-
-
 # ---------------------------------------------------------------------------
 # exact real-root counting: Sturm sequences over the integers
 # ---------------------------------------------------------------------------
@@ -439,15 +415,6 @@ def nearest_double_roots(seq: list[list[int]], lo: int, hi: int, indices=None) -
     return found
 
 
-def _to_double(num: int, k: int) -> float:
-    """num / 2^k rounded to nearest, or the infinity it rounds to beyond the
-    doubles."""
-    try:
-        return num / (1 << k)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
 def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
     """The double nearest the root of p in (lo / 2^k, hi / 2^k], where p has
     one root, at which it changes sign (or which is hi itself), or where
@@ -511,8 +478,6 @@ _BRACKETS = (2.0 ** -46, 2.0 ** -32)
 # Newton steps from an estimate before its nearest double is checked; from
 # the comrade estimates' few ulps, one step usually lands and one confirms.
 _NEWTON_STEPS = 3
-_UNIT_ROUNDOFF = 2.0 ** -53
-_SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
 def dyadic_numerators(points) -> tuple[list[int], int]:
@@ -526,11 +491,6 @@ def dyadic_numerators(points) -> tuple[list[int], int]:
 def _sign_at_double(p: list[int], x: float) -> int:
     (num,), k = dyadic_numerators([x])
     return _sign_at(p, num, k)
-
-
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u), Higham's bound on k compounded roundings."""
-    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
 
 def _unit_scaled(p: list[int]) -> list[float]:

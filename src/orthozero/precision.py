@@ -1,11 +1,11 @@
 """Scalar precision policy: plain binary64 or mpmath-backed extended precision.
 
 Ill-conditioned determinants (Cauchy-like minors) need more than double
-precision; everything else runs in numpy. Where roots lie is decided
-exactly under either policy, so theorem12, conj32, q31, biortho-equiv and
-zeros_in_interval_check read at most tau_root. ssr takes its signs from
-enclosures of the exact determinants under either policy, so tau_det is
-read only by biortho.biorthogonal_poly.
+precision; everything else runs in numpy. ssr builds its stage-2 minors at
+the policy's working precision; no other campaign reads it. Determinant
+signs come from enclosures of the exact determinants, and where roots lie
+is decided exactly, so the policy carries no tolerance: the root
+classification's default DEFAULT_TAU_ROOT is a constant.
 """
 
 from __future__ import annotations
@@ -16,22 +16,15 @@ from .errors import BadParameterError
 
 DEFAULT_TAU_TRIM = 1e-12
 DEFAULT_TAU_ROOT = 1e-9
-DEFAULT_TAU_DET = 1e-11
 
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Scalar mode plus the tolerance knobs used throughout the package.
-
-    mode is "double" or "extended"; bits applies to extended mode only
-    (>= 64). Tolerances: tau_root for root classification, tau_det for
-    biorthogonal_poly's regularity test, its only reader.
-    """
+    """Scalar mode: "double" or "extended"; bits applies to extended mode
+    only (>= 64)."""
 
     mode: str = "double"
     bits: int | None = None
-    tau_root: float = DEFAULT_TAU_ROOT
-    tau_det: float = DEFAULT_TAU_DET
 
     def __post_init__(self):
         if self.mode not in ("double", "extended"):
@@ -39,8 +32,6 @@ class PrecisionPolicy:
         if self.mode == "extended":
             if self.bits is None or self.bits < 64:
                 raise BadParameterError("extended mode requires bits >= 64")
-        if min(self.tau_root, self.tau_det) <= 0:
-            raise BadParameterError("tolerances must be strictly positive")
 
     @property
     def extended(self) -> bool:
@@ -50,9 +41,9 @@ class PrecisionPolicy:
 DOUBLE = PrecisionPolicy()
 
 
-def extended(bits: int = 128, **tol) -> PrecisionPolicy:
+def extended(bits: int = 128) -> PrecisionPolicy:
     """Extended-precision policy with the given mantissa bit count."""
-    return PrecisionPolicy(mode="extended", bits=bits, **tol)
+    return PrecisionPolicy(mode="extended", bits=bits)
 
 
 def parse_precision(text: str) -> PrecisionPolicy:

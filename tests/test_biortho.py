@@ -115,6 +115,16 @@ def test_two_node_exp_system_closed_form():
     assert 0.0 < roots[0] < roots[1] < 1.0
 
 
+def test_two_node_exp_system_beyond_the_double_range():
+    # the moments of 2^-700 e^(xt) and 2^700 e^(xt) are those of e^(xt)
+    # times a power of two, whose determinants underflow and overflow
+    def build(c):
+        return biorthogonal_poly(lambda x, t: c * math.exp(x * t), (0.0, 1.0), (0, 1))
+
+    for c in (2.0 ** -700, 2.0 ** 700):
+        assert build(c).poly.coeffs == build(1.0).poly.coeffs
+
+
 def test_singular_system_detected():
     # columns of the moment matrix coincide for a kernel independent of x
     with pytest.raises(SingularSystemError):
@@ -195,7 +205,7 @@ def test_zero_theorem_suite():
 
 def test_zero_check_takes_an_explicit_tol():
     # an explicit tol <= 0 is rejected as classify_roots rejects it; only a
-    # missing one falls back to the policy's tau_root
+    # missing one falls back to DEFAULT_TAU_ROOT
     system = biorthogonal_poly(EXP_ON_UNIT, (0.0, 1.0), (0, 1))
     for tol in (0.0, -1e-9):
         with pytest.raises(BadParameterError):

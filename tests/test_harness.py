@@ -680,6 +680,30 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_every_module_imports_alone():
+    # importing orthozero.<name> runs the package's __init__ first, whose
+    # order can hide an import cycle; a bare package in its place lets each
+    # module's own imports run first
+    package = Path(harness.__file__).resolve().parent
+    code = """
+import importlib, sys, types
+sys.path.insert(0, sys.argv[1])
+import orthozero
+version, path = orthozero.__version__, orthozero.__path__
+for name in sys.argv[2:]:
+    for loaded in [m for m in sys.modules if m == "orthozero" or m.startswith("orthozero.")]:
+        del sys.modules[loaded]
+    bare = types.ModuleType("orthozero")
+    bare.__path__, bare.__version__ = path, version
+    sys.modules["orthozero"] = bare
+    importlib.import_module("orthozero." + name)
+"""
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    proc = subprocess.run([sys.executable, "-c", code, str(package.parent), *modules],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_selftest_passes():
     results = run_selftest()
     assert all(ok for _, ok, _ in results)

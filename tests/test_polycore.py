@@ -33,6 +33,7 @@ from orthozero.errors import (
     NonFiniteError,
 )
 from orthozero import polycore
+from orthozero.enclosure import integer_det
 from orthozero.polycore import (
     _bisect_to_double,
     _root_between,
@@ -43,7 +44,6 @@ from orthozero.polycore import (
     count_roots,
     dyadic_numerators,
     filtered_signs,
-    integer_det,
     integer_poly,
     jacobi_series_roots,
     monic_from_roots,

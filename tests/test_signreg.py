@@ -35,21 +35,22 @@ from orthozero.cli import main as cli_main
 from orthozero.errors import BadParameterError, BadTupleError, OutOfDomainError
 from orthozero.harness import CampaignConfig, run_campaign
 from orthozero import signreg
-from orthozero.polycore import integer_det
-from orthozero.signreg import (
-    _INTERVAL,
+from orthozero.enclosure import (
     _Interval,
     _down,
     _lu_enclose,
-    _minor_matrices,
     _mpf_rows,
     _row_norm_bounds,
-    _settle,
     _up,
+    integer_det,
+)
+from orthozero.signreg import (
+    _INTERVAL,
+    _minor_matrices,
+    _settle,
     composition_kernel,
     draw_separated,
 )
-from orthozero.biortho import minor_scale
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +532,6 @@ def test_broadcast_entries_equal_entry_by_entry_evaluation(name, bits):
             assert isinstance(single, mpmath.mpf)
             if not isinstance(spec, CustomKernel):
                 assert single._mpf_ == stack[0, 0, 0]._mpf_
-
-
-def test_stacked_minor_scale_equals_per_matrix():
-    rng = np.random.default_rng(3)
-    for m in range(1, 9):
-        stack = rng.standard_normal((40, m, m)) * 10.0 ** rng.integers(-30, 30, (40, m, 1))
-        scales = minor_scale(stack)
-        assert scales.shape == (40,)
-        for t in range(40):
-            assert scales[t] == minor_scale(stack[t]) == float(np.prod(np.max(np.abs(stack[t]), axis=1)))
 
 
 def _reference_det(spec, xs, ys, bits=128, ref_bits=1500):
@@ -1071,14 +1062,14 @@ def test_lu_filter_signs_agree_with_the_exact_determinant(m, seed, dependent, ti
 
 class _Loose:
     """A kernel whose working-precision entries are its double values, and
-    whose intervals are 1e-3 wide relative to them and off-centre by a
+    whose intervals are rel wide relative to them and off-centre by a
     fraction that varies from entry to entry, so that the filter's
     decisions rest on its bounds alone."""
 
     refines = True
 
-    def __init__(self, base):
-        self.base, self.domain = base, base.domain
+    def __init__(self, base, rel=1e-3):
+        self.base, self.domain, self.rel = base, base.domain, rel
 
     def describe(self):
         return f"loose[{self.base.describe()}]"
@@ -1091,19 +1082,19 @@ class _Loose:
 
     def evaluate_interval(self, x, y):
         values = self.evaluate(x, y)
-        width, below = 1e-3 * np.abs(values), (1e4 * values) % 1.0
+        width, below = self.rel * np.abs(values), (1e4 * values) % 1.0
         return _Interval(values - below * width, values + (1.0 - below) * width)
 
 
-@pytest.mark.parametrize("tau_det", [1e-11, 1e-5, 0.3, 0.7])
+@pytest.mark.parametrize("rel", [1e-11, 1e-5, 0.3, 0.7])
 @pytest.mark.parametrize("base", [ExpKernel(), UltraGenKernel(-0.5)], ids=["exp", "ultra_gen"])
-def test_filter_decides_only_what_its_bounds_clear(base, tau_det):
-    # the extended scan reads no tau_det, and every sign it counts is the
-    # sign of the exact determinant of _Loose's double values, which are its
-    # exact values
-    spec, trials = _Loose(base), 60
+def test_filter_decides_only_what_its_bounds_clear(base, rel):
+    # from tight enclosures to ones as wide as the entries, the extended scan
+    # is reproducible, and every sign it counts is the sign of the exact
+    # determinant of _Loose's double values, which are its exact values
+    spec, trials = _Loose(base, rel), 60
     for seed in (1, 2):
-        rep = ssr_scan(spec, 4, trials, seed, extended(128, tau_det=tau_det))
+        rep = ssr_scan(spec, 4, trials, seed, extended(128))
         assert rep == ssr_scan(spec, 4, trials, seed, extended(128))
         for s in rep.per_m:
             xs, ys = _draws(spec, s.m, trials, seed)
