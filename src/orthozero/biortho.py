@@ -109,8 +109,11 @@ def _moment_estimates(kernel, nodes, interval, powers: int) -> tuple[np.ndarray,
 
 
 def regularity_det(kernel, nodes, interval) -> float:
-    """Determinant of [I_k(t_l)], k = 0..m-1: nonzero means the weight is
-    regular and the biorthogonal polynomial at these nodes is unique."""
+    """Determinant of [I_k(t_l)], k = 0..m-1, in double: np.linalg.det of the
+    moment matrix, which may underflow to 0 or overflow to inf for a
+    regular system (2^-700 e^(xt) and 2^700 e^(xt) at nodes (0, 1) on
+    (0, 1) give 0.0 and inf), so it decides nothing. biorthogonal_poly
+    decides regularity by an enclosure of this determinant."""
     nodes = _check_nodes(nodes)
     m = len(nodes)
     if m == 0:

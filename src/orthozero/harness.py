@@ -13,10 +13,12 @@ the image through them (exact_image). The boundary-rooted family
 multiplicity, which float coefficients perturb by roughly
 eps^(1/multiplicity), far beyond the campaign tolerances. Those roots are
 deflated by integer synthetic division. polycore decides where the roots
-of every image lie, by exact Sturm counts (exact_verdict, locate), for the
-random interior-rooted inputs of theorem12 and conj32 behind a sign-change
-certificate whose points comrade-matrix eigenvalues pick; those inputs are
-decided in batches of equal degree per grid point. No verdict of
+of every image lie: first by one batched sign-change certificate, whose
+points the comrade-matrix eigenvalues of the random interior-rooted inputs
+of theorem12 and conj32 pick inside (-1, 1), and the companion-matrix
+eigenvalues of the boundary family's residuals over the whole line; then,
+where it fails, by exact Sturm counts (exact_verdict, locate). The inputs
+of a grid point are decided in batches of equal degree. No verdict of
 theorem12, conj32 or q31 rests on a rounded image or a root finder.
 biortho-equiv checks its identity exactly, on the same integer rows
 (transform_equivalence_check).
@@ -43,12 +45,12 @@ from .errors import BadParameterError
 from .polycore import (
     RootLocation,
     all_roots_real,
+    boundary_verdicts,
     certified_interior_verdicts,
     comrade_roots,
     deflate_root,
     diagnostic_roots,
-    exact_verdict,
-    locate,
+    line_certificates,
     min_boundary_distance,
     monic_from_roots,
     primitive_part,
@@ -289,7 +291,10 @@ _rows = functools.lru_cache(maxsize=1)(jacobi_rows_int)
 def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
     """Proven zero-preservation sweep: random interior-rooted inputs through
     the factorial-scaled symmetric transform; every case must classify as
-    strictly inside (-1, 1) (by tol).
+    strictly inside (-1, 1) (by tol). A root in the band [1 - tol, 1 + tol]
+    or its mirror may lie inside (-1, 1), as the theorem says it does, so
+    some_on_boundary is indeterminate; only a root outside the closed band
+    or a non-real root is a violation.
 
     The image is computed exactly, as integers (exact_image), and
     its verdict is certified (certified_interior_verdict): the comrade-matrix
@@ -313,6 +318,7 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
             "min_boundary_distance": min_boundary_distance(found, (-1.0, 1.0)),
             "proven": True,
             "outcome": ("pass" if classification is RootLocation.ALL_STRICTLY_INSIDE
+                        else "indeterminate" if classification is RootLocation.SOME_ON_BOUNDARY
                         else "violation"),
         } for degree, (classification, found) in zip(degrees, verdicts)]
 
@@ -337,18 +343,19 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
         # one set of rows per grid point serves the pairs and the random
         # inputs, whose degree is below 10
         rows = _rows(max(config.deg_cap, 9), alpha, beta, unit_row_scale)
-        if pair is not None:  # a boundary pair is a group of one
-            n, m = pair
-            residual, detail = boundary_family_roots(n, m, rows)
-            at_ends = [complex(1.0)] * detail["mult_plus"] + [complex(-1.0)] * detail["mult_minus"]
-            if at_ends:  # the distance is 0 already, so the residual's roots are not read
-                flag, roots = locate(residual, (-1.0, 1.0), tol), at_ends
-                if flag is RootLocation.ALL_STRICTLY_INSIDE:
+        if pair is not None:  # the boundary pairs of a grid point are one group
+            found = [boundary_family_roots(n, m, rows) for *_, (n, m) in specs]
+            # a pair with a root at +-1 has distance 0 already, so the
+            # residual's roots are not read
+            ends = [[1 + 0j] * d["mult_plus"] + [-1 + 0j] * d["mult_minus"] for _, d in found]
+            decided = boundary_verdicts([r for r, _ in found], tol, [not e for e in ends])
+            verdicts = []
+            for (*_, (n, m)), (_, detail), at_ends, (flag, roots) in zip(
+                    specs, found, ends, decided):
+                if at_ends and flag is RootLocation.ALL_STRICTLY_INSIDE:
                     flag = RootLocation.SOME_ON_BOUNDARY
-            else:
-                flag, roots = exact_verdict(residual, tol)
-            verdicts = [(f"(x-1)^{n} (x+1)^{m}", n + m, "boundary", flag, roots, detail,
-                         "pass" if flag in closed else "violation")]
+                verdicts.append((f"(x-1)^{n} (x+1)^{m}", n + m, "boundary", flag, at_ends or roots,
+                                 detail, "pass" if flag in closed else "violation"))
         else:  # the random inputs of a grid point are one group
             degrees = [int(rng.integers(1, 10)) for rng in rngs]
             verdicts = [(f"random_interior(degree={degree})", degree, "random", flag, roots, None,
@@ -377,7 +384,7 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
     return _run_cases(config, (
         group
         for alpha in config.alpha_grid for beta in config.beta_grid
-        for group in [*([(alpha, beta, pair)] for pair in pairs), [(alpha, beta, None)] * config.trials]
+        for group in ([(alpha, beta, p) for p in pairs], [(alpha, beta, None)] * config.trials)
     ), cases)
 
 
@@ -386,36 +393,43 @@ def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
     expansion over a grid that may include negative parameters; evidence
     gathering only, with per-parameter violation counts.
 
-    A case is real-rooted when the exact Sturm count of the residual's real
-    roots over the line is its distinct degree. Otherwise max_imag is a
-    diagnostic, read from the residual's double eigenvalues.
+    The pairs of one grid point are one group. A residual is real-rooted
+    when the whole-line sign-change certificate (polycore.line_certificates)
+    holds for it, and otherwise when the exact Sturm count of its real
+    roots over the line is its distinct degree. A non-real residual's
+    max_imag is a diagnostic, read from its double eigenvalues.
     """
 
-    def case(spec, rng, _):
-        alpha, beta, (n, m) = spec
-        residual, detail = boundary_family_roots(
-            n, m, _rows(config.deg_cap, alpha, beta, factorial_row_scale))
-        real_rooted = len(residual) == 1 or all_roots_real(sturm_sequence(residual))
-        max_imag = 0.0 if real_rooted else max(abs(r.imag) for r in diagnostic_roots(residual))
-        return {
-            "parameters": {"alpha": alpha, "beta": beta},
-            "input": f"(x-1)^{n} (x+1)^{m}",
-            "degree": n + m,
-            "family": "boundary",
-            "exploratory": alpha < 0 or beta < 0,
-            "classification": "real_rooted" if real_rooted else "some_non_real",
-            "max_imag": max_imag,
-            "min_boundary_distance": None,
-            "detail": detail,
-            "proven": False,
-            "outcome": "pass" if real_rooted else "violation",
-        }
+    def cases(specs, rngs, _):
+        alpha, beta = specs[0][:2]
+        rows = _rows(config.deg_cap, alpha, beta, factorial_row_scale)
+        found = [boundary_family_roots(n, m, rows) for *_, (n, m) in specs]
+        certificates = line_certificates([residual for residual, _ in found])
+        out = []
+        for (*_, (n, m)), (residual, detail), certificate in zip(specs, found, certificates):
+            real_rooted = (len(residual) == 1 or certificate is not None
+                           or all_roots_real(sturm_sequence(residual)))
+            max_imag = 0.0 if real_rooted else max(abs(r.imag) for r in diagnostic_roots(residual))
+            out.append({
+                "parameters": {"alpha": alpha, "beta": beta},
+                "input": f"(x-1)^{n} (x+1)^{m}",
+                "degree": n + m,
+                "family": "boundary",
+                "exploratory": alpha < 0 or beta < 0,
+                "classification": "real_rooted" if real_rooted else "some_non_real",
+                "max_imag": max_imag,
+                "min_boundary_distance": None,
+                "detail": detail,
+                "proven": False,
+                "outcome": "pass" if real_rooted else "violation",
+            })
+        return out
 
     pairs = boundary_pairs(config.deg_cap)
-    report = _run_each(config, (
-        (alpha, beta, pair)
-        for alpha in config.alpha_grid for beta in config.beta_grid for pair in pairs
-    ), case)
+    report = _run_cases(config, (
+        [(alpha, beta, pair) for pair in pairs]
+        for alpha in config.alpha_grid for beta in config.beta_grid
+    ), cases)
     per_parameter: dict[str, int] = {}
     for c in report.cases:
         key = "alpha={alpha:g},beta={beta:g}".format(**c["parameters"])

@@ -11,6 +11,7 @@ eigenvalues (poly_roots, diagnostic_roots) are diagnostics only.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
@@ -213,8 +214,14 @@ def comrade_roots(weights, alpha: float, beta: float) -> np.ndarray:
     stack = np.repeat(m[None], len(w), axis=0)
     with np.errstate(all="ignore"):
         stack[:, n - 1] -= w[:, :n] / (w[:, n:] * a)
+    return _eigvals(stack)
+
+
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    """The eigenvalues of each matrix of the stack, by one eigvals call; a
+    row of NaN for a matrix that is not finite."""
     finite = np.isfinite(stack).all(axis=(1, 2))
-    roots = np.full((len(w), n), np.nan, dtype=complex)
+    roots = np.full(stack.shape[:2], np.nan, dtype=complex)
     if finite.any():
         roots[finite] = np.linalg.eigvals(stack[finite])
     return roots
@@ -539,41 +546,90 @@ def filtered_signs(polys: list[list[int]], points: np.ndarray) -> np.ndarray:
 def certify_interior_roots(p: list[int], approx, tol: float) -> list[float] | None:
     """Nearest doubles of the smallest and largest roots of the integer
     polynomial p when its signs certify that all deg p of its roots are
-    real, simple and inside (-1 + tol, 1 - tol); None when they do not.
-
-    approx, estimates of the roots, only picks the points: -(1 - tol), the
-    midpoints of consecutive sorted real parts, and 1 - tol. If these
-    increase strictly and the signs of p there (filtered_signs) are nonzero
-    and alternate, each of the deg p gaps holds a root. The two extreme
-    roots are then found to their nearest doubles inside the end gaps
-    (_root_between).
-    """
+    real, simple and inside (-1 + tol, 1 - tol) (certify_interior_batch with
+    the outer points +-(1 - tol)); None when they do not."""
     approx = np.asarray(approx, dtype=complex).ravel()
     if len(p) < 2 or len(approx) != len(p) - 1:
         return None
-    return certify_interior_batch([p], approx[None, :], tol)[0]
+    found = certify_interior_batch([p], approx[None, :], 1.0 - tol)[0]
+    return None if found is None else found.extremes()
 
 
-def certify_interior_batch(polys: list[list[int]], approx, tol: float) -> list:
-    """certify_interior_roots on each of the integer polynomials polys, all
-    of one degree n >= 1, with the estimates approx[c, :] of the roots of
-    polys[c]; approx is (len(polys), n), and a row that is not finite (no
-    estimates) fails. The signs of the whole batch come from one
-    filtered_signs call."""
+@dataclass(frozen=True)
+class SignCertificate:
+    """What certified signs prove of an integer polynomial p of degree n:
+    its n roots are real and simple, the i-th smallest (from 0) inside
+    (cuts[i], cuts[i + 1]), and below[x] of them lie below each mark x, at
+    which p is nonzero. lead is the sign of p at cuts[0], and guesses
+    estimate the smallest and largest roots."""
+
+    p: list[int]
+    cuts: list[float]
+    lead: int
+    guesses: tuple[float, float]
+    below: dict[float, int]
+
+    def extremes(self) -> list[float]:
+        """The nearest doubles of the smallest and largest roots, each found
+        inside its gap (_root_between)."""
+        p, t, last = self.p, self.cuts, self.lead * (-1) ** (len(self.p) - 2)
+        return [_root_between(p, t[0], t[1], self.lead, self.guesses[0]),
+                _root_between(p, t[-2], t[-1], last, self.guesses[1])]
+
+
+def certify_interior_batch(polys: list[list[int]], approx, outer, marks=()) -> list:
+    """The SignCertificate of each of the integer polynomials polys, all of
+    one degree n >= 1, or None where it fails. approx[c, :] estimates the
+    roots of polys[c] (a row that is not finite fails), and the cuts are
+    -outer[c], the midpoints of consecutive sorted real parts, and outer[c]
+    (or one outer for all). If the cuts are finite and increase strictly,
+    p's signs there are nonzero and alternate, and p is nonzero at every
+    mark, each of the n gaps holds one root, and a mark's sign places its
+    gap's root. One filtered_signs call takes every sign of the batch.
+    """
     approx = np.asarray(approx, dtype=complex)
     xs = np.sort(approx.real, axis=1)
-    edge = 1.0 - tol
-    points = np.empty((len(polys), xs.shape[1] + 1))
-    points[:, 0], points[:, -1] = -edge, edge
-    points[:, 1:-1] = (xs[:, :-1] + xs[:, 1:]) / 2
-    ordered = np.flatnonzero(np.all(points[:, :-1] < points[:, 1:], axis=1))
+    n = xs.shape[1]
+    points = np.empty((len(polys), n + 1 + len(marks)))
+    points[:, 0], points[:, n], points[:, n + 1:] = np.negative(outer), outer, marks
+    points[:, 1:n] = (xs[:, :-1] + xs[:, 1:]) / 2
+    cuts = points[:, :n + 1]
+    ordered = np.flatnonzero(np.isfinite(cuts).all(axis=1)
+                             & np.all(cuts[:, :-1] < cuts[:, 1:], axis=1))
     signs = filtered_signs([polys[c] for c in ordered], points[ordered])
-    alternate = (signs[:, 0] != 0) & np.all(signs[:, 1:] == -signs[:, :-1], axis=1)
+    alternate = (np.all(signs != 0, axis=1)
+                 & np.all(signs[:, 1:n + 1] == -signs[:, :n], axis=1))
     found = [None] * len(polys)
-    for c, s in zip(ordered[alternate], signs[alternate]):
-        t, x, p = points[c].tolist(), xs[c].tolist(), polys[c]
-        found[c] = [_root_between(p, t[0], t[1], int(s[0]), x[0]),
-                    _root_between(p, t[-2], t[-1], int(s[-2]), x[-1])]
+    for c, s in zip(ordered[alternate], signs[alternate].tolist()):
+        t = cuts[c].tolist()
+        below = {}
+        for x, s_x in zip(marks, s[n + 1:]):
+            # g cuts lie at or below x; the root after the last of them is
+            # below x too when the signs there and at x differ
+            g = bisect.bisect_right(t, x)
+            below[x] = 0 if g == 0 else g - 1 + (s_x != s[g - 1])
+        found[c] = SignCertificate(polys[c], t, s[0], (float(xs[c, 0]), float(xs[c, -1])), below)
+    return found
+
+
+def line_certificates(polys: list[list[int]], marks=()) -> list:
+    """certify_interior_batch over the whole line, outer = root_bound(p),
+    for each integer polynomial p of polys, with estimates from one eigvals
+    call per degree on the companion matrices of their _unit_scaled
+    coefficients. A constant, or a root_bound past the doubles, has none."""
+    found = [None] * len(polys)
+    for degree in sorted({len(p) - 1 for p in polys} - {0}):
+        group = [c for c, p in enumerate(polys) if len(p) - 1 == degree]
+        group_polys = [polys[c] for c in group]
+        coeffs = np.array([_unit_scaled(p) for p in group_polys])
+        bounds = [math.inf if (b := root_bound(p)) >> 1024 else float(b) for p in group_polys]
+        stack = np.zeros((len(group), degree, degree))
+        stack[:, 1:, :-1] = np.eye(degree - 1)
+        with np.errstate(all="ignore"):
+            stack[:, 0] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+        certificates = certify_interior_batch(group_polys, _eigvals(stack), bounds, marks)
+        for c, certificate in zip(group, certificates):
+            found[c] = certificate
     return found
 
 
@@ -780,8 +836,8 @@ def min_boundary_distance(roots, interval) -> float:
 #
 # Integer polynomials come from exact images (transforms.exact_image) or
 # from double Polys (integer_poly). Sturm counts decide, with the
-# sign-change certificate first where root estimates are at hand; a root
-# read from a double eigenvalue is a diagnostic only.
+# sign-change certificate first for the campaigns' batches; a root read
+# from a double eigenvalue is a diagnostic only.
 
 def locate(p: list[int], interval, tol: float) -> RootLocation:
     """classify_roots' verdict on interval with tolerance tol for the roots
@@ -845,8 +901,8 @@ def certified_interior_verdicts(images: list[list[int]], approx, tol: float) -> 
     """certified_interior_verdict on each of the integer images, all of one
     degree n >= 1, with approx[c, :] estimating the roots of images[c]; the
     certificate's signs come from one certify_interior_batch call."""
-    return [_settle(image, found, tol)
-            for image, found in zip(images, certify_interior_batch(images, approx, tol))]
+    return [_settle(image, None if found is None else found.extremes(), tol)
+            for image, found in zip(images, certify_interior_batch(images, approx, 1.0 - tol))]
 
 
 def _settle(image: list[int], found, tol: float) -> tuple[RootLocation, list]:
@@ -854,3 +910,30 @@ def _settle(image: list[int], found, tol: float) -> tuple[RootLocation, list]:
     if found is not None:
         return RootLocation.ALL_STRICTLY_INSIDE, found
     return exact_verdict(primitive_part(image), tol)
+
+
+def boundary_verdicts(polys: list[list[int]], tol: float, read_roots) -> list:
+    """For each primitive integer polynomial polys[c], exact_verdict when
+    read_roots[c], and otherwise locate's verdict on (-1, 1) with no roots.
+
+    The whole-line certificate (line_certificates) decides first, marked at
+    the band ends -1 - tol, -1 + tol, 1 - tol and 1 + tol and at +-1: its
+    counts below them are _locate's counts, since no root sits on a mark,
+    and every root lies in (-1, 1] when none is below -1 and all are below
+    1. Sturm counts decide where it fails.
+    """
+    lo_out, lo_in, hi_in, hi_out = ends = (-1.0 - tol, -1.0 + tol, 1.0 - tol, 1.0 + tol)
+    found = []
+    certificates = line_certificates(polys, (*ends, -1.0, 1.0))
+    for p, read, certificate in zip(polys, read_roots, certificates):
+        if certificate is None:
+            found.append(exact_verdict(p, tol) if read else (locate(p, (-1.0, 1.0), tol), []))
+            continue
+        n, below = len(p) - 1, certificate.below
+        found.append((RootLocation.SOME_OUTSIDE if below[hi_out] - below[lo_out] < n
+                      else RootLocation.SOME_ON_BOUNDARY if below[hi_in] - below[lo_in] < n
+                      else RootLocation.ALL_STRICTLY_INSIDE,
+                      [] if not read
+                      else certificate.extremes() if below[-1.0] == 0 and below[1.0] == n
+                      else diagnostic_roots(p)))
+    return found

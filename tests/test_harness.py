@@ -33,6 +33,7 @@ from orthozero.polycore import (
     Poly,
     RootLocation,
     all_roots_real,
+    boundary_verdicts,
     certified_interior_verdict,
     classify_roots,
     count_roots,
@@ -40,6 +41,7 @@ from orthozero.polycore import (
     integer_poly,
     jacobi_coefficient_rows,
     jacobi_series_roots,
+    line_certificates,
     locate,
     min_boundary_distance,
     monic_from_roots,
@@ -125,6 +127,23 @@ def test_theorem12_has_no_false_proven_violations(tmp_path, capsys, deg_cap):
         for index in (650, 132, 166):
             assert report["cases"][index]["classification"] == "all_strictly_inside"
             assert 0 < report["cases"][index]["min_boundary_distance"] < 3e-4
+
+
+def test_theorem12_on_boundary_is_indeterminate(tmp_path, capsys):
+    # at tol 0.5 the band [1 - tol, 1 + tol] straddles 1, so a root in it may
+    # lie inside (-1, 1), as these do (distances 0.04 to 0.36): each case
+    # once read as a proven violation, and the CLI exited 2
+    out = tmp_path / "t12.json"
+    code = cli.main(["theorem12", "--deg-cap", "2", "--trials", "2", "--tol", "0.5",
+                     "--seed", "1", "--out", str(out)])
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert code == 0
+    assert report["summary"] == {"cases": 10, "passes": 1, "violations": 0, "indeterminates": 9}
+    on_boundary = [c for c in report["cases"] if c["classification"] == "some_on_boundary"]
+    assert len(on_boundary) == 9
+    assert all(c["outcome"] == "indeterminate" and c["min_boundary_distance"] > 0.04
+               for c in on_boundary)
 
 
 def test_theorem12_precision_changes_only_the_echo():
@@ -347,6 +366,61 @@ def test_certified_boundary_verdicts_match_polyroots(alpha, beta):
                 assert got == distance, (n, m, factorial)
             else:
                 assert got == pytest.approx(distance, rel=1e-9, abs=0), (n, m, factorial)
+
+
+@settings(max_examples=12, deadline=None)
+@given(alpha=st.sampled_from([0.0, 1.0, 2.5, 0.1, 0.3, -0.5]),
+       beta=st.sampled_from([0.0, 2.0, 0.5, 0.1, 0.3, -0.5]),
+       factorial=st.booleans())
+def test_line_certificate_agrees_with_sturm(alpha, beta, factorial):
+    # every residual of the boundary family (n + m <= 10) that the
+    # whole-line certificate certifies has all its roots real, and conj32's
+    # certified route gives locate's classification and exact_verdict's
+    # roots; a residual the certificate rejects is decided by Sturm alone
+    tol = 1e-7
+    rows = jacobi_rows_int(10, alpha, beta, factorial_row_scale if factorial else unit_row_scale)
+    residuals = [boundary_family_roots(n, m, rows)[0] for n, m in boundary_pairs(10)]
+    certificates = line_certificates(residuals)
+    read = [k % 2 == 0 for k in range(len(residuals))]
+    for residual, certificate, wanted, (flag, roots) in zip(
+            residuals, certificates, read, boundary_verdicts(residuals, tol, read)):
+        if certificate is None:
+            continue
+        assert all_roots_real(sturm_sequence(residual))
+        assert flag is locate(residual, (-1.0, 1.0), tol)
+        if wanted:
+            want_flag, want_roots = exact_verdict(residual, tol)
+            assert flag is want_flag
+            assert set(map(complex, roots)) == set(want_roots)
+        else:
+            assert roots == []
+
+
+def test_q31_builds_one_sturm_sequence(monkeypatch, tmp_path, capsys):
+    # the certificate decides every real-rooted residual; only the non-real
+    # (x-1)^3 at alpha = -0.5 builds a Sturm sequence. The pins keep their
+    # bytes under the counter: conj32-nondyadic builds one for each of its
+    # 35 residuals that are not real-rooted
+    from orthozero import polycore
+
+    built = []
+    sturm = polycore.sturm_sequence
+
+    def counted(p):
+        built.append(p)
+        return sturm(p)
+
+    monkeypatch.setattr(polycore, "sturm_sequence", counted)
+    monkeypatch.setattr(harness, "sturm_sequence", counted)
+    code = cli.main(["q31", "--deg-cap", "10", "--alpha", "-0.5", "1", "--beta", "0.3",
+                     "--out", str(tmp_path / "q31.json")])
+    capsys.readouterr()
+    assert code == 0 and len(built) == 1
+    pins = {name: entry for name, *entry in PINNED_DIGESTS}
+    for name, count in (("q31", 1), ("conj32-int", 0), ("conj32-nondyadic", 35)):
+        built.clear()
+        test_pinned_report_digests(*pins[name])
+        assert len(built) == count, name
 
 
 def test_conj32_campaign_counts_and_flags():

@@ -38,14 +38,18 @@ from orthozero.polycore import (
     _bisect_to_double,
     _root_between,
     _sign_at_double,
+    boundary_verdicts,
     certify_interior_batch,
     certify_interior_roots,
     comrade_roots,
     count_roots,
     dyadic_numerators,
+    exact_verdict,
     filtered_signs,
     integer_poly,
     jacobi_series_roots,
+    line_certificates,
+    locate,
     monic_from_roots,
     nearest_double_roots,
     primitive_part,
@@ -728,9 +732,43 @@ def test_certificate_batch_equals_one_at_a_time():
     )]
     approx = np.array([np.roots(np.array(p[::-1], dtype=float)) for p in polys], dtype=complex)
     approx[3] = np.nan
-    found = certify_interior_batch(polys, approx, tol)
+    found = [None if c is None else c.extremes()
+             for c in certify_interior_batch(polys, approx, 1 - tol)]
     assert found == [certify_interior_roots(p, a, tol) for p, a in zip(polys, approx)]
     assert found[0] == [-1 / 3, 0.5] and found[1] is None and found[3] is None
+
+
+def test_boundary_verdicts_place_roots_at_the_band_ends():
+    # the whole-line certificate's marks classify as Sturm counts do, with a
+    # root on each side of every band end; a root on a mark, a complex pair
+    # and a constant are left to Sturm
+    tol = 1e-7
+    t, inside = Fraction(tol), [Fraction(1, 2), Fraction(-1, 3)]
+    certified = {
+        RootLocation.ALL_STRICTLY_INSIDE: [[], [1 - 2 * t], [-1 + 2 * t]],
+        RootLocation.SOME_ON_BOUNDARY: [[1 - t / 2], [1 + t / 2], [-1 - t / 2], [-1 + t / 2]],
+        RootLocation.SOME_OUTSIDE: [[1 + 2 * t], [-1 - 2 * t], [Fraction(-3)], [Fraction(5, 4)]],
+    }
+    polys, flags = [], []
+    for flag, extra in certified.items():
+        for roots in extra:
+            polys.append(primitive_part(monic_from_roots([*inside, *roots])))
+            flags.append(flag)
+    left = [primitive_part(monic_from_roots([*inside, Fraction(1.0 - tol)])),
+            primitive_part(monic_from_roots([*inside, Fraction(1)])),
+            primitive_part([Fraction(1, 4), 0, 1]), [3]]
+    certificates = line_certificates(polys + left, (-1.0 - tol, 1.0 - tol, 1.0))
+    assert all(c is not None for c in certificates[:len(polys)])
+    assert certificates[len(polys):] == [None] * len(left)
+    for read in (True, False):
+        found = boundary_verdicts(polys + left, tol, [read] * len(polys + left))
+        for p, (flag, roots) in zip(polys + left, found):
+            want_flag, want_roots = exact_verdict(p, tol)
+            assert flag is want_flag is locate(p, (-1.0, 1.0), tol)
+            assert set(map(complex, roots)) == (set(want_roots) if read else set())
+        assert [flag for flag, _ in found[:len(polys)]] == flags
+    # a root bound past the double range fails; a certificate never holds there
+    assert line_certificates([[-(1 << 1100), 1]]) == [None]
 
 
 def test_comrade_roots_stack_equals_one_at_a_time():
