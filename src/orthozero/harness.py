@@ -12,14 +12,15 @@ the image through them (exact_image). The boundary-rooted family
 (x-1)^n (x+1)^m needs that: its images have roots at +-1 of high
 multiplicity, which float coefficients perturb by roughly
 eps^(1/multiplicity), far beyond the campaign tolerances. Those roots are
-deflated by integer synthetic division. polycore decides where the roots
-of every image lie: first by one batched sign-change certificate, whose
+deflated by integer synthetic division. One polycore function, verdicts,
+decides where the roots of every image of theorem12, conj32 and q31 lie:
+first by one batched sign-change certificate over the whole line, whose
 points the comrade-matrix eigenvalues of the random interior-rooted inputs
-of theorem12 and conj32 pick inside (-1, 1), and the companion-matrix
-eigenvalues of the boundary family's residuals over the whole line; then,
-where it fails, by exact Sturm counts (exact_verdict, locate). The inputs
-of a grid point are decided in batches of equal degree. No verdict of
-theorem12, conj32 or q31 rests on a rounded image or a root finder.
+pick, and the companion-matrix eigenvalues of the boundary family's
+residuals; then, where it fails, by exact Sturm counts. harness itself
+builds no Sturm sequence. The inputs of a grid point are decided in
+batches of equal degree. No verdict rests on a rounded image or a root
+finder.
 biortho-equiv checks its identity exactly, on the same integer rows
 (transform_equivalence_check).
 
@@ -44,17 +45,13 @@ from .biortho import EQUIV_ALPHA_HALF, transform_equivalence_check
 from .errors import BadParameterError
 from .polycore import (
     RootLocation,
-    all_roots_real,
-    boundary_verdicts,
-    certified_interior_verdicts,
     comrade_roots,
     deflate_root,
     diagnostic_roots,
-    line_certificates,
     min_boundary_distance,
     monic_from_roots,
     primitive_part,
-    sturm_sequence,
+    verdicts,
 )
 from .precision import PrecisionPolicy, parse_precision
 from .signreg import (
@@ -167,19 +164,18 @@ class CampaignReport:
 def _run_cases(config: CampaignConfig, groups, body) -> CampaignReport:
     """The case loop shared by every campaign.
 
-    groups is a sequence of lists of case specs, and body(specs, rngs,
+    groups is a sequence of lists of case specs, and body(specs,
     case_indices) returns the fields of each case of one group. The loop
-    numbers the cases, gives each a generator seeded with (seed,
-    case_index), times the body, and frames each case's fields between
-    case_index and wall_time_s (the JSON writer keeps insertion order). A
-    case's wall_time_s is its even share of its group's time.
+    numbers the cases, times the body, and frames each case's fields
+    between case_index and wall_time_s (the JSON writer keeps insertion
+    order). A case's wall_time_s is its even share of its group's time. A
+    body that draws builds each case's generator (_rng).
     """
     cases = []
     for specs in groups:
         indices = range(len(cases), len(cases) + len(specs))
-        rngs = [np.random.default_rng((config.seed, case_index)) for case_index in indices]
         start = time.perf_counter()
-        fields = body(specs, rngs, indices)
+        fields = body(specs, indices)
         share = (time.perf_counter() - start) / len(specs)
         cases.extend({"case_index": case_index, **case, "wall_time_s": share}
                      for case_index, case in zip(indices, fields))
@@ -200,11 +196,16 @@ def _run_cases(config: CampaignConfig, groups, body) -> CampaignReport:
     )
 
 
+def _rng(config: CampaignConfig, case_index: int) -> np.random.Generator:
+    """The generator of the case case_index, seeded with (seed, case_index)."""
+    return np.random.default_rng((config.seed, case_index))
+
+
 def _run_each(config: CampaignConfig, specs, body) -> CampaignReport:
-    """_run_cases with every case a group of one: body(spec, rng,
-    case_index) returns one case's fields."""
+    """_run_cases with every case a group of one: body(spec, case_index)
+    returns one case's fields."""
     return _run_cases(config, ([spec] for spec in specs),
-                      lambda group, rngs, indices: [body(group[0], rngs[0], indices[0])])
+                      lambda group, indices: [body(group[0], indices[0])])
 
 
 def expected_case_count(config: CampaignConfig) -> int:
@@ -252,11 +253,10 @@ def boundary_family_roots(n: int, m: int, rows: list[list[int]]) -> tuple[list[i
 
 
 def _random_interior_verdicts(rngs, degrees, rows, alpha, beta, scale, tol) -> list:
-    """certified_interior_verdict (polycore) on random interior-rooted
-    inputs, one drawn from each generator at its degree: the exact image
-    through rows, with the comrade-matrix roots of
-    sum_k a_k scale(k, alpha) P_k^(alpha,beta) picking the certificate's
-    points.
+    """polycore.verdicts on random interior-rooted inputs, one drawn from
+    each generator at its degree: the exact image through rows, with the
+    comrade-matrix roots of sum_k a_k scale(k, alpha) P_k^(alpha,beta)
+    picking the certificate's points.
 
     The inputs of one degree are decided together: their monic products
     and comrade matrices are stacked, one eigvals call gives every
@@ -264,7 +264,7 @@ def _random_interior_verdicts(rngs, degrees, rows, alpha, beta, scale, tol) -> l
     degree's integer images are held at a time.
     """
     roots = [random_interior_roots(rng, degree) for rng, degree in zip(rngs, degrees)]
-    verdicts = [None] * len(roots)
+    found = [None] * len(roots)
     for degree in sorted(set(degrees)):
         group = [c for c, d in enumerate(degrees) if d == degree]
         # over the rows of the transposed stack, each coefficient is an
@@ -274,9 +274,9 @@ def _random_interior_verdicts(rngs, degrees, rows, alpha, beta, scale, tol) -> l
         approx = comrade_roots(np.stack(np.broadcast_arrays(*monic), axis=1) * scales,
                                alpha, beta)
         images = [exact_image(roots[c], rows) for c in group]
-        for c, verdict in zip(group, certified_interior_verdicts(images, approx, tol)):
-            verdicts[c] = verdict
-    return verdicts
+        for c, verdict in zip(group, verdicts(images, tol, approx)):
+            found[c] = verdict
+    return found
 
 
 # A sweep visits one grid point at a time, so one set of rows is cached,
@@ -296,18 +296,19 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
     some_on_boundary is indeterminate; only a root outside the closed band
     or a non-real root is a violation.
 
-    The image is computed exactly, as integers (exact_image), and
-    its verdict is certified (certified_interior_verdict): the comrade-matrix
-    roots of the double image only pick the points of a sign-change
-    certificate. min_boundary_distance comes from the nearest doubles of
-    the smallest and largest roots.
+    The image is computed exactly, as integers (exact_image), and its
+    verdict comes from polycore.verdicts: the comrade-matrix roots of the
+    double image only pick the points of a sign-change certificate, and
+    Sturm counts decide where it fails. min_boundary_distance comes from
+    the nearest doubles of the smallest and largest roots.
     """
     tol = config.effective_tol
 
-    def cases(alphas, rngs, _):
+    def cases(alphas, indices):
         alpha = alphas[0]
+        rngs = [_rng(config, i) for i in indices]
         degrees = [int(rng.integers(1, config.deg_cap + 1)) for rng in rngs]
-        verdicts = _random_interior_verdicts(
+        decided = _random_interior_verdicts(
             rngs, degrees, _rows(config.deg_cap, alpha, alpha, ultra_row_scale), alpha, alpha,
             factorial_scale, tol)
         return [{
@@ -320,7 +321,7 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
             "outcome": ("pass" if classification is RootLocation.ALL_STRICTLY_INSIDE
                         else "indeterminate" if classification is RootLocation.SOME_ON_BOUNDARY
                         else "violation"),
-        } for degree, (classification, found) in zip(degrees, verdicts)]
+        } for degree, (classification, found) in zip(degrees, decided)]
 
     # the trials of one alpha are one group
     return _run_cases(config, ([a] * config.trials for a in config.alpha_grid), cases)
@@ -338,7 +339,7 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
     tol = config.effective_tol
     closed = (RootLocation.ALL_STRICTLY_INSIDE, RootLocation.SOME_ON_BOUNDARY)
 
-    def cases(specs, rngs, _):
+    def cases(specs, indices):
         alpha, beta, pair = specs[0]
         # one set of rows per grid point serves the pairs and the random
         # inputs, whose degree is below 10
@@ -348,22 +349,23 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
             # a pair with a root at +-1 has distance 0 already, so the
             # residual's roots are not read
             ends = [[1 + 0j] * d["mult_plus"] + [-1 + 0j] * d["mult_minus"] for _, d in found]
-            decided = boundary_verdicts([r for r, _ in found], tol, [not e for e in ends])
-            verdicts = []
+            decided = verdicts([r for r, _ in found], tol, read_roots=[not e for e in ends])
+            out = []
             for (*_, (n, m)), (_, detail), at_ends, (flag, roots) in zip(
                     specs, found, ends, decided):
                 if at_ends and flag is RootLocation.ALL_STRICTLY_INSIDE:
                     flag = RootLocation.SOME_ON_BOUNDARY
-                verdicts.append((f"(x-1)^{n} (x+1)^{m}", n + m, "boundary", flag, at_ends or roots,
-                                 detail, "pass" if flag in closed else "violation"))
+                out.append((f"(x-1)^{n} (x+1)^{m}", n + m, "boundary", flag, at_ends or roots,
+                            detail, "pass" if flag in closed else "violation"))
         else:  # the random inputs of a grid point are one group
+            rngs = [_rng(config, i) for i in indices]
             degrees = [int(rng.integers(1, 10)) for rng in rngs]
-            verdicts = [(f"random_interior(degree={degree})", degree, "random", flag, roots, None,
-                         "pass" if flag is RootLocation.ALL_STRICTLY_INSIDE
-                         else "indeterminate" if flag is RootLocation.SOME_ON_BOUNDARY
-                         else "violation")
-                        for degree, (flag, roots) in zip(degrees, _random_interior_verdicts(
-                            rngs, degrees, rows, alpha, beta, unit_row_scale, tol))]
+            out = [(f"random_interior(degree={degree})", degree, "random", flag, roots, None,
+                    "pass" if flag is RootLocation.ALL_STRICTLY_INSIDE
+                    else "indeterminate" if flag is RootLocation.SOME_ON_BOUNDARY
+                    else "violation")
+                   for degree, (flag, roots) in zip(degrees, _random_interior_verdicts(
+                       rngs, degrees, rows, alpha, beta, unit_row_scale, tol))]
         exploratory = not (float(alpha).is_integer() and float(beta).is_integer()
                            and alpha >= 0 and beta >= 0)
         return [{
@@ -378,7 +380,7 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
             "detail": detail,
             "proven": False,
             "outcome": outcome,
-        } for text, degree, family, flag, roots, detail, outcome in verdicts]
+        } for text, degree, family, flag, roots, detail, outcome in out]
 
     pairs = boundary_pairs(config.deg_cap)
     return _run_cases(config, (
@@ -394,21 +396,21 @@ def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
     gathering only, with per-parameter violation counts.
 
     The pairs of one grid point are one group. A residual is real-rooted
-    when the whole-line sign-change certificate (polycore.line_certificates)
-    holds for it, and otherwise when the exact Sturm count of its real
-    roots over the line is its distinct degree. A non-real residual's
-    max_imag is a diagnostic, read from its double eigenvalues.
+    unless polycore.verdicts finds a non-real root (by its sign-change
+    certificate, or by Sturm counts where that fails). A non-real
+    residual's max_imag is a diagnostic, read from its double eigenvalues.
     """
+    tol = config.effective_tol
 
-    def cases(specs, rngs, _):
+    def cases(specs, _):
         alpha, beta = specs[0][:2]
         rows = _rows(config.deg_cap, alpha, beta, factorial_row_scale)
         found = [boundary_family_roots(n, m, rows) for *_, (n, m) in specs]
-        certificates = line_certificates([residual for residual, _ in found])
+        decided = verdicts([residual for residual, _ in found], tol,
+                           read_roots=[False] * len(found))
         out = []
-        for (*_, (n, m)), (residual, detail), certificate in zip(specs, found, certificates):
-            real_rooted = (len(residual) == 1 or certificate is not None
-                           or all_roots_real(sturm_sequence(residual)))
+        for (*_, (n, m)), (residual, detail), (flag, _) in zip(specs, found, decided):
+            real_rooted = flag is not RootLocation.SOME_NON_REAL
             max_imag = 0.0 if real_rooted else max(abs(r.imag) for r in diagnostic_roots(residual))
             out.append({
                 "parameters": {"alpha": alpha, "beta": beta},
@@ -444,7 +446,7 @@ def run_ssr_explore(config: CampaignConfig) -> CampaignReport:
     the (alpha, beta) grid; inferred sign tables are recorded per order."""
     policy = config.policy
 
-    def case(spec, rng, case_index):
+    def case(spec, case_index):
         kernel, proven = spec
         rep = ssr_scan(kernel, config.m_max, config.trials,
                        seed=config.seed + case_index, policy=policy)
@@ -485,7 +487,8 @@ def run_biortho_equiv_campaign(config: CampaignConfig) -> CampaignReport:
     tol = config.effective_tol
     deg_cap = min(config.deg_cap, 6)
 
-    def case(alpha, rng, _):
+    def case(alpha, case_index):
+        rng = _rng(config, case_index)
         degree = int(rng.integers(1, deg_cap + 1))
         nodes = draw_separated(rng, -0.95, 0.95, degree, sep=0.05)[0]
         deviation = transform_equivalence_check(nodes, alpha)

@@ -4,8 +4,10 @@ and root-location classification against an interval.
 A Poly is immutable and carries its basis tag (monomial, ultraspherical, or
 Jacobi). Evaluation uses Horner in the monomial basis and Clenshaw's
 recurrence otherwise. Where roots lie is decided once, here, for the
-campaigns and the library alike: in exact integer arithmetic, by Sturm
-counts behind a sign-change certificate (locate, exact_verdict). Double
+campaigns and the library alike, in exact integer arithmetic: by Sturm
+counts (locate, exact_verdict, root_report), and for the campaigns' exact
+images by one function, verdicts, that tries a sign-change certificate
+over the whole line first and falls back to those counts. Double
 eigenvalues (poly_roots, diagnostic_roots) are diagnostics only.
 """
 
@@ -174,14 +176,6 @@ def jacobi_coefficient_rows(n: int, alpha, beta) -> np.ndarray:
         rows[k + 1, : k + 1] += b * rows[k, : k + 1]
         rows[k + 1, : k] -= c * rows[k - 1, : k]
     return rows
-
-
-def jacobi_series_roots(weights, alpha: float, beta: float) -> np.ndarray:
-    """Roots of sum_k w_k P_k^(alpha,beta) (w_n != 0), unordered, in double:
-    comrade_roots on one series. When its matrix is not finite there are no
-    estimates, and the result is empty."""
-    roots = comrade_roots(np.asarray(weights, dtype=float)[None, :], alpha, beta)[0]
-    return roots if np.isfinite(roots).all() else np.empty(0, complex)
 
 
 def jacobi_matrix(n: int, alpha: float, beta: float) -> tuple[np.ndarray, float]:
@@ -507,12 +501,13 @@ def _unit_scaled(p: list[int]) -> list[float]:
     return [c / scale for c in p]
 
 
-def filtered_signs(polys: list[list[int]], points: np.ndarray) -> np.ndarray:
+def filtered_signs(polys: list[list[int]], points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Signs of the integer polynomials polys[c], all of one length n + 1,
-    at the finite doubles points[c, :], as a (len(polys), m) int array.
+    at the finite doubles points[c, :], as a (len(polys), m) int array;
+    coeffs[c] holds the _unit_scaled coefficients of polys[c].
 
-    One Horner pass over all rows gives the values p^(x) of the polynomials
-    scaled by _unit_scaled, and a second one the sums S^(x) of |a^_i| |x|^i.
+    One Horner pass over all rows gives the values p^(x) of the scaled
+    polynomials, and a second one the sums S^(x) of |a^_i| |x|^i.
     A value's sign is taken where |p^(x)| > gamma_{2n+2} S^(x) (1 +
     gamma_{2n+1}) + eta, with eta = (4n+4) 2^-1074 max(1, |x|)^n. That
     bounds the error of the rounded coefficients and of Horner's 2n
@@ -526,7 +521,6 @@ def filtered_signs(polys: list[list[int]], points: np.ndarray) -> np.ndarray:
     if not polys:
         return signs
     n = len(polys[0]) - 1
-    coeffs = np.array([_unit_scaled(p) for p in polys])
     size = np.abs(points)
     with np.errstate(all="ignore"):  # overflow is caught by the finiteness test
         value = np.repeat(coeffs[:, n:], points.shape[1], axis=1)
@@ -543,93 +537,76 @@ def filtered_signs(polys: list[list[int]], points: np.ndarray) -> np.ndarray:
     return signs
 
 
-def certify_interior_roots(p: list[int], approx, tol: float) -> list[float] | None:
-    """Nearest doubles of the smallest and largest roots of the integer
-    polynomial p when its signs certify that all deg p of its roots are
-    real, simple and inside (-1 + tol, 1 - tol) (certify_interior_batch with
-    the outer points +-(1 - tol)); None when they do not."""
-    approx = np.asarray(approx, dtype=complex).ravel()
-    if len(p) < 2 or len(approx) != len(p) - 1:
-        return None
-    found = certify_interior_batch([p], approx[None, :], 1.0 - tol)[0]
-    return None if found is None else found.extremes()
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """The roots of each row of ascending coefficients coeffs, one degree
+    n >= 1, as a (rows, n) array: the eigenvalues of their companion
+    matrices, by one eigvals call (_eigvals)."""
+    n = coeffs.shape[1] - 1
+    stack = np.zeros((len(coeffs), n, n))
+    stack[:, 1:, :-1] = np.eye(n - 1)
+    with np.errstate(all="ignore"):
+        stack[:, 0] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    return _eigvals(stack)
 
 
-@dataclass(frozen=True)
-class SignCertificate:
-    """What certified signs prove of an integer polynomial p of degree n:
-    its n roots are real and simple, the i-th smallest (from 0) inside
-    (cuts[i], cuts[i + 1]), and below[x] of them lie below each mark x, at
-    which p is nonzero. lead is the sign of p at cuts[0], and guesses
-    estimate the smallest and largest roots."""
+def _sign_certificates(polys: list[list[int]], coeffs: np.ndarray, approx, marks: np.ndarray):
+    """What certified signs prove of each integer polynomial p = polys[c] of
+    one degree n >= 1, whose _unit_scaled coefficients are coeffs[c] and
+    whose roots approx[c, :] estimates: None, or its cuts, the sign of p at
+    the first one, how many of its roots lie below each mark, and the
+    estimates of its smallest and largest roots.
 
-    p: list[int]
-    cuts: list[float]
-    lead: int
-    guesses: tuple[float, float]
-    below: dict[float, int]
-
-    def extremes(self) -> list[float]:
-        """The nearest doubles of the smallest and largest roots, each found
-        inside its gap (_root_between)."""
-        p, t, last = self.p, self.cuts, self.lead * (-1) ** (len(self.p) - 2)
-        return [_root_between(p, t[0], t[1], self.lead, self.guesses[0]),
-                _root_between(p, t[-2], t[-1], last, self.guesses[1])]
-
-
-def certify_interior_batch(polys: list[list[int]], approx, outer, marks=()) -> list:
-    """The SignCertificate of each of the integer polynomials polys, all of
-    one degree n >= 1, or None where it fails. approx[c, :] estimates the
-    roots of polys[c] (a row that is not finite fails), and the cuts are
-    -outer[c], the midpoints of consecutive sorted real parts, and outer[c]
-    (or one outer for all). If the cuts are finite and increase strictly,
-    p's signs there are nonzero and alternate, and p is nonzero at every
-    mark, each of the n gaps holds one root, and a mark's sign places its
-    gap's root. One filtered_signs call takes every sign of the batch.
+    The cuts are -inf, the midpoints of consecutive sorted real parts of the
+    estimates, and +inf. p's signs at +-inf are exact without evaluation:
+    its leading coefficient's at +inf, times (-1)^n at -inf. If the
+    estimates are finite, the midpoints increase strictly, p's signs at the
+    cuts alternate and p is nonzero at every mark, each of the n gaps holds
+    one root, real and simple, and a mark's sign places its gap's root. One
+    filtered_signs call takes the signs at the midpoints and marks. Rows of
+    other than n estimates fail.
     """
-    approx = np.asarray(approx, dtype=complex)
-    xs = np.sort(approx.real, axis=1)
-    n = xs.shape[1]
-    points = np.empty((len(polys), n + 1 + len(marks)))
-    points[:, 0], points[:, n], points[:, n + 1:] = np.negative(outer), outer, marks
-    points[:, 1:n] = (xs[:, :-1] + xs[:, 1:]) / 2
-    cuts = points[:, :n + 1]
-    ordered = np.flatnonzero(np.isfinite(cuts).all(axis=1)
-                             & np.all(cuts[:, :-1] < cuts[:, 1:], axis=1))
-    signs = filtered_signs([polys[c] for c in ordered], points[ordered])
-    alternate = (np.all(signs != 0, axis=1)
-                 & np.all(signs[:, 1:n + 1] == -signs[:, :n], axis=1))
+    n = len(polys[0]) - 1
+    xs = np.sort(np.asarray(approx, dtype=complex).real, axis=1)
+    if xs.shape[1] != n:
+        return [None] * len(polys)
+    mids = (xs[:, :-1] + xs[:, 1:]) / 2
+    ordered = np.flatnonzero(np.isfinite(xs).all(axis=1) & np.isfinite(mids).all(axis=1)
+                             & np.all(mids[:, :-1] < mids[:, 1:], axis=1))
+    mids = mids[ordered]
+    points = np.concatenate([mids, np.broadcast_to(marks, (len(ordered), len(marks)))], axis=1)
+    signs = filtered_signs([polys[c] for c in ordered], points, coeffs[ordered])
+    top = np.array([(polys[c][-1] > 0) - (polys[c][-1] < 0) for c in ordered], dtype=int)
+    at_cuts = np.concatenate([(top * (-1) ** n)[:, None], signs[:, :n - 1], top[:, None]], axis=1)
+    at_marks = signs[:, n - 1:]
+    holds = (np.all(at_cuts != 0, axis=1) & np.all(at_cuts[:, 1:] == -at_cuts[:, :-1], axis=1)
+             & np.all(at_marks != 0, axis=1))
+    cuts = np.concatenate([np.full((len(ordered), 1), -np.inf), mids,
+                           np.full((len(ordered), 1), np.inf)], axis=1)
+    # g cuts lie at or below a mark (-inf always, +inf never); the root
+    # after the last of them is below the mark too when the signs there and
+    # at the mark differ
+    g = np.sum(cuts[:, :, None] <= marks, axis=1)
+    below = g - 1 + (at_marks != np.take_along_axis(at_cuts, g - 1, axis=1))
     found = [None] * len(polys)
-    for c, s in zip(ordered[alternate], signs[alternate].tolist()):
-        t = cuts[c].tolist()
-        below = {}
-        for x, s_x in zip(marks, s[n + 1:]):
-            # g cuts lie at or below x; the root after the last of them is
-            # below x too when the signs there and at x differ
-            g = bisect.bisect_right(t, x)
-            below[x] = 0 if g == 0 else g - 1 + (s_x != s[g - 1])
-        found[c] = SignCertificate(polys[c], t, s[0], (float(xs[c, 0]), float(xs[c, -1])), below)
+    for c, t, s, b in zip(ordered[holds], cuts[holds].tolist(), at_cuts[holds, 0].tolist(),
+                          below[holds].tolist()):
+        found[c] = (t, s, b, (float(xs[c, 0]), float(xs[c, -1])))
     return found
 
 
-def line_certificates(polys: list[list[int]], marks=()) -> list:
-    """certify_interior_batch over the whole line, outer = root_bound(p),
-    for each integer polynomial p of polys, with estimates from one eigvals
-    call per degree on the companion matrices of their _unit_scaled
-    coefficients. A constant, or a root_bound past the doubles, has none."""
-    found = [None] * len(polys)
-    for degree in sorted({len(p) - 1 for p in polys} - {0}):
-        group = [c for c, p in enumerate(polys) if len(p) - 1 == degree]
-        group_polys = [polys[c] for c in group]
-        coeffs = np.array([_unit_scaled(p) for p in group_polys])
-        bounds = [math.inf if (b := root_bound(p)) >> 1024 else float(b) for p in group_polys]
-        stack = np.zeros((len(group), degree, degree))
-        stack[:, 1:, :-1] = np.eye(degree - 1)
-        with np.errstate(all="ignore"):
-            stack[:, 0] = -coeffs[:, -2::-1] / coeffs[:, -1:]
-        certificates = certify_interior_batch(group_polys, _eigvals(stack), bounds, marks)
-        for c, certificate in zip(group, certificates):
-            found[c] = certificate
+def _extremes(p: list[int], marks: list[float], cuts: list[float], lead: int,
+              below: list[int], guesses) -> list[float]:
+    """The nearest doubles of the smallest and largest roots of p (one for
+    degree 1), from its sign certificate (_sign_certificates) over the
+    ascending marks, when some mark lies below every root and some above:
+    each is found inside its gap narrowed by the two marks that bracket it
+    (_root_between), from its estimate."""
+    n = len(p) - 1
+    found = []
+    for i, guess in {0: guesses[0], n - 1: guesses[1]}.items():
+        j = bisect.bisect_right(below, i)  # marks[j - 1] < root i < marks[j]
+        lo, hi = max(cuts[i], marks[j - 1]), min(cuts[i + 1], marks[j])
+        found.append(_root_between(p, lo, hi, lead * (-1) ** i, guess))
     return found
 
 
@@ -836,8 +813,8 @@ def min_boundary_distance(roots, interval) -> float:
 #
 # Integer polynomials come from exact images (transforms.exact_image) or
 # from double Polys (integer_poly). Sturm counts decide, with the
-# sign-change certificate first for the campaigns' batches; a root read
-# from a double eigenvalue is a diagnostic only.
+# sign-change certificate first for the campaigns' batches (verdicts); a
+# root read from a double eigenvalue is a diagnostic only.
 
 def locate(p: list[int], interval, tol: float) -> RootLocation:
     """classify_roots' verdict on interval with tolerance tol for the roots
@@ -884,56 +861,47 @@ def exact_verdict(p: list[int], tol: float) -> tuple[RootLocation, list[complex]
     return location, diagnostic_roots(p)
 
 
-def certified_interior_verdict(image: list[int], approx, tol: float) -> tuple[RootLocation, list]:
-    """exact_verdict for the integer polynomial image, with the sign-change
-    certificate first.
+def verdicts(polys: list[list[int]], tol: float, approx=None, read_roots=None) -> list:
+    """For each integer polynomial polys[c], exact_verdict on its primitive
+    part when read_roots[c] (every c by default), and otherwise locate's
+    verdict on (-1, 1) with no roots: the one route by which the campaigns
+    decide where an exact image's roots lie.
 
-    approx (root estimates) picks the certificate's points: if it holds,
-    every root is real, simple and inside (-1 + tol, 1 - tol), and the
-    nearest doubles of the extreme roots come back. Otherwise exact_verdict
-    decides from Sturm counts, so no verdict is read from a rounded image
-    or a root finder.
+    The sign-change certificate (_sign_certificates) decides first, over the
+    whole line. approx[c] estimates the deg polys[c] roots of polys[c]; by
+    default one eigvals call per degree on the companion matrices of the
+    _unit_scaled coefficients, which filtered_signs reads too. The certificate is marked
+    at the band ends -1 - tol, -1 + tol, 1 - tol and 1 + tol and at +-1: its
+    counts below them are _locate's, since no root sits on a mark, and
+    every root lies in (-1, 1) when none is below -1 and all are below 1.
+    Only then are roots read, the extremes inside gaps that those marks
+    bracket (_extremes); otherwise they are diagnostic_roots. Sturm counts
+    decide where the certificate fails, so no verdict rests on a root finder.
     """
-    return _settle(image, certify_interior_roots(image, approx, tol), tol)
-
-
-def certified_interior_verdicts(images: list[list[int]], approx, tol: float) -> list:
-    """certified_interior_verdict on each of the integer images, all of one
-    degree n >= 1, with approx[c, :] estimating the roots of images[c]; the
-    certificate's signs come from one certify_interior_batch call."""
-    return [_settle(image, None if found is None else found.extremes(), tol)
-            for image, found in zip(images, certify_interior_batch(images, approx, 1.0 - tol))]
-
-
-def _settle(image: list[int], found, tol: float) -> tuple[RootLocation, list]:
-    """certified_interior_verdict's result, given the certificate's."""
-    if found is not None:
-        return RootLocation.ALL_STRICTLY_INSIDE, found
-    return exact_verdict(primitive_part(image), tol)
-
-
-def boundary_verdicts(polys: list[list[int]], tol: float, read_roots) -> list:
-    """For each primitive integer polynomial polys[c], exact_verdict when
-    read_roots[c], and otherwise locate's verdict on (-1, 1) with no roots.
-
-    The whole-line certificate (line_certificates) decides first, marked at
-    the band ends -1 - tol, -1 + tol, 1 - tol and 1 + tol and at +-1: its
-    counts below them are _locate's counts, since no root sits on a mark,
-    and every root lies in (-1, 1] when none is below -1 and all are below
-    1. Sturm counts decide where it fails.
-    """
-    lo_out, lo_in, hi_in, hi_out = ends = (-1.0 - tol, -1.0 + tol, 1.0 - tol, 1.0 + tol)
-    found = []
-    certificates = line_certificates(polys, (*ends, -1.0, 1.0))
-    for p, read, certificate in zip(polys, read_roots, certificates):
-        if certificate is None:
-            found.append(exact_verdict(p, tol) if read else (locate(p, (-1.0, 1.0), tol), []))
-            continue
-        n, below = len(p) - 1, certificate.below
-        found.append((RootLocation.SOME_OUTSIDE if below[hi_out] - below[lo_out] < n
-                      else RootLocation.SOME_ON_BOUNDARY if below[hi_in] - below[lo_in] < n
-                      else RootLocation.ALL_STRICTLY_INSIDE,
-                      [] if not read
-                      else certificate.extremes() if below[-1.0] == 0 and below[1.0] == n
-                      else diagnostic_roots(p)))
+    read_roots = [True] * len(polys) if read_roots is None else read_roots
+    ends = (-1.0 - tol, -1.0 + tol, 1.0 - tol, 1.0 + tol, -1.0, 1.0)
+    marks = sorted(set(ends))
+    lo_out, lo_in, hi_in, hi_out, minus, plus = map(marks.index, ends)
+    found = [(RootLocation.ALL_STRICTLY_INSIDE, []) for _ in polys]  # a constant's
+    for n in sorted({len(p) - 1 for p in polys} - {0}):
+        group = [c for c, p in enumerate(polys) if len(p) - 1 == n]
+        group_polys = [polys[c] for c in group]
+        coeffs = np.array([_unit_scaled(p) for p in group_polys])
+        estimates = (_companion_roots(coeffs) if approx is None
+                     else np.array([approx[c] for c in group], dtype=complex))
+        certificates = _sign_certificates(group_polys, coeffs, estimates, np.array(marks))
+        for c, p, certificate in zip(group, group_polys, certificates):
+            if certificate is None:
+                p = primitive_part(p)
+                found[c] = (exact_verdict(p, tol) if read_roots[c]
+                            else (locate(p, (-1.0, 1.0), tol), []))
+                continue
+            below = certificate[2]
+            flag = (RootLocation.SOME_OUTSIDE if below[hi_out] - below[lo_out] < n
+                    else RootLocation.SOME_ON_BOUNDARY if below[hi_in] - below[lo_in] < n
+                    else RootLocation.ALL_STRICTLY_INSIDE)
+            found[c] = (flag, [] if not read_roots[c]
+                        else _extremes(p, marks, *certificate)
+                        if below[minus] == 0 and below[plus] == n
+                        else diagnostic_roots(primitive_part(p)))
     return found

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -33,21 +34,19 @@ from orthozero.polycore import (
     Poly,
     RootLocation,
     all_roots_real,
-    boundary_verdicts,
-    certified_interior_verdict,
     classify_roots,
+    comrade_roots,
     count_roots,
     exact_verdict,
     integer_poly,
     jacobi_coefficient_rows,
-    jacobi_series_roots,
-    line_certificates,
     locate,
     min_boundary_distance,
     monic_from_roots,
     poly_roots,
     primitive_part,
     sturm_sequence,
+    verdicts,
 )
 from orthozero.transforms import (
     exact_image,
@@ -57,7 +56,7 @@ from orthozero.transforms import (
     ultra_row_scale,
     unit_row_scale,
 )
-from orthozero import cli, harness
+from orthozero import cli, harness, polycore
 
 SMALL = dict(deg_cap=6, trials=10, seed=21)
 
@@ -158,9 +157,9 @@ def test_theorem12_precision_changes_only_the_echo():
 
 
 def test_certified_interior_verdict_falls_back_to_exact_counts():
-    # the certificate fails on each of these; the exact counts must still
-    # find the violation and classify it, on (-1, 1) and on any interval
-    # with double ends
+    # the exact counts must find each violation and classify it, on (-1, 1)
+    # and on any interval with double ends; verdicts agrees, whether its
+    # certificate decides or fails
     tol = 1e-8
     tiny = Fraction(1, 2 ** 80)
     for lo, hi in ((-1.0, 1.0), (0.0, 1.0)):
@@ -201,7 +200,7 @@ def test_certified_interior_verdict_falls_back_to_exact_counts():
             assert locate(image, (lo, hi), tol) is expected, (lo, hi, image, expected)
             if (lo, hi) == (-1.0, 1.0):
                 approx = np.roots(np.array(image[::-1], dtype=float))
-                classification, roots = certified_interior_verdict(image, approx, tol)
+                (classification, roots), = verdicts([image], tol, [approx])
                 assert classification is expected, (image, expected)
                 assert exact_verdict(image, tol)[0] is expected
         # on the library route, a double polynomial with a complex pair
@@ -214,12 +213,12 @@ def test_certified_interior_verdict_falls_back_to_exact_counts():
     # a double root inside passes through the Sturm count, not the certificate
     inside = [Fraction(1, 2), Fraction(-1, 3)]
     image = primitive_part(monic_from_roots([*inside, Fraction(1, 2)]))
-    classification, roots = certified_interior_verdict(image, [0.5, 0.5, -1 / 3], tol)
+    (classification, roots), = verdicts([image], tol, [[0.5, 0.5, -1 / 3]])
     assert classification is RootLocation.ALL_STRICTLY_INSIDE
     assert roots == [complex(-1 / 3), complex(0.5)]
     image = primitive_part(monic_from_roots(inside))
-    assert certified_interior_verdict(image, [0.5, -1 / 3], tol) == (
-        RootLocation.ALL_STRICTLY_INSIDE, [-1 / 3, 0.5])
+    assert verdicts([image], tol, [[0.5, -1 / 3]]) == [
+        (RootLocation.ALL_STRICTLY_INSIDE, [-1 / 3, 0.5])]
 
 
 def _per_case_verdict(rng, degree, rows, alpha, beta, scale, tol):
@@ -227,9 +226,8 @@ def _per_case_verdict(rng, degree, rows, alpha, beta, scale, tol):
     before they batched the cases of a grid point: the reference for
     harness._random_interior_verdicts."""
     roots = harness.random_interior_roots(rng, degree)
-    weights = [a * scale(k, alpha) for k, a in enumerate(monic_from_roots(roots))]
-    return certified_interior_verdict(
-        exact_image(roots, rows), jacobi_series_roots(weights, alpha, beta), tol)
+    weights = np.array([[a * scale(k, alpha) for k, a in enumerate(monic_from_roots(roots))]])
+    return verdicts([exact_image(roots, rows)], tol, comrade_roots(weights, alpha, beta))[0]
 
 
 # (campaign, alpha, beta): theorem12's symmetric map, and conj32's random
@@ -374,26 +372,41 @@ def test_certified_boundary_verdicts_match_polyroots(alpha, beta):
        factorial=st.booleans())
 def test_line_certificate_agrees_with_sturm(alpha, beta, factorial):
     # every residual of the boundary family (n + m <= 10) that the
-    # whole-line certificate certifies has all its roots real, and conj32's
-    # certified route gives locate's classification and exact_verdict's
-    # roots; a residual the certificate rejects is decided by Sturm alone
+    # certificate decides, building no Sturm sequence, has all its roots
+    # real; and every verdict, certified or not, is locate's classification
+    # with exact_verdict's roots where they are read
     tol = 1e-7
     rows = jacobi_rows_int(10, alpha, beta, factorial_row_scale if factorial else unit_row_scale)
     residuals = [boundary_family_roots(n, m, rows)[0] for n, m in boundary_pairs(10)]
-    certificates = line_certificates(residuals)
     read = [k % 2 == 0 for k in range(len(residuals))]
-    for residual, certificate, wanted, (flag, roots) in zip(
-            residuals, certificates, read, boundary_verdicts(residuals, tol, read)):
-        if certificate is None:
-            continue
-        assert all_roots_real(sturm_sequence(residual))
+    with mock.patch.object(polycore, "sturm_sequence", wraps=sturm_sequence) as built:
+        found = verdicts(residuals, tol, read_roots=read)
+    sturm_decided = [call.args[0] for call in built.call_args_list]
+    for residual, wanted, (flag, roots) in zip(residuals, read, found):
+        if residual not in sturm_decided and len(residual) > 1:
+            assert all_roots_real(sturm_sequence(residual))
         assert flag is locate(residual, (-1.0, 1.0), tol)
         if wanted:
-            want_flag, want_roots = exact_verdict(residual, tol)
-            assert flag is want_flag
-            assert set(map(complex, roots)) == set(want_roots)
+            assert (flag, roots) == exact_verdict(residual, tol)
         else:
             assert roots == []
+
+
+def test_interior_image_with_a_real_root_outside_builds_no_sturm_sequence():
+    # at (0.1, 0.3) the image of (x - 7/8)(x - 15/16) has a real root
+    # outside (-1, 1); the certificate's outer cuts at +-inf hold, so conj32
+    # decides it some_outside from its comrade estimates with no Sturm
+    # sequence built
+    roots, tol = [0.875, 0.9375], 1e-7
+    rows = jacobi_rows_int(9, 0.1, 0.3, unit_row_scale)
+    monic = monic_from_roots(roots)
+    weights = np.array([[a * unit_row_scale(k, 0.1) for k, a in enumerate(monic)]])
+    image = exact_image(roots, rows)
+    with mock.patch.object(polycore, "sturm_sequence", wraps=sturm_sequence) as built:
+        found = verdicts([image], tol, comrade_roots(weights, 0.1, 0.3))
+    assert built.call_count == 0
+    assert found == [exact_verdict(primitive_part(image), tol)]
+    assert found[0][0] is RootLocation.SOME_OUTSIDE
 
 
 def test_q31_builds_one_sturm_sequence(monkeypatch, tmp_path, capsys):
@@ -401,8 +414,6 @@ def test_q31_builds_one_sturm_sequence(monkeypatch, tmp_path, capsys):
     # (x-1)^3 at alpha = -0.5 builds a Sturm sequence. The pins keep their
     # bytes under the counter: conj32-nondyadic builds one for each of its
     # 35 residuals that are not real-rooted
-    from orthozero import polycore
-
     built = []
     sturm = polycore.sturm_sequence
 
@@ -411,7 +422,6 @@ def test_q31_builds_one_sturm_sequence(monkeypatch, tmp_path, capsys):
         return sturm(p)
 
     monkeypatch.setattr(polycore, "sturm_sequence", counted)
-    monkeypatch.setattr(harness, "sturm_sequence", counted)
     code = cli.main(["q31", "--deg-cap", "10", "--alpha", "-0.5", "1", "--beta", "0.3",
                      "--out", str(tmp_path / "q31.json")])
     capsys.readouterr()
@@ -776,6 +786,12 @@ for name in sys.argv[2:]:
     proc = subprocess.run([sys.executable, "-c", code, str(package.parent), *modules],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_harness_leaves_sturm_to_polycore():
+    # the policy "certificate first, Sturm where it fails" lives in
+    # polycore.verdicts; harness imports nothing from the Sturm layer
+    assert not {"sturm_sequence", "all_roots_real", "locate", "exact_verdict"} & set(vars(harness))
 
 
 def test_selftest_passes():

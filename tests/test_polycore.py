@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,17 +39,13 @@ from orthozero.polycore import (
     _bisect_to_double,
     _root_between,
     _sign_at_double,
-    boundary_verdicts,
-    certify_interior_batch,
-    certify_interior_roots,
+    _unit_scaled,
     comrade_roots,
     count_roots,
     dyadic_numerators,
     exact_verdict,
     filtered_signs,
     integer_poly,
-    jacobi_series_roots,
-    line_certificates,
     locate,
     monic_from_roots,
     nearest_double_roots,
@@ -56,6 +53,7 @@ from orthozero.polycore import (
     root_bound,
     root_report,
     sturm_sequence,
+    verdicts,
 )
 
 
@@ -509,10 +507,15 @@ def test_bisection_agrees_with_nearest_double_root():
 # comrade matrix and the sign-change certificate
 # ---------------------------------------------------------------------------
 
+def _series_roots(weights, alpha, beta):
+    """comrade_roots of one series."""
+    return comrade_roots(np.asarray(weights, dtype=float)[None], alpha, beta)[0]
+
+
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.3, 1.0, 2.5])
 def test_comrade_roots_of_one_member_are_gauss_nodes(alpha):
     for n in (1, 2, 5, 12, 30):
-        eig = jacobi_series_roots([0.0] * n + [1.0], alpha, alpha)
+        eig = _series_roots([0.0] * n + [1.0], alpha, alpha)
         assert np.max(np.abs(eig.imag)) == 0.0
         nodes = roots_jacobi(n, alpha, alpha)[0]
         assert np.max(np.abs(np.sort(eig.real) - nodes)) <= 1e-13
@@ -523,17 +526,17 @@ def test_comrade_roots_of_one_member_are_gauss_nodes(alpha):
 
 def test_comrade_roots_of_a_series():
     # P_2^(1,1) = (15 x^2 - 3) / 4 and P_0 = 1: 2 P_0 + P_2 has roots +-sqrt(-1/3)
-    eig = jacobi_series_roots([2.0, 0.0, 1.0], 1.0, 1.0)
+    eig = _series_roots([2.0, 0.0, 1.0], 1.0, 1.0)
     assert np.allclose(np.sort_complex(eig), [-1j / math.sqrt(3), 1j / math.sqrt(3)])
 
 
-def test_comrade_roots_of_a_non_finite_matrix_are_empty():
+def test_comrade_roots_of_a_non_finite_matrix_are_nan():
     # weights that underflowed to zero (factorial_scale at alpha = 2000) give
     # 0 / 0 in the last row; no estimates come back, and no warning either
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert jacobi_series_roots([0.0] * 5, 2000.0, 2000.0).size == 0
-        assert jacobi_series_roots([1.0, math.inf, 1.0], 0.0, 0.0).size == 0
+        assert np.isnan(_series_roots([0.0] * 5, 2000.0, 2000.0)).all()
+        assert np.isnan(_series_roots([1.0, math.inf, 1.0], 0.0, 0.0)).all()
 
 
 INTERIOR = st.builds(Fraction, st.integers(-95, 95), st.integers(1, 100).map(lambda d: 96 + d))
@@ -566,38 +569,62 @@ def test_root_report_past_the_double_range():
         assert root_report([3 * root, 3], (-1.0, 1.0), 1e-9).roots == (-want,)
 
 
+def _sturm_builds():
+    """A patch of polycore.sturm_sequence that counts its calls."""
+    return mock.patch.object(polycore, "sturm_sequence", wraps=sturm_sequence)
+
+
 @settings(max_examples=80, deadline=None)
 @given(roots=st.lists(INTERIOR, min_size=1, max_size=12, unique=True),
        lead=RATIONALS.filter(lambda c: c != 0),
        noise=st.floats(-1e-9, 1e-9))
 def test_certificate_accepts_simple_interior_roots(roots, lead, noise):
-    # rough estimates still pick valid points; the extremes come back as the
-    # nearest doubles, as Sturm isolation finds them
+    # rough estimates still pick valid points, so no Sturm sequence is
+    # built; the extremes come back as the nearest doubles, as Sturm
+    # isolation finds them (a single root once)
     p = primitive_part([lead * c for c in monic_from_roots(roots)])
     approx = [float(r) + noise for r in roots]
-    found = certify_interior_roots(p, approx, 1e-8)
-    assert found == [float(min(roots)), float(max(roots))]
+    with _sturm_builds() as built:
+        (flag, found), = verdicts([p], 1e-8, [approx])
+    assert built.call_count == 0
+    assert flag is RootLocation.ALL_STRICTLY_INSIDE
+    ends = sorted({0, len(roots) - 1})
+    assert found == [float(sorted(roots)[i]) for i in ends]
     seq = sturm_sequence(p)
-    assert found == [nearest_double_roots(seq, -1, 1, {i})[0] for i in (0, len(roots) - 1)]
+    assert found == [nearest_double_roots(seq, -1, 1, {i})[0] for i in ends]
 
 
 def test_certificate_rejects_what_it_cannot_prove():
+    # a complex pair, a double root and estimates that do not pick one
+    # root per gap are left to Sturm; a root outside, or within tol of
+    # +-1, is certified as such
     tol = 1e-8
     inside = [Fraction(1, 2), Fraction(-1, 3)]
     cases = {
-        "complex pair": primitive_part([Fraction(1, 4), 0, 1]),  # x^2 + 1/4
-        "outside": primitive_part(monic_from_roots([*inside, Fraction(3, 2)])),
-        "within tol of 1": primitive_part(monic_from_roots([*inside, 1 - Fraction(tol) / 2])),
-        "within tol of -1": primitive_part(monic_from_roots([*inside, -1 + Fraction(tol) / 4])),
-        "double root": primitive_part(monic_from_roots([*inside, Fraction(1, 2)])),
+        "complex pair": (primitive_part([Fraction(1, 4), 0, 1]),  # x^2 + 1/4
+                         RootLocation.SOME_NON_REAL, 1),
+        "outside": (primitive_part(monic_from_roots([*inside, Fraction(3, 2)])),
+                    RootLocation.SOME_OUTSIDE, 0),
+        "within tol of 1": (primitive_part(monic_from_roots([*inside, 1 - Fraction(tol) / 2])),
+                            RootLocation.SOME_ON_BOUNDARY, 0),
+        "within tol of -1": (primitive_part(monic_from_roots([*inside, -1 + Fraction(tol) / 4])),
+                             RootLocation.SOME_ON_BOUNDARY, 0),
+        "double root": (primitive_part(monic_from_roots([*inside, Fraction(1, 2)])),
+                        RootLocation.ALL_STRICTLY_INSIDE, 1),
     }
-    for name, p in cases.items():
+    for name, (p, flag, builds) in cases.items():
         approx = np.roots(np.array(p[::-1], dtype=float))
-        assert certify_interior_roots(p, approx, tol) is None, name
+        with _sturm_builds() as built:
+            found = verdicts([p], tol, [approx])
+        assert found == [exact_verdict(p, tol)] and found[0][0] is flag, name
+        assert built.call_count == builds, name
     p = primitive_part(monic_from_roots(inside))
-    assert certify_interior_roots(p, [0.5], tol) is None  # too few estimates
-    assert certify_interior_roots(p, [0.5, 0.5], tol) is None  # no point between
-    assert certify_interior_roots(p, [0.4, 0.8], tol) is None  # both roots in one gap
+    for approx in ([0.5],  # too few estimates
+                   [0.5, 0.5],  # no point between
+                   [0.4, 0.8]):  # both roots in one gap
+        with _sturm_builds() as built:
+            found = verdicts([p], tol, [approx])
+        assert found == [exact_verdict(p, tol)] and built.call_count == 1, approx
 
 
 def _tie_above(x: float) -> Fraction:
@@ -671,6 +698,11 @@ FAR_POINTS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
     [0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, 3.0, -7.5, 1e10, -1e60, 1e200, -1e300]))
 
 
+def _scaled(polys):
+    """The _unit_scaled coefficients that filtered_signs takes."""
+    return np.array([_unit_scaled(p) for p in polys])
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(1, 30), rows=st.integers(1, 3))
 def test_filtered_signs_equal_exact_signs(data, n, rows):
@@ -685,7 +717,7 @@ def test_filtered_signs_equal_exact_signs(data, n, rows):
         polys.append([-num * q[0]] + [(c << k) - num * d for c, d in zip(q, q[1:] + [0])])
         near = [root, math.nextafter(root, -math.inf), math.nextafter(root, math.inf)]
         points.append(near + data.draw(st.lists(FAR_POINTS, min_size=3, max_size=3)))
-    signs = filtered_signs(polys, np.array(points))
+    signs = filtered_signs(polys, np.array(points), _scaled(polys))
     for p, row, got in zip(polys, points, signs):
         assert got[0] == 0
         assert list(got) == [_sign_at_double(p, x) for x in row]
@@ -701,7 +733,7 @@ def test_filtered_signs_cover_gradual_underflow():
     a0, a1, a2 = (c / 2**1128 for c in p)
     assert (a2 * x + a1) * x + a0 == -5e-324
     assert _sign_at_double(p, x) == 1
-    assert filtered_signs([p], np.array([[x]])).tolist() == [[1]]
+    assert filtered_signs([p], np.array([[x]]), _scaled([p])).tolist() == [[1]]
 
 
 def test_filtered_signs_settle_certificate_points(monkeypatch):
@@ -714,15 +746,15 @@ def test_filtered_signs_settle_certificate_points(monkeypatch):
     exact = polycore._sign_at_double
     monkeypatch.setattr(polycore, "_sign_at_double",
                         lambda *args: calls.append(args) or exact(*args))
-    signs = filtered_signs([p], points)
+    signs = filtered_signs([p], points, _scaled([p]))
     assert list(signs[0]) == [(-1) ** (len(roots) - 1 - i) for i in range(len(roots))]
     assert len(calls) == 0
-    assert filtered_signs([], np.empty((0, 4))).shape == (0, 4)
+    assert filtered_signs([], np.empty((0, 4)), _scaled([])).shape == (0, 4)
 
 
 def test_certificate_batch_equals_one_at_a_time():
-    # a batch decides each polynomial as certify_interior_roots does alone,
-    # including rows without estimates and rows whose certificate fails
+    # a batch decides each polynomial as a batch of one does, including a
+    # row without estimates, the one that builds a Sturm sequence
     tol = 1e-8
     polys = [primitive_part(monic_from_roots(r)) for r in (
         [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 7)],
@@ -732,16 +764,19 @@ def test_certificate_batch_equals_one_at_a_time():
     )]
     approx = np.array([np.roots(np.array(p[::-1], dtype=float)) for p in polys], dtype=complex)
     approx[3] = np.nan
-    found = [None if c is None else c.extremes()
-             for c in certify_interior_batch(polys, approx, 1 - tol)]
-    assert found == [certify_interior_roots(p, a, tol) for p, a in zip(polys, approx)]
-    assert found[0] == [-1 / 3, 0.5] and found[1] is None and found[3] is None
+    with _sturm_builds() as built:
+        found = verdicts(polys, tol, approx)
+    assert built.call_count == 1
+    assert found == [verdicts([p], tol, [a])[0] for p, a in zip(polys, approx)]
+    assert found[0] == (RootLocation.ALL_STRICTLY_INSIDE, [-1 / 3, 0.5])
+    assert found[1][0] is RootLocation.SOME_OUTSIDE
+    assert found[3] == exact_verdict(polys[3], tol)
 
 
 def test_boundary_verdicts_place_roots_at_the_band_ends():
-    # the whole-line certificate's marks classify as Sturm counts do, with a
-    # root on each side of every band end; a root on a mark, a complex pair
-    # and a constant are left to Sturm
+    # the certificate's marks classify as Sturm counts do, with a root on
+    # each side of every band end; a root on a mark and a complex pair are
+    # left to Sturm, and a constant needs neither
     tol = 1e-7
     t, inside = Fraction(tol), [Fraction(1, 2), Fraction(-1, 3)]
     certified = {
@@ -756,19 +791,81 @@ def test_boundary_verdicts_place_roots_at_the_band_ends():
             flags.append(flag)
     left = [primitive_part(monic_from_roots([*inside, Fraction(1.0 - tol)])),
             primitive_part(monic_from_roots([*inside, Fraction(1)])),
-            primitive_part([Fraction(1, 4), 0, 1]), [3]]
-    certificates = line_certificates(polys + left, (-1.0 - tol, 1.0 - tol, 1.0))
-    assert all(c is not None for c in certificates[:len(polys)])
-    assert certificates[len(polys):] == [None] * len(left)
+            primitive_part([Fraction(1, 4), 0, 1])]
+    everything = polys + left + [[3]]
     for read in (True, False):
-        found = boundary_verdicts(polys + left, tol, [read] * len(polys + left))
-        for p, (flag, roots) in zip(polys + left, found):
+        with _sturm_builds() as built:
+            found = verdicts(everything, tol, read_roots=[read] * len(everything))
+        assert built.call_count == len(left)
+        for p, (flag, roots) in zip(everything, found):
             want_flag, want_roots = exact_verdict(p, tol)
             assert flag is want_flag is locate(p, (-1.0, 1.0), tol)
-            assert set(map(complex, roots)) == (set(want_roots) if read else set())
+            assert roots == (want_roots if read else [])
         assert [flag for flag, _ in found[:len(polys)]] == flags
-    # a root bound past the double range fails; a certificate never holds there
-    assert line_certificates([[-(1 << 1100), 1]]) == [None]
+    # a root past the double range has no companion estimate: Sturm decides
+    with _sturm_builds() as built:
+        assert verdicts([[-(1 << 1100), 1]], tol, read_roots=[False]) == [
+            (RootLocation.SOME_OUTSIDE, [])]
+    assert built.call_count == 1
+
+
+_TOL = 1e-7
+# roots on each of verdicts' marks, and one past the double range
+_MARK_ROOTS = [Fraction(x) for x in (-1.0 - _TOL, -1.0 + _TOL, 1.0 - _TOL, 1.0 + _TOL, -1.0, 1.0)]
+_HUGE = Fraction(2 ** 1100)
+
+
+def _times(a: list, b: list) -> list:
+    """The product of two ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def _images(draw):
+    """An integer polynomial, not always primitive, with real roots inside,
+    on the marks, outside, past the doubles or repeated, and complex pairs;
+    and estimates of its roots, noisy, infinite past the doubles."""
+    reals = draw(st.lists(st.one_of(INTERIOR, RATIONALS, st.sampled_from([*_MARK_ROOTS, _HUGE])),
+                          max_size=5))
+    if reals:
+        reals += draw(st.lists(st.sampled_from(reals), max_size=2))
+    pairs = draw(st.lists(st.tuples(RATIONALS, RATIONALS.filter(bool)), max_size=2))  # a +- b i
+    coeffs = monic_from_roots(reals)
+    for a, b in pairs:
+        coeffs = _times(coeffs, [a * a + b * b, -2 * a, 1])
+    p = [draw(st.sampled_from([1, -1, 3, -6])) * c for c in primitive_part(coeffs)]
+    noise = draw(st.floats(-1e-9, 1e-9))
+    estimates = [(float(r) if r < 2 ** 1000 else math.inf) + noise for r in reals]
+    estimates += [complex(float(a), s * float(b)) for a, b in pairs for s in (1, -1)]
+    return p, estimates
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(cases=st.lists(_images(), min_size=1, max_size=5), estimated=st.booleans(), data=st.data())
+@example(cases=[([-(2 ** 1100), 1], [math.inf])], estimated=True, data=None)
+@example(cases=[([-1, 1], [1.0]), ([5], []), ([-1, 0, 1], [-1.0, 1.0])], estimated=False,
+         data=None)
+def test_verdicts_equal_the_sturm_verdicts(cases, estimated, data):
+    # certified or not, every verdict is exact_verdict's on the primitive
+    # part when its roots are read and locate's otherwise, in flag and roots
+    polys = [p for p, _ in cases]
+    read = (data.draw(st.lists(st.booleans(), min_size=len(polys), max_size=len(polys)))
+            if data is not None else [True] * len(polys))
+    approx = [estimates for _, estimates in cases] if estimated else None
+    try:
+        want = [exact_verdict(primitive_part(p), _TOL) if r
+                else (locate(primitive_part(p), (-1.0, 1.0), _TOL), [])
+                for p, r in zip(polys, read)]
+    except np.linalg.LinAlgError:  # diagnostic roots past the doubles
+        with pytest.raises(np.linalg.LinAlgError):
+            verdicts(polys, _TOL, approx, read)
+        return
+    assert verdicts(polys, _TOL, approx, read) == want
 
 
 def test_comrade_roots_stack_equals_one_at_a_time():
@@ -777,7 +874,7 @@ def test_comrade_roots_stack_equals_one_at_a_time():
     weights = np.array([[2.0, 0.0, 1.0, 0.5], [1.0, -3.0, 0.25, 2.0], [0.0, 0.0, 0.0, 0.0]])
     stacked = comrade_roots(weights, 1.5, 0.5)
     for row, w in zip(stacked[:2], weights):
-        assert list(row) == list(jacobi_series_roots(w, 1.5, 0.5))
+        assert list(row) == list(_series_roots(w, 1.5, 0.5))
     assert np.isnan(stacked[2]).all()
 
 
