@@ -6,9 +6,12 @@ Reports are byte-identical for identical config+seed: volatile fields
 null unless timing output is explicitly requested.
 
 Every double is an exact binary rational, so the images of inputs given by
-double roots are computed exactly, in Python ints: the campaign's map as
+double roots are known exactly, in Python ints: the campaign's map as
 integer Jacobi rows (jacobi_rows_int, one set cached per grid point) and
-the image through them (exact_image). The boundary-rooted family
+the image through them (exact_image). The random interior-rooted inputs
+of a grid point are first enclosed in double-double arithmetic, all in one
+pass (image_enclosure), and their integer images are built only where
+that enclosure cannot settle a sign or a root. The boundary-rooted family
 (x-1)^n (x+1)^m needs that: its images have roots at +-1 of high
 multiplicity, which float coefficients perturb by roughly
 eps^(1/multiplicity), far beyond the campaign tolerances. Those roots are
@@ -18,9 +21,8 @@ first by one batched sign-change certificate over the whole line, whose
 points the comrade-matrix eigenvalues of the random interior-rooted inputs
 pick, and the companion-matrix eigenvalues of the boundary family's
 residuals; then, where it fails, by exact Sturm counts. harness itself
-builds no Sturm sequence. The inputs of a grid point are decided in
-batches of equal degree. No verdict rests on a rounded image or a root
-finder.
+builds no Sturm sequence. The inputs of a grid point are decided as one
+batch. No verdict rests on a rounded image or a root finder.
 biortho-equiv checks its identity exactly, on the same integer rows
 (transform_equivalence_check).
 
@@ -49,7 +51,6 @@ from .polycore import (
     deflate_root,
     diagnostic_roots,
     min_boundary_distance,
-    monic_from_roots,
     primitive_part,
     verdicts,
 )
@@ -62,9 +63,11 @@ from .signreg import (
     ssr_scan,
 )
 from .transforms import (
+    dd_rows,
     exact_image,
     factorial_row_scale,
     factorial_scale,
+    image_enclosure,
     jacobi_rows_int,
     ultra_row_scale,
     unit_row_scale,
@@ -254,29 +257,26 @@ def boundary_family_roots(n: int, m: int, rows: list[list[int]]) -> tuple[list[i
 
 def _random_interior_verdicts(rngs, degrees, rows, alpha, beta, scale, tol) -> list:
     """polycore.verdicts on random interior-rooted inputs, one drawn from
-    each generator at its degree: the exact image through rows, with the
-    comrade-matrix roots of sum_k a_k scale(k, alpha) P_k^(alpha,beta)
+    each generator at its degree: their exact images through rows, with
+    the comrade-matrix roots of sum_k a_k scale(k, alpha) P_k^(alpha,beta)
     picking the certificate's points.
 
-    The inputs of one degree are decided together: their monic products
-    and comrade matrices are stacked, one eigvals call gives every
-    estimate, and one filtered_signs pass the certificate's signs. Only one
-    degree's integer images are held at a time.
+    One numpy pass encloses every image in double-double arithmetic
+    (image_enclosure, on dd_rows(rows)); the monic products a are its hi
+    parts, and one eigvals call per degree gives the estimates. The exact
+    integer image (exact_image) is built only for a case whose signs or
+    extreme roots the enclosure cannot settle.
     """
     roots = [random_interior_roots(rng, degree) for rng, degree in zip(rngs, degrees)]
-    found = [None] * len(roots)
+    monic, images = image_enclosure(roots, rows, dd_rows(rows))
+    approx = [None] * len(roots)
     for degree in sorted(set(degrees)):
         group = [c for c, d in enumerate(degrees) if d == degree]
-        # over the rows of the transposed stack, each coefficient is an
-        # array over the group's cases (the leading one stays the int 1)
-        monic = monic_from_roots(np.array([roots[c] for c in group]).T)
         scales = np.array([scale(k, alpha) for k in range(degree + 1)], dtype=float)
-        approx = comrade_roots(np.stack(np.broadcast_arrays(*monic), axis=1) * scales,
-                               alpha, beta)
-        images = [exact_image(roots[c], rows) for c in group]
-        for c, verdict in zip(group, verdicts(images, tol, approx)):
-            found[c] = verdict
-    return found
+        for c, estimates in zip(group, comrade_roots(monic[group, :degree + 1] * scales,
+                                                     alpha, beta)):
+            approx[c] = estimates
+    return verdicts(images, tol, approx)
 
 
 # A sweep visits one grid point at a time, so one set of rows is cached,
@@ -296,11 +296,13 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
     some_on_boundary is indeterminate; only a root outside the closed band
     or a non-real root is a violation.
 
-    The image is computed exactly, as integers (exact_image), and its
-    verdict comes from polycore.verdicts: the comrade-matrix roots of the
-    double image only pick the points of a sign-change certificate, and
-    Sturm counts decide where it fails. min_boundary_distance comes from
-    the nearest doubles of the smallest and largest roots.
+    The image is enclosed in double-double arithmetic and its verdict
+    comes from polycore.verdicts: the comrade-matrix roots of the double
+    image only pick the points of a sign-change certificate, each sign is
+    certified by the enclosure or, where it cannot settle one, taken on
+    the exact integer image (exact_image), and Sturm counts decide where
+    the certificate fails. min_boundary_distance comes from the nearest
+    doubles of the smallest and largest roots.
     """
     tol = config.effective_tol
 

@@ -4,11 +4,16 @@ and root-location classification against an interval.
 A Poly is immutable and carries its basis tag (monomial, ultraspherical, or
 Jacobi). Evaluation uses Horner in the monomial basis and Clenshaw's
 recurrence otherwise. Where roots lie is decided once, here, for the
-campaigns and the library alike, in exact integer arithmetic: by Sturm
-counts (locate, exact_verdict, root_report), and for the campaigns' exact
+campaigns and the library alike, from exact integer polynomials: by Sturm
+counts (locate, exact_verdict, root_report), and for the campaigns'
 images by one function, verdicts, that tries a sign-change certificate
-over the whole line first and falls back to those counts. Double
-eigenvalues (poly_roots, diagnostic_roots) are diagnostics only.
+over the whole line first and falls back to those counts. The
+certificate's signs, and the nearest doubles of roots, are read on a
+double-double enclosure of each polynomial (Enclosure, filtered_signs,
+_read_roots), with an a-priori error bound that certifies each sign it
+settles; the exact integer polynomial is built, and its signs taken in
+integers, only where that bound does not settle one. Double eigenvalues
+(poly_roots, diagnostic_roots) are diagnostics only.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .enclosure import _SMALLEST_SUBNORMAL, _gamma, _to_double
+from .enclosure import _SMALLEST_SUBNORMAL, _UNIT_ROUNDOFF, _to_double
 from .errors import (
     BadIntervalError,
     BadParameterError,
@@ -197,7 +202,9 @@ def comrade_roots(weights, alpha: float, beta: float) -> np.ndarray:
     for each row c of weights, unordered, in double, as a (rows, n) array:
     the eigenvalues of their comrade matrices (Barnett 1975), jacobi_matrix
     with P_n eliminated from its last row through the series, stacked for
-    one eigvals call.
+    one eigvals call. Each matrix goes in transposed, which is upper
+    Hessenberg (the series fills the last row), so LAPACK's reduction to
+    Hessenberg form has nothing to do.
 
     A series whose matrix is not finite (weights that underflowed to zero,
     or an overflowing recurrence) has no estimates: its row is NaN.
@@ -205,9 +212,9 @@ def comrade_roots(weights, alpha: float, beta: float) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     n = w.shape[1] - 1
     m, a = jacobi_matrix(n, alpha, beta)
-    stack = np.repeat(m[None], len(w), axis=0)
+    stack = np.repeat(m.T[None], len(w), axis=0)
     with np.errstate(all="ignore"):
-        stack[:, n - 1] -= w[:, :n] / (w[:, n:] * a)
+        stack[:, :, n - 1] -= w[:, :n] / (w[:, n:] * a)
     return _eigvals(stack)
 
 
@@ -391,15 +398,18 @@ def _locate(seq: list[list[int]], lo: float, hi: float, tol: float) -> RootLocat
 
 def nearest_double_roots(seq: list[list[int]], lo: int, hi: int, indices=None) -> list[float]:
     """The doubles nearest the distinct roots in (lo, hi] of the Sturm
-    sequence's first entry, ascending: of the index-th smallest (from 0) for
-    each index in indices, or of all of them.
+    sequence's first entry p, ascending: of the index-th smallest (from 0)
+    for each index in indices, or of all of them.
 
     One pass of Sturm bisection isolates them: an interval is halved while
     it holds a wanted root and another root, and its ends round to different
     doubles (once they round to the same one, every root inside does too).
-    Bisection on the sign of the first entry then runs on each isolated root.
+    Each isolated root is then read by _read_roots on p's enclosure, inside
+    the doubles of its interval, from the nearest of p's diagnostic_roots;
+    bisection on the exact sign of p (_bisect_to_double) reads the rest.
     """
-    found = []
+    p = seq[0]
+    isolated = []  # (lo, hi, k, copies of its double), ascending
     stack = [(lo, hi, 0, _variations(seq, lo, 0), _variations(seq, hi, 0), 0)]
     while stack:  # depth first, the lower half first; first indexes the lowest root inside
         lo, hi, k, v_lo, v_hi, first = stack.pop()
@@ -407,13 +417,49 @@ def nearest_double_roots(seq: list[list[int]], lo: int, hi: int, indices=None) -
         if not wanted:
             continue
         if v_lo - v_hi == 1 or _to_double(lo, k) == _to_double(hi, k):
-            found += [_bisect_to_double(seq[0], lo, hi, k)] * len(wanted)
+            isolated.append((lo, hi, k, len(wanted)))
             continue
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
         v_mid = _variations(seq, mid, k)
         stack += [(mid, hi, k, v_mid, v_hi, first + v_lo - v_mid), (lo, mid, k, v_lo, v_mid, first)]
-    return found
+    found, reads = [], []  # reads: (index in found, double bracket, sign left of the root)
+    for lo, hi, k, copies in isolated:
+        b = _to_double(hi, k)
+        if copies > 1 or _to_double(lo, k) == b or not (s := _sign_at(p, hi, k)):
+            found.append(b)  # every root inside rounds to b, or the root is hi
+            continue
+        a, b = _inner_doubles(lo, hi, k)
+        if a < b:
+            reads.append((len(found), a, b, -s))
+        found.append(None)
+    if reads:
+        estimates = np.sort([z.real for z in diagnostic_roots(p)])
+        at, a, b, s_lo = zip(*reads)
+        centre = (np.array(a) + np.array(b)) / 2
+        guess = (estimates[np.abs(estimates[None, :] - centre[:, None]).argmin(axis=1)]
+                 if estimates.size else centre)
+        x, certified, _, _ = _read_roots(Enclosure.of_integers([p]), [0] * len(reads), a, b,
+                                         s_lo, guess)
+        for i, root, ok in zip(at, x.tolist(), certified.tolist()):
+            if ok:
+                found[i] = root
+    return [_bisect_to_double(p, *item[:3]) if root is None else root
+            for item, root in zip(isolated, found) for _ in range(item[3])]
+
+
+def _inner_doubles(lo: int, hi: int, k: int) -> tuple[float, float]:
+    """The least double at or above lo / 2^k and the greatest at or below
+    hi / 2^k (nan where either lies past the doubles)."""
+    a, b = _to_double(lo, k), _to_double(hi, k)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.nan, math.nan
+    (num_a, num_b), kd = dyadic_numerators([a, b])
+    if num_a << k < lo << kd:
+        a = math.nextafter(a, math.inf)
+    if num_b << k > hi << kd:
+        b = math.nextafter(b, -math.inf)
+    return a, b
 
 
 def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
@@ -459,26 +505,365 @@ def _sign_between(p: list[int], a: float, b: float) -> tuple[int, float]:
 
 
 # ---------------------------------------------------------------------------
+# double-double enclosures: certified signs without big integers
+# ---------------------------------------------------------------------------
+#
+# A double-double (dd) number is an unevaluated sum hi + lo of doubles with
+# |lo| <= u |hi| (u = 2^-53). The operations act elementwise on numpy
+# arrays: TwoSum (Knuth), TwoProduct by Veltkamp's split (Dekker), and from
+# them AccurateDWPlusDW, DWPlusFP and DWTimesDW1 of Joldes, Muller and
+# Popescu ("Tight and rigorous error bounds for basic building blocks of
+# double-word arithmetic", ACM TOMS 44(2), 2017). A direct count of their
+# roundings bounds their relative errors by 3u^2 + O(u^3) for a dd number
+# plus a dd number (they prove 3u^2 + 13u^3) or a double, by 8u^2 + O(u^3)
+# for a product of dd numbers, and by 3u^2 + O(u^3) for a dd number times a
+# double, where two of the product's roundings vanish; _DD_ADD, _DD_MUL and
+# _DD_MUL_FP bound them with u^2 / 2 to spare. That holds while nothing
+# overflows or underflows. An overflow leaves an inf or a nan, which every
+# test below reads as unsettled; a sum of doubles does not round in the
+# subnormals, and a product that underflows adds at most _DD_ETA
+# absolutely.
+#
+# An Enclosure holds integer polynomials up to a positive factor, each as dd
+# coefficients b^_j and radii rho_j that bound |b^_j - b_j|, and _dd_signs
+# evaluates them at dd points: where |v^| clears a bound on its error
+# (derived there), the sign of the value v^ is the exact polynomial's,
+# since dividing by a positive factor keeps it. Where the filter cannot
+# settle a sign, the exact integer polynomial is built (Enclosure.exact)
+# and its sign taken exactly.
+
+_DD_ADD = 3.5 * 2.0 ** -106
+_DD_MUL = 8.5 * 2.0 ** -106
+_DD_MUL_FP = 3.5 * 2.0 ** -106
+_DD_ETA = 16 * _SMALLEST_SUBNORMAL
+_SPLITTER = 2.0 ** 27 + 1
+# Below this size the neighbouring midpoints of a double are not dd points.
+_TINY = 2.0 ** -1000
+
+
+def _two_sum(a, b):
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _fast_two_sum(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _dd_add(xh, xl, yh, yl):
+    """(xh + xl) + (yh + yl), AccurateDWPlusDW."""
+    sh, sl = _two_sum(xh, yh)
+    th, tl = _two_sum(xl, yl)
+    vh, vl = _fast_two_sum(sh, sl + th)
+    return _fast_two_sum(vh, tl + vl)
+
+
+def _dd_add_fp(xh, xl, y):
+    """(xh + xl) + y for a double y, DWPlusFP."""
+    sh, sl = _two_sum(xh, y)
+    return _fast_two_sum(sh, xl + sl)
+
+
+def _dd_mul(xh, xl, yh, yl=None, y_split=None):
+    """(xh + xl)(yh + yl), DWTimesDW1 with Dekker's TwoProduct, or with yl
+    None, (xh + xl) yh for a double yh; y_split is _split(yh), when the
+    caller has it already."""
+    p = xh * yh
+    ah, al = _split(xh)
+    bh, bl = _split(yh) if y_split is None else y_split
+    error = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return _fast_two_sum(p, error + (xl * yh if yl is None else xh * yl + xl * yh))
+
+
+def _dd_split(c: int, s: int) -> tuple[float, float, float]:
+    """c / 2^s (s >= 0) as hi + lo, each the double nearest what is left,
+    and an upper bound on |c / 2^s - hi - lo|, 0 when that is exact."""
+    parts, num, k = [], c, s  # what is left is num / 2^k
+    for _ in range(2):
+        part = _to_double(num, k)
+        top, den = part.as_integer_ratio()
+        shift = den.bit_length() - 1
+        num, k = (num << shift) - (top << k), k + shift
+        parts.append(part)
+    return parts[0], parts[1], math.nextafter(abs(_to_double(num, k)), math.inf) if num else 0.0
+
+
+class Enclosure:
+    """Integer polynomials, row c known up to a positive factor: its
+    coefficient j lies within radius[c, j] of the dd number hi[c, j] +
+    lo[c, j], and is zero past degrees[c]. exact(c) builds the integer
+    polynomial itself (build(c), once), whose roots and signs it shares;
+    its last coefficient is its leading one."""
+
+    def __init__(self, hi, lo, radius, degrees, build):
+        self.hi, self.lo, self.radius = hi, lo, radius
+        self.degrees = np.asarray(degrees, dtype=int)
+        self._build, self._built = build, {}
+
+    @classmethod
+    def of_integers(cls, polys: list[list[int]]) -> Enclosure:
+        """The integer polynomials themselves, each over the power of two
+        that brings max |p_i| into [1, 2), split exactly into hi + lo where
+        they fit 106 bits and with the radius of the rest otherwise."""
+        top = max((len(p) for p in polys), default=1)
+        out = np.zeros((3, len(polys), top))
+        for c, p in enumerate(polys):
+            s = max(max(abs(v) for v in p).bit_length() - 1, 0)
+            for j, v in enumerate(p):
+                out[:, c, j] = _dd_split(v, s)
+        return cls(*out, [len(p) - 1 for p in polys], polys.__getitem__)
+
+    def __len__(self) -> int:
+        return len(self.degrees)
+
+    def exact(self, c: int) -> list[int]:
+        if c not in self._built:
+            self._built[c] = self._build(c)
+        return self._built[c]
+
+    def estimates(self) -> list[np.ndarray]:
+        """Roots of each row's hi coefficients, by one eigvals call per
+        degree on their companion matrices (_companion_roots)."""
+        found = [np.empty(0, dtype=complex)] * len(self)
+        for n in sorted(set(self.degrees.tolist()) - {0}):
+            group = np.flatnonzero(self.degrees == n)
+            for c, row in zip(group.tolist(), _companion_roots(self.hi[group, :n + 1])):
+                found[c] = row
+        return found
+
+
+def _dd_signs(enc: Enclosure, rows, xh, xl=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The signs of the polynomials enc.exact(c), c in rows, at the dd
+    points (xh[i], xl[i]) of each row i (doubles where xl is None), where
+    the filter settles them: (signs, settled, the dd values' hi parts). An
+    unsettled sign reads 0.
+
+    The value is v^ = h^ + l^ (DWPlusFP): h^ is the dd Horner value of the
+    hi parts at x = xh + xl, each step a product and a DWPlusFP, and l^ the
+    double Horner value of the lo parts at xh. With X = |xh| + |xl|:
+    - a term hi_j x^j meets at most n products and n sums, so h^ is within
+      gamma(n (mul + _DD_ADD)) sum_j |hi_j| X^j of sum_j hi_j x^j, where
+      gamma(e) = e / (1 - e) bounds |prod (1 + d_i) - 1| for relative
+      errors |d_i| summing to e, and mul is _DD_MUL_FP at double points and
+      _DD_MUL otherwise (Higham, Accuracy and Stability of Numerical
+      Algorithms, 5.1, in dd units; Graillat, Langlois and Louvet, JJIAM
+      26, 2009, for Horner in extended precision);
+    - l^ is within (3n + 1) u sum_j |lo_j| X^j of sum_j lo_j x^j: gamma_2n
+      for its roundings, and n u for |x^j - xh^j| <= j |xl| X^(j-1) with
+      |xl| <= u |xh|;
+    - the coefficients' radii add sum_j radius_j X^j, a product that
+      underflows at most _DD_ETA at each of the 2n + 2 operations on a
+      term, times max(1, X)^n, and the last sum keeps the sign of h^ + l^.
+    So the bound is (T + (2n + 2) _DD_ETA max(1, X)^n)(1 + (3n + 10)
+    2^-52), with T = sum_j w_j X^j by double Horner on w_j = gamma(...)
+    (1 + 2u) |hi_j| + (3n + 1) u |lo_j| + radius_j: T's 2n roundings, the n
+    of X^j, those of w and of this sum and product, and |vh| >= |v^|(1 -
+    2u) are each one u that the factor covers twice over.
+
+    Every Horner pass runs on the rows sorted by degree, each step on the
+    rows whose degree exceeds it, so the padding costs nothing.
+    """
+    n = enc.degrees[rows]
+    order = np.argsort(-n, kind="stable")
+    rows, n = np.asarray(rows)[order], n[order]
+    xh = xh[order]
+    hi, lo, radius = enc.hi[rows], enc.lo[rows], enc.radius[rows]
+    unit = (_DD_MUL_FP if xl is None else _DD_MUL) + _DD_ADD
+    steps = [(j, int(np.count_nonzero(n > j))) for j in range(int(n.max(initial=0)) - 1, -1, -1)]
+    at_top = (np.arange(len(rows)), n)
+    with np.errstate(all="ignore"):  # overflow and nan are read as unsettled
+        size = np.abs(xh)
+        if xl is not None:
+            xl = xl[order]
+            size = size + np.abs(xl)
+        x_split = _split(xh)
+        vh = np.repeat(hi[at_top][:, None], xh.shape[1], axis=1)
+        vl = np.zeros_like(vh)
+        low = np.repeat(lo[at_top][:, None], xh.shape[1], axis=1)
+        for j, m in steps:
+            ph, pl = _dd_mul(vh[:m], vl[:m], xh[:m], None if xl is None else xl[:m],
+                             (x_split[0][:m], x_split[1][:m]))
+            vh[:m], vl[:m] = _dd_add_fp(ph, pl, hi[:m, j:j + 1])
+            low[:m] = low[:m] * xh[:m] + lo[:m, j:j + 1]
+        vh, _ = _dd_add_fp(vh, vl, low)
+        n = n[:, None]
+        w = (n * unit / (1 - n * unit) * (1 + 2 * _UNIT_ROUNDOFF) * np.abs(hi)
+             + (3 * n + 1) * _UNIT_ROUNDOFF * np.abs(lo) + radius)
+        total = np.repeat(w[at_top][:, None], xh.shape[1], axis=1)
+        for j, m in steps:
+            total[:m] = total[:m] * size[:m] + w[:m, j:j + 1]
+        bound = ((total + (2 * n + 2) * _DD_ETA * np.maximum(size, 1.0) ** n)
+                 * (1 + (3 * n + 10) * 2.0 ** -52))
+        settled = np.abs(vh) > bound
+    back = np.argsort(order)
+    return (np.where(settled, np.sign(vh), 0).astype(int)[back], settled[back], vh[back])
+
+
+def filtered_signs(enc: Enclosure, rows, points, need=None) -> np.ndarray:
+    """The exact signs of the polynomials enc.exact(c), c in rows, at the
+    finite doubles points[i, :] for row i, where need (all by default)
+    asks for them, and 0 elsewhere: _dd_signs' where it settles them, and
+    otherwise _sign_at's on the exact polynomial, built then."""
+    points = np.asarray(points, dtype=float)
+    signs, settled, _ = _dd_signs(enc, rows, points)
+    missing = ~settled if need is None else need & ~settled
+    for i, j in zip(*np.nonzero(missing)):
+        signs[i, j] = _sign_at_double(enc.exact(rows[i]), points[i, j])
+    return signs
+
+
+def _midpoints(a, b):
+    """The midpoints of the adjacent finite doubles a < b as dd points (hi,
+    lo): exact where |a| and |b| are at least _TINY."""
+    hi = (a + b) * 0.5
+    return hi, ((a - hi) + (b - hi)) * 0.5
+
+
+def _read_roots(enc: Enclosure, rows, lo, hi, s_lo, guess):
+    """The doubles nearest the one root of enc.exact(rows[i]) in (lo[i],
+    hi[i]), doubles, left of which it has the sign s_lo[i], where the
+    filter certifies them: (x, certified, lo, hi), the last two the
+    brackets narrowed by settled signs, with the sign s_lo at lo and the
+    opposite one at hi where the original ends have them.
+
+    Safeguarded Newton steps from guess on the enclosure's dd values land on
+    a double x: the first from the value at guess, the later ones from the
+    mean of the values at the midpoints to x's neighbouring doubles, and
+    each settled sign narrows the bracket. x is certified when _dd_signs
+    settles the signs at those midpoints as s_lo and -s_lo inside (lo, hi),
+    since every point between them rounds to x, and it moves one double
+    when both signs agree. Where the filter cannot settle those signs
+    within _READ_PASSES passes (a root at a midpoint, say), x is the last
+    double reached.
+    """
+    rows = np.asarray(rows, dtype=int)
+    lo0, hi0, s_lo = (np.array(v, dtype=float) for v in (lo, hi, s_lo))
+    lo, hi = lo0.copy(), hi0.copy()
+    x = np.array(guess, dtype=float)
+    x = np.where((lo < x) & (x < hi), x, (lo + hi) / 2)
+    certified = np.zeros(len(rows), dtype=bool)
+    live = np.flatnonzero(np.isfinite(x) & (np.abs(x) >= _TINY))
+    for first in [True] + [False] * (_READ_PASSES - 1):
+        if not live.size:
+            break
+        xa, want = x[live], s_lo[live][:, None]
+        below, above = np.nextafter(xa, -np.inf), np.nextafter(xa, np.inf)
+        if first:  # the estimate is rarely the answer: a Newton step from it
+            signs, settled, values = _dd_signs(enc, rows[live], xa[:, None])
+            value = values[:, 0]
+            past = short = xa[:, None]
+        else:  # the midpoints to the neighbours, whose values average p(x)
+            (h_lo, l_lo), (h_hi, l_hi) = _midpoints(below, xa), _midpoints(xa, above)
+            signs, settled, values = _dd_signs(enc, rows[live], np.stack([h_lo, h_hi], axis=1),
+                                               np.stack([l_lo, l_hi], axis=1))
+            value = values.mean(axis=1)
+            past, short = np.stack([below, xa], axis=1), np.stack([xa, above], axis=1)
+        # a settled sign puts the root beyond its point, or before it, and
+        # the double next to the point on that side bounds the bracket
+        beyond, before = settled & (signs == want), settled & (signs == -want)
+        lo[live] = np.maximum(lo[live], np.where(beyond, past, -np.inf).max(axis=1))
+        hi[live] = np.minimum(hi[live], np.where(before, short, np.inf).min(axis=1))
+        landed = (beyond[:, 0] & before[:, -1] & (lo0[live] < xa) & (xa < hi0[live])
+                  & (not first))
+        certified[live[landed]] = True
+        with np.errstate(all="ignore"):
+            step = xa - value / _derivative_at(enc.hi[rows[live]], xa)
+        inside = ((lo[live] < step) & (step < hi[live])) | (step == xa)
+        step = np.where(inside, step, (lo[live] + hi[live]) / 2)
+        step = np.where(beyond.all(axis=1) & (step <= xa), above,
+                        np.where(before.all(axis=1) & (step >= xa), below, step))
+        x[live] = np.where(landed, xa, step)
+        stuck = ~settled.any(axis=1) & (not first)  # the filter is at its limit here
+        live = live[~landed & ~stuck & np.isfinite(step) & (np.abs(step) >= _TINY)]
+    return x, certified, lo, hi
+
+
+def _nearest_roots(enc: Enclosure, rows, lo, hi, s_lo, guess) -> list[float]:
+    """_read_roots' doubles, with _root_between's reading on the exact
+    polynomial, inside the narrowed bracket and from the last double
+    reached, wherever the filter did not certify one."""
+    x, certified, lo, hi = _read_roots(enc, rows, lo, hi, s_lo, guess)
+    return [root if ok else _root_between(enc.exact(c), a, b, int(s), root)
+            for c, root, ok, a, b, s in zip(rows, x.tolist(), certified.tolist(), lo.tolist(),
+                                            hi.tolist(), s_lo)]
+
+
+def _derivative_at(hi, x):
+    """The double Horner value of the derivative of each row of hi at x[i]."""
+    n = hi.shape[1] - 1
+    with np.errstate(all="ignore"):
+        acc = n * hi[:, n]
+        for j in range(n - 1, 0, -1):
+            acc = acc * x + j * hi[:, j]
+    return acc
+
+
+def _root_between(p: list[int], lo: float, hi: float, s_lo: int, guess: float) -> float:
+    """The double nearest the one root of p in (lo, hi), where p has the
+    nonzero sign s_lo at lo and the opposite one at hi, from exact signs.
+
+    A double x in (lo, hi) is certified when the exact signs of p at the
+    midpoints to its neighbouring doubles bracket the root, since every
+    point between those midpoints rounds to it; from guess, a sign that
+    puts the root beyond a midpoint moves x one double that way, up to
+    _WALK times. Otherwise bisection starts from the first of the narrow
+    brackets around guess that holds the root.
+    """
+    x = guess
+    for _ in range(_WALK):
+        if not lo < x < hi:  # lo and hi are doubles, so both midpoints lie in (lo, hi)
+            break
+        below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+        s, tie = _sign_between(p, below, x)
+        if s == 0:  # the root itself
+            return tie
+        if s != s_lo:  # the root lies below the lower midpoint
+            x = below
+            continue
+        s, tie = _sign_between(p, x, above)
+        if s == 0:
+            return tie
+        if s != s_lo:
+            return x
+        x = above
+    for half in _BRACKETS:
+        a, b = max(lo, guess - half), min(hi, guess + half)
+        if _sign_at_double(p, a) == s_lo and _sign_at_double(p, b) != s_lo:
+            lo, hi = a, b
+            break
+    (num_lo, num_hi), k = dyadic_numerators([lo, hi])
+    return _bisect_to_double(p, num_lo, num_hi, k)
+
+
+# ---------------------------------------------------------------------------
 # sign-change certificate: approximate roots pick points, certified signs decide
 # ---------------------------------------------------------------------------
 #
 # Rump, "Verification methods", Acta Numerica 2010: the estimates may come
 # from any floating-point method, since a wrong estimate can only make the
-# certificate fail, never make it pass. Each sign at a certificate point is
-# the double Horner value's where an a-priori bound on its error clears it
-# (Shewchuk, "Adaptive precision floating-point arithmetic and fast robust
-# geometric predicates", 1997; Higham, Accuracy and Stability of Numerical
-# Algorithms, 5.1 for Horner's bound), and the exact integer sign otherwise.
-# The filter only pays off over many polynomials at once, so the certificate
-# takes a batch of one degree; a single polynomial is a batch of one.
+# certificate fail, never make it pass. Every sign is certified
+# (filtered_signs), and the certificate takes a whole batch, padded to its
+# largest degree, in one pass; a single polynomial is a batch of one.
 
 # Half-widths of the brackets tried around an estimate before its whole gap.
 # Most estimates are within the first, and each halving it saves is one
 # exact sign evaluation; the second catches most of the rest.
 _BRACKETS = (2.0 ** -46, 2.0 ** -32)
-# Newton steps from an estimate before its nearest double is checked; from
-# the comrade estimates' few ulps, one step usually lands and one confirms.
-_NEWTON_STEPS = 3
+# Doubles _root_between steps from its guess, which the dd reader leaves
+# within a double or two of the root, before it bisects.
+_WALK = 4
+# Passes of _read_roots before the exact route takes over; from the comrade
+# estimates the first pass's Newton step usually lands and the second
+# confirms.
+_READ_PASSES = 6
 
 
 def dyadic_numerators(points) -> tuple[list[int], int]:
@@ -494,49 +879,6 @@ def _sign_at_double(p: list[int], x: float) -> int:
     return _sign_at(p, num, k)
 
 
-def _unit_scaled(p: list[int]) -> list[float]:
-    """p / 2^s with max |p_i| / 2^s in [1, 2), each coefficient rounded once
-    (int / int true division is correctly rounded)."""
-    scale = 1 << max(max(abs(c) for c in p).bit_length() - 1, 0)
-    return [c / scale for c in p]
-
-
-def filtered_signs(polys: list[list[int]], points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Signs of the integer polynomials polys[c], all of one length n + 1,
-    at the finite doubles points[c, :], as a (len(polys), m) int array;
-    coeffs[c] holds the _unit_scaled coefficients of polys[c].
-
-    One Horner pass over all rows gives the values p^(x) of the scaled
-    polynomials, and a second one the sums S^(x) of |a^_i| |x|^i.
-    A value's sign is taken where |p^(x)| > gamma_{2n+2} S^(x) (1 +
-    gamma_{2n+1}) + eta, with eta = (4n+4) 2^-1074 max(1, |x|)^n. That
-    bounds the error of the rounded coefficients and of Horner's 2n
-    operations in both passes (Higham, 5.1), with one gamma to spare for
-    the rounding of the bound itself, and eta the absolute error of gradual
-    underflow. Every other sign, and any whose value or bound is not
-    finite, is _sign_at's exact one.
-    """
-    points = np.asarray(points, dtype=float)
-    signs = np.zeros(points.shape, dtype=int)
-    if not polys:
-        return signs
-    n = len(polys[0]) - 1
-    size = np.abs(points)
-    with np.errstate(all="ignore"):  # overflow is caught by the finiteness test
-        value = np.repeat(coeffs[:, n:], points.shape[1], axis=1)
-        total = np.abs(value)
-        for i in range(n - 1, -1, -1):
-            value = value * points + coeffs[:, i:i + 1]
-            total = total * size + np.abs(coeffs[:, i:i + 1])
-        bound = (_gamma(2 * n + 2) * total * (1 + _gamma(2 * n + 1))
-                 + (4 * n + 4) * _SMALLEST_SUBNORMAL * np.maximum(size, 1.0) ** n)
-        settled = np.isfinite(value) & np.isfinite(bound) & (np.abs(value) > bound)
-    signs[settled] = np.sign(value[settled])
-    for c, j in zip(*np.nonzero(~settled)):
-        signs[c, j] = _sign_at_double(polys[c], points[c, j])
-    return signs
-
-
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """The roots of each row of ascending coefficients coeffs, one degree
     n >= 1, as a (rows, n) array: the eigenvalues of their companion
@@ -549,116 +891,68 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return _eigvals(stack)
 
 
-def _sign_certificates(polys: list[list[int]], coeffs: np.ndarray, approx, marks: np.ndarray):
-    """What certified signs prove of each integer polynomial p = polys[c] of
-    one degree n >= 1, whose _unit_scaled coefficients are coeffs[c] and
-    whose roots approx[c, :] estimates: None, or its cuts, the sign of p at
-    the first one, how many of its roots lie below each mark, and the
-    estimates of its smallest and largest roots.
+def _sign_certificates(enc: Enclosure, rows, approx, marks: np.ndarray) -> dict:
+    """What certified signs prove of the polynomials p = enc.exact(c), c in
+    rows, of degrees n >= 1, whose roots approx[c] estimates: for each c
+    whose certificate holds, its cuts, the sign of p at the first one, how
+    many of its roots lie below each mark, and the estimates of its
+    smallest and largest roots.
 
     The cuts are -inf, the midpoints of consecutive sorted real parts of the
     estimates, and +inf. p's signs at +-inf are exact without evaluation:
-    its leading coefficient's at +inf, times (-1)^n at -inf. If the
+    its leading coefficient's at +inf, times (-1)^n at -inf. If the n
     estimates are finite, the midpoints increase strictly, p's signs at the
     cuts alternate and p is nonzero at every mark, each of the n gaps holds
     one root, real and simple, and a mark's sign places its gap's root. One
-    filtered_signs call takes the signs at the midpoints and marks. Rows of
-    other than n estimates fail.
+    filtered_signs call over the batch, padded to its largest degree, takes
+    the signs at the midpoints and marks; the leading coefficient's sign is
+    the enclosure's where its radius clears it.
     """
-    n = len(polys[0]) - 1
-    xs = np.sort(np.asarray(approx, dtype=complex).real, axis=1)
-    if xs.shape[1] != n:
-        return [None] * len(polys)
+    rows = np.asarray(rows, dtype=int)
+    deg = enc.degrees[rows]
+    top = int(deg.max())
+    xs = np.full((len(rows), top), np.nan)
+    for i, c in enumerate(rows):
+        estimate = np.asarray(approx[c], dtype=complex).real
+        if len(estimate) == deg[i]:
+            xs[i, :deg[i]] = estimate
+    xs.sort(axis=1)  # NaN last
+    slots = np.arange(top + 1)
+    used, mid_used = slots[:-1] < deg[:, None], slots[:-2] < deg[:, None] - 1
     mids = (xs[:, :-1] + xs[:, 1:]) / 2
-    ordered = np.flatnonzero(np.isfinite(xs).all(axis=1) & np.isfinite(mids).all(axis=1)
-                             & np.all(mids[:, :-1] < mids[:, 1:], axis=1))
-    mids = mids[ordered]
-    points = np.concatenate([mids, np.broadcast_to(marks, (len(ordered), len(marks)))], axis=1)
-    signs = filtered_signs([polys[c] for c in ordered], points, coeffs[ordered])
-    top = np.array([(polys[c][-1] > 0) - (polys[c][-1] < 0) for c in ordered], dtype=int)
-    at_cuts = np.concatenate([(top * (-1) ** n)[:, None], signs[:, :n - 1], top[:, None]], axis=1)
-    at_marks = signs[:, n - 1:]
-    holds = (np.all(at_cuts != 0, axis=1) & np.all(at_cuts[:, 1:] == -at_cuts[:, :-1], axis=1)
+    ordered = ((np.isfinite(xs) | ~used).all(axis=1) & (np.isfinite(mids) | ~mid_used).all(axis=1)
+               & ((mids[:, :-1] < mids[:, 1:]) | ~mid_used[:, 1:]).all(axis=1))
+    keep = np.flatnonzero(ordered)
+    rows, deg, xs, mids, mid_used = rows[keep], deg[keep], xs[keep], mids[keep], mid_used[keep]
+    points = np.concatenate([np.where(mid_used, mids, 0.0),
+                             np.broadcast_to(marks, (len(rows), len(marks)))], axis=1)
+    need = np.concatenate([mid_used, np.ones((len(rows), len(marks)), dtype=bool)], axis=1)
+    signs = filtered_signs(enc, rows, points, need)
+    lead_hi, lead_radius = enc.hi[rows, deg], enc.radius[rows, deg]
+    lead = np.where(np.abs(lead_hi) > lead_radius * (1 + 2.0 ** -50), np.sign(lead_hi), 0).astype(int)
+    for i in np.flatnonzero(lead == 0):
+        last = enc.exact(rows[i])[-1]
+        lead[i] = (last > 0) - (last < 0)
+    at_cuts = np.zeros((len(rows), top + 1), dtype=int)
+    at_cuts[:, 0] = lead * (-1) ** deg
+    at_cuts[:, 1:top] = signs[:, :top - 1]
+    at_cuts[np.arange(len(rows)), deg] = lead
+    at_marks = signs[:, top - 1:]
+    cut_used = slots <= deg[:, None]
+    holds = (((at_cuts != 0) | ~cut_used).all(axis=1)
+             & ((at_cuts[:, 1:] == -at_cuts[:, :-1]) | ~cut_used[:, 1:]).all(axis=1)
              & np.all(at_marks != 0, axis=1))
-    cuts = np.concatenate([np.full((len(ordered), 1), -np.inf), mids,
-                           np.full((len(ordered), 1), np.inf)], axis=1)
+    cuts = np.concatenate([np.full((len(rows), 1), -np.inf), np.where(mid_used, mids, np.inf),
+                           np.full((len(rows), 1), np.inf)], axis=1)
     # g cuts lie at or below a mark (-inf always, +inf never); the root
     # after the last of them is below the mark too when the signs there and
     # at the mark differ
     g = np.sum(cuts[:, :, None] <= marks, axis=1)
     below = g - 1 + (at_marks != np.take_along_axis(at_cuts, g - 1, axis=1))
-    found = [None] * len(polys)
-    for c, t, s, b in zip(ordered[holds], cuts[holds].tolist(), at_cuts[holds, 0].tolist(),
-                          below[holds].tolist()):
-        found[c] = (t, s, b, (float(xs[c, 0]), float(xs[c, -1])))
-    return found
-
-
-def _extremes(p: list[int], marks: list[float], cuts: list[float], lead: int,
-              below: list[int], guesses) -> list[float]:
-    """The nearest doubles of the smallest and largest roots of p (one for
-    degree 1), from its sign certificate (_sign_certificates) over the
-    ascending marks, when some mark lies below every root and some above:
-    each is found inside its gap narrowed by the two marks that bracket it
-    (_root_between), from its estimate."""
-    n = len(p) - 1
-    found = []
-    for i, guess in {0: guesses[0], n - 1: guesses[1]}.items():
-        j = bisect.bisect_right(below, i)  # marks[j - 1] < root i < marks[j]
-        lo, hi = max(cuts[i], marks[j - 1]), min(cuts[i + 1], marks[j])
-        found.append(_root_between(p, lo, hi, lead * (-1) ** i, guess))
-    return found
-
-
-def _root_between(p: list[int], lo: float, hi: float, s_lo: int, guess: float) -> float:
-    """The double nearest the one root of p in (lo, hi), where p has the
-    nonzero sign s_lo at lo and the opposite one at hi.
-
-    Newton steps from guess, each with the exact values of p and p' at the
-    current double, usually land on the answer; it is certified when the
-    exact signs of p at the midpoints to the neighbouring doubles bracket
-    the root inside (lo, hi), since every point between those midpoints
-    rounds to it. Otherwise bisection starts from the first of the narrow
-    brackets around guess that holds the root.
-    """
-    x = _newton_double(p, lo, hi, guess)
-    if lo < x < hi:  # lo and hi are doubles, so both midpoints lie in (lo, hi)
-        below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
-        for (a, b), want in (((below, x), s_lo), ((x, above), -s_lo)):
-            s, tie = _sign_between(p, a, b)
-            if s == 0:  # the root itself
-                return tie
-            if s != want:
-                break
-        else:
-            return x
-    for half in _BRACKETS:
-        a, b = max(lo, guess - half), min(hi, guess + half)
-        if _sign_at_double(p, a) == s_lo and _sign_at_double(p, b) != s_lo:
-            lo, hi = a, b
-            break
-    (num_lo, num_hi), k = dyadic_numerators([lo, hi])
-    return _bisect_to_double(p, num_lo, num_hi, k)
-
-
-def _newton_double(p: list[int], lo: float, hi: float, x: float) -> float:
-    """Up to _NEWTON_STEPS Newton steps for a root of p from the double x,
-    each step p(x) / p'(x) from exact integer values, correctly rounded;
-    stops early when a step leaves x unchanged or would leave (lo, hi)."""
-    dp = [j * c for j, c in enumerate(p)][1:]
-    for _ in range(_NEWTON_STEPS):
-        (num,), k = dyadic_numerators([x])
-        slope = _value_at(dp, num, k) << k  # 2^(k deg p) p'(x): the scale of p's value
-        if slope == 0:
-            break
-        try:
-            moved = x - _value_at(p, num, k) / slope
-        except OverflowError:  # a step past the double range
-            break
-        if moved == x or not lo < moved < hi:
-            break
-        x = moved
-    return x
+    return {c: (t[:n + 1], s, b, (x[0], x[n - 1]))
+            for c, n, t, s, b, x in zip(rows[holds].tolist(), deg[holds].tolist(),
+                                        cuts[holds].tolist(), at_cuts[holds, 0].tolist(),
+                                        below[holds].tolist(), xs[holds].tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +1026,15 @@ def poly_roots(p: Poly) -> list[complex]:
 
 def diagnostic_roots(p: list[int]) -> list[complex]:
     """Double eigenvalues of the integer polynomial p, whose coefficients are
-    first scaled into double range by one power of two: a diagnostic."""
+    first scaled into double range by one power of two: a diagnostic. A
+    root past the double range overflows the companion matrix; then every
+    root reads inf, as root_report reads such a root."""
     shift = max(abs(c) for c in p).bit_length() - 512
-    scaled = [c / (1 << shift) if shift > 0 else float(c << -shift) for c in p]
+    scaled = np.array([c / (1 << shift) if shift > 0 else float(c << -shift) for c in p])
+    top = np.trim_zeros(scaled, "b")
+    with np.errstate(all="ignore"):
+        if not np.isfinite(top[:-1] / top[-1]).all():
+            return [complex(math.inf)] * (len(top) - 1)
     return [complex(z) for z in np.roots(scaled[::-1])]
 
 
@@ -861,47 +1161,59 @@ def exact_verdict(p: list[int], tol: float) -> tuple[RootLocation, list[complex]
     return location, diagnostic_roots(p)
 
 
-def verdicts(polys: list[list[int]], tol: float, approx=None, read_roots=None) -> list:
-    """For each integer polynomial polys[c], exact_verdict on its primitive
-    part when read_roots[c] (every c by default), and otherwise locate's
-    verdict on (-1, 1) with no roots: the one route by which the campaigns
-    decide where an exact image's roots lie.
+def verdicts(polys, tol: float, approx=None, read_roots=None) -> list:
+    """For each integer polynomial, exact_verdict on its primitive part when
+    read_roots[c] (every c by default), and otherwise locate's verdict on
+    (-1, 1) with no roots: the one route by which the campaigns decide where
+    an exact image's roots lie. polys is an Enclosure, or a list of integer
+    polynomials (Enclosure.of_integers).
 
     The sign-change certificate (_sign_certificates) decides first, over the
-    whole line. approx[c] estimates the deg polys[c] roots of polys[c]; by
-    default one eigvals call per degree on the companion matrices of the
-    _unit_scaled coefficients, which filtered_signs reads too. The certificate is marked
-    at the band ends -1 - tol, -1 + tol, 1 - tol and 1 + tol and at +-1: its
-    counts below them are _locate's, since no root sits on a mark, and
-    every root lies in (-1, 1) when none is below -1 and all are below 1.
-    Only then are roots read, the extremes inside gaps that those marks
-    bracket (_extremes); otherwise they are diagnostic_roots. Sturm counts
-    decide where the certificate fails, so no verdict rests on a root finder.
+    whole line, on the enclosure's dd values. approx[c] estimates the roots
+    of row c; by default they are Enclosure.estimates. The certificate is
+    marked at the band ends -1 - tol, -1 + tol, 1 - tol and 1 + tol and at
+    +-1: its counts below them are _locate's, since no root sits on a mark,
+    and every root lies in (-1, 1) when none is below -1 and all are below
+    1. Only then are roots read, the extremes inside gaps that those marks
+    bracket (_read_roots, and _root_between where it fails); otherwise they
+    are diagnostic_roots. Where the certificate fails, Sturm counts decide
+    on the exact polynomial, so no verdict rests on a root finder, and the
+    exact polynomial is built only where a sign or a root needs it.
     """
-    read_roots = [True] * len(polys) if read_roots is None else read_roots
+    enc = polys if isinstance(polys, Enclosure) else Enclosure.of_integers(polys)
+    read_roots = [True] * len(enc) if read_roots is None else read_roots
     ends = (-1.0 - tol, -1.0 + tol, 1.0 - tol, 1.0 + tol, -1.0, 1.0)
     marks = sorted(set(ends))
     lo_out, lo_in, hi_in, hi_out, minus, plus = map(marks.index, ends)
-    found = [(RootLocation.ALL_STRICTLY_INSIDE, []) for _ in polys]  # a constant's
-    for n in sorted({len(p) - 1 for p in polys} - {0}):
-        group = [c for c, p in enumerate(polys) if len(p) - 1 == n]
-        group_polys = [polys[c] for c in group]
-        coeffs = np.array([_unit_scaled(p) for p in group_polys])
-        estimates = (_companion_roots(coeffs) if approx is None
-                     else np.array([approx[c] for c in group], dtype=complex))
-        certificates = _sign_certificates(group_polys, coeffs, estimates, np.array(marks))
-        for c, p, certificate in zip(group, group_polys, certificates):
-            if certificate is None:
-                p = primitive_part(p)
-                found[c] = (exact_verdict(p, tol) if read_roots[c]
-                            else (locate(p, (-1.0, 1.0), tol), []))
-                continue
-            below = certificate[2]
-            flag = (RootLocation.SOME_OUTSIDE if below[hi_out] - below[lo_out] < n
-                    else RootLocation.SOME_ON_BOUNDARY if below[hi_in] - below[lo_in] < n
-                    else RootLocation.ALL_STRICTLY_INSIDE)
-            found[c] = (flag, [] if not read_roots[c]
-                        else _extremes(p, marks, *certificate)
-                        if below[minus] == 0 and below[plus] == n
-                        else diagnostic_roots(primitive_part(p)))
+    found = [(RootLocation.ALL_STRICTLY_INSIDE, []) for _ in range(len(enc))]  # a constant's
+    live = np.flatnonzero(enc.degrees > 0)
+    if not live.size:
+        return found
+    certificates = _sign_certificates(enc, live, enc.estimates() if approx is None else approx,
+                                      np.array(marks))
+    reads = []  # (case, bracket, sign left of the root, estimate)
+    for c in live.tolist():
+        n = int(enc.degrees[c])
+        if c not in certificates:
+            p = primitive_part(enc.exact(c))
+            found[c] = (exact_verdict(p, tol) if read_roots[c]
+                        else (locate(p, (-1.0, 1.0), tol), []))
+            continue
+        cuts, first, below, guesses = certificates[c]
+        flag = (RootLocation.SOME_OUTSIDE if below[hi_out] - below[lo_out] < n
+                else RootLocation.SOME_ON_BOUNDARY if below[hi_in] - below[lo_in] < n
+                else RootLocation.ALL_STRICTLY_INSIDE)
+        if read_roots[c] and not (below[minus] == 0 and below[plus] == n):
+            found[c] = (flag, diagnostic_roots(primitive_part(enc.exact(c))))
+            continue
+        found[c] = (flag, [])
+        if read_roots[c]:  # the smallest and largest roots (one for degree 1)
+            for i, guess in {0: guesses[0], n - 1: guesses[1]}.items():
+                j = bisect.bisect_right(below, i)  # marks[j - 1] < root i < marks[j]
+                reads.append((c, max(cuts[i], marks[j - 1]), min(cuts[i + 1], marks[j]),
+                              first * (-1) ** i, guess))
+    if reads:
+        cases, *read = zip(*reads)
+        for c, root in zip(cases, _nearest_roots(enc, cases, *read)):
+            found[c][1].append(root)
     return found

@@ -8,9 +8,28 @@ as theorem12's random interior-rooted inputs and the boundary-rooted family
 multiplicity that double-precision coefficients cannot represent faithfully
 (root scatter grows like eps^(1/multiplicity)). Every double is a binary
 rational, so jacobi_rows_int builds integer rows of any (alpha, beta) and
-per-degree scale, and exact_image maps a root list through them in Python
-ints. Fraction arithmetic stays inside the row construction; non-dyadic
-parameters such as 0.3 just bring larger integers.
+per-degree scale, by the three-term recurrence over one common
+denominator, and exact_image maps a root list through them in Python ints.
+Non-dyadic parameters such as 0.3 just bring larger integers.
+
+The campaigns decide random interior-rooted inputs on a double-double
+(dd) enclosure of their images first (image_enclosure, polycore's dd
+arithmetic and units), and exact_image builds an integer image only where
+that enclosure cannot settle a sign or a root. The radius of each
+enclosed coefficient is derived here, once:
+- The monic product c^ of prod_r (x - r) is taken factor by factor,
+  c_j <- c_(j-1) - r c_j, and carries Wilkinson's running bound e_j on
+  |c^_j - c_j|: each step adds the bound of c_(j-1), |r| times that of
+  c_j, _DD_MUL_FP |r c^_j| for the product and _DD_ADD |c^_j| for the new
+  sum.
+- The rows over 2^s are dd numbers R^ within rho of the exact R / 2^s
+  (dd_rows), and the image b^_j = sum_k c^_k R^_kj is summed in dd with a
+  running bound of _DD_MUL |c^_k R^_kj| per product and _DD_ADD |b^_j| per
+  partial sum.
+- So |b^_j - b_j| <= running_j + sum_k e_k |R^_kj| + sum_k (|c^_k| + e_k)
+  rho_kj, plus 2 _DD_ETA per step where a product underflows. The
+  radius, summed in double, is widened by 1 + (8n + 40) 2^-52 for its own
+  roundings, which number at most 6n + 10 on any path.
 """
 
 from __future__ import annotations
@@ -25,11 +44,19 @@ import numpy as np
 from .errors import BadParameterError, IncompleteSpecError, NonFiniteError
 from .orthopoly import ortho_constant
 from .polycore import (
+    _DD_ADD,
+    _DD_ETA,
+    _DD_MUL,
+    _DD_MUL_FP,
     MONOMIAL,
     Basis,
+    Enclosure,
     Monomial,
     Poly,
     Ultraspherical,
+    _dd_add,
+    _dd_mul,
+    _dd_split,
     basis_to_monomial,
     check_params,
     dyadic_numerators,
@@ -238,8 +265,10 @@ def scale_ratio_sequence(alpha: float, max_degree: int) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def ultra_row_scale(k: int, alpha: Fraction) -> Fraction:
-    """k!/(1+alpha)_k: k!/Gamma(k+1+alpha) times Gamma(1+alpha) > 0."""
-    return math.factorial(k) / math.prod((alpha + i for i in range(1, k + 1)), start=Fraction(1))
+    """k!/(1+alpha)_k: k!/Gamma(k+1+alpha) times Gamma(1+alpha) > 0; with
+    alpha = a/d, (1+alpha)_k = prod_i (a + i d) / d^k."""
+    a, d = alpha.numerator, alpha.denominator
+    return Fraction(math.factorial(k) * d ** k, math.prod(a + i * d for i in range(1, k + 1)))
 
 
 def factorial_row_scale(k: int, alpha: Fraction) -> Fraction:
@@ -257,16 +286,112 @@ def jacobi_rows_int(deg_cap: int, alpha: float, beta: float, scale) -> list[list
 
     The parameters are taken as exact binary rationals, and scale is one of
     the positive *_row_scale functions. Row k is D scale(k, alpha) times the
-    exact Jacobi row k, with one positive integer D clearing every
+    exact Jacobi row k, with D the least positive integer clearing every
     denominator, so an image through the rows is a positive multiple of the
     exact one and has its roots.
+
+    With alpha = A/d and beta = B/d over one power of two d, the recurrence
+    runs on integers: P_k = Q_k / D_k with D_0 = 1, D_1 = E_0 = 2d,
+    D_(k+1) = D_k E_k, and Q_(k+1) = (NA x + NB) Q_k - NC E_(k-1) Q_(k-1),
+    where NA / E_k, NB / E_k and NC / E_k are jacobi_recurrence's
+    coefficients, each with the factor d^3 cleared. The rows over one
+    common denominator are then divided by the gcd of all their entries and
+    that denominator, which leaves them over the least one.
     """
-    a = Fraction(alpha)
-    rows = jacobi_coefficient_rows(deg_cap, a, Fraction(beta))
-    scales = [scale(k, a) for k in range(deg_cap + 1)]
-    scaled = [[s * c for c in rows[k, : k + 1]] for k, s in enumerate(scales)]
-    den = math.lcm(*(c.denominator for row in scaled for c in row))
-    return [[c.numerator * (den // c.denominator) for c in row] for row in scaled]
+    a, b = Fraction(alpha), Fraction(beta)
+    check_params(alpha=a, beta=b)
+    d = max(a.denominator, b.denominator)
+    big_a, big_b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    s = big_a + big_b
+    q, dens, e_prev = [[1]], [1], 2 * d
+    if deg_cap >= 1:
+        q.append([big_a - big_b, s + 2 * d])
+        dens.append(e_prev)
+    for k in range(1, deg_cap):
+        t = 2 * d * k + s
+        e = 2 * (k + 1) * (d * (k + 1) + s) * t * d
+        na, nb = (t + d) * (t + 2 * d) * t, (t + d) * (big_a * big_a - big_b * big_b)
+        nc = 2 * (d * k + big_a) * (d * k + big_b) * (t + 2 * d) * e_prev
+        nxt = [nb * c for c in q[k]] + [0]
+        for j, c in enumerate(q[k]):
+            nxt[j + 1] += na * c
+        for j, c in enumerate(q[k - 1]):
+            nxt[j] -= nc * c
+        q.append(nxt)
+        dens.append(dens[-1] * e)
+        e_prev = e
+    scales = [Fraction(scale(k, a)) for k in range(deg_cap + 1)]
+    dens = [f.denominator * den for f, den in zip(scales, dens)]
+    common = math.lcm(*dens)
+    rows = [[f.numerator * (common // den) * c for c in row] for f, den, row in zip(scales, dens, q)]
+    g = math.gcd(common, *(c for row in rows for c in row))
+    return [[c // g for c in row] for row in rows]
+
+
+def dd_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integer rows over the power of two 2^s that brings their largest
+    entry into [1, 2), as (n + 1, n + 1) arrays hi, lo and radius: entry
+    [k, j] is rows[k][j] / 2^s split into hi + lo (polycore._dd_split),
+    exactly where it fits 106 bits, and zero above the diagonal."""
+    n = len(rows) - 1
+    s = max(max(abs(c) for row in rows for c in row).bit_length() - 1, 0)
+    out = np.zeros((3, n + 1, n + 1))
+    for k, row in enumerate(rows):
+        for j, c in enumerate(row):
+            out[:, k, j] = _dd_split(c, s)
+    return out[0], out[1], out[2]
+
+
+def image_enclosure(roots, rows, rows_dd) -> tuple[np.ndarray, Enclosure]:
+    """The monic products prod_r (x - r) for the double root lists of
+    roots, in double (the hi parts of their dd coefficients), and the
+    Enclosure of their images through rows, whose exact(c) is
+    exact_image(roots[c], rows); rows_dd is dd_rows(rows).
+
+    One numpy pass over all the cases, padded to the largest degree, takes
+    the products and the images in dd arithmetic (see the module's error
+    bound); images are computed row by row, so no (cases, n + 1, n + 1)
+    array is built.
+    """
+    degrees = np.array([len(r) for r in roots])
+    order = np.argsort(-degrees, kind="stable")  # each step runs on the rows it changes
+    top, cases = int(degrees.max()), len(roots)
+    r = np.zeros((cases, top))
+    for i, c in enumerate(order):
+        r[i, :degrees[c]] = roots[c]
+    ch, cl = np.zeros((cases, top + 1)), np.zeros((cases, top + 1))
+    ch[:, 0] = 1.0
+    error = np.zeros((cases, top + 1))  # the running bound e on |c^ - c|
+    sizes = np.abs(r)
+    with np.errstate(all="ignore"):  # overflow is read as unsettled downstream
+        for i in range(top):  # times (x - r_i): c_j <- c_(j-1) - r_i c_j, for j <= i + 1
+            m, w = int(np.count_nonzero(degrees > i)), i + 2
+            ph, pl = _dd_mul(ch[:m, :w], cl[:m, :w], -r[:m, i:i + 1])
+            sh, sl = _dd_add(ph, pl, _shifted(ch[:m, :w]), _shifted(cl[:m, :w]))
+            error[:m, :w] = (_shifted(error[:m, :w]) + sizes[:m, i:i + 1] * error[:m, :w]
+                             + _DD_MUL_FP * np.abs(ph) + _DD_ADD * np.abs(sh) + 2 * _DD_ETA)
+            ch[:m, :w], cl[:m, :w] = sh, sl
+        hi_rows, lo_rows, radius_rows = (v[:top + 1, :top + 1] for v in rows_dd)
+        bh, bl = np.zeros((cases, top + 1)), np.zeros((cases, top + 1))
+        radius = np.zeros((cases, top + 1))
+        for k in range(top + 1):  # the image: b_j += c_k R_kj, for j <= k
+            m, w = int(np.count_nonzero(degrees >= k)), k + 1
+            ph, pl = _dd_mul(ch[:m, k:w], cl[:m, k:w], hi_rows[k, :w], lo_rows[k, :w])
+            bh[:m, :w], bl[:m, :w] = _dd_add(bh[:m, :w], bl[:m, :w], ph, pl)
+            radius[:m, :w] += _DD_MUL * np.abs(ph) + _DD_ADD * np.abs(bh[:m, :w]) + 2 * _DD_ETA
+        radius += error @ np.abs(hi_rows) + (np.abs(ch) + error) @ radius_rows
+        radius *= 1 + (8 * top + 40) * 2.0 ** -52
+    back = np.argsort(order)
+    sorted_degrees = degrees[order]
+    radius[np.arange(top + 1) > sorted_degrees[:, None]] = 0.0
+    return ch[back], Enclosure(bh[back], bl[back], radius[back], degrees,
+                               lambda c: exact_image(roots[c], rows))
+
+
+def _shifted(c: np.ndarray) -> np.ndarray:
+    """The coefficients c_(j-1) of x times each row's polynomial, within the
+    same width (the top one is zero here)."""
+    return np.concatenate([np.zeros((len(c), 1)), c[:, :-1]], axis=1)
 
 
 def exact_image(roots, rows) -> list[int]:

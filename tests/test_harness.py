@@ -56,7 +56,7 @@ from orthozero.transforms import (
     ultra_row_scale,
     unit_row_scale,
 )
-from orthozero import cli, harness, polycore
+from orthozero import cli, harness, polycore, transforms
 
 SMALL = dict(deg_cap=6, trials=10, seed=21)
 
@@ -913,14 +913,18 @@ def test_exit_code_one_on_no_convergence(monkeypatch, capsys):
 # generic exponents. ssr-double pins the double policy, which has no second
 # stage. theorem12, conj32 and q31 take every verdict from certified
 # signs, with LAPACK eigenvalues only picking the points of the sign-change
-# certificate. Each certificate sign is a double Horner
-# value's where an a-priori error bound clears it, and else the exact
-# integer sign, so it is the exact sign either way. The distances that certified cases report are
-# nearest doubles of exact roots, so theorem12 and conj32-int (the certified
-# Sturm route, with non-zero boundary distances) do not depend on LAPACK.
+# certificate. Each certificate sign is a double-double Horner value's
+# where an a-priori error bound, with the enclosure's radius, clears it, and
+# else the exact integer sign, so it is the exact sign either way. The
+# distances that certified cases report are nearest doubles of exact roots,
+# so theorem12, theorem12-bench and conj32-int (the certified Sturm route,
+# with non-zero boundary distances) do not depend on LAPACK.
 # Where the counts do not certify all roots, the reported max_imag (q31's one
 # non-real case) and distances (most of conj32-nondyadic's pairs) are
-# diagnostics from LAPACK eigenvalues. biortho-equiv decides each case from
+# diagnostics from LAPACK eigenvalues, as are those of
+# conj32-defaults-nondyadic's cases with a root outside. theorem12-bench
+# and conj32-defaults-nondyadic pin the interior images' enclosure route at
+# the benchmark's and the CLI's flags. biortho-equiv decides each case from
 # exact integers and rounds its deviation once, with no LAPACK call. A change
 # here is a change of report bytes.
 PINNED_DIGESTS = [
@@ -950,6 +954,12 @@ PINNED_DIGESTS = [
      "0585b8d6e5e4c39a4e110d56807c6ecf7703fed4f08863da68065f7c771edf7e"),
     ("biortho-equiv", CampaignConfig("biortho-equiv", alpha_grid=(-0.99, 0.0, 1e300), trials=20),
      "efc4fa3a63fcac7eb1ba9ad90e059db06e04f14d25dd487572005ce0537dc298"),
+    ("theorem12-bench", CampaignConfig("theorem12", alpha_grid=(-0.5, 0.0, 1.0, 2.5), deg_cap=30,
+                                       trials=250, seed=1),
+     "dd9bafcbe07d8ab37138d7c7553be34ea5fa51779997bd173b641b0b3f64c437"),
+    ("conj32-defaults-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
+                                                 deg_cap=14, trials=200, seed=1),
+     "235e1066baaa354931bdb8a7dab4029942da78adcb7ab5a342360026593267d6"),
 ]
 
 
@@ -977,6 +987,23 @@ def test_transform_verdicts_use_no_root_finder(monkeypatch):
     pins = {name: entry for name, *entry in PINNED_DIGESTS}
     for name in ("q31", "conj32-nondyadic", "theorem12"):
         test_pinned_report_digests(*pins[name])
+
+
+def test_theorem12_builds_few_exact_images():
+    # at the benchmark's flags the dd enclosures decide and read nearly
+    # every case: an exact image is built for at most 15% of them (79 of
+    # the 1000 when this was written) and no mark needs an exact sign. These
+    # are counts, so they do not vary with the machine
+    pins = {name: entry for name, *entry in PINNED_DIGESTS}
+    config = pins["theorem12-bench"][0]
+    tol = config.effective_tol
+    marks = {-1.0 - tol, -1.0 + tol, 1.0 - tol, 1.0 + tol, -1.0, 1.0}
+    with mock.patch.object(transforms, "exact_image", wraps=transforms.exact_image) as built, \
+            mock.patch.object(polycore, "_sign_at_double",
+                              wraps=polycore._sign_at_double) as exact_signs:
+        test_pinned_report_digests(*pins["theorem12-bench"])
+    assert built.call_count <= 0.15 * config.trials * len(config.alpha_grid)
+    assert not [call for call in exact_signs.call_args_list if call.args[1] in marks]
 
 
 def test_biortho_equiv_passes_at_large_alpha(tmp_path):

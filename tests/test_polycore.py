@@ -36,10 +36,11 @@ from orthozero.errors import (
 from orthozero import polycore
 from orthozero.enclosure import integer_det
 from orthozero.polycore import (
+    Enclosure,
     _bisect_to_double,
+    _nearest_roots,
     _root_between,
     _sign_at_double,
-    _unit_scaled,
     comrade_roots,
     count_roots,
     dyadic_numerators,
@@ -569,6 +570,16 @@ def test_root_report_past_the_double_range():
         assert root_report([3 * root, 3], (-1.0, 1.0), 1e-9).roots == (-want,)
 
 
+def test_roots_past_the_double_range_read_inf():
+    # x - 2^1100 overflows its companion matrix; its diagnostic root reads
+    # inf, as root_report reads it, in exact_verdict and verdicts alike
+    p = [-(1 << 1100), 1]
+    want = (RootLocation.SOME_OUTSIDE, [complex(math.inf)])
+    assert exact_verdict(p, 1e-7) == want
+    assert verdicts([p], 1e-7) == [want]
+    assert root_report(p, (-1.0, 1.0), 1e-7).roots == (math.inf,)
+
+
 def _sturm_builds():
     """A patch of polycore.sturm_sequence that counts its calls."""
     return mock.patch.object(polycore, "sturm_sequence", wraps=sturm_sequence)
@@ -653,8 +664,9 @@ POLISH_ULPS = st.one_of(st.integers(-20, 20), st.sampled_from([2**30, -2**40, 2*
 @example(target=_tie_above(math.nextafter(0.25, 0.0)), others=[], lead=1, ulps=7)
 @example(target=Fraction(1, 3), others=[Fraction(1, 2), Fraction(-1, 2)], lead=2, ulps=2**52)
 def test_polishing_returns_the_bisected_double(target, others, lead, ulps):
-    # Newton steps and the midpoint check return exactly the double that
-    # bisection finds, the root's correctly rounded value (ties to even)
+    # the dd reader's Newton steps and midpoint signs, and the exact
+    # midpoint check, each return exactly the double that bisection finds,
+    # the root's correctly rounded value (ties to even)
     roots = sorted({target, *(r for r in others if abs(r - target) > Fraction(1, 1000))})
     p = primitive_part([lead * c for c in monic_from_roots(roots)])
     i = roots.index(target)
@@ -665,22 +677,25 @@ def test_polishing_returns_the_bisected_double(target, others, lead, ulps):
     (num_lo, num_hi), k = dyadic_numerators([lo, hi])
     want = _bisect_to_double(p, num_lo, num_hi, k)
     assert want == float(target)
-    assert _root_between(p, lo, hi, _sign_at_double(p, lo), guess) == want
+    s_lo = _sign_at_double(p, lo)
+    assert _root_between(p, lo, hi, s_lo, guess) == want
+    assert _nearest_roots(Enclosure.of_integers([p]), [0], [lo], [hi], [s_lo], [guess]) == [want]
 
 
 def test_polishing_bisects_only_when_newton_misses(monkeypatch):
     # 2^21 x^21 - 1 has its root at 1/2; from 0.95 each Newton step moves
-    # only about x/21, so three steps miss and bisection runs, while from a
-    # few ulps off no bisection is needed
+    # only about x/21, so the reader's passes miss and bisection runs, while
+    # from a few ulps off no bisection is needed
     calls = []
     bisect = polycore._bisect_to_double
     monkeypatch.setattr(polycore, "_bisect_to_double",
                         lambda *args: calls.append(args) or bisect(*args))
     p = [-1] + [0] * 20 + [2**21]
-    assert _root_between(p, 0.0, 1.0, -1, 0.95) == 0.5
+    enc = Enclosure.of_integers([p])
+    assert _nearest_roots(enc, [0], [0.0], [1.0], [-1], [0.95]) == [0.5]
     assert len(calls) == 1
     for guess in (0.5, 0.5 + 4 * math.ulp(0.5), 0.5 - 9 * math.ulp(0.5)):
-        assert _root_between(p, 0.0, 1.0, -1, guess) == 0.5
+        assert _nearest_roots(enc, [0], [0.0], [1.0], [-1], [guess]) == [0.5]
     assert len(calls) == 1
 
 
@@ -698,15 +713,15 @@ FAR_POINTS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
     [0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, 3.0, -7.5, 1e10, -1e60, 1e200, -1e300]))
 
 
-def _scaled(polys):
-    """The _unit_scaled coefficients that filtered_signs takes."""
-    return np.array([_unit_scaled(p) for p in polys])
+def _signs(polys, points):
+    """filtered_signs of integer polynomials, each at its row of points."""
+    return filtered_signs(Enclosure.of_integers(polys), np.arange(len(polys)), np.array(points))
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(1, 30), rows=st.integers(1, 3))
 def test_filtered_signs_equal_exact_signs(data, n, rows):
-    # every sign the double filter settles must be the exact one, however the
+    # every sign the dd filter settles must be the exact one, however the
     # coefficients spread and wherever Horner loses its digits or overflows
     polys, points = [], []
     for _ in range(rows):
@@ -717,7 +732,7 @@ def test_filtered_signs_equal_exact_signs(data, n, rows):
         polys.append([-num * q[0]] + [(c << k) - num * d for c, d in zip(q, q[1:] + [0])])
         near = [root, math.nextafter(root, -math.inf), math.nextafter(root, math.inf)]
         points.append(near + data.draw(st.lists(FAR_POINTS, min_size=3, max_size=3)))
-    signs = filtered_signs(polys, np.array(points), _scaled(polys))
+    signs = _signs(polys, points)
     for p, row, got in zip(polys, points, signs):
         assert got[0] == 0
         assert list(got) == [_sign_at_double(p, x) for x in row]
@@ -725,19 +740,59 @@ def test_filtered_signs_equal_exact_signs(data, n, rows):
 
 def test_filtered_signs_cover_gradual_underflow():
     # scaled, p is x^2 + (1.5 2^-537 + 2^-589) x - (2.5 + 2^-53) 2^-1074: at
-    # x = 2^-537 Horner rounds two ties to even and the constant away, and
-    # reads -2^-1074 where p is +2^-1127; only the underflow term eta keeps
-    # that sign from being taken
+    # x = 2^-537 double Horner rounds two ties to even and the constant
+    # away, and reads -2^-1074 where p is +2^-1127, which no dd number holds
+    # either; only the underflow term keeps a wrong sign from being taken
     p = [-(5 * 2**53 + 2), 3 * 2**590 + 2**539, 2**1128]
     x = 2.0**-537
     a0, a1, a2 = (c / 2**1128 for c in p)
     assert (a2 * x + a1) * x + a0 == -5e-324
     assert _sign_at_double(p, x) == 1
-    assert filtered_signs([p], np.array([[x]]), _scaled([p])).tolist() == [[1]]
+    assert _signs([p], [[x]]).tolist() == [[1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys=st.lists(st.lists(WIDE_INTS, min_size=1, max_size=8), min_size=1, max_size=3))
+def test_integer_enclosure_holds_its_coefficients(polys):
+    # each coefficient over the row's power of two lies within its radius
+    # of hi + lo, the radius is 0 exactly where hi + lo is exact, and the
+    # exact polynomial is the one given
+    enc = Enclosure.of_integers(polys)
+    for c, p in enumerate(polys):
+        s = max(max(abs(v) for v in p).bit_length() - 1, 0)
+        assert enc.degrees[c] == len(p) - 1 and enc.exact(c) is p
+        for j, v in enumerate(p):
+            rest = abs(Fraction(v, 2 ** s) - Fraction(enc.hi[c, j]) - Fraction(enc.lo[c, j]))
+            assert rest <= Fraction(enc.radius[c, j]) and (rest == 0) == (enc.radius[c, j] == 0)
+            assert abs(enc.lo[c, j]) <= abs(enc.hi[c, j]) * 2.0 ** -53
+
+
+def test_dd_filter_waits_for_rounding_and_radius():
+    # p's coefficients fit dd numbers exactly, and at its double root 1/3
+    # dd Horner reads rounding noise; moved within a radius, a coefficient
+    # makes the value at the root that move's. The filter settles neither,
+    # so the exact sign 0 is taken, and it still settles the far points
+    rng = np.random.default_rng(1)
+    root = 1 / 3
+    (num,), k = dyadic_numerators([root])
+    q = [int(c) for c in rng.integers(1, 2**40, 12)]
+    p = [-num * q[0]] + [(c << k) - num * d for c, d in zip(q, q[1:] + [0])]
+    exact = Enclosure.of_integers([p])
+    assert not exact.radius.any()
+    moved = Enclosure(exact.hi, exact.lo.copy(), exact.radius.copy(), exact.degrees,
+                      [p].__getitem__)
+    moved.lo[0, 3] += 2.0 ** -70
+    moved.radius[0, 3] = 2.0 ** -70
+    points = np.array([[root, 0.5, -2.0]])
+    for enc in (exact, moved):
+        signs, settled, values = polycore._dd_signs(enc, np.array([0]), points)
+        assert values[0, 0] != 0 and settled.tolist() == [[False, True, True]]
+        assert filtered_signs(enc, [0], points).tolist() == [
+            [_sign_at_double(p, x) for x in points[0]]] == [[0, 1, 1]]
 
 
 def test_filtered_signs_settle_certificate_points(monkeypatch):
-    # at points between well-separated roots the double values clear their
+    # at points between well-separated roots the dd values clear their
     # bound, so no exact sign is computed; an empty batch needs none
     roots = [Fraction(k, 37) for k in range(-30, 31, 3)]
     p = primitive_part(monic_from_roots(roots))
@@ -746,10 +801,10 @@ def test_filtered_signs_settle_certificate_points(monkeypatch):
     exact = polycore._sign_at_double
     monkeypatch.setattr(polycore, "_sign_at_double",
                         lambda *args: calls.append(args) or exact(*args))
-    signs = filtered_signs([p], points, _scaled([p]))
+    signs = _signs([p], points)
     assert list(signs[0]) == [(-1) ** (len(roots) - 1 - i) for i in range(len(roots))]
     assert len(calls) == 0
-    assert filtered_signs([], np.empty((0, 4)), _scaled([])).shape == (0, 4)
+    assert _signs([], np.empty((0, 4))).shape == (0, 4)
 
 
 def test_certificate_batch_equals_one_at_a_time():
@@ -857,14 +912,9 @@ def test_verdicts_equal_the_sturm_verdicts(cases, estimated, data):
     read = (data.draw(st.lists(st.booleans(), min_size=len(polys), max_size=len(polys)))
             if data is not None else [True] * len(polys))
     approx = [estimates for _, estimates in cases] if estimated else None
-    try:
-        want = [exact_verdict(primitive_part(p), _TOL) if r
-                else (locate(primitive_part(p), (-1.0, 1.0), _TOL), [])
-                for p, r in zip(polys, read)]
-    except np.linalg.LinAlgError:  # diagnostic roots past the doubles
-        with pytest.raises(np.linalg.LinAlgError):
-            verdicts(polys, _TOL, approx, read)
-        return
+    want = [exact_verdict(primitive_part(p), _TOL) if r
+            else (locate(primitive_part(p), (-1.0, 1.0), _TOL), [])
+            for p, r in zip(polys, read)]
     assert verdicts(polys, _TOL, approx, read) == want
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orthozero import (
     MONOMIAL,
@@ -29,10 +30,19 @@ from orthozero import (
 )
 from orthozero.errors import BadParameterError, IncompleteSpecError, NonFiniteError
 from orthozero.harness import boundary_pairs
-from orthozero.polycore import deflate_root, jacobi_coefficient_rows, monic_from_roots
+from orthozero.polycore import (
+    deflate_root,
+    exact_verdict,
+    jacobi_coefficient_rows,
+    monic_from_roots,
+    primitive_part,
+    verdicts,
+)
 from orthozero.transforms import (
+    dd_rows,
     exact_image,
     factorial_row_scale,
+    image_enclosure,
     jacobi_rows_int,
     ultra_row_scale,
     unit_row_scale,
@@ -366,3 +376,110 @@ def test_integer_rows_clear_one_common_denominator():
     # alpha = 0: k!/(1)_k = 1, so the rows are D times the Legendre rows
     rows = jacobi_rows_int(3, 0.0, 0.0, ultra_row_scale)
     assert rows == [[2], [0, 2], [-1, 0, 3], [0, -3, 0, 5]]
+
+
+ROW_PARAMS = [-0.5, 0.0, 0.1, 0.3, 1.0, 2.5]
+
+
+def _fraction_rows(deg_cap, alpha, beta, scale):
+    """The integer rows through Fraction object arrays: D scale(k) times the
+    exact Jacobi rows, D the least common denominator."""
+    a = Fraction(alpha)
+    rows = jacobi_coefficient_rows(deg_cap, a, Fraction(beta))
+    scaled = [[Fraction(scale(k, a)) * c for c in rows[k, : k + 1]] for k in range(deg_cap + 1)]
+    den = math.lcm(*(c.denominator for row in scaled for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in scaled]
+
+
+@pytest.mark.parametrize("scale", [ultra_row_scale, factorial_row_scale, unit_row_scale])
+def test_integer_rows_equal_the_fraction_rows(scale):
+    # the integer recurrence over one common denominator gives the very
+    # integers of the Fraction route, at every degree cap
+    for alpha in ROW_PARAMS:
+        for beta in ROW_PARAMS:
+            for cap in (0, 1, 2, 9, 30):
+                assert jacobi_rows_int(cap, alpha, beta, scale) == _fraction_rows(
+                    cap, alpha, beta, scale), (alpha, beta, cap)
+    for alpha in (-0.99, 1e300):
+        assert jacobi_rows_int(6, alpha, alpha, scale) == _fraction_rows(6, alpha, alpha, scale)
+
+
+def _scaled_image(roots, rows) -> list[Fraction]:
+    """The polynomial image_enclosure encloses: prod_r (x - r) through rows
+    over the power of two of dd_rows."""
+    s = max(max(abs(c) for row in rows for c in row).bit_length() - 1, 0)
+    coeffs = monic_from_roots([Fraction(r) for r in roots])
+    return [Fraction(sum(coeffs[k] * rows[k][j] for k in range(j, len(coeffs))), 2 ** s)
+            for j in range(len(coeffs))]
+
+
+@pytest.mark.parametrize("alpha,beta,scale", [
+    (-0.5, -0.5, ultra_row_scale), (2.5, 2.5, ultra_row_scale), (30.0, 30.0, ultra_row_scale),
+    (0.1, 0.3, unit_row_scale), (0.0, 1.0, unit_row_scale), (-0.5, 0.3, factorial_row_scale)])
+def test_image_enclosure_holds_the_exact_image(alpha, beta, scale):
+    # every coefficient of every image lies within its radius of hi + lo,
+    # in one padded batch of mixed degrees; the monic products are the hi
+    # parts, and exact builds exact_image
+    rng = np.random.default_rng(5)
+    rows = jacobi_rows_int(30, alpha, beta, scale)
+    roots = [rng.uniform(-0.99, 0.99, d) for d in (30, 1, 17, 2, 30, 9)]
+    roots.append(np.array([0.5, 0.5 + 2.0 ** -40, 1 - 2.0 ** -30, -(1 - 2.0 ** -45), 2.0 ** -1000]))
+    monic, enc = image_enclosure(roots, rows, dd_rows(rows))
+    for c, r in enumerate(roots):
+        want = _scaled_image(r, rows)
+        n = len(r)
+        assert enc.degrees[c] == n
+        assert np.all(enc.hi[c, n + 1:] == 0) and np.all(enc.radius[c, n + 1:] == 0)
+        for j, w in enumerate(want):
+            assert abs(w - Fraction(enc.hi[c, j]) - Fraction(enc.lo[c, j])) <= Fraction(
+                enc.radius[c, j]), (c, j)
+        assert np.allclose(monic[c, :n + 1], [float(v) for v in monic_from_roots(
+            [Fraction(x) for x in r])], rtol=1e-13, atol=1e-13)
+        assert enc.exact(c) == exact_image(r, rows)
+
+
+def _dd_and_exact(roots, alpha, beta, scale, tol=1e-8):
+    """verdicts on the enclosure of each image, with the roots of each
+    image's hi coefficients as estimates, against exact_verdict on its
+    exact image."""
+    rows = jacobi_rows_int(max(len(r) for r in roots), alpha, beta, scale)
+    _, enc = image_enclosure(roots, rows, dd_rows(rows))
+    got = verdicts(enc, tol)
+    want = [exact_verdict(primitive_part(exact_image(r, rows)), tol) for r in roots]
+    return got, want
+
+
+ROOT_LISTS = st.lists(st.one_of(
+    st.floats(-0.999, 0.999),
+    st.integers(1, 52).map(lambda k: 1 - 2.0 ** -k),
+    st.integers(1, 52).map(lambda k: -1 + 2.0 ** -k),
+    st.floats(2.0 ** -1020, 2.0 ** -980)), min_size=1, max_size=12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases=st.lists(ROOT_LISTS, min_size=1, max_size=3),
+       params=st.sampled_from([(0.0, 0.0, ultra_row_scale), (2.0, 2.0, ultra_row_scale),
+                               (-0.5, -0.5, ultra_row_scale), (0.1, 0.3, unit_row_scale),
+                               (1.0, 2.0, unit_row_scale), (0.3, 0.3, ultra_row_scale)]))
+@example(cases=[[0.25, 0.25 + 2.0 ** -40, -0.5]], params=(0.0, 0.0, ultra_row_scale))
+@example(cases=[[0.5], [1 - 2.0 ** -20, -(1 - 2.0 ** -30), 0.0]], params=(0.1, 0.3, unit_row_scale))
+def test_dd_route_equals_the_exact_route(cases, params):
+    # flag and extremes, however the dd filter and reader fare: clustered
+    # roots, roots at +-(1 - 2^-k), roots near 2^-1000 and degree 1, mixed
+    # in one padded batch, at integer and non-dyadic parameters
+    got, want = _dd_and_exact([np.array(r) for r in cases], *params)
+    assert got == want
+
+
+def test_dd_route_on_edge_inputs():
+    # roots within 2^-40 of each other, at +-(1 - 2^-k), near 2^-1000
+    # (where the product's lo parts underflow), degree 1, in one batch
+    roots = [np.array(r) for r in (
+        [0.3, 0.3 + 2.0 ** -40, -0.7],
+        [1 - 2.0 ** -k for k in (10, 26, 40)] + [-(1 - 2.0 ** -k) for k in (12, 33)],
+        [2.0 ** -1000, -(2.0 ** -1001), 0.5],
+        [0.125],
+        np.linspace(-0.98, 0.98, 20))]
+    for params in ((0.0, 0.0, ultra_row_scale), (0.1, 0.3, unit_row_scale)):
+        got, want = _dd_and_exact(roots, *params)
+        assert got == want
