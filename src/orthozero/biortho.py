@@ -35,9 +35,9 @@ from .errors import (
     SingularSystemError,
 )
 from .polycore import (Poly, RootReport, check_params, dyadic_numerators, integer_poly,
-                       jacobi_coefficient_rows, poly_eval, root_report)
+                       jacobi_coefficient_rows, jacobi_rows_int, poly_eval, root_report)
 from .precision import DEFAULT_TAU_ROOT
-from .transforms import exact_image, jacobi_rows_int, ultra_row_scale
+from .transforms import exact_image, ultra_row_scale
 
 MAX_MOMENT_POWER = 30
 MAX_SYSTEM_SIZE = 8

@@ -26,11 +26,11 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
 
-def _to_double(num: int, k: int) -> float:
-    """num / 2^k rounded once to the nearest double, for any integer k, or
-    the infinity it rounds to beyond the doubles."""
+def _to_double(num: int, k: int, den: int = 1) -> float:
+    """num / (den 2^k), for den > 0 and any integer k, rounded once to the
+    nearest double, or the infinity it rounds to beyond the doubles."""
     try:
-        return num / (1 << k) if k >= 0 else float(num << -k)
+        return num / (den << k) if k >= 0 else (num << -k) / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
 

@@ -39,6 +39,7 @@ import math
 import re
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .polycore import (
     comrade_roots,
     deflate_root,
     diagnostic_roots,
+    jacobi_rows_int,
     min_boundary_distance,
     primitive_part,
     verdicts,
@@ -66,9 +68,7 @@ from .transforms import (
     dd_rows,
     exact_image,
     factorial_row_scale,
-    factorial_scale,
     image_enclosure,
-    jacobi_rows_int,
     ultra_row_scale,
     unit_row_scale,
 )
@@ -255,11 +255,12 @@ def boundary_family_roots(n: int, m: int, rows: list[list[int]]) -> tuple[list[i
                                       "residual_degree": len(residual) - 1}
 
 
-def _random_interior_verdicts(rngs, degrees, rows, alpha, beta, scale, tol) -> list:
+def _random_interior_verdicts(rngs, degrees, rows, scales, alpha, beta, tol) -> list:
     """polycore.verdicts on random interior-rooted inputs, one drawn from
     each generator at its degree: their exact images through rows, with
-    the comrade-matrix roots of sum_k a_k scale(k, alpha) P_k^(alpha,beta)
-    picking the certificate's points.
+    the comrade-matrix roots of sum_k a_k scales[k] P_k^(alpha,beta)
+    picking the certificate's points; scales are the doubles of the rows'
+    per-degree scale (_rows).
 
     One numpy pass encloses every image in double-double arithmetic
     (image_enclosure, on dd_rows(rows)); the monic products a are its hi
@@ -272,16 +273,18 @@ def _random_interior_verdicts(rngs, degrees, rows, alpha, beta, scale, tol) -> l
     approx = [None] * len(roots)
     for degree in sorted(set(degrees)):
         group = [c for c, d in enumerate(degrees) if d == degree]
-        scales = np.array([scale(k, alpha) for k in range(degree + 1)], dtype=float)
-        for c, estimates in zip(group, comrade_roots(monic[group, :degree + 1] * scales,
-                                                     alpha, beta)):
+        for c, estimates in zip(group, comrade_roots(monic[group, :degree + 1]
+                                                     * scales[:degree + 1], alpha, beta)):
             approx[c] = estimates
     return verdicts(images, tol, approx)
 
 
-# A sweep visits one grid point at a time, so one set of rows is cached,
-# keyed on (deg_cap, alpha, beta, scale): the scale tells the campaigns apart.
-_rows = functools.lru_cache(maxsize=1)(jacobi_rows_int)
+@functools.lru_cache(maxsize=1)  # a sweep visits one grid point at a time
+def _rows(deg_cap: int, alpha: float, beta: float, scale) -> tuple[list[list[int]], np.ndarray]:
+    """The map's integer rows (jacobi_rows_int) and the doubles of its
+    per-degree scale, which weight the comrade estimates."""
+    scales = [float(scale(k, Fraction(alpha))) for k in range(deg_cap + 1)]
+    return jacobi_rows_int(deg_cap, alpha, beta, scale), np.array(scales)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +314,8 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
         rngs = [_rng(config, i) for i in indices]
         degrees = [int(rng.integers(1, config.deg_cap + 1)) for rng in rngs]
         decided = _random_interior_verdicts(
-            rngs, degrees, _rows(config.deg_cap, alpha, alpha, ultra_row_scale), alpha, alpha,
-            factorial_scale, tol)
+            rngs, degrees, *_rows(config.deg_cap, alpha, alpha, ultra_row_scale), alpha, alpha,
+            tol)
         return [{
             "parameters": {"alpha": alpha},
             "input": f"random_interior(degree={degree})",
@@ -345,7 +348,7 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
         alpha, beta, pair = specs[0]
         # one set of rows per grid point serves the pairs and the random
         # inputs, whose degree is below 10
-        rows = _rows(max(config.deg_cap, 9), alpha, beta, unit_row_scale)
+        rows, scales = _rows(max(config.deg_cap, 9), alpha, beta, unit_row_scale)
         if pair is not None:  # the boundary pairs of a grid point are one group
             found = [boundary_family_roots(n, m, rows) for *_, (n, m) in specs]
             # a pair with a root at +-1 has distance 0 already, so the
@@ -367,7 +370,7 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
                     else "indeterminate" if flag is RootLocation.SOME_ON_BOUNDARY
                     else "violation")
                    for degree, (flag, roots) in zip(degrees, _random_interior_verdicts(
-                       rngs, degrees, rows, alpha, beta, unit_row_scale, tol))]
+                       rngs, degrees, rows, scales, alpha, beta, tol))]
         exploratory = not (float(alpha).is_integer() and float(beta).is_integer()
                            and alpha >= 0 and beta >= 0)
         return [{
@@ -406,7 +409,7 @@ def run_question31_campaign(config: CampaignConfig) -> CampaignReport:
 
     def cases(specs, _):
         alpha, beta = specs[0][:2]
-        rows = _rows(config.deg_cap, alpha, beta, factorial_row_scale)
+        rows, _ = _rows(config.deg_cap, alpha, beta, factorial_row_scale)
         found = [boundary_family_roots(n, m, rows) for *_, (n, m) in specs]
         decided = verdicts([residual for residual, _ in found], tol,
                            read_roots=[False] * len(found))

@@ -2,8 +2,10 @@
 generating-function Taylor oracles that pin them down, orthogonality
 constants, and Gauss quadrature on the Jacobi weight.
 
-Two independent routes exist on purpose: the three-term recurrence builds
-the polynomials, while the generating functions' Taylor series, which read
+Two independent routes exist on purpose: polycore's one integer statement
+of the three-term recurrence builds the polynomials (jacobi_poly is its
+exact row n, each coefficient rounded once) and the Gauss rules (through
+jacobi_matrix), while the generating functions' Taylor series, which read
 no recurrence coefficient, provide the correctness witness the tests check
 against. The series come from signreg's kernel formulas, the ones the ssr
 scans evaluate, run on truncated power series.
@@ -19,13 +21,12 @@ import numpy as np
 
 from .errors import BadParameterError
 from .polycore import (
-    MONOMIAL,
     Poly,
     check_params,
-    jacobi_coefficient_rows,
     jacobi_matrix,
-    poly_eval,
     pochhammer,
+    poly_eval,
+    series_poly,
 )
 from .powerseries import Series
 from .signreg import _SERIES, JacobiGenKernel, UltraDerivedKernel, UltraGenKernel
@@ -70,12 +71,12 @@ class OrthoConstant:
 # ---------------------------------------------------------------------------
 
 def jacobi_poly(n: int, alpha: float, beta: float) -> Poly:
-    """Degree-n Jacobi polynomial as a monomial-basis Poly."""
+    """Degree-n Jacobi polynomial as a monomial-basis Poly: the series with
+    the one weight 1 at degree n, each coefficient rounded once."""
     check_params(alpha=alpha, beta=beta)
     if not 0 <= n <= MAX_DEGREE:
         raise BadParameterError(f"degree must be in [0, {MAX_DEGREE}], got {n}")
-    rows = jacobi_coefficient_rows(n, alpha, beta)
-    return Poly(tuple(rows[n, : n + 1]), MONOMIAL, tau_trim=0.0)
+    return series_poly([0.0] * n + [1.0], (alpha, beta))
 
 
 # ---------------------------------------------------------------------------

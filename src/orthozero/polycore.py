@@ -19,6 +19,7 @@ integers, only where that bound does not settle one. Double eigenvalues
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
@@ -37,10 +38,13 @@ from .precision import DEFAULT_TAU_TRIM
 
 
 def check_params(**params) -> None:
-    """Raise BadParameterError unless every named family parameter exceeds -1."""
+    """Raise BadParameterError unless every named family parameter is finite
+    and exceeds -1."""
     for name, value in params.items():
         if not value > -1:
             raise BadParameterError(f"{name} must exceed -1, got {float(value)}")
+        if value == math.inf:
+            raise BadParameterError(f"{name} must be finite, got {float(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,49 +142,98 @@ def pochhammer(x: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi three-term recurrence (shared with orthopoly and transforms)
+# Jacobi three-term recurrence: one integer statement
 # ---------------------------------------------------------------------------
 #
-# Written once over the parameters' number type: float parameters give float
-# coefficients, Fraction parameters give exact ones. The constants are plain
-# integers so that neither route forces the other's arithmetic.
+# P_(k+1) = (A_k x + B_k) P_k - C_k P_(k-1) is written once, in integers
+# (_recurrence_integers): Szego (4.5.1) with alpha = A/d and beta = B/d
+# over their least common denominator d (a power of two for doubles, which
+# are binary rationals) and d^3 cleared. Everything else reads it:
+# jacobi_recurrence as exact Fractions or correctly rounded doubles,
+# jacobi_rows_int as integer rows, and jacobi_coefficient_rows and
+# series_image as those rows over their denominator.
 
+@functools.lru_cache(maxsize=64)
+def _common_denominator(alpha, beta) -> tuple[int, int, int]:
+    """A, B and the least d > 0 with alpha = A/d and beta = B/d."""
+    a, b = Fraction(alpha), Fraction(beta)
+    d = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+
+
+def _recurrence_integers(k: int, big_a: int, big_b: int, d: int) -> tuple[int, int, int, int]:
+    """(NA, NB, NC, E) with E P_(k+1) = (NA x + NB) P_k - NC P_(k-1); with
+    t = 2dk + A + B, E = 2(k + 1)(d(k + 1) + A + B) t d for k >= 1, and at
+    k = 0, NC = 0 and P_1 = ((A + B + 2d) x + A - B) / (2d)."""
+    s = big_a + big_b
+    if k == 0:
+        return s + 2 * d, big_a - big_b, 0, 2 * d
+    t = 2 * d * k + s
+    return ((t + d) * (t + 2 * d) * t, (t + d) * (big_a * big_a - big_b * big_b),
+            2 * (d * k + big_a) * (d * k + big_b) * (t + 2 * d),
+            2 * (k + 1) * (d * (k + 1) + s) * t * d)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
 def jacobi_recurrence(k: int, alpha, beta):
-    """(A, B, C) with P_{k+1} = (A x + B) P_k - C P_{k-1}, valid for k >= 1."""
-    s = alpha + beta
-    den = 2 * (k + 1) * (k + 1 + s) * (2 * k + s)
-    a = (2 * k + s + 1) * (2 * k + s + 2) * (2 * k + s) / den
-    b = (2 * k + s + 1) * (alpha * alpha - beta * beta) / den
-    c = 2 * (k + alpha) * (k + beta) * (2 * k + s + 2) / den
-    return a, b, c
+    """(A, B, C) with P_(k+1) = (A x + B) P_k - C P_(k-1), so C = 0 and
+    P_1 = A x + B at k = 0: Fractions for Fraction parameters, and
+    otherwise the exact ratios rounded once to doubles (cached)."""
+    *nums, e = _recurrence_integers(k, *_common_denominator(alpha, beta))
+    if isinstance(alpha + beta, Fraction):
+        return tuple(Fraction(n, e) for n in nums)
+    return tuple(_to_double(n, 0, e) for n in nums)
 
 
-def jacobi_first_degree(alpha, beta):
-    """(slope, intercept) of the degree-1 Jacobi polynomial."""
-    return (alpha + beta + 2) / 2, (alpha - beta) / 2
+def jacobi_rows_int(deg_cap: int, alpha, beta, scale) -> list[list[int]]:
+    """Integer rows of x^k -> scale(k, alpha) P_k^(alpha,beta) through deg_cap.
+
+    scale is a positive per-degree factor of Fraction(alpha), 1 at k = 0
+    (None is 1 throughout). Row k is D scale(k, alpha) times the exact
+    Jacobi row k, with D = rows[0][0] the least positive integer clearing
+    every denominator, so an image through the rows is a positive multiple
+    of the exact one. P_k = Q_k / D_k with D_0 = 1, D_(k+1) = D_k E_k and
+    Q_(k+1) = (NA x + NB) Q_k - NC E_(k-1) Q_(k-1), all integers.
+    """
+    a, b = Fraction(alpha), Fraction(beta)
+    check_params(alpha=a, beta=b)
+    big_a, big_b, d = _common_denominator(a, b)
+    q, dens, e_prev = [[1]], [1], 0
+    for k in range(deg_cap):
+        na, nb, nc, e = _recurrence_integers(k, big_a, big_b, d)
+        nxt = [nb * c for c in q[k]] + [0]
+        for j, c in enumerate(q[k]):
+            nxt[j + 1] += na * c
+        nc *= e_prev  # 0 at k = 0, where q[k - 1] is q[0]
+        for j, c in enumerate(q[k - 1]):
+            nxt[j] -= nc * c
+        q.append(nxt)
+        dens.append(dens[-1] * e)
+        e_prev = e
+    scales = [Fraction(1 if scale is None else scale(k, a)) for k in range(deg_cap + 1)]
+    dens = [f.denominator * den for f, den in zip(scales, dens)]
+    common = math.lcm(*dens)
+    rows = [[f.numerator * (common // den) * c for c in row] for f, den, row in zip(scales, dens, q)]
+    g = math.gcd(common, *(c for row in rows for c in row))
+    return [[c // g for c in row] for row in rows]
+
+
+# The library's rows (jacobi_coefficient_rows, series_image), cached and
+# shared, so read only.
+_cached_rows = functools.lru_cache(maxsize=32)(jacobi_rows_int)
 
 
 def jacobi_coefficient_rows(n: int, alpha, beta) -> np.ndarray:
-    """Monomial coefficients of the Jacobi family through degree n.
-
-    Row k holds the ascending monomial coefficients of the degree-k member
-    (entries beyond column k are zero). Fraction parameters give an object
-    array of exact Fractions; any other parameters give a float array.
-    """
-    check_params(alpha=alpha, beta=beta)
-    exact = isinstance(alpha + beta, Fraction)
-    rows = np.zeros((n + 1, n + 1), dtype=object if exact else float)
-    rows[0, 0] = Fraction(1) if exact else 1.0
-    if n >= 1:
-        slope, intercept = jacobi_first_degree(alpha, beta)
-        rows[1, 0] = intercept
-        rows[1, 1] = slope
-    for k in range(1, n):
-        a, b, c = jacobi_recurrence(k, alpha, beta)
-        rows[k + 1, 1 : k + 2] += a * rows[k, : k + 1]
-        rows[k + 1, : k + 1] += b * rows[k, : k + 1]
-        rows[k + 1, : k] -= c * rows[k - 1, : k]
-    return rows
+    """Monomial coefficients of the Jacobi family through degree n: row k
+    holds the degree-k member's, ascending (zero beyond column k), as the
+    integer rows over their denominator, in exact Fractions for Fraction
+    parameters and otherwise each rounded once to a double."""
+    rows = _cached_rows(n, alpha, beta, None)
+    exact, den = isinstance(alpha + beta, Fraction), rows[0][0]
+    out = np.zeros((n + 1, n + 1), dtype=object if exact else float)
+    for k, row in enumerate(rows):
+        out[k, : k + 1] = [Fraction(c, den) if exact else _to_double(c, 0, den) for c in row]
+    return out
 
 
 def jacobi_matrix(n: int, alpha: float, beta: float) -> tuple[np.ndarray, float]:
@@ -188,7 +241,7 @@ def jacobi_matrix(n: int, alpha: float, beta: float) -> tuple[np.ndarray, float]
     M[k, k+1] P_(k+1) by the three-term recurrence, k < n, whose last row
     leaves out P_n / A, and A. The eigenvalues of M are the roots of P_n."""
     m = np.zeros((n, n))
-    a, b = jacobi_first_degree(alpha, beta)
+    a, b, _ = jacobi_recurrence(0, alpha, beta)
     m[0, 0] = -b / a
     for k in range(1, n):
         m[k - 1, k] = 1 / a
@@ -983,31 +1036,53 @@ def _clenshaw(coeffs, alpha: float, beta: float, x: float) -> float:
         a, b, c = jacobi_recurrence(k, alpha, beta)
         y1, y2 = coeffs[k] + (a * x + b) * y1 - c_next * y2, y1
         c_next = c
-    slope, intercept = jacobi_first_degree(alpha, beta)
+    slope, intercept, _ = jacobi_recurrence(0, alpha, beta)
     return coeffs[0] + (slope * x + intercept) * y1 - c_next * y2
 
 
+def through_rows(coeffs, rows) -> list[int]:
+    """sum_k coeffs[k] rows[k]: the image of integer coefficients under
+    integer rows (jacobi_rows_int)."""
+    out = [0] * len(coeffs)
+    for ck, row in zip(coeffs, rows):
+        for j, c in enumerate(row):
+            out[j] += ck * c
+    return out
+
+
+def series_image(weights, params, scale=None, factor=1) -> tuple[list[int], int]:
+    """Integers N and D > 0 with factor sum_k w_k scale(k, alpha)
+    P_k^(alpha,beta) = sum_j (N_j / D) x^j exactly, for finite double
+    weights w and factor (binary rationals), through the integer rows;
+    params is (alpha, beta), or None for the monomial basis."""
+    if not all(map(math.isfinite, weights)):
+        raise NonFiniteError(f"coefficients must be finite, got {tuple(weights)}")
+    nums, shift = dyadic_numerators(weights)
+    den, factor = 1, Fraction(factor)
+    if params is not None:
+        rows = _cached_rows(len(nums) - 1, *params, scale)
+        nums, den = through_rows(nums, rows), rows[0][0]
+    return [c * factor.numerator for c in nums], (den * factor.denominator) << shift
+
+
+def series_poly(weights, params, scale=None, factor=1, tau_trim=0.0) -> Poly:
+    """series_image as a monomial Poly, each coefficient rounded once."""
+    nums, den = series_image(weights, params, scale, factor)
+    return Poly(tuple(_to_double(c, 0, den) for c in nums), MONOMIAL, tau_trim=tau_trim)
+
+
 def basis_to_monomial(p: Poly, tau_trim: float = DEFAULT_TAU_TRIM) -> Poly:
-    """Equal polynomial re-expressed in the monomial basis."""
+    """Equal polynomial re-expressed in the monomial basis, each coefficient
+    the exact one rounded once."""
     params = jacobi_params(p.basis)
-    if params is None:
-        return p
-    alpha, beta = params
-    rows = jacobi_coefficient_rows(p.degree, alpha, beta)
-    return Poly(tuple(p.array @ rows), MONOMIAL, tau_trim=tau_trim)
+    return p if params is None else series_poly(p.coeffs, params, tau_trim=tau_trim)
 
 
 def integer_poly(p: Poly) -> list[int]:
     """The primitive integer polynomial with the roots of p, exactly: its
     double coefficients, and the parameters of its basis, are binary
     rationals, so its monomial coefficients are rationals."""
-    if not all(map(math.isfinite, p.coeffs)):
-        raise NonFiniteError(f"coefficients must be finite, got {p.coeffs}")
-    coeffs = np.array([Fraction(c) for c in p.coeffs], dtype=object)
-    params = jacobi_params(p.basis)
-    if params is not None:
-        coeffs = coeffs @ jacobi_coefficient_rows(p.degree, *map(Fraction, params))
-    return primitive_part(coeffs)
+    return _primitive(series_image(p.coeffs, jacobi_params(p.basis))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 polynomial expansions.
 
 All transforms return monomial-basis Poly values so downstream root finding
-is uniform. An exact integer route serves inputs given by double roots, such
-as theorem12's random interior-rooted inputs and the boundary-rooted family
-(x-1)^n (x+1)^m, whose images carry roots at exactly +-1 with high
-multiplicity that double-precision coefficients cannot represent faithfully
-(root scatter grows like eps^(1/multiplicity)). Every double is a binary
-rational, so jacobi_rows_int builds integer rows of any (alpha, beta) and
-per-degree scale, by the three-term recurrence over one common
-denominator, and exact_image maps a root list through them in Python ints.
-Non-dyadic parameters such as 0.3 just bring larger integers.
+is uniform. Every double is a binary rational, so each map is exact on the
+integer rows of polycore.jacobi_rows_int, for any (alpha, beta) and
+per-degree scale. The double transforms are the exact image of their
+double weights through those rows (times the double 1/Gamma(1+alpha) for
+ultra_transform), each coefficient rounded once (polycore.series_poly).
+exact_image maps a list of double roots through the rows in Python ints:
+the images of theorem12's random interior-rooted inputs and of the
+boundary-rooted family (x-1)^n (x+1)^m, whose roots at exactly +-1 of
+high multiplicity double-precision coefficients cannot represent
+faithfully (root scatter grows like eps^(1/multiplicity)). Non-dyadic
+parameters such as 0.3 just bring larger integers.
 
 The campaigns decide random interior-rooted inputs on a double-double
 (dd) enclosure of their images first (image_enclosure, polycore's dd
@@ -48,7 +50,6 @@ from .polycore import (
     _DD_ETA,
     _DD_MUL,
     _DD_MUL_FP,
-    MONOMIAL,
     Basis,
     Enclosure,
     Monomial,
@@ -60,10 +61,12 @@ from .polycore import (
     basis_to_monomial,
     check_params,
     dyadic_numerators,
-    jacobi_coefficient_rows,
     jacobi_params,
     monic_from_roots,
+    series_poly,
+    through_rows,
 )
+from .precision import DEFAULT_TAU_TRIM
 
 
 # ---------------------------------------------------------------------------
@@ -130,57 +133,23 @@ TransformSpec = UltraScaled | JacobiExpansion | JacobiFactorial | OrthogonalSeri
 # the transforms
 # ---------------------------------------------------------------------------
 
-def _expand(weighted, alpha: float, beta: float) -> np.ndarray:
-    """Ascending monomial coefficients of sum_k w_k P_k^(alpha,beta).
-
-    The weights w_k arrive with their per-degree scale already applied, so
-    each caller keeps its own rounding. The degree-by-degree accumulation
-    fixes the float rounding; a matrix product would not.
-    """
-    n = len(weighted) - 1
-    rows = jacobi_coefficient_rows(n, alpha, beta)
-    out = np.zeros(n + 1)
-    for k, wk in enumerate(weighted):
-        if wk != 0:
-            out[: k + 1] += wk * rows[k, : k + 1]
-    return out
-
-
-def _scaled_expansion(f: Poly, alpha: float, beta: float, scale) -> Poly:
-    """sum_k a_k * scale(k) * P_k^(alpha,beta) as a monomial Poly.
-
-    Nothing is trimmed: P_k has a nonzero leading coefficient, so the image
-    keeps the degree of f unless its leading coefficient underflows.
-    """
-    weighted = [ak * scale(k) for k, ak in enumerate(basis_to_monomial(f).coeffs)]
-    return Poly(tuple(_expand(weighted, alpha, beta)), MONOMIAL, tau_trim=0.0)
-
-
-def factorial_scale(k: int, alpha: float) -> float:
-    """k! / Gamma(k+1+alpha), the per-degree factor of the scaled ultraspherical map."""
-    return math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + alpha))
-
-
 def ultra_transform(f: Poly, alpha: float) -> Poly:
     """Map sum a_k x^k to sum a_k (k!/Gamma(k+1+alpha)) P_k^(alpha,alpha).
 
-    The scales fall below the normal doubles from alpha about 171 (somewhat
-    earlier at high degree), and there NonFiniteError is raised; the exact
-    route (exact_image through jacobi_rows_int with ultra_row_scale) gives a
-    positive multiple of the image at any alpha.
+    k!/Gamma(k+1+alpha) is g k!/(1+alpha)_k with g = 1/Gamma(1+alpha): the
+    image through the rows of ultra_row_scale, times the double g, rounded
+    once. From alpha about 170, g falls below the normal doubles and
+    NonFiniteError is raised; the exact route (exact_image through
+    jacobi_rows_int with ultra_row_scale) gives a positive multiple of the
+    image at any alpha.
     """
     check_params(alpha=alpha)
-
-    def scale(k: int) -> float:
-        s = factorial_scale(k, alpha)
-        if not sys.float_info.min <= s < math.inf:
-            raise NonFiniteError(
-                f"k!/Gamma(k+1+alpha) at k = {k}, alpha = {alpha:g} leaves the normal "
-                f"double range; exact_image through jacobi_rows_int(..., ultra_row_scale) "
-                f"gives the exact image")
-        return s
-
-    return _scaled_expansion(f, alpha, alpha, scale)
+    g = 1.0 / math.gamma(1.0 + alpha) if alpha < 170.5 else 0.0
+    if not g >= sys.float_info.min:
+        raise NonFiniteError(
+            f"1/Gamma(1+alpha) at alpha = {alpha:g} leaves the normal double range; "
+            f"exact_image through jacobi_rows_int(..., ultra_row_scale) gives the exact image")
+    return series_poly(basis_to_monomial(f).coeffs, (alpha, alpha), ultra_row_scale, g)
 
 
 def legendre_transform(f: Poly) -> Poly:
@@ -191,17 +160,18 @@ def legendre_transform(f: Poly) -> Poly:
 def jacobi_transform(f: Poly, alpha: float, beta: float) -> Poly:
     """Map sum a_k x^k to sum a_k P_k^(alpha,beta)."""
     check_params(alpha=alpha, beta=beta)
-    return _scaled_expansion(f, alpha, beta, lambda k: 1.0)
+    return series_poly(basis_to_monomial(f).coeffs, (alpha, beta))
 
 
 def jacobi_factorial_transform(f: Poly, alpha: float, beta: float) -> Poly:
     """Map sum a_k x^k to sum a_k P_k^(alpha,beta) / k!."""
     check_params(alpha=alpha, beta=beta)
-    return _scaled_expansion(f, alpha, beta, lambda k: 1.0 / math.factorial(k))
+    return series_poly(basis_to_monomial(f).coeffs, (alpha, beta), factorial_row_scale)
 
 
 def orthogonal_series_transform(q, spec: OrthogonalSeriesMap) -> Poly:
-    """Map monomial coefficients q_k to sum_k (q_k / (delta_k h_k)) Q_k."""
+    """Map monomial coefficients q_k to sum_k (q_k / (delta_k h_k)) Q_k: the
+    exact image of the double weights q_k / (delta_k h_k), rounded once."""
     q = [float(v) for v in q]
     n = len(q) - 1
     if n > spec.max_degree:
@@ -209,7 +179,7 @@ def orthogonal_series_transform(q, spec: OrthogonalSeriesMap) -> Poly:
             f"spec provides constants through degree {spec.max_degree}, input has degree {n}"
         )
     weighted = [qk / (spec.delta[k] * spec.h[k]) for k, qk in enumerate(q)]
-    return Poly(tuple(_expand(weighted, *jacobi_params(spec.family))), MONOMIAL)
+    return series_poly(weighted, jacobi_params(spec.family), tau_trim=DEFAULT_TAU_TRIM)
 
 
 def apply_transform(spec: TransformSpec, f: Poly) -> Poly:
@@ -249,7 +219,7 @@ def ultra_series_spec(alpha: float, max_degree: int) -> OrthogonalSeriesMap:
 
 def scale_ratio_sequence(alpha: float, max_degree: int) -> list[float]:
     """Per-degree ratio of the factorial-scaled map's factor to the generic
-    map's 1/(delta_k h_k).
+    map's 1/(delta_k h_k), the former k!/Gamma(k+1+alpha) in log-gamma form.
 
     Constant exactly when the two conventions produce proportional outputs
     (alpha = 0 gives the constant 2); otherwise the sequence itself is the
@@ -257,7 +227,8 @@ def scale_ratio_sequence(alpha: float, max_degree: int) -> list[float]:
     delta_0 vanishes there.
     """
     delta, h = _ultra_series_constants(alpha, max_degree)
-    return [factorial_scale(k, alpha) * delta[k] * h[k] for k in range(max_degree + 1)]
+    return [math.exp(math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + alpha)) * delta[k] * h[k]
+            for k in range(max_degree + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,53 +250,6 @@ def factorial_row_scale(k: int, alpha: Fraction) -> Fraction:
 def unit_row_scale(k: int, alpha: Fraction) -> int:
     """1, the per-degree factor of jacobi_transform."""
     return 1
-
-
-def jacobi_rows_int(deg_cap: int, alpha: float, beta: float, scale) -> list[list[int]]:
-    """Integer rows of x^k -> scale(k, alpha) P_k^(alpha,beta) through deg_cap.
-
-    The parameters are taken as exact binary rationals, and scale is one of
-    the positive *_row_scale functions. Row k is D scale(k, alpha) times the
-    exact Jacobi row k, with D the least positive integer clearing every
-    denominator, so an image through the rows is a positive multiple of the
-    exact one and has its roots.
-
-    With alpha = A/d and beta = B/d over one power of two d, the recurrence
-    runs on integers: P_k = Q_k / D_k with D_0 = 1, D_1 = E_0 = 2d,
-    D_(k+1) = D_k E_k, and Q_(k+1) = (NA x + NB) Q_k - NC E_(k-1) Q_(k-1),
-    where NA / E_k, NB / E_k and NC / E_k are jacobi_recurrence's
-    coefficients, each with the factor d^3 cleared. The rows over one
-    common denominator are then divided by the gcd of all their entries and
-    that denominator, which leaves them over the least one.
-    """
-    a, b = Fraction(alpha), Fraction(beta)
-    check_params(alpha=a, beta=b)
-    d = max(a.denominator, b.denominator)
-    big_a, big_b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-    s = big_a + big_b
-    q, dens, e_prev = [[1]], [1], 2 * d
-    if deg_cap >= 1:
-        q.append([big_a - big_b, s + 2 * d])
-        dens.append(e_prev)
-    for k in range(1, deg_cap):
-        t = 2 * d * k + s
-        e = 2 * (k + 1) * (d * (k + 1) + s) * t * d
-        na, nb = (t + d) * (t + 2 * d) * t, (t + d) * (big_a * big_a - big_b * big_b)
-        nc = 2 * (d * k + big_a) * (d * k + big_b) * (t + 2 * d) * e_prev
-        nxt = [nb * c for c in q[k]] + [0]
-        for j, c in enumerate(q[k]):
-            nxt[j + 1] += na * c
-        for j, c in enumerate(q[k - 1]):
-            nxt[j] -= nc * c
-        q.append(nxt)
-        dens.append(dens[-1] * e)
-        e_prev = e
-    scales = [Fraction(scale(k, a)) for k in range(deg_cap + 1)]
-    dens = [f.denominator * den for f, den in zip(scales, dens)]
-    common = math.lcm(*dens)
-    rows = [[f.numerator * (common // den) * c for c in row] for f, den, row in zip(scales, dens, q)]
-    g = math.gcd(common, *(c for row in rows for c in row))
-    return [[c // g for c in row] for row in rows]
 
 
 def dd_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -404,10 +328,4 @@ def exact_image(roots, rows) -> list[int]:
     K = 0. rows come from jacobi_rows_int at any degree >= len(roots).
     """
     scaled, shift = dyadic_numerators(roots)
-    c = monic_from_roots(scaled)
-    out = [0] * len(c)
-    for k, ck in enumerate(c):
-        ck <<= shift * k
-        for j, entry in enumerate(rows[k]):
-            out[j] += ck * entry
-    return out
+    return through_rows([c << shift * k for k, c in enumerate(monic_from_roots(scaled))], rows)

@@ -30,7 +30,8 @@ from orthozero import (
 from orthozero import biortho, cli
 from orthozero.biortho import MAX_SYSTEM_SIZE
 from orthozero.errors import BadNodesError, BadParameterError, SingularSystemError
-from orthozero.transforms import exact_image, jacobi_rows_int, ultra_row_scale
+from orthozero.polycore import jacobi_rows_int
+from orthozero.transforms import exact_image, ultra_row_scale
 
 EXP_ON_UNIT = ExpKernel(domain=Domain((0.0, 1.0), (-2.0, 2.0)))
 

@@ -40,6 +40,7 @@ from orthozero.polycore import (
     exact_verdict,
     integer_poly,
     jacobi_coefficient_rows,
+    jacobi_rows_int,
     locate,
     min_boundary_distance,
     monic_from_roots,
@@ -51,8 +52,6 @@ from orthozero.polycore import (
 from orthozero.transforms import (
     exact_image,
     factorial_row_scale,
-    factorial_scale,
-    jacobi_rows_int,
     ultra_row_scale,
     unit_row_scale,
 )
@@ -221,12 +220,12 @@ def test_certified_interior_verdict_falls_back_to_exact_counts():
         (RootLocation.ALL_STRICTLY_INSIDE, [-1 / 3, 0.5])]
 
 
-def _per_case_verdict(rng, degree, rows, alpha, beta, scale, tol):
+def _per_case_verdict(rng, degree, rows, scales, alpha, beta, tol):
     """One random interior-rooted case decided alone, as the campaigns did
     before they batched the cases of a grid point: the reference for
     harness._random_interior_verdicts."""
     roots = harness.random_interior_roots(rng, degree)
-    weights = np.array([[a * scale(k, alpha) for k, a in enumerate(monic_from_roots(roots))]])
+    weights = np.array([[a * scales[k] for k, a in enumerate(monic_from_roots(roots))]])
     return verdicts([exact_image(roots, rows)], tol, comrade_roots(weights, alpha, beta))[0]
 
 
@@ -243,13 +242,13 @@ def test_batched_interior_verdicts_equal_per_case(campaign, alpha, beta):
     # decides as a large group does
     if campaign == "theorem12":
         config = CampaignConfig(campaign, alpha_grid=(alpha,), deg_cap=30, trials=60, seed=1)
-        top, rows = 30, jacobi_rows_int(30, alpha, beta, ultra_row_scale)
-        scale, first = factorial_scale, 0
+        top, scale, first = 30, ultra_row_scale, 0
     else:
         config = CampaignConfig(campaign, alpha_grid=(alpha,), beta_grid=(beta,), deg_cap=4,
                                 trials=60, seed=1)
-        top, rows = 9, jacobi_rows_int(9, alpha, beta, unit_row_scale)
-        scale, first = unit_row_scale, len(boundary_pairs(4))
+        top, scale, first = 9, unit_row_scale, len(boundary_pairs(4))
+    rows = jacobi_rows_int(top, alpha, beta, scale)
+    scales = np.array([float(scale(k, Fraction(alpha))) for k in range(top + 1)])
     tol = config.effective_tol
 
     def draws():
@@ -257,11 +256,11 @@ def test_batched_interior_verdicts_equal_per_case(campaign, alpha, beta):
         return rngs, [int(rng.integers(1, top + 1)) for rng in rngs]
 
     rngs, degrees = draws()
-    reference = [_per_case_verdict(rng, degree, rows, alpha, beta, scale, tol)
+    reference = [_per_case_verdict(rng, degree, rows, scales, alpha, beta, tol)
                  for rng, degree in zip(rngs, degrees)]
-    assert harness._random_interior_verdicts(*draws(), rows, alpha, beta, scale, tol) == reference
+    assert harness._random_interior_verdicts(*draws(), rows, scales, alpha, beta, tol) == reference
     rngs, degrees = draws()
-    assert [harness._random_interior_verdicts([rng], [degree], rows, alpha, beta, scale, tol)[0]
+    assert [harness._random_interior_verdicts([rng], [degree], rows, scales, alpha, beta, tol)[0]
             for rng, degree in zip(rngs, degrees)] == reference
     cases = run_campaign(config).cases[first:]
     assert [(c["degree"], c["classification"], c["min_boundary_distance"]) for c in cases] == [
@@ -867,8 +866,8 @@ def test_cli_overflow_exits_one(monkeypatch, capsys):
 
 
 def test_large_alpha_ends_in_a_verdict_or_a_clear_error(capsys):
-    # factorial_scale underflows at alpha = 2000, so no comrade matrix picks
-    # the certificate's points and the exact Sturm count decides each case
+    # the comrade weights are the doubles of the row scale k!/(1+alpha)_k,
+    # which stay normal at alpha = 2000, so the certificate decides each case
     code = cli.main(["theorem12", "--alpha", "2000", "--deg-cap", "4", "--trials", "3"])
     assert code == 0
     assert "theorem12: 3 cases, 3 passes" in capsys.readouterr().err
@@ -960,6 +959,8 @@ PINNED_DIGESTS = [
     ("conj32-defaults-nondyadic", CampaignConfig("conj32", alpha_grid=(0.1,), beta_grid=(0.3,),
                                                  deg_cap=14, trials=200, seed=1),
      "235e1066baaa354931bdb8a7dab4029942da78adcb7ab5a342360026593267d6"),
+    ("theorem12-alpha2000", CampaignConfig("theorem12", alpha_grid=(2000.0,), deg_cap=4, trials=3),
+     "90db3ff2bc464c24d2a26a70e68ad0f44fdd152456ae14d5b46c6713f70f7f81"),
 ]
 
 

@@ -532,8 +532,8 @@ def test_comrade_roots_of_a_series():
 
 
 def test_comrade_roots_of_a_non_finite_matrix_are_nan():
-    # weights that underflowed to zero (factorial_scale at alpha = 2000) give
-    # 0 / 0 in the last row; no estimates come back, and no warning either
+    # weights that underflowed to zero give 0 / 0 in the last row; no
+    # estimates come back, and no warning either
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isnan(_series_roots([0.0] * 5, 2000.0, 2000.0)).all()

@@ -1,6 +1,7 @@
 """Transform contracts: worked examples, linearity, degree and parity
 preservation, zero preservation, and the exact integer route."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from orthozero import (
     MONOMIAL,
+    Jacobi,
     JacobiExpansion,
     JacobiFactorial,
     OrthogonalSeriesMap,
@@ -18,6 +20,7 @@ from orthozero import (
     UltraScaled,
     Ultraspherical,
     apply_transform,
+    basis_to_monomial,
     classify_roots,
     jacobi_factorial_transform,
     jacobi_transform,
@@ -34,6 +37,8 @@ from orthozero.polycore import (
     deflate_root,
     exact_verdict,
     jacobi_coefficient_rows,
+    jacobi_recurrence,
+    jacobi_rows_int,
     monic_from_roots,
     primitive_part,
     verdicts,
@@ -43,7 +48,6 @@ from orthozero.transforms import (
     exact_image,
     factorial_row_scale,
     image_enclosure,
-    jacobi_rows_int,
     ultra_row_scale,
     unit_row_scale,
 )
@@ -157,6 +161,14 @@ def test_spec_validation():
         OrthogonalSeriesMap(delta=(1.0,), h=(1.0,), family=MONOMIAL)
 
 
+def test_non_finite_parameters_and_weights_are_rejected():
+    # the maps are exact on binary rationals, which inf and nan are not
+    with pytest.raises(BadParameterError, match="finite"):
+        jacobi_transform(X_SQUARED, math.inf, 0.0)
+    with pytest.raises(NonFiniteError, match="finite"):
+        jacobi_transform(Poly((1.0, math.nan)), 0.5, 0.5)
+
+
 def test_apply_transform_dispatch():
     f = X_SQUARED
     assert apply_transform(UltraScaled(0.0), f).coeffs == ultra_transform(f, 0.0).coeffs
@@ -258,6 +270,132 @@ def test_per_degree_proportionality_of_conventions():
 
 
 # ---------------------------------------------------------------------------
+# an oracle that reads no recurrence coefficient
+# ---------------------------------------------------------------------------
+
+def _binomials(z: Fraction, top: int) -> list[Fraction]:
+    """The generalized binomial coefficients C(z, m) for m = 0..top."""
+    out = [Fraction(1)]
+    for m in range(top):
+        out.append(out[-1] * (z - m) / (m + 1))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _szego_rows(n: int, alpha, beta) -> tuple[tuple[Fraction, ...], ...]:
+    """The monomial coefficients of P_k^(alpha,beta), k <= n, in exact
+    rationals, from Szego's explicit sum (Orthogonal Polynomials, (4.3.2)),
+    which reads no recurrence coefficient:
+    P_k = sum_s C(k+alpha, k-s) C(k+beta, s) ((x-1)/2)^s ((x+1)/2)^(k-s)."""
+    a, b = Fraction(alpha), Fraction(beta)
+    rows = []
+    for k in range(n + 1):
+        ca, cb = _binomials(k + a, k), _binomials(k + b, k)
+        weights = [ca[k - s] * cb[s] / 2 ** k for s in range(k + 1)]
+        den = math.lcm(*(w.denominator for w in weights))
+        row = [0] * (k + 1)
+        for s, w in enumerate(weights):
+            w = w.numerator * (den // w.denominator)
+            for i in range(s + 1):  # (x - 1)^s (x + 1)^(k - s)
+                wc = w * math.comb(s, i) * (-1) ** (s - i)
+                for j in range(k - s + 1):
+                    row[i + j] += wc * math.comb(k - s, j)
+        rows.append(tuple(Fraction(c, den) for c in row))
+    return tuple(rows)
+
+
+def _oracle(n: int, alpha, beta) -> list[list[Fraction]]:
+    """Rows 0..n of _szego_rows, built once through degree 30 (or n)."""
+    return [list(row) for row in _szego_rows(max(n, 30), alpha, beta)[:n + 1]]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_integers(top: int, alpha, beta) -> tuple[list[list[int]], int]:
+    """_szego_rows through top as integer rows over their least common denominator."""
+    rows = _szego_rows(top, alpha, beta)
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
+
+
+def _oracle_image(weights, alpha, beta, factor=lambda k: 1) -> list[Fraction]:
+    """sum_k w_k factor(k) P_k^(alpha,beta) in exact rationals, for double
+    weights w, through the oracle's rows."""
+    n = len(weights) - 1
+    rows, den = _oracle_integers(max(n, 30), alpha, beta)
+    terms = [Fraction(w) * factor(k) for k, w in enumerate(weights)]
+    tden = math.lcm(*(t.denominator for t in terms))
+    nums = [t.numerator * (tden // t.denominator) for t in terms]
+    return [Fraction(sum(nums[k] * rows[k][j] for k in range(j, n + 1)), den * tden)
+            for j in range(n + 1)]
+
+
+def _ultra_factor(alpha):
+    """k!/(1+alpha)_k in exact rationals: k!/Gamma(k+1+alpha) over 1/Gamma(1+alpha)."""
+    a = Fraction(alpha)
+    return lambda k: math.factorial(k) / math.prod((i + 1 + a for i in range(k)), start=Fraction(1))
+
+
+def test_oracle_matches_the_first_jacobi_polynomials():
+    # P_1 = ((a + b + 2) x + a - b) / 2 and P_2^(1,1) = (15 x^2 - 3) / 4
+    a, b = Fraction(0.1), Fraction(0.3)
+    assert _oracle(1, 0.1, 0.3)[1] == [(a - b) / 2, (a + b + 2) / 2]
+    assert _oracle(2, 1, 1)[2] == [Fraction(-3, 4), 0, Fraction(15, 4)]
+    assert _oracle(3, 0, 0)[3] == [0, Fraction(-3, 2), 0, Fraction(5, 2)]
+
+
+def test_recurrence_ratios_hold_on_the_oracle():
+    # (A x + B) P_k - C P_(k-1) is P_(k+1) in exact rationals, and the
+    # double ratios are those Fractions rounded once
+    for alpha, beta in [(0.1, 0.3), (-0.99, 7.0), (2.5, 1.0), (-0.5, -0.5)]:
+        a, b = Fraction(alpha), Fraction(beta)
+        rows = _oracle(12, a, b)
+        for k in range(12):
+            big_a, big_b, c = jacobi_recurrence(k, a, b)
+            nxt = [big_b * v for v in rows[k]] + [0]
+            for j, v in enumerate(rows[k]):
+                nxt[j + 1] += big_a * v
+            for j, v in enumerate(rows[k - 1] if k else []):
+                nxt[j] -= c * v
+            assert nxt == rows[k + 1], (alpha, beta, k)
+            assert jacobi_recurrence(k, alpha, beta) == (float(big_a), float(big_b), float(c))
+
+
+# (alpha, beta) of the correct-rounding checks: non-dyadic, the ultraspherical
+# alpha = 0.3, and integer parameters
+ROUNDING_PARAMS = [(0.1, 0.3), (0.3, 0.3), (2.0, 3.0), (0.0, 0.0), (2.0, 2.0)]
+
+
+@pytest.mark.parametrize("alpha,beta", ROUNDING_PARAMS)
+def test_library_transforms_round_the_exact_image_once(alpha, beta):
+    # every coefficient of every library transform, and of basis_to_monomial,
+    # is float(E_j) of the exact image E of its double weights, for degrees
+    # 0 to 30; ultra_transform's is float(E_j g), g = 1/Gamma(1+alpha) the
+    # double it multiplies by
+    rng = np.random.default_rng(17)
+    for degree in range(31):
+        f = Poly(tuple(rng.normal(size=degree).tolist() + [rng.uniform(0.5, 2.0)]), tau_trim=0.0)
+        a = f.coeffs
+        rounded = tuple(float(e) for e in _oracle_image(a, alpha, beta))
+        assert jacobi_transform(f, alpha, beta).coeffs == rounded, degree
+        assert basis_to_monomial(Poly(a, Jacobi(alpha, beta)), tau_trim=0.0).coeffs == rounded
+        assert jacobi_factorial_transform(f, alpha, beta).coeffs == tuple(
+            float(e) for e in _oracle_image(a, alpha, beta, lambda k: Fraction(1, math.factorial(k))))
+        if alpha != beta:
+            continue
+        assert basis_to_monomial(Poly(a, Ultraspherical(alpha)), tau_trim=0.0).coeffs == rounded
+        g = Fraction(1 / math.gamma(1 + alpha))
+        assert ultra_transform(Poly((1.0,)), alpha).coeffs == (float(g),)
+        assert ultra_transform(f, alpha).coeffs == tuple(
+            float(e * g) for e in _oracle_image(a, alpha, alpha, _ultra_factor(alpha))), degree
+        spec = ultra_series_spec(alpha, 30)
+        weights = [ak / (spec.delta[k] * spec.h[k]) for k, ak in enumerate(a)]
+        assert orthogonal_series_transform(a, spec).coeffs == tuple(
+            float(e) for e in _oracle_image(weights, alpha, alpha))
+    if alpha == beta == 0.0:
+        assert legendre_transform(f).coeffs == ultra_transform(f, 0.0).coeffs
+
+
+# ---------------------------------------------------------------------------
 # exact integer route
 # ---------------------------------------------------------------------------
 
@@ -269,14 +407,17 @@ def test_boundary_input_coeffs():
 
 
 def test_exact_rows_match_float_rows():
-    # Fraction parameters select the exact route of the same recurrence
-    for alpha, beta in [(2, 3), (Fraction(-1, 2), Fraction(0.3))]:
-        exact = jacobi_coefficient_rows(8, Fraction(alpha), Fraction(beta))
-        approx = jacobi_coefficient_rows(8, float(alpha), float(beta))
+    # Fraction parameters give the oracle's Fractions, and doubles give each
+    # of them rounded once
+    for alpha, beta in [(2, 3), (Fraction(-1, 2), Fraction(0.3)), (0.1, 0.3), (-0.99, 7.0)]:
+        exact = jacobi_coefficient_rows(12, Fraction(alpha), Fraction(beta))
+        approx = jacobi_coefficient_rows(12, float(alpha), float(beta))
+        want = _oracle(12, Fraction(alpha), Fraction(beta))
         assert exact.dtype == object and approx.dtype == float
-        assert all(isinstance(v, Fraction) for k in range(9) for v in exact[k, : k + 1])
-        for k in range(9):
-            assert np.allclose([float(v) for v in exact[k]], approx[k], rtol=1e-13)
+        assert all(isinstance(v, Fraction) for k in range(13) for v in exact[k, : k + 1])
+        for k in range(13):
+            assert list(exact[k, : k + 1]) == want[k]
+            assert approx[k, : k + 1].tolist() == [float(v) for v in want[k]]
 
 
 def test_exact_transform_matches_float_transform():
@@ -336,10 +477,9 @@ def test_integer_image_is_a_positive_multiple_of_the_exact_image(alpha):
         roots[0] = 2.0 ** -70  # a tiny root needs a large power-of-two shift
         image = exact_image(roots, rows)
         coeffs = monic_from_roots([Fraction(r) for r in roots])
-        scale = [math.factorial(k) / math.prod((i + 1 + a for i in range(k)), start=Fraction(1))
-                 for k in range(degree + 1)]
-        exact = [sum(coeffs[k] * scale[k] * jacobi_coefficient_rows(degree, a, a)[k, j]
-                     for k in range(j, degree + 1)) for j in range(degree + 1)]
+        scale, oracle = _ultra_factor(alpha), _oracle(degree, a, a)
+        exact = [sum(coeffs[k] * scale(k) * oracle[k][j] for k in range(j, degree + 1))
+                 for j in range(degree + 1)]
         ratio = Fraction(image[-1]) / exact[-1]
         assert ratio > 0
         assert [Fraction(c) for c in image] == [ratio * c for c in exact]
@@ -352,13 +492,13 @@ def test_integer_image_is_a_positive_multiple_of_the_exact_image(alpha):
     # and with the 1/k! scale: a positive multiple of the Fraction image,
     # with the same multiplicities at +-1 and the residual the same multiple
     b = Fraction(BOUNDARY_BETA[alpha])
-    jacobi = jacobi_coefficient_rows(8, a, b)
+    jacobi = _oracle(8, a, b)
     for row_scale, factor in ((unit_row_scale, lambda k: 1),
                               (factorial_row_scale, lambda k: Fraction(1, math.factorial(k)))):
         rows = jacobi_rows_int(8, alpha, float(b), row_scale)
         for n, m in boundary_pairs(8):
             coeffs = monic_from_roots([1] * n + [-1] * m)
-            exact = [sum(coeffs[k] * factor(k) * jacobi[k, j] for k in range(j, n + m + 1))
+            exact = [sum(coeffs[k] * factor(k) * jacobi[k][j] for k in range(j, n + m + 1))
                      for j in range(n + m + 1)]
             image = exact_image([1.0] * n + [-1.0] * m, rows)
             ratio = Fraction(image[-1]) / exact[-1]
@@ -382,11 +522,11 @@ ROW_PARAMS = [-0.5, 0.0, 0.1, 0.3, 1.0, 2.5]
 
 
 def _fraction_rows(deg_cap, alpha, beta, scale):
-    """The integer rows through Fraction object arrays: D scale(k) times the
+    """The integer rows from the oracle's Fractions: D scale(k) times the
     exact Jacobi rows, D the least common denominator."""
     a = Fraction(alpha)
-    rows = jacobi_coefficient_rows(deg_cap, a, Fraction(beta))
-    scaled = [[Fraction(scale(k, a)) * c for c in rows[k, : k + 1]] for k in range(deg_cap + 1)]
+    rows = _oracle(deg_cap, a, Fraction(beta))
+    scaled = [[Fraction(scale(k, a)) * c for c in rows[k]] for k in range(deg_cap + 1)]
     den = math.lcm(*(c.denominator for row in scaled for c in row))
     return [[c.numerator * (den // c.denominator) for c in row] for row in scaled]
 
