@@ -23,7 +23,6 @@ from .harness import (
     run_campaign,
     run_selftest,
 )
-from .precision import parse_precision
 
 CAMPAIGN_DEFAULTS = {
     "theorem12": dict(alpha=(-0.5, 0.0, 0.5, 1.0, 2.5), beta=(0.0,),
@@ -172,7 +171,6 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "selftest":
-            parse_precision(args.precision)
             results = run_selftest(args.precision)
             ok = True
             for name, passed, detail in results:
@@ -183,7 +181,6 @@ def main(argv=None) -> int:
         if args.config:
             _merge_config(args, load_config_file(args.config))
         config = _config_from_args(args)
-        parse_precision(config.precision)
 
         report = run_campaign(config)
         fmt = args.format or "json"

@@ -65,7 +65,6 @@ from .signreg import (
     ssr_scan,
 )
 from .transforms import (
-    dd_rows,
     exact_image,
     factorial_row_scale,
     image_enclosure,
@@ -116,6 +115,7 @@ class CampaignConfig:
             raise BadParameterError(f"tol must lie in (0, 1), got {self.tol}")
         if self.campaign == "biortho-equiv" and -0.5 in self.alpha_grid:
             raise BadParameterError(EQUIV_ALPHA_HALF)
+        parse_precision(self.precision)
 
     @property
     def policy(self) -> PrecisionPolicy:
@@ -263,13 +263,13 @@ def _random_interior_verdicts(rngs, degrees, rows, scales, alpha, beta, tol) -> 
     per-degree scale (_rows).
 
     One numpy pass encloses every image in double-double arithmetic
-    (image_enclosure, on dd_rows(rows)); the monic products a are its hi
-    parts, and one eigvals call per degree gives the estimates. The exact
-    integer image (exact_image) is built only for a case whose signs or
-    extreme roots the enclosure cannot settle.
+    (image_enclosure); the monic products a are its hi parts, and one
+    eigvals call per degree gives the estimates. The exact integer image
+    (exact_image) is built only for a case whose signs or extreme roots the
+    enclosure cannot settle.
     """
     roots = [random_interior_roots(rng, degree) for rng, degree in zip(rngs, degrees)]
-    monic, images = image_enclosure(roots, rows, dd_rows(rows))
+    monic, images = image_enclosure(roots, rows)
     approx = [None] * len(roots)
     for degree in sorted(set(degrees)):
         group = [c for c, d in enumerate(degrees) if d == degree]
@@ -277,6 +277,16 @@ def _random_interior_verdicts(rngs, degrees, rows, scales, alpha, beta, tol) -> 
                                                      * scales[:degree + 1], alpha, beta)):
             approx[c] = estimates
     return verdicts(images, tol, approx)
+
+
+def _open_outcome(flag: RootLocation) -> str:
+    """The outcome of a random interior-rooted case judged against the open
+    interval: a root on the band around +-1 may lie inside, so it is
+    indeterminate, and only a root outside the band or a non-real root is a
+    violation."""
+    return ("pass" if flag is RootLocation.ALL_STRICTLY_INSIDE
+            else "indeterminate" if flag is RootLocation.SOME_ON_BOUNDARY
+            else "violation")
 
 
 @functools.lru_cache(maxsize=1)  # a sweep visits one grid point at a time
@@ -323,9 +333,7 @@ def run_theorem12_campaign(config: CampaignConfig) -> CampaignReport:
             "classification": classification.value,
             "min_boundary_distance": min_boundary_distance(found, (-1.0, 1.0)),
             "proven": True,
-            "outcome": ("pass" if classification is RootLocation.ALL_STRICTLY_INSIDE
-                        else "indeterminate" if classification is RootLocation.SOME_ON_BOUNDARY
-                        else "violation"),
+            "outcome": _open_outcome(classification),
         } for degree, (classification, found) in zip(degrees, decided)]
 
     # the trials of one alpha are one group
@@ -366,9 +374,7 @@ def run_conjecture32_campaign(config: CampaignConfig) -> CampaignReport:
             rngs = [_rng(config, i) for i in indices]
             degrees = [int(rng.integers(1, 10)) for rng in rngs]
             out = [(f"random_interior(degree={degree})", degree, "random", flag, roots, None,
-                    "pass" if flag is RootLocation.ALL_STRICTLY_INSIDE
-                    else "indeterminate" if flag is RootLocation.SOME_ON_BOUNDARY
-                    else "violation")
+                    _open_outcome(flag))
                    for degree, (flag, roots) in zip(degrees, _random_interior_verdicts(
                        rngs, degrees, rows, scales, alpha, beta, tol))]
         exploratory = not (float(alpha).is_integer() and float(beta).is_integer()

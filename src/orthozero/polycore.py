@@ -649,6 +649,23 @@ def _dd_split(c: int, s: int) -> tuple[float, float, float]:
     return parts[0], parts[1], math.nextafter(abs(_to_double(num, k)), math.inf) if num else 0.0
 
 
+def _dd_coefficients(polys: list[list[int]], common: bool = False) -> np.ndarray:
+    """The integer polynomials polys as a (3, len(polys), width) array of
+    hi, lo and radius, zero past each one's end: coefficient j of p over
+    the power of two that brings max |p_i| into [1, 2), for each p on its
+    own or for all of them together when common, split into hi + lo
+    (_dd_split), exactly where it fits 106 bits and with the radius of the
+    rest otherwise."""
+    shifts = [max(max(abs(v) for v in p).bit_length() - 1, 0) for p in polys]
+    if common:
+        shifts = [max(shifts, default=0)] * len(polys)
+    out = np.zeros((3, len(polys), max((len(p) for p in polys), default=1)))
+    for c, (p, s) in enumerate(zip(polys, shifts)):
+        for j, v in enumerate(p):
+            out[:, c, j] = _dd_split(v, s)
+    return out
+
+
 class Enclosure:
     """Integer polynomials, row c known up to a positive factor: its
     coefficient j lies within radius[c, j] of the dd number hi[c, j] +
@@ -663,16 +680,9 @@ class Enclosure:
 
     @classmethod
     def of_integers(cls, polys: list[list[int]]) -> Enclosure:
-        """The integer polynomials themselves, each over the power of two
-        that brings max |p_i| into [1, 2), split exactly into hi + lo where
-        they fit 106 bits and with the radius of the rest otherwise."""
-        top = max((len(p) for p in polys), default=1)
-        out = np.zeros((3, len(polys), top))
-        for c, p in enumerate(polys):
-            s = max(max(abs(v) for v in p).bit_length() - 1, 0)
-            for j, v in enumerate(p):
-                out[:, c, j] = _dd_split(v, s)
-        return cls(*out, [len(p) - 1 for p in polys], polys.__getitem__)
+        """The integer polynomials themselves, each over its own power of
+        two (_dd_coefficients)."""
+        return cls(*_dd_coefficients(polys), [len(p) - 1 for p in polys], polys.__getitem__)
 
     def __len__(self) -> int:
         return len(self.degrees)
@@ -840,13 +850,25 @@ def _read_roots(enc: Enclosure, rows, lo, hi, s_lo, guess):
 
 
 def _nearest_roots(enc: Enclosure, rows, lo, hi, s_lo, guess) -> list[float]:
-    """_read_roots' doubles, with _root_between's reading on the exact
-    polynomial, inside the narrowed bracket and from the last double
-    reached, wherever the filter did not certify one."""
+    """_read_roots' doubles, and wherever the filter did not certify one,
+    _bisect_to_double's on the exact polynomial: inside the narrowest of
+    _BRACKETS around the last double reached whose ends' exact signs hold
+    the root, or else inside the narrowed bracket."""
     x, certified, lo, hi = _read_roots(enc, rows, lo, hi, s_lo, guess)
-    return [root if ok else _root_between(enc.exact(c), a, b, int(s), root)
-            for c, root, ok, a, b, s in zip(rows, x.tolist(), certified.tolist(), lo.tolist(),
-                                            hi.tolist(), s_lo)]
+    found = []
+    for c, root, ok, a, b, s in zip(rows, x.tolist(), certified.tolist(), lo.tolist(),
+                                    hi.tolist(), s_lo):
+        if not ok:
+            p = enc.exact(c)
+            for half in _BRACKETS:
+                near = max(a, root - half), min(b, root + half)
+                if _sign_at_double(p, near[0]) == s and _sign_at_double(p, near[1]) != s:
+                    a, b = near
+                    break
+            (num_a, num_b), k = dyadic_numerators([a, b])
+            root = _bisect_to_double(p, num_a, num_b, k)
+        found.append(root)
+    return found
 
 
 def _derivative_at(hi, x):
@@ -859,43 +881,6 @@ def _derivative_at(hi, x):
     return acc
 
 
-def _root_between(p: list[int], lo: float, hi: float, s_lo: int, guess: float) -> float:
-    """The double nearest the one root of p in (lo, hi), where p has the
-    nonzero sign s_lo at lo and the opposite one at hi, from exact signs.
-
-    A double x in (lo, hi) is certified when the exact signs of p at the
-    midpoints to its neighbouring doubles bracket the root, since every
-    point between those midpoints rounds to it; from guess, a sign that
-    puts the root beyond a midpoint moves x one double that way, up to
-    _WALK times. Otherwise bisection starts from the first of the narrow
-    brackets around guess that holds the root.
-    """
-    x = guess
-    for _ in range(_WALK):
-        if not lo < x < hi:  # lo and hi are doubles, so both midpoints lie in (lo, hi)
-            break
-        below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
-        s, tie = _sign_between(p, below, x)
-        if s == 0:  # the root itself
-            return tie
-        if s != s_lo:  # the root lies below the lower midpoint
-            x = below
-            continue
-        s, tie = _sign_between(p, x, above)
-        if s == 0:
-            return tie
-        if s != s_lo:
-            return x
-        x = above
-    for half in _BRACKETS:
-        a, b = max(lo, guess - half), min(hi, guess + half)
-        if _sign_at_double(p, a) == s_lo and _sign_at_double(p, b) != s_lo:
-            lo, hi = a, b
-            break
-    (num_lo, num_hi), k = dyadic_numerators([lo, hi])
-    return _bisect_to_double(p, num_lo, num_hi, k)
-
-
 # ---------------------------------------------------------------------------
 # sign-change certificate: approximate roots pick points, certified signs decide
 # ---------------------------------------------------------------------------
@@ -906,13 +891,11 @@ def _root_between(p: list[int], lo: float, hi: float, s_lo: int, guess: float) -
 # (filtered_signs), and the certificate takes a whole batch, padded to its
 # largest degree, in one pass; a single polynomial is a batch of one.
 
-# Half-widths of the brackets tried around an estimate before its whole gap.
-# Most estimates are within the first, and each halving it saves is one
-# exact sign evaluation; the second catches most of the rest.
+# Half-widths of the brackets that _nearest_roots tries around the last
+# double the dd reader reached before its whole bracket: that double is
+# rarely more than a few ulps from the root, each halving a bracket saves is
+# one exact sign evaluation, and the second catches most of the rest.
 _BRACKETS = (2.0 ** -46, 2.0 ** -32)
-# Doubles _root_between steps from its guess, which the dd reader leaves
-# within a double or two of the root, before it bisects.
-_WALK = 4
 # Passes of _read_roots before the exact route takes over; from the comrade
 # estimates the first pass's Newton step usually lands and the second
 # confirms.
@@ -1250,10 +1233,11 @@ def verdicts(polys, tol: float, approx=None, read_roots=None) -> list:
     +-1: its counts below them are _locate's, since no root sits on a mark,
     and every root lies in (-1, 1) when none is below -1 and all are below
     1. Only then are roots read, the extremes inside gaps that those marks
-    bracket (_read_roots, and _root_between where it fails); otherwise they
-    are diagnostic_roots. Where the certificate fails, Sturm counts decide
-    on the exact polynomial, so no verdict rests on a root finder, and the
-    exact polynomial is built only where a sign or a root needs it.
+    bracket (_nearest_roots: the dd reader, and exact bisection where it
+    fails); otherwise they are diagnostic_roots. Where the certificate
+    fails, Sturm counts decide on the exact polynomial, so no verdict rests
+    on a root finder, and the exact polynomial is built only where a sign
+    or a root needs it.
     """
     enc = polys if isinstance(polys, Enclosure) else Enclosure.of_integers(polys)
     read_roots = [True] * len(enc) if read_roots is None else read_roots

@@ -31,7 +31,7 @@ class PrecisionPolicy:
             raise BadParameterError(f"unknown precision mode {self.mode!r}")
         if self.mode == "extended":
             if self.bits is None or self.bits < 64:
-                raise BadParameterError("extended mode requires bits >= 64")
+                raise BadParameterError(f"extended precision requires bits >= 64, got {self.bits}")
 
     @property
     def extended(self) -> bool:
@@ -47,10 +47,12 @@ def extended(bits: int = 128) -> PrecisionPolicy:
 
 
 def parse_precision(text: str) -> PrecisionPolicy:
-    """Parse a CLI precision string: "double" or "extended:<bits>"."""
+    """Parse a precision string: "double", "extended" (128 bits) or
+    "extended:<bits>"."""
+    mode, colon, bits = text.partition(":")
     if text == "double":
         return DOUBLE
-    if text.startswith("extended"):
-        _, _, bits = text.partition(":")
-        return extended(int(bits) if bits else 128)
-    raise BadParameterError(f"cannot parse precision {text!r}")
+    if mode == "extended" and (not colon or bits.isdecimal()):
+        return extended(int(bits) if colon else 128)
+    raise BadParameterError(f"cannot parse precision {text!r}: expected double, extended "
+                            "or extended:<bits>")

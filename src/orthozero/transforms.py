@@ -24,10 +24,10 @@ enclosed coefficient is derived here, once:
   |c^_j - c_j|: each step adds the bound of c_(j-1), |r| times that of
   c_j, _DD_MUL_FP |r c^_j| for the product and _DD_ADD |c^_j| for the new
   sum.
-- The rows over 2^s are dd numbers R^ within rho of the exact R / 2^s
-  (dd_rows), and the image b^_j = sum_k c^_k R^_kj is summed in dd with a
-  running bound of _DD_MUL |c^_k R^_kj| per product and _DD_ADD |b^_j| per
-  partial sum.
+- The rows over one power of two 2^s are dd numbers R^ within rho of the
+  exact R / 2^s (polycore._dd_coefficients), and the image b^_j = sum_k
+  c^_k R^_kj is summed in dd with a running bound of _DD_MUL |c^_k R^_kj|
+  per product and _DD_ADD |b^_j| per partial sum.
 - So |b^_j - b_j| <= running_j + sum_k e_k |R^_kj| + sum_k (|c^_k| + e_k)
   rho_kj, plus 2 _DD_ETA per step where a product underflows. The
   radius, summed in double, is widened by 1 + (8n + 40) 2^-52 for its own
@@ -56,8 +56,8 @@ from .polycore import (
     Poly,
     Ultraspherical,
     _dd_add,
+    _dd_coefficients,
     _dd_mul,
-    _dd_split,
     basis_to_monomial,
     check_params,
     dyadic_numerators,
@@ -252,25 +252,11 @@ def unit_row_scale(k: int, alpha: Fraction) -> int:
     return 1
 
 
-def dd_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The integer rows over the power of two 2^s that brings their largest
-    entry into [1, 2), as (n + 1, n + 1) arrays hi, lo and radius: entry
-    [k, j] is rows[k][j] / 2^s split into hi + lo (polycore._dd_split),
-    exactly where it fits 106 bits, and zero above the diagonal."""
-    n = len(rows) - 1
-    s = max(max(abs(c) for row in rows for c in row).bit_length() - 1, 0)
-    out = np.zeros((3, n + 1, n + 1))
-    for k, row in enumerate(rows):
-        for j, c in enumerate(row):
-            out[:, k, j] = _dd_split(c, s)
-    return out[0], out[1], out[2]
-
-
-def image_enclosure(roots, rows, rows_dd) -> tuple[np.ndarray, Enclosure]:
+def image_enclosure(roots, rows) -> tuple[np.ndarray, Enclosure]:
     """The monic products prod_r (x - r) for the double root lists of
     roots, in double (the hi parts of their dd coefficients), and the
     Enclosure of their images through rows, whose exact(c) is
-    exact_image(roots[c], rows); rows_dd is dd_rows(rows).
+    exact_image(roots[c], rows).
 
     One numpy pass over all the cases, padded to the largest degree, takes
     the products and the images in dd arithmetic (see the module's error
@@ -295,7 +281,7 @@ def image_enclosure(roots, rows, rows_dd) -> tuple[np.ndarray, Enclosure]:
             error[:m, :w] = (_shifted(error[:m, :w]) + sizes[:m, i:i + 1] * error[:m, :w]
                              + _DD_MUL_FP * np.abs(ph) + _DD_ADD * np.abs(sh) + 2 * _DD_ETA)
             ch[:m, :w], cl[:m, :w] = sh, sl
-        hi_rows, lo_rows, radius_rows = (v[:top + 1, :top + 1] for v in rows_dd)
+        hi_rows, lo_rows, radius_rows = _dd_coefficients(rows, common=True)[:, :top + 1, :top + 1]
         bh, bl = np.zeros((cases, top + 1)), np.zeros((cases, top + 1))
         radius = np.zeros((cases, top + 1))
         for k in range(top + 1):  # the image: b_j += c_k R_kj, for j <= k

@@ -39,7 +39,6 @@ from orthozero.polycore import (
     Enclosure,
     _bisect_to_double,
     _nearest_roots,
-    _root_between,
     _sign_at_double,
     comrade_roots,
     count_roots,
@@ -665,8 +664,9 @@ POLISH_ULPS = st.one_of(st.integers(-20, 20), st.sampled_from([2**30, -2**40, 2*
 @example(target=Fraction(1, 3), others=[Fraction(1, 2), Fraction(-1, 2)], lead=2, ulps=2**52)
 def test_polishing_returns_the_bisected_double(target, others, lead, ulps):
     # the dd reader's Newton steps and midpoint signs, and the exact
-    # midpoint check, each return exactly the double that bisection finds,
-    # the root's correctly rounded value (ties to even)
+    # fallback on an enclosure whose infinite radii settle no sign, each
+    # return exactly the double that bisection finds, the root's correctly
+    # rounded value (ties to even)
     roots = sorted({target, *(r for r in others if abs(r - target) > Fraction(1, 1000))})
     p = primitive_part([lead * c for c in monic_from_roots(roots)])
     i = roots.index(target)
@@ -678,8 +678,10 @@ def test_polishing_returns_the_bisected_double(target, others, lead, ulps):
     want = _bisect_to_double(p, num_lo, num_hi, k)
     assert want == float(target)
     s_lo = _sign_at_double(p, lo)
-    assert _root_between(p, lo, hi, s_lo, guess) == want
-    assert _nearest_roots(Enclosure.of_integers([p]), [0], [lo], [hi], [s_lo], [guess]) == [want]
+    enc = Enclosure.of_integers([p])
+    assert _nearest_roots(enc, [0], [lo], [hi], [s_lo], [guess]) == [want]
+    blind = Enclosure(enc.hi, enc.lo, np.full_like(enc.radius, np.inf), enc.degrees, enc.exact)
+    assert _nearest_roots(blind, [0], [lo], [hi], [s_lo], [guess]) == [want]
 
 
 def test_polishing_bisects_only_when_newton_misses(monkeypatch):

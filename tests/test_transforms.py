@@ -44,7 +44,6 @@ from orthozero.polycore import (
     verdicts,
 )
 from orthozero.transforms import (
-    dd_rows,
     exact_image,
     factorial_row_scale,
     image_enclosure,
@@ -546,7 +545,7 @@ def test_integer_rows_equal_the_fraction_rows(scale):
 
 def _scaled_image(roots, rows) -> list[Fraction]:
     """The polynomial image_enclosure encloses: prod_r (x - r) through rows
-    over the power of two of dd_rows."""
+    over the power of two that brings their largest entry into [1, 2)."""
     s = max(max(abs(c) for row in rows for c in row).bit_length() - 1, 0)
     coeffs = monic_from_roots([Fraction(r) for r in roots])
     return [Fraction(sum(coeffs[k] * rows[k][j] for k in range(j, len(coeffs))), 2 ** s)
@@ -564,7 +563,7 @@ def test_image_enclosure_holds_the_exact_image(alpha, beta, scale):
     rows = jacobi_rows_int(30, alpha, beta, scale)
     roots = [rng.uniform(-0.99, 0.99, d) for d in (30, 1, 17, 2, 30, 9)]
     roots.append(np.array([0.5, 0.5 + 2.0 ** -40, 1 - 2.0 ** -30, -(1 - 2.0 ** -45), 2.0 ** -1000]))
-    monic, enc = image_enclosure(roots, rows, dd_rows(rows))
+    monic, enc = image_enclosure(roots, rows)
     for c, r in enumerate(roots):
         want = _scaled_image(r, rows)
         n = len(r)
@@ -583,7 +582,7 @@ def _dd_and_exact(roots, alpha, beta, scale, tol=1e-8):
     image's hi coefficients as estimates, against exact_verdict on its
     exact image."""
     rows = jacobi_rows_int(max(len(r) for r in roots), alpha, beta, scale)
-    _, enc = image_enclosure(roots, rows, dd_rows(rows))
+    _, enc = image_enclosure(roots, rows)
     got = verdicts(enc, tol)
     want = [exact_verdict(primitive_part(exact_image(r, rows)), tol) for r in roots]
     return got, want
