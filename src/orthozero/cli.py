@@ -11,8 +11,6 @@ import argparse
 import math
 import sys
 
-from mpmath.libmp import NoConvergence
-
 from .errors import OrthozeroError
 from .harness import (
     CampaignConfig,
@@ -198,9 +196,6 @@ def main(argv=None) -> int:
         return 2 if has_proven_violation(report) else 0
     except (OrthozeroError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except NoConvergence as exc:  # an mpmath iteration ran out of steps
-        sys.stderr.write(f"error: extended-precision iteration did not converge: {exc}\n")
         return 1
     except OverflowError as exc:  # a Python float result beyond the double range
         sys.stderr.write(f"error: a value overflowed the double range "

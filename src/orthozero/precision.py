@@ -6,6 +6,10 @@ the policy's working precision; no other campaign reads it. Determinant
 signs come from enclosures of the exact determinants, and where roots lie
 is decided exactly, so the policy carries no tolerance: the root
 classification's default DEFAULT_TAU_ROOT is a constant.
+
+mpmath is a dependency of the extended policy only: an extended policy
+imports it when it is made, so a run pays for it at set-up. A double
+campaign never imports it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ class PrecisionPolicy:
         if self.mode == "extended":
             if self.bits is None or self.bits < 64:
                 raise BadParameterError(f"extended precision requires bits >= 64, got {self.bits}")
+            import mpmath  # noqa: F401  (an extended run pays for it at set-up)
 
     @property
     def extended(self) -> bool:

@@ -27,6 +27,7 @@ certified under that error model, and rigorous only where it is not used.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -34,7 +35,6 @@ from enum import Enum
 from types import SimpleNamespace
 from typing import Callable, ClassVar
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -91,16 +91,26 @@ UNIT_SQUARE = Domain((-1.0, 1.0), (-1.0, 1.0))
 # half-integer e; and mpmath's power, which for half-integer e already takes
 # the square root (with 10 guard bits), then the integer power (exact and
 # rounded once, or binary powering with guard bits), then the reciprocal, so
-# it runs _Interval.pow's operations with fewer roundings.
+# it runs _Interval.pow's operations with fewer roundings. Only the extended
+# policy and ssr_minor compute in mpmath, so its route is built on first use
+# (_mpmath_route), and a double run never imports it.
 _NUMPY = SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt,
                          pow=lambda base, e: base ** float(e))
-_MPMATH = SimpleNamespace(num=mpmath.mpf, exp=np.frompyfunc(mpmath.exp, 1, 1),
-                          sqrt=np.frompyfunc(mpmath.sqrt, 1, 1),
-                          pow=lambda base, e: base ** mpmath.mpf(e))
 _INTERVAL = SimpleNamespace(num=_Interval.lift, exp=_Interval.exp, sqrt=_Interval.sqrt,
                             pow=_Interval.pow)
 _SERIES = SimpleNamespace(num=float, sqrt=Series.sqrt, pow=operator.pow)
-_lift = np.frompyfunc(mpmath.mpf, 1, 1)  # floats to mpf at the working precision
+
+
+@functools.cache
+def _mpmath_route() -> SimpleNamespace:
+    """The mpmath route, with `lift` (floats to mpf at the working
+    precision) and `workprec` (mpmath's precision context)."""
+    import mpmath
+
+    return SimpleNamespace(num=mpmath.mpf, exp=np.frompyfunc(mpmath.exp, 1, 1),
+                           sqrt=np.frompyfunc(mpmath.sqrt, 1, 1),
+                           pow=lambda base, e: base ** mpmath.mpf(e),
+                           lift=np.frompyfunc(mpmath.mpf, 1, 1), workprec=mpmath.workprec)
 
 
 class _Formula:
@@ -118,7 +128,8 @@ class _Formula:
     def evaluate_exact(self, x, y):
         """One mpf for scalar x, y; for arrays, an object array of mpf
         broadcast as `evaluate` broadcasts."""
-        return self.formula(_lift(x), _lift(y), _MPMATH)
+        route = _mpmath_route()
+        return self.formula(route.lift(x), route.lift(y), route)
 
     def evaluate_interval(self, x, y) -> _Interval:
         """Intervals enclosing the exact value of the formula at the doubles
@@ -271,7 +282,8 @@ class FactorWrappedKernel:
         # the wrapping factors act as a rank-one rescaling, so evaluating
         # them in double does not disturb determinant sign or conditioning
         phi, psi = self._factors(x, y)
-        return _lift(phi) * _lift(psi) * self.base.evaluate_exact(x, y)
+        lift = _mpmath_route().lift
+        return lift(phi) * lift(psi) * self.base.evaluate_exact(x, y)
 
     @property
     def refines(self) -> bool:
@@ -304,7 +316,7 @@ class CustomKernel:
 
     def evaluate_exact(self, x, y):
         # the callable runs in double; only its values are lifted
-        return _lift(self.evaluate(x, y))
+        return _mpmath_route().lift(self.evaluate(x, y))
 
     def evaluate_interval(self, x, y) -> _Interval:
         values = self.evaluate(x, y)
@@ -343,7 +355,7 @@ def _minor_matrices(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> np.ndarra
     policy mpf entries built at the working precision."""
     x, y = xs[:, :, None], ys[:, None, :]
     if policy.extended:
-        with mpmath.workprec(policy.bits):
+        with _mpmath_route().workprec(policy.bits):
             return spec.evaluate_exact(x, y)
     return np.asarray(spec.evaluate(x, y), float)
 
@@ -384,8 +396,9 @@ def ssr_minor(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> float:
         raise BadTupleError("minor order capped at 8")
     matrix = _minor_matrices(spec, xs[None], ys[None], policy)[0]
     if not policy.extended:
-        with mpmath.workprec(53):  # doubles lift exactly
-            matrix = _lift(matrix)
+        route = _mpmath_route()
+        with route.workprec(53):  # doubles lift exactly
+            matrix = route.lift(matrix)
     return _exact_det(matrix)
 
 

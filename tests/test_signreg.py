@@ -925,10 +925,11 @@ def test_mpmath_power_route_is_mpmath_power(bits):
     # to within an ulp of the exact value for half-integer exponents up to 8
     rng = np.random.default_rng(bits)
     bases = rng.uniform(0.0, 4.0, 40) ** 3
+    route = signreg._mpmath_route()
     with mpmath.workprec(bits):
-        lifted = signreg._lift(bases)
+        lifted = route.lift(bases)
         for e in [k / 2 for k in range(-16, 17)] + [0.3, -2.7]:
-            powers = signreg._MPMATH.pow(lifted, e)
+            powers = route.pow(lifted, e)
             for base, power in zip(bases.tolist(), powers):
                 assert power._mpf_ == mpmath.power(base, e)._mpf_, (base, e)
                 if float(2 * e).is_integer():
@@ -1078,7 +1079,7 @@ class _Loose:
         return self.base.evaluate(x, y)
 
     def evaluate_exact(self, x, y):
-        return signreg._lift(self.evaluate(x, y))
+        return signreg._mpmath_route().lift(self.evaluate(x, y))
 
     def evaluate_interval(self, x, y):
         values = self.evaluate(x, y)

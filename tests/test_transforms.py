@@ -595,7 +595,8 @@ ROOT_LISTS = st.lists(st.one_of(
     st.floats(2.0 ** -1020, 2.0 ** -980)), min_size=1, max_size=12)
 
 
-@settings(max_examples=30, deadline=None)
+# derandomized: the same draws, and so the same time, on every run
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(cases=st.lists(ROOT_LISTS, min_size=1, max_size=3),
        params=st.sampled_from([(0.0, 0.0, ultra_row_scale), (2.0, 2.0, ultra_row_scale),
                                (-0.5, -0.5, ultra_row_scale), (0.1, 0.3, unit_row_scale),
