@@ -12,7 +12,10 @@ certificate's signs, and the nearest doubles of roots, are read on a
 double-double enclosure of each polynomial (Enclosure, filtered_signs,
 _read_roots), with an a-priori error bound that certifies each sign it
 settles; the exact integer polynomial is built, and its signs taken in
-integers, only where that bound does not settle one. Double eigenvalues
+integers, only where that bound does not settle one. One function,
+_nearest_roots, reads every root reported as a double, for verdicts and
+the Sturm route (nearest_double_roots) alike: the enclosure's reader
+first, exact bisection where it certifies none. Double eigenvalues
 (poly_roots, diagnostic_roots) are diagnostics only.
 """
 
@@ -457,9 +460,10 @@ def nearest_double_roots(seq: list[list[int]], lo: int, hi: int, indices=None) -
     One pass of Sturm bisection isolates them: an interval is halved while
     it holds a wanted root and another root, and its ends round to different
     doubles (once they round to the same one, every root inside does too).
-    Each isolated root is then read by _read_roots on p's enclosure, inside
-    the doubles of its interval, from the nearest of p's diagnostic_roots;
-    bisection on the exact sign of p (_bisect_to_double) reads the rest.
+    _nearest_roots then reads the isolated roots on p's enclosure, each
+    from the nearest of p's diagnostic_roots inside its interval, whose ends
+    are doubles unless it is narrower than an ulp or leaves the doubles;
+    exact bisection (_bisect_to_double) reads the root of such an interval.
     """
     p = seq[0]
     isolated = []  # (lo, hi, k, copies of its double), ascending
@@ -478,41 +482,24 @@ def nearest_double_roots(seq: list[list[int]], lo: int, hi: int, indices=None) -
         stack += [(mid, hi, k, v_mid, v_hi, first + v_lo - v_mid), (lo, mid, k, v_lo, v_mid, first)]
     found, reads = [], []  # reads: (index in found, double bracket, sign left of the root)
     for lo, hi, k, copies in isolated:
-        b = _to_double(hi, k)
-        if copies > 1 or _to_double(lo, k) == b or not (s := _sign_at(p, hi, k)):
+        a, b = _to_double(lo, k), _to_double(hi, k)
+        if copies > 1 or a == b or not (s := _sign_at(p, hi, k)):
             found.append(b)  # every root inside rounds to b, or the root is hi
-            continue
-        a, b = _inner_doubles(lo, hi, k)
-        if a < b:
+        elif Fraction(lo, 1 << k) == a and Fraction(hi, 1 << k) == b:  # finite doubles
             reads.append((len(found), a, b, -s))
-        found.append(None)
+            found.append(None)
+        else:
+            found.append(_bisect_to_double(p, lo, hi, k))
     if reads:
         estimates = np.sort([z.real for z in diagnostic_roots(p)])
         at, a, b, s_lo = zip(*reads)
         centre = (np.array(a) + np.array(b)) / 2
         guess = (estimates[np.abs(estimates[None, :] - centre[:, None]).argmin(axis=1)]
                  if estimates.size else centre)
-        x, certified, _, _ = _read_roots(Enclosure.of_integers([p]), [0] * len(reads), a, b,
-                                         s_lo, guess)
-        for i, root, ok in zip(at, x.tolist(), certified.tolist()):
-            if ok:
-                found[i] = root
-    return [_bisect_to_double(p, *item[:3]) if root is None else root
-            for item, root in zip(isolated, found) for _ in range(item[3])]
-
-
-def _inner_doubles(lo: int, hi: int, k: int) -> tuple[float, float]:
-    """The least double at or above lo / 2^k and the greatest at or below
-    hi / 2^k (nan where either lies past the doubles)."""
-    a, b = _to_double(lo, k), _to_double(hi, k)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return math.nan, math.nan
-    (num_a, num_b), kd = dyadic_numerators([a, b])
-    if num_a << k < lo << kd:
-        a = math.nextafter(a, math.inf)
-    if num_b << k > hi << kd:
-        b = math.nextafter(b, -math.inf)
-    return a, b
+        for i, root in zip(at, _nearest_roots(Enclosure.of_integers([p]), [0] * len(reads),
+                                              a, b, s_lo, guess)):
+            found[i] = root
+    return [root for root, (*_, copies) in zip(found, isolated) for _ in range(copies)]
 
 
 def _bisect_to_double(p: list[int], lo: int, hi: int, k: int) -> float:
@@ -853,14 +840,15 @@ def _nearest_roots(enc: Enclosure, rows, lo, hi, s_lo, guess) -> list[float]:
     """_read_roots' doubles, and wherever the filter did not certify one,
     _bisect_to_double's on the exact polynomial: inside the narrowest of
     _BRACKETS around the last double reached whose ends' exact signs hold
-    the root, or else inside the narrowed bracket."""
+    the root, or else (and where that double overflowed) inside the
+    narrowed bracket."""
     x, certified, lo, hi = _read_roots(enc, rows, lo, hi, s_lo, guess)
     found = []
     for c, root, ok, a, b, s in zip(rows, x.tolist(), certified.tolist(), lo.tolist(),
                                     hi.tolist(), s_lo):
         if not ok:
             p = enc.exact(c)
-            for half in _BRACKETS:
+            for half in _BRACKETS if math.isfinite(root) else ():
                 near = max(a, root - half), min(b, root + half)
                 if _sign_at_double(p, near[0]) == s and _sign_at_double(p, near[1]) != s:
                     a, b = near

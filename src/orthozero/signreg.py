@@ -43,8 +43,9 @@ from .errors import (
     BadTupleError,
     OutOfDomainError,
 )
-from .enclosure import _Interval, _enclose, _exact_det, _libm_down, _libm_up, _scaled_lu_enclose
-from .polycore import check_params
+from .enclosure import (_Interval, _enclose, _exact_det, _libm_down, _libm_up, _scaled_lu_enclose,
+                        _to_double, integer_det)
+from .polycore import check_params, dyadic_numerators
 from .powerseries import Series
 from .precision import DOUBLE, PrecisionPolicy
 
@@ -91,29 +92,52 @@ UNIT_SQUARE = Domain((-1.0, 1.0), (-1.0, 1.0))
 # half-integer e; and mpmath's power, which for half-integer e already takes
 # the square root (with 10 guard bits), then the integer power (exact and
 # rounded once, or binary powering with guard bits), then the reciprocal, so
-# it runs _Interval.pow's operations with fewer roundings. Only the extended
-# policy and ssr_minor compute in mpmath, so its route is built on first use
-# (_mpmath_route), and a double run never imports it.
+# it runs _Interval.pow's operations with fewer roundings. `lift` takes
+# doubles into the route's numbers, and `rounded` a double callable's values:
+# as they are, as intervals widened as numpy's exp and power are, or as mpf.
+# Only the extended policy computes in mpmath, so its route is built on
+# first use (_mpmath_route), and a double run never imports it.
 _NUMPY = SimpleNamespace(num=float, exp=np.exp, sqrt=np.sqrt,
-                         pow=lambda base, e: base ** float(e))
+                         pow=lambda base, e: base ** float(e),
+                         lift=lambda v: np.asarray(v, float), rounded=lambda v: v)
 _INTERVAL = SimpleNamespace(num=_Interval.lift, exp=_Interval.exp, sqrt=_Interval.sqrt,
-                            pow=_Interval.pow)
+                            pow=_Interval.pow, lift=_Interval.lift,
+                            rounded=lambda v: _Interval(_libm_down(v), _libm_up(v)))
 _SERIES = SimpleNamespace(num=float, sqrt=Series.sqrt, pow=operator.pow)
 
 
 @functools.cache
 def _mpmath_route() -> SimpleNamespace:
-    """The mpmath route, with `lift` (floats to mpf at the working
-    precision) and `workprec` (mpmath's precision context)."""
+    """The mpmath route, with `lift` and `rounded` (floats to mpf at the
+    working precision) and `workprec` (mpmath's precision context)."""
     import mpmath
 
+    lift = np.frompyfunc(mpmath.mpf, 1, 1)
     return SimpleNamespace(num=mpmath.mpf, exp=np.frompyfunc(mpmath.exp, 1, 1),
                            sqrt=np.frompyfunc(mpmath.sqrt, 1, 1),
                            pow=lambda base, e: base ** mpmath.mpf(e),
-                           lift=np.frompyfunc(mpmath.mpf, 1, 1), workprec=mpmath.workprec)
+                           lift=lift, rounded=lift, workprec=mpmath.workprec)
 
 
-class _Formula:
+class _Kernel:
+    """The entry points of a kernel, each its `on(route, x, y)`: its values
+    at the doubles x, y on that route, broadcast as numpy broadcasts."""
+
+    def evaluate(self, x, y):
+        return self.on(_NUMPY, x, y)
+
+    def evaluate_exact(self, x, y):
+        """One mpf for scalar x, y; for arrays, an object array of mpf."""
+        return self.on(_mpmath_route(), x, y)
+
+    def evaluate_interval(self, x, y) -> _Interval:
+        """Intervals enclosing the kernel's values, with its constants as
+        `evaluate_exact` lifts them."""
+        with np.errstate(all="ignore"):
+            return self.on(_INTERVAL, x, y)
+
+
+class _Formula(_Kernel):
     """A kernel written once as formula(x, y, lib) and evaluated under any
     route; `name` and its parameter fields (all but `domain`) describe it.
     Its working-precision entries run the formula's own operations, so they
@@ -122,21 +146,8 @@ class _Formula:
     name: ClassVar[str]
     refines: ClassVar[bool] = True
 
-    def evaluate(self, x, y):
-        return self.formula(np.asarray(x, float), np.asarray(y, float), _NUMPY)
-
-    def evaluate_exact(self, x, y):
-        """One mpf for scalar x, y; for arrays, an object array of mpf
-        broadcast as `evaluate` broadcasts."""
-        route = _mpmath_route()
+    def on(self, route, x, y):
         return self.formula(route.lift(x), route.lift(y), route)
-
-    def evaluate_interval(self, x, y) -> _Interval:
-        """Intervals enclosing the exact value of the formula at the doubles
-        x, y (constants as `evaluate_exact` lifts them), broadcast as
-        `evaluate` broadcasts."""
-        with np.errstate(all="ignore"):
-            return self.formula(_Interval.lift(x), _Interval.lift(y), _INTERVAL)
 
     def describe(self) -> str:
         """Short stable descriptor used in reports."""
@@ -258,7 +269,7 @@ class JacobiGenKernel(_Formula):
 
 
 @dataclass(frozen=True)
-class FactorWrappedKernel:
+class FactorWrappedKernel(_Kernel):
     """phi(x) psi(y) K(x, y) for fixed-sign factors phi, psi."""
 
     base: object
@@ -274,32 +285,22 @@ class FactorWrappedKernel:
         psi = np.vectorize(self.psi, otypes=[float])
         return phi(np.asarray(x, float)), psi(np.asarray(y, float))
 
-    def evaluate(self, x, y):
-        phi, psi = self._factors(x, y)
-        return phi * psi * self.base.evaluate(x, y)
-
-    def evaluate_exact(self, x, y):
+    def on(self, route, x, y):
         # the wrapping factors act as a rank-one rescaling, so evaluating
         # them in double does not disturb determinant sign or conditioning
         phi, psi = self._factors(x, y)
-        lift = _mpmath_route().lift
-        return lift(phi) * lift(psi) * self.base.evaluate_exact(x, y)
+        return route.lift(phi) * route.lift(psi) * self.base.on(route, x, y)
 
     @property
     def refines(self) -> bool:
         return self.base.refines
-
-    def evaluate_interval(self, x, y) -> _Interval:
-        phi, psi = self._factors(x, y)
-        with np.errstate(all="ignore"):
-            return _Interval.lift(phi) * _Interval.lift(psi) * self.base.evaluate_interval(x, y)
 
     def describe(self) -> str:
         return f"factor_wrapped[{self.base.describe()}]"
 
 
 @dataclass(frozen=True)
-class CustomKernel:
+class CustomKernel(_Kernel):
     """Arbitrary callable kernel with an explicit scan domain. The callable
     runs in double; its intervals take each value to be as accurate as
     _Interval takes numpy's exp and power, so the rounded minors of a
@@ -311,17 +312,9 @@ class CustomKernel:
     domain: Domain
     label: str = "custom"
 
-    def evaluate(self, x, y):
-        return np.asarray(self.fn(np.asarray(x, float), np.asarray(y, float)), float)
-
-    def evaluate_exact(self, x, y):
-        # the callable runs in double; only its values are lifted
-        return _mpmath_route().lift(self.evaluate(x, y))
-
-    def evaluate_interval(self, x, y) -> _Interval:
-        values = self.evaluate(x, y)
-        with np.errstate(all="ignore"):
-            return _Interval(_libm_down(values), _libm_up(values))
+    def on(self, route, x, y):
+        # the callable runs in double; the route takes only its values
+        return route.rounded(np.asarray(self.fn(_NUMPY.lift(x), _NUMPY.lift(y)), float))
 
     def describe(self) -> str:
         return f"{self.label} on {self.domain.window}"
@@ -386,8 +379,9 @@ def _settle(spec, xs, ys, policy: PrecisionPolicy) -> tuple[np.ndarray, np.ndarr
 
 def ssr_minor(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> float:
     """Determinant of [K(x_i, y_j)] for strictly increasing node tuples: the
-    exact determinant of the entries, rounded once, with the entries in
-    double or, under the extended policy, built at the working precision."""
+    exact determinant of the entries, rounded once (nan if an entry is not
+    finite), with the entries in double, taken as the binary rationals they
+    are, or, under the extended policy, built at the working precision."""
     xs = _check_tuple(xs, spec.domain.x)
     ys = _check_tuple(ys, spec.domain.y)
     if len(xs) != len(ys):
@@ -395,11 +389,12 @@ def ssr_minor(spec, xs, ys, policy: PrecisionPolicy = DOUBLE) -> float:
     if len(xs) > 8:
         raise BadTupleError("minor order capped at 8")
     matrix = _minor_matrices(spec, xs[None], ys[None], policy)[0]
-    if not policy.extended:
-        route = _mpmath_route()
-        with route.workprec(53):  # doubles lift exactly
-            matrix = route.lift(matrix)
-    return _exact_det(matrix)
+    if policy.extended:
+        return _exact_det(matrix)
+    if not np.isfinite(matrix).all():
+        return math.nan
+    rows, shifts = zip(*map(dyadic_numerators, matrix.tolist()))
+    return _to_double(integer_det(rows), sum(shifts))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from orthozero.transforms import (
     ultra_row_scale,
     unit_row_scale,
 )
-from orthozero import cli, harness, polycore, transforms
+from orthozero import cli, harness, polycore, signreg, transforms
 
 SMALL = dict(deg_cap=6, trials=10, seed=21)
 
@@ -766,21 +766,23 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_double_runs_load_no_mpmath(tmp_path):
-    # mpmath serves only the extended policy (and the library's ssr_minor):
-    # every campaign in double runs without it, and an extended config loads
-    # it at set-up
+    # mpmath serves only the extended policy: every campaign in double, and
+    # the library's ssr_minor in double, run without it, and an extended
+    # config loads it at set-up
     src = str(Path(harness.__file__).resolve().parents[1])
     code = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from orthozero import cli
 from orthozero.harness import CampaignConfig
+from orthozero.signreg import UltraGenKernel, ssr_minor
 runs = [["theorem12", "--alpha", "0", "2.5", "--deg-cap", "8", "--trials", "5"],
         ["conj32", "--alpha", "0.1", "--beta", "0.3", "--deg-cap", "6", "--trials", "5"],
         ["q31", "--alpha", "-0.5", "--beta", "0.3", "--deg-cap", "6"],
         ["ssr", "--trials", "20", "--m-max", "3"],
         ["biortho-equiv", "--trials", "5"]]
 codes = [cli.main(argv + ["--out", sys.argv[2]]) for argv in runs]
+ssr_minor(UltraGenKernel(1.5), [-0.5, 0.25], [-0.3, 0.6])
 double = "mpmath" in sys.modules
 CampaignConfig("ssr", alpha_grid=(0.0,), beta_grid=(0.5,), precision="extended:128")
 extended = "mpmath" in sys.modules
@@ -823,6 +825,17 @@ def test_harness_leaves_sturm_to_polycore():
     # the policy "certificate first, Sturm where it fails" lives in
     # polycore.verdicts; harness imports nothing from the Sturm layer
     assert not {"sturm_sequence", "all_roots_real", "locate", "exact_verdict"} & set(vars(harness))
+
+
+def test_one_root_reader_and_one_kernel_route_entry():
+    # the library's roots go through polycore._nearest_roots, as the
+    # campaigns' do, with no second reader beside it; and each kernel entry
+    # point is written once, over the kernel's own `on(route, x, y)`
+    assert not hasattr(polycore, "_inner_doubles")
+    for kind in (signreg._Formula, signreg.FactorWrappedKernel, signreg.CustomKernel):
+        assert issubclass(kind, signreg._Kernel)
+        assert not {"evaluate", "evaluate_exact", "evaluate_interval"} & set(vars(kind)), kind
+    assert {"evaluate", "evaluate_exact", "evaluate_interval"} <= set(vars(signreg._Kernel))
 
 
 def test_selftest_passes():

@@ -483,6 +483,56 @@ def test_nearest_double_root():
     assert nearest_double_roots(seq, -1, 1) == [1 / 3, float(close[1])]
 
 
+def _blind_enclosures():
+    """A patch of Enclosure.of_integers whose infinite radii settle no sign,
+    so every root it is asked for falls to the exact route."""
+    of_integers = Enclosure.of_integers
+
+    def blind(cls, polys):
+        enc = of_integers(polys)
+        return cls(enc.hi, enc.lo, np.full_like(enc.radius, np.inf), enc.degrees, enc.exact)
+
+    return mock.patch.object(Enclosure, "of_integers", classmethod(blind))
+
+
+@settings(max_examples=40, deadline=None)
+@given(roots=st.lists(st.tuples(RATIONALS, st.integers(1, 3)), min_size=1, max_size=6),
+       lead=RATIONALS.filter(lambda c: c != 0))
+def test_library_reader_falls_back_to_exact_bisection(roots, lead):
+    # with an enclosure that settles nothing, the library's roots are still
+    # the correctly rounded doubles: the exact fallback behind the dd reader
+    # reads every one, and a root past the doubles still reads inf
+    expanded = [r for r, mult in roots for _ in range(mult)]
+    p = primitive_part([lead * c for c in monic_from_roots(expanded)])
+    distinct = sorted(set(expanded))
+    close = [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)]
+    with _blind_enclosures():
+        seq = sturm_sequence(p)
+        bound = root_bound(p)
+        assert nearest_double_roots(seq, -bound, bound) == [float(r) for r in distinct]
+        seq = sturm_sequence([-2, 0, 1])
+        assert nearest_double_roots(seq, -2, 2) == [-math.sqrt(2.0), math.sqrt(2.0)]
+        assert nearest_double_roots(seq, -2, 2, {1}) == [math.sqrt(2.0)]
+        seq = sturm_sequence(primitive_part(monic_from_roots([Fraction(1, 2), Fraction(-3, 4), 0])))
+        assert nearest_double_roots(seq, -1, 1) == [-0.75, 0.0, 0.5]
+        seq = sturm_sequence(primitive_part(monic_from_roots(close)))
+        assert nearest_double_roots(seq, -1, 1) == [1 / 3, float(close[1])]
+        assert root_report([-(1 << 1100), 1], (-1.0, 1.0), 1e-9).roots == (math.inf,)
+
+
+def test_root_report_reads_through_the_one_reader():
+    # the Sturm route hands its isolating intervals to _nearest_roots as
+    # one batch, so the dd reader runs once for all six roots
+    roots = [Fraction(-9, 10), Fraction(-1, 3), Fraction(1, 7), Fraction(2, 5), Fraction(5, 3),
+             Fraction(10, 3)]
+    p = primitive_part(monic_from_roots(roots))
+    with mock.patch.object(polycore, "_nearest_roots", wraps=polycore._nearest_roots) as nearest, \
+            mock.patch.object(polycore, "_read_roots", wraps=polycore._read_roots) as read:
+        report = root_report(p, (-1.0, 1.0), 1e-9)
+    assert report.roots == tuple(complex(float(r)) for r in roots)
+    assert (nearest.call_count, read.call_count) == (1, 1)
+
+
 def test_bisection_agrees_with_nearest_double_root():
     # (x^2 - 2)(x^2 - 1/3)(x - 1/7)(x + 9/10): each root bisected from an
     # isolating interval between neighbouring doubles lands on the double
@@ -567,6 +617,19 @@ def test_root_report_past_the_double_range():
     for root, want in ((threshold - 1, sys.float_info.max), (threshold, math.inf)):
         assert root_report([-3 * root, 3], (-1.0, 1.0), 1e-9).roots == (want,)
         assert root_report([3 * root, 3], (-1.0, 1.0), 1e-9).roots == (-want,)
+    # two roots near the top: the midpoint of the lower one's isolating
+    # interval overflows, so the reader reaches no double and bisects
+    top = Fraction(sys.float_info.max)
+    p = primitive_part(monic_from_roots([top * Fraction(99, 100), top]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        roots = root_report(p, (-1.0, 1.0), 1e-9).roots
+    assert roots == (float(top * Fraction(99, 100)), sys.float_info.max)
+    # every coefficient but the constant underflows in diagnostic_roots, so
+    # the reader starts from the middle of each bracket
+    roots = [Fraction(v * 2**799) for v in (-5, -3, 3, 5)]
+    p = primitive_part(monic_from_roots(roots))
+    assert root_report(p, (-1.0, 1.0), 1e-9).roots == tuple(complex(float(r)) for r in roots)
 
 
 def test_roots_past_the_double_range_read_inf():
