@@ -193,7 +193,9 @@ def zeros_in_interval_check(
 ) -> RootReport:
     """Classify the constructed polynomial's roots against the interval,
     exactly: root_report on its double coefficients taken as the binary
-    rationals they are (integer_poly). tol defaults to DEFAULT_TAU_ROOT.
+    rationals they are (integer_poly), which is polycore.verdicts on
+    system.interval with every root read (the sign certificate, and Sturm
+    counts where it fails). tol defaults to DEFAULT_TAU_ROOT.
 
     For a sign-regular kernel weight (callers record scan evidence, the
     check does not re-prove it) the expected outcome is strictly-inside

@@ -4,19 +4,18 @@ and root-location classification against an interval.
 A Poly is immutable and carries its basis tag (monomial, ultraspherical, or
 Jacobi). Evaluation uses Horner in the monomial basis and Clenshaw's
 recurrence otherwise. Where roots lie is decided once, here, for the
-campaigns and the library alike, from exact integer polynomials: by Sturm
-counts (locate, exact_verdict, root_report), and for the campaigns'
-images by one function, verdicts, that tries a sign-change certificate
-over the whole line first and falls back to those counts. The
-certificate's signs, and the nearest doubles of roots, are read on a
-double-double enclosure of each polynomial (Enclosure, filtered_signs,
-_read_roots), with an a-priori error bound that certifies each sign it
-settles; the exact integer polynomial is built, and its signs taken in
-integers, only where that bound does not settle one. One function,
-_nearest_roots, reads every root reported as a double, for verdicts and
-the Sturm route (nearest_double_roots) alike: the enclosure's reader
-first, exact bisection where it certifies none. Double eigenvalues
-(poly_roots, diagnostic_roots) are diagnostics only.
+campaigns and the library alike, from exact integer polynomials on any
+interval with double ends, by one classifier, verdicts: a sign-change
+certificate over the whole line first, Sturm counts (sturm_verdict) where
+it fails. The certificate's signs, and the nearest doubles of roots, are
+read on a double-double enclosure of each polynomial (Enclosure,
+filtered_signs, _read_roots), with an a-priori error bound that certifies
+each sign it settles; the exact integer polynomial is built, and its
+signs taken in integers, only where that bound does not settle one. One
+function, _nearest_roots, reads every root reported as a double, for the
+certificate and the Sturm route (nearest_double_roots) alike: the
+enclosure's reader first, exact bisection where it certifies none. Double
+eigenvalues (poly_roots, diagnostic_roots) are diagnostics only.
 """
 
 from __future__ import annotations
@@ -426,36 +425,10 @@ def all_roots_real(seq: list[list[int]]) -> bool:
     return count_roots(seq, -bound, bound) == len(seq[0]) - 1
 
 
-def _locate(seq: list[list[int]], lo: float, hi: float, tol: float) -> RootLocation:
-    """classify_roots' verdict on (lo, hi) with tolerance tol for the roots
-    of the Sturm sequence's first entry, from exact counts.
-
-    Fewer real roots than distinct ones means a non-real root; fewer in the
-    closed band [lo - tol, hi + tol], one outside; fewer in the open interior
-    (lo + tol, hi - tol), one on the boundary. The four ends are the doubles
-    classify_roots compares against, so dyadic. A count covers (a, b], so
-    a root at lo - tol is added to the band's count and one at hi - tol
-    taken from the interior's, each found by its exact sign.
-    """
-    p = seq[0]
-    distinct = len(p) - 1
-    ends = [lo - tol, lo + tol, hi - tol, hi + tol]
-    if not all(map(math.isfinite, ends)):
-        raise BadIntervalError(f"the band around ({lo}, {hi}) leaves the doubles")
-    if not all_roots_real(seq):
-        return RootLocation.SOME_NON_REAL
-    (lo_out, lo_in, hi_in, hi_out), k = dyadic_numerators(ends)
-    if count_roots(seq, lo_out, hi_out, k) + (_sign_at(p, lo_out, k) == 0) < distinct:
-        return RootLocation.SOME_OUTSIDE
-    if count_roots(seq, lo_in, hi_in, k) - (_sign_at(p, hi_in, k) == 0) < distinct:
-        return RootLocation.SOME_ON_BOUNDARY
-    return RootLocation.ALL_STRICTLY_INSIDE
-
-
-def nearest_double_roots(seq: list[list[int]], lo: int, hi: int, indices=None) -> list[float]:
-    """The doubles nearest the distinct roots in (lo, hi] of the Sturm
-    sequence's first entry p, ascending: of the index-th smallest (from 0)
-    for each index in indices, or of all of them.
+def nearest_double_roots(seq: list[list[int]], lo: int, hi: int, indices=None, k=0) -> list:
+    """The doubles nearest the distinct roots in (lo / 2^k, hi / 2^k] of the
+    Sturm sequence's first entry p, ascending: of the index-th smallest
+    (from 0) for each index in indices, or of all of them.
 
     One pass of Sturm bisection isolates them: an interval is halved while
     it holds a wanted root and another root, and its ends round to different
@@ -467,7 +440,7 @@ def nearest_double_roots(seq: list[list[int]], lo: int, hi: int, indices=None) -
     """
     p = seq[0]
     isolated = []  # (lo, hi, k, copies of its double), ascending
-    stack = [(lo, hi, 0, _variations(seq, lo, 0), _variations(seq, hi, 0), 0)]
+    stack = [(lo, hi, k, _variations(seq, lo, k), _variations(seq, hi, k), 0)]
     while stack:  # depth first, the lower half first; first indexes the lowest root inside
         lo, hi, k, v_lo, v_hi, first = stack.pop()
         wanted = [i for i in range(first, first + v_lo - v_hi) if indices is None or i in indices]
@@ -493,7 +466,7 @@ def nearest_double_roots(seq: list[list[int]], lo: int, hi: int, indices=None) -
     if reads:
         estimates = np.sort([z.real for z in diagnostic_roots(p)])
         at, a, b, s_lo = zip(*reads)
-        centre = (np.array(a) + np.array(b)) / 2
+        centre = np.array(a) * 0.5 + np.array(b) * 0.5
         guess = (estimates[np.abs(estimates[None, :] - centre[:, None]).argmin(axis=1)]
                  if estimates.size else centre)
         for i, root in zip(at, _nearest_roots(Enclosure.of_integers([p]), [0] * len(reads),
@@ -536,12 +509,15 @@ def _sign_between(p: list[int], a: float, b: float) -> tuple[int, float]:
     """The sign of p at the midpoint of the adjacent doubles a < b, and that
     midpoint rounded half to even; an infinite end stands for +-2^1024,
     where the next double would be."""
-    (num_a, num_b), k = dyadic_numerators([x if math.isfinite(x) else 0.0 for x in (a, b)])
-    if a == -math.inf:
-        num_a = -1 << (1024 + k)
-    if b == math.inf:
-        num_b = 1 << (1024 + k)
+    num_a, num_b, k = _numerators(a, b, 1 << 1024)
     return _sign_at(p, num_a + num_b, k + 1), _to_double(num_a + num_b, k + 1)
+
+
+def _numerators(a: float, b: float, far: int) -> tuple[int, int, int]:
+    """Integers num_a, num_b and k >= 0 with a = num_a / 2^k and b = num_b /
+    2^k for doubles a < b, an infinite end standing for the integer -+far."""
+    (num_a, num_b), k = dyadic_numerators([x if math.isfinite(x) else 0.0 for x in (a, b)])
+    return (-far << k if a == -math.inf else num_a), (far << k if b == math.inf else num_b), k
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +553,10 @@ _DD_MUL = 8.5 * 2.0 ** -106
 _DD_MUL_FP = 3.5 * 2.0 ** -106
 _DD_ETA = 16 * _SMALLEST_SUBNORMAL
 _SPLITTER = 2.0 ** 27 + 1
-# Below this size the neighbouring midpoints of a double are not dd points.
+# Below this size the neighbouring midpoints of a double are not dd points;
+# above the largest double below _LARGEST lies the infinity.
 _TINY = 2.0 ** -1000
+_LARGEST = np.finfo(float).max
 
 
 def _two_sum(a, b):
@@ -773,7 +751,7 @@ def filtered_signs(enc: Enclosure, rows, points, need=None) -> np.ndarray:
 def _midpoints(a, b):
     """The midpoints of the adjacent finite doubles a < b as dd points (hi,
     lo): exact where |a| and |b| are at least _TINY."""
-    hi = (a + b) * 0.5
+    hi = a * 0.5 + b * 0.5
     return hi, ((a - hi) + (b - hi)) * 0.5
 
 
@@ -791,16 +769,16 @@ def _read_roots(enc: Enclosure, rows, lo, hi, s_lo, guess):
     settles the signs at those midpoints as s_lo and -s_lo inside (lo, hi),
     since every point between them rounds to x, and it moves one double
     when both signs agree. Where the filter cannot settle those signs
-    within _READ_PASSES passes (a root at a midpoint, say), x is the last
-    double reached.
+    within _READ_PASSES passes (a root at a midpoint, say), or once x is
+    below _TINY or at _LARGEST in size, x is the last double reached.
     """
     rows = np.asarray(rows, dtype=int)
     lo0, hi0, s_lo = (np.array(v, dtype=float) for v in (lo, hi, s_lo))
     lo, hi = lo0.copy(), hi0.copy()
     x = np.array(guess, dtype=float)
-    x = np.where((lo < x) & (x < hi), x, (lo + hi) / 2)
+    x = np.where((lo < x) & (x < hi), x, lo * 0.5 + hi * 0.5)
     certified = np.zeros(len(rows), dtype=bool)
-    live = np.flatnonzero(np.isfinite(x) & (np.abs(x) >= _TINY))
+    live = np.flatnonzero((np.abs(x) >= _TINY) & (np.abs(x) < _LARGEST))
     for first in [True] + [False] * (_READ_PASSES - 1):
         if not live.size:
             break
@@ -827,12 +805,12 @@ def _read_roots(enc: Enclosure, rows, lo, hi, s_lo, guess):
         with np.errstate(all="ignore"):
             step = xa - value / _derivative_at(enc.hi[rows[live]], xa)
         inside = ((lo[live] < step) & (step < hi[live])) | (step == xa)
-        step = np.where(inside, step, (lo[live] + hi[live]) / 2)
+        step = np.where(inside, step, lo[live] * 0.5 + hi[live] * 0.5)
         step = np.where(beyond.all(axis=1) & (step <= xa), above,
                         np.where(before.all(axis=1) & (step >= xa), below, step))
         x[live] = np.where(landed, xa, step)
         stuck = ~settled.any(axis=1) & (not first)  # the filter is at its limit here
-        live = live[~landed & ~stuck & np.isfinite(step) & (np.abs(step) >= _TINY)]
+        live = live[~landed & ~stuck & (np.abs(step) >= _TINY) & (np.abs(step) < _LARGEST)]
     return x, certified, lo, hi
 
 
@@ -841,7 +819,7 @@ def _nearest_roots(enc: Enclosure, rows, lo, hi, s_lo, guess) -> list[float]:
     _bisect_to_double's on the exact polynomial: inside the narrowest of
     _BRACKETS around the last double reached whose ends' exact signs hold
     the root, or else (and where that double overflowed) inside the
-    narrowed bracket."""
+    narrowed bracket, whose infinite ends stand for -+root_bound."""
     x, certified, lo, hi = _read_roots(enc, rows, lo, hi, s_lo, guess)
     found = []
     for c, root, ok, a, b, s in zip(rows, x.tolist(), certified.tolist(), lo.tolist(),
@@ -853,8 +831,7 @@ def _nearest_roots(enc: Enclosure, rows, lo, hi, s_lo, guess) -> list[float]:
                 if _sign_at_double(p, near[0]) == s and _sign_at_double(p, near[1]) != s:
                     a, b = near
                     break
-            (num_a, num_b), k = dyadic_numerators([a, b])
-            root = _bisect_to_double(p, num_a, num_b, k)
+            root = _bisect_to_double(p, *_numerators(a, b, root_bound(p)))
         found.append(root)
     return found
 
@@ -919,8 +896,8 @@ def _sign_certificates(enc: Enclosure, rows, approx, marks: np.ndarray) -> dict:
     """What certified signs prove of the polynomials p = enc.exact(c), c in
     rows, of degrees n >= 1, whose roots approx[c] estimates: for each c
     whose certificate holds, its cuts, the sign of p at the first one, how
-    many of its roots lie below each mark, and the estimates of its
-    smallest and largest roots.
+    many of its roots lie below each mark, and its estimates' real parts,
+    ascending.
 
     The cuts are -inf, the midpoints of consecutive sorted real parts of the
     estimates, and +inf. p's signs at +-inf are exact without evaluation:
@@ -943,7 +920,7 @@ def _sign_certificates(enc: Enclosure, rows, approx, marks: np.ndarray) -> dict:
     xs.sort(axis=1)  # NaN last
     slots = np.arange(top + 1)
     used, mid_used = slots[:-1] < deg[:, None], slots[:-2] < deg[:, None] - 1
-    mids = (xs[:, :-1] + xs[:, 1:]) / 2
+    mids = xs[:, :-1] * 0.5 + xs[:, 1:] * 0.5
     ordered = ((np.isfinite(xs) | ~used).all(axis=1) & (np.isfinite(mids) | ~mid_used).all(axis=1)
                & ((mids[:, :-1] < mids[:, 1:]) | ~mid_used[:, 1:]).all(axis=1))
     keep = np.flatnonzero(ordered)
@@ -973,7 +950,7 @@ def _sign_certificates(enc: Enclosure, rows, approx, marks: np.ndarray) -> dict:
     # at the mark differ
     g = np.sum(cuts[:, :, None] <= marks, axis=1)
     below = g - 1 + (at_marks != np.take_along_axis(at_cuts, g - 1, axis=1))
-    return {c: (t[:n + 1], s, b, (x[0], x[n - 1]))
+    return {c: (t[:n + 1], s, b, x[:n])
             for c, n, t, s, b, x in zip(rows[holds].tolist(), deg[holds].tolist(),
                                         cuts[holds].tolist(), at_cuts[holds, 0].tolist(),
                                         below[holds].tolist(), xs[holds].tolist())}
@@ -1063,7 +1040,7 @@ def integer_poly(p: Poly) -> list[int]:
 def poly_roots(p: Poly) -> list[complex]:
     """All degree-many roots (with multiplicity) of p, as the double
     eigenvalues of its monomial companion matrix: a diagnostic, read by no
-    verdict (root_report and locate decide where the roots lie)."""
+    verdict (verdicts decides where the roots lie)."""
     mono = basis_to_monomial(p)
     if mono.degree < 1:
         raise DegreeZeroError("root finding needs degree >= 1")
@@ -1101,10 +1078,10 @@ class RootReport:
 
     classify_roots reads the classification from the roots it is given:
     all_strictly_inside iff every root r satisfies |Im r| <= tol and
-    lo + tol < Re r < hi - tol. root_report takes it from exact counts
-    instead, where non-real means Im r != 0 and a multiple root counts once;
-    its roots are read by no verdict. Non-real beats outside beats
-    on-boundary when several roots misbehave.
+    lo + tol < Re r < hi - tol. root_report takes it from verdicts instead,
+    where non-real means Im r != 0 and a multiple root counts once; its
+    roots are read by no verdict. Non-real beats outside beats on-boundary
+    when several roots misbehave.
     """
 
     roots: tuple[complex, ...]
@@ -1114,12 +1091,15 @@ class RootReport:
 
 
 def _band(interval, tol: float) -> tuple[float, float]:
-    """The interval's ends as doubles, once lo < hi and tol > 0 are checked."""
+    """The interval's ends as doubles, once lo < hi, tol > 0 and a band
+    [lo - tol, hi + tol] inside the doubles are checked."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise BadIntervalError(f"need lo < hi, got ({lo}, {hi})")
     if not tol > 0:
         raise BadParameterError("tol must be strictly positive")
+    if not (math.isfinite(lo - tol) and math.isfinite(hi + tol)):
+        raise BadIntervalError(f"the band around ({lo}, {hi}) leaves the doubles")
     return lo, hi
 
 
@@ -1158,80 +1138,94 @@ def min_boundary_distance(roots, interval) -> float:
 # ---------------------------------------------------------------------------
 #
 # Integer polynomials come from exact images (transforms.exact_image) or
-# from double Polys (integer_poly). Sturm counts decide, with the
-# sign-change certificate first for the campaigns' batches (verdicts); a
-# root read from a double eigenvalue is a diagnostic only.
+# from double Polys (integer_poly). One classifier, verdicts, decides on any
+# interval with double ends: the sign-change certificate for a whole batch
+# first, and Sturm counts (sturm_verdict) where it fails; a root read from a
+# double eigenvalue is a diagnostic only.
 
-def locate(p: list[int], interval, tol: float) -> RootLocation:
+def sturm_verdict(p: list[int], interval, tol: float, read=False) -> tuple[RootLocation, list]:
     """classify_roots' verdict on interval with tolerance tol for the roots
-    of the integer polynomial p, from exact Sturm counts: non-real means
-    Im r != 0, and a multiple root counts once. The interval's ends are
-    doubles."""
-    lo, hi = _band(interval, tol)
-    if len(p) == 1:
-        return RootLocation.ALL_STRICTLY_INSIDE
-    return _locate(sturm_sequence(p), lo, hi, tol)
+    of the integer polynomial p, from exact Sturm counts (non-real means
+    Im r != 0, and a multiple root counts once), and the roots read as
+    verdicts' read_roots asks: none for False; for True, the nearest doubles
+    of the smallest and largest distinct roots when every one lies in
+    (lo, hi]; for "all", those of every distinct root, ascending, when all
+    are real; otherwise diagnostic_roots(p).
 
-
-def root_report(p: list[int], interval, tol: float) -> RootReport:
-    """locate's verdict for the integer polynomial p, with its roots: the
-    nearest doubles of its distinct roots, ascending, when all are real, and
-    otherwise its diagnostic_roots."""
-    lo, hi = _band(interval, tol)
-    if len(p) == 1:
-        return RootReport((), (lo, hi), tol, RootLocation.ALL_STRICTLY_INSIDE)
-    seq = sturm_sequence(p)
-    location = _locate(seq, lo, hi, tol)
-    if location is RootLocation.SOME_NON_REAL:
-        roots = diagnostic_roots(p)
-    else:
-        bound = root_bound(seq[0])
-        roots = nearest_double_roots(seq, -bound, bound)
-    return RootReport(tuple(map(complex, roots)), (lo, hi), tol, location)
-
-
-def exact_verdict(p: list[int], tol: float) -> tuple[RootLocation, list[complex]]:
-    """locate's verdict on (-1, 1) for the integer polynomial p, plus the
-    roots read for the reported distances.
-
-    When every distinct root lies in (-1, 1], those are the nearest doubles
-    of the smallest and largest. Otherwise they are diagnostic_roots.
+    Fewer real roots than distinct ones means a non-real root; fewer in the
+    closed band [lo - tol, hi + tol], one outside; fewer in the open interior
+    (lo + tol, hi - tol), one on the boundary. The four ends are the doubles
+    classify_roots compares against, so dyadic. A count covers (a, b], so
+    a root at lo - tol is added to the band's count and one at hi - tol
+    taken from the interior's, each found by its exact sign.
     """
+    lo, hi = _band(interval, tol)
     if len(p) == 1:
         return RootLocation.ALL_STRICTLY_INSIDE, []
     seq = sturm_sequence(p)
-    distinct = len(seq[0]) - 1
-    location = _locate(seq, -1.0, 1.0, tol)
-    if count_roots(seq, -1, 1) == distinct:
-        return location, list(map(complex, nearest_double_roots(seq, -1, 1, {0, distinct - 1})))
-    return location, diagnostic_roots(p)
+    q, distinct = seq[0], len(seq[0]) - 1
+    (lo_out, lo_in, hi_in, hi_out), k = dyadic_numerators([lo - tol, lo + tol, hi - tol, hi + tol])
+    if not all_roots_real(seq):
+        flag = RootLocation.SOME_NON_REAL
+    elif count_roots(seq, lo_out, hi_out, k) + (_sign_at(q, lo_out, k) == 0) < distinct:
+        flag = RootLocation.SOME_OUTSIDE
+    elif count_roots(seq, lo_in, hi_in, k) - (_sign_at(q, hi_in, k) == 0) < distinct:
+        flag = RootLocation.SOME_ON_BOUNDARY
+    else:
+        flag = RootLocation.ALL_STRICTLY_INSIDE
+    if not read:
+        return flag, []
+    bound = root_bound(q)
+    (a, b), k = ((-bound, bound), 0) if read == "all" else dyadic_numerators([lo, hi])
+    if count_roots(seq, a, b, k) < distinct:
+        return flag, diagnostic_roots(p)
+    wanted = None if read == "all" else {0, distinct - 1}
+    return flag, list(map(complex, nearest_double_roots(seq, a, b, wanted, k)))
 
 
-def verdicts(polys, tol: float, approx=None, read_roots=None) -> list:
-    """For each integer polynomial, exact_verdict on its primitive part when
-    read_roots[c] (every c by default), and otherwise locate's verdict on
-    (-1, 1) with no roots: the one route by which the campaigns decide where
-    an exact image's roots lie. polys is an Enclosure, or a list of integer
-    polynomials (Enclosure.of_integers).
+def locate(p: list[int], interval, tol: float) -> RootLocation:
+    """sturm_verdict's classification, no roots read: the Sturm route alone."""
+    return sturm_verdict(p, interval, tol)[0]
+
+
+def root_report(p: list[int], interval, tol: float) -> RootReport:
+    """verdicts' classification of the integer polynomial p on interval,
+    with every root read: the nearest doubles of its distinct roots,
+    ascending, when all are real, and otherwise its diagnostic_roots."""
+    lo, hi = _band(interval, tol)
+    (location, roots), = verdicts([p], tol, read_roots=["all"], interval=(lo, hi))
+    return RootReport(tuple(map(complex, roots)), (lo, hi), tol, location)
+
+
+def verdicts(polys, tol: float, approx=None, read_roots=None, interval=(-1.0, 1.0)) -> list:
+    """For each integer polynomial, sturm_verdict's classification on
+    interval (lo, hi) and the roots read_roots[c] asks for (True for every c
+    by default; see sturm_verdict): the one route by which the campaigns
+    and the library decide where roots lie. polys is an Enclosure, or a
+    list of integer polynomials (Enclosure.of_integers).
 
     The sign-change certificate (_sign_certificates) decides first, over the
     whole line, on the enclosure's dd values. approx[c] estimates the roots
     of row c; by default they are Enclosure.estimates. The certificate is
-    marked at the band ends -1 - tol, -1 + tol, 1 - tol and 1 + tol and at
-    +-1: its counts below them are _locate's, since no root sits on a mark,
-    and every root lies in (-1, 1) when none is below -1 and all are below
-    1. Only then are roots read, the extremes inside gaps that those marks
-    bracket (_nearest_roots: the dd reader, and exact bisection where it
-    fails); otherwise they are diagnostic_roots. Where the certificate
-    fails, Sturm counts decide on the exact polynomial, so no verdict rests
-    on a root finder, and the exact polynomial is built only where a sign
-    or a root needs it.
+    marked at the band ends lo - tol, lo + tol, hi - tol and hi + tol and at
+    lo and hi: its counts below them are sturm_verdict's, since no root sits
+    on a mark, and every root lies in (lo, hi) when none is below lo and all
+    are below hi. Its roots are real and simple, and gap i holds root i:
+    _nearest_roots (the dd reader, and exact bisection where it fails)
+    reads it inside the gap narrowed by the marks, padded with -+inf. Only
+    the extremes are read for True, and only when every root lies in
+    (lo, hi); otherwise they are diagnostic_roots. Where the certificate
+    fails, sturm_verdict decides on the exact polynomial's primitive part,
+    so no verdict rests on a root finder, and the exact polynomial is built
+    only where a sign or a root needs it.
     """
     enc = polys if isinstance(polys, Enclosure) else Enclosure.of_integers(polys)
+    lo, hi = _band(interval, tol)
     read_roots = [True] * len(enc) if read_roots is None else read_roots
-    ends = (-1.0 - tol, -1.0 + tol, 1.0 - tol, 1.0 + tol, -1.0, 1.0)
+    ends = (lo - tol, lo + tol, hi - tol, hi + tol, lo, hi)
     marks = sorted(set(ends))
-    lo_out, lo_in, hi_in, hi_out, minus, plus = map(marks.index, ends)
+    lo_out, lo_in, hi_in, hi_out, at_lo, at_hi = map(marks.index, ends)
+    padded = [-math.inf, *marks, math.inf]
     found = [(RootLocation.ALL_STRICTLY_INSIDE, []) for _ in range(len(enc))]  # a constant's
     live = np.flatnonzero(enc.degrees > 0)
     if not live.size:
@@ -1240,27 +1234,25 @@ def verdicts(polys, tol: float, approx=None, read_roots=None) -> list:
                                       np.array(marks))
     reads = []  # (case, bracket, sign left of the root, estimate)
     for c in live.tolist():
-        n = int(enc.degrees[c])
+        n, read = int(enc.degrees[c]), read_roots[c]
         if c not in certificates:
-            p = primitive_part(enc.exact(c))
-            found[c] = (exact_verdict(p, tol) if read_roots[c]
-                        else (locate(p, (-1.0, 1.0), tol), []))
+            found[c] = sturm_verdict(primitive_part(enc.exact(c)), (lo, hi), tol, read)
             continue
         cuts, first, below, guesses = certificates[c]
         flag = (RootLocation.SOME_OUTSIDE if below[hi_out] - below[lo_out] < n
                 else RootLocation.SOME_ON_BOUNDARY if below[hi_in] - below[lo_in] < n
                 else RootLocation.ALL_STRICTLY_INSIDE)
-        if read_roots[c] and not (below[minus] == 0 and below[plus] == n):
+        if read and read != "all" and not (below[at_lo] == 0 and below[at_hi] == n):
             found[c] = (flag, diagnostic_roots(primitive_part(enc.exact(c))))
             continue
         found[c] = (flag, [])
-        if read_roots[c]:  # the smallest and largest roots (one for degree 1)
-            for i, guess in {0: guesses[0], n - 1: guesses[1]}.items():
-                j = bisect.bisect_right(below, i)  # marks[j - 1] < root i < marks[j]
-                reads.append((c, max(cuts[i], marks[j - 1]), min(cuts[i + 1], marks[j]),
-                              first * (-1) ** i, guess))
+        below = [0, *below, n]
+        for i in (range(n) if read == "all" else sorted({0, n - 1}) if read else ()):
+            j = bisect.bisect_right(below, i)  # padded[j - 1] < root i < padded[j]
+            reads.append((c, max(cuts[i], padded[j - 1]), min(cuts[i + 1], padded[j]),
+                          first * (-1) ** i, guesses[i]))
     if reads:
-        cases, *read = zip(*reads)
-        for c, root in zip(cases, _nearest_roots(enc, cases, *read)):
+        cases, *brackets = zip(*reads)
+        for c, root in zip(cases, _nearest_roots(enc, cases, *brackets)):
             found[c][1].append(root)
     return found

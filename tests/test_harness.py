@@ -37,7 +37,6 @@ from orthozero.polycore import (
     classify_roots,
     comrade_roots,
     count_roots,
-    exact_verdict,
     integer_poly,
     jacobi_coefficient_rows,
     jacobi_rows_int,
@@ -47,6 +46,7 @@ from orthozero.polycore import (
     poly_roots,
     primitive_part,
     sturm_sequence,
+    sturm_verdict,
     verdicts,
 )
 from orthozero.transforms import (
@@ -199,11 +199,10 @@ def test_certified_interior_verdict_falls_back_to_exact_counts():
         ]
         for image, expected in cases:
             assert locate(image, (lo, hi), tol) is expected, (lo, hi, image, expected)
-            if (lo, hi) == (-1.0, 1.0):
-                approx = np.roots(np.array(image[::-1], dtype=float))
-                (classification, roots), = verdicts([image], tol, [approx])
-                assert classification is expected, (image, expected)
-                assert exact_verdict(image, tol)[0] is expected
+            approx = np.roots(np.array(image[::-1], dtype=float))
+            (classification, roots), = verdicts([image], tol, [approx], interval=(lo, hi))
+            assert classification is expected, (lo, hi, image, expected)
+            assert sturm_verdict(image, (lo, hi), tol, True) == (classification, roots)
         # on the library route, a double polynomial with a complex pair
         # 2^-10 +- i 5e-9 is non-real, where its eigenvalues classify inside
         centre = 2.0 ** -10
@@ -276,7 +275,8 @@ def test_boundary_family_exact_roots():
         1, 1, jacobi_rows_int(2, 0.0, 0.0, unit_row_scale))
     assert detail == {"mult_plus": 1, "mult_minus": 1, "residual_degree": 0}
     assert residual == [1]
-    assert exact_verdict(residual, 1e-7) == (RootLocation.ALL_STRICTLY_INSIDE, [])
+    assert sturm_verdict(residual, (-1.0, 1.0), 1e-7, True) == (
+        RootLocation.ALL_STRICTLY_INSIDE, [])
 
 
 def test_boundary_family_noninteger_parameters():
@@ -287,12 +287,12 @@ def test_boundary_family_noninteger_parameters():
     residual, detail = boundary_family_roots(3, 2, rows)
     assert detail == {"mult_plus": 0, "mult_minus": 0, "residual_degree": 5}
     assert not all_roots_real(sturm_sequence(residual))
-    classification, roots = exact_verdict(residual, 1e-7)
+    classification, roots = sturm_verdict(residual, (-1.0, 1.0), 1e-7, True)
     assert classification is RootLocation.SOME_NON_REAL
     assert len(roots) == 5
     assert any(abs(r.imag) > 1e-7 for r in roots)
     assert any(abs(r.imag) <= 1e-12 and abs(r.real) > 1.0 + 1e-7 for r in roots)
-    assert exact_verdict(residual, 1e-7) == (classification, roots)
+    assert sturm_verdict(residual, (-1.0, 1.0), 1e-7, True) == (classification, roots)
 
 
 def _polyroots_reference(n, m, alpha, beta, factorial):
@@ -350,10 +350,10 @@ def test_certified_boundary_verdicts_match_polyroots(alpha, beta):
             if real:
                 assert max_imag == 0.0, (n, m, factorial)
             else:
-                got = max(abs(r.imag) for r in exact_verdict(residual, tol)[1])
+                got = max(abs(r.imag) for r in sturm_verdict(residual, (-1.0, 1.0), tol, True)[1])
                 assert got == pytest.approx(max_imag, rel=1e-9, abs=0), (n, m, factorial)
             # conj32's case
-            got_flag, roots = exact_verdict(residual, tol)
+            got_flag, roots = sturm_verdict(residual, (-1.0, 1.0), tol, True)
             at_ends = [complex(1.0)] * detail["mult_plus"] + [complex(-1.0)] * detail["mult_minus"]
             if at_ends and got_flag is RootLocation.ALL_STRICTLY_INSIDE:
                 got_flag = RootLocation.SOME_ON_BOUNDARY
@@ -375,7 +375,7 @@ def test_line_certificate_agrees_with_sturm(alpha, beta, factorial):
     # every residual of the boundary family (n + m <= 10) that the
     # certificate decides, building no Sturm sequence, has all its roots
     # real; and every verdict, certified or not, is locate's classification
-    # with exact_verdict's roots where they are read
+    # with sturm_verdict's roots where they are read
     tol = 1e-7
     rows = jacobi_rows_int(10, alpha, beta, factorial_row_scale if factorial else unit_row_scale)
     residuals = [boundary_family_roots(n, m, rows)[0] for n, m in boundary_pairs(10)]
@@ -388,7 +388,7 @@ def test_line_certificate_agrees_with_sturm(alpha, beta, factorial):
             assert all_roots_real(sturm_sequence(residual))
         assert flag is locate(residual, (-1.0, 1.0), tol)
         if wanted:
-            assert (flag, roots) == exact_verdict(residual, tol)
+            assert (flag, roots) == sturm_verdict(residual, (-1.0, 1.0), tol, True)
         else:
             assert roots == []
 
@@ -406,7 +406,7 @@ def test_interior_image_with_a_real_root_outside_builds_no_sturm_sequence():
     with mock.patch.object(polycore, "sturm_sequence", wraps=sturm_sequence) as built:
         found = verdicts([image], tol, comrade_roots(weights, 0.1, 0.3))
     assert built.call_count == 0
-    assert found == [exact_verdict(primitive_part(image), tol)]
+    assert found == [sturm_verdict(primitive_part(image), (-1.0, 1.0), tol, True)]
     assert found[0][0] is RootLocation.SOME_OUTSIDE
 
 
@@ -824,7 +824,7 @@ for name in sys.argv[2:]:
 def test_harness_leaves_sturm_to_polycore():
     # the policy "certificate first, Sturm where it fails" lives in
     # polycore.verdicts; harness imports nothing from the Sturm layer
-    assert not {"sturm_sequence", "all_roots_real", "locate", "exact_verdict"} & set(vars(harness))
+    assert not {"sturm_sequence", "all_roots_real", "locate", "sturm_verdict"} & set(vars(harness))
 
 
 def test_one_root_reader_and_one_kernel_route_entry():

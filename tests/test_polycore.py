@@ -43,7 +43,6 @@ from orthozero.polycore import (
     comrade_roots,
     count_roots,
     dyadic_numerators,
-    exact_verdict,
     filtered_signs,
     integer_poly,
     locate,
@@ -53,6 +52,7 @@ from orthozero.polycore import (
     root_bound,
     root_report,
     sturm_sequence,
+    sturm_verdict,
     verdicts,
 )
 
@@ -348,6 +348,25 @@ def test_classify_bad_interval():
         classify_roots([0.0], (-1.0, 1.0), 0.0)
 
 
+def test_every_classifier_checks_the_band_alike():
+    # a band that leaves the doubles, a negative tol and a NaN tol are
+    # refused by every entry point, whatever the polynomial
+    for p in ([3], [1, 1]):
+        with pytest.raises(BadIntervalError):
+            root_report(p, (-1.7e308, 1.7e308), 1e307)
+        with pytest.raises(BadIntervalError):
+            locate(p, (-1.7e308, 1.7e308), 1e307)
+        with pytest.raises(BadIntervalError):
+            verdicts([p], 1e307, interval=(-1.7e308, 1.7e308))
+    with pytest.raises(BadIntervalError):
+        classify_roots([0.0], (-1.7e308, 1.7e308), 1e307)
+    for tol in (-1.0, math.nan):
+        with pytest.raises(BadParameterError):
+            verdicts([[1, 0, -4]], tol)
+        with pytest.raises(BadParameterError):
+            root_report([1, 0, -4], (-1.0, 1.0), tol)
+
+
 def test_integer_poly_is_exact():
     # P_2 = (3x^2 - 1)/2 and P_1^(1/2,1/4) = (11x + 1)/8, from their basis
     # coefficients; 0.1 is the binary rational 3602879701896397 / 2^55
@@ -621,10 +640,13 @@ def test_root_report_past_the_double_range():
     # interval overflows, so the reader reaches no double and bisects
     top = Fraction(sys.float_info.max)
     p = primitive_part(monic_from_roots([top * Fraction(99, 100), top]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        roots = root_report(p, (-1.0, 1.0), 1e-9).roots
+    roots = root_report(p, (-1.0, 1.0), 1e-9).roots
     assert roots == (float(top * Fraction(99, 100)), sys.float_info.max)
+    # roots at the largest doubles, with finite estimates: the certificate
+    # holds, the reader stops short of the infinity and bisection reads them
+    for roots in ([top], [-top], [Fraction(1, 2), top], [-top, top]):
+        p = primitive_part(monic_from_roots(roots))
+        assert root_report(p, (-1.0, 1.0), 1e-9).roots == tuple(complex(float(r)) for r in roots)
     # every coefficient but the constant underflows in diagnostic_roots, so
     # the reader starts from the middle of each bracket
     roots = [Fraction(v * 2**799) for v in (-5, -3, 3, 5)]
@@ -634,10 +656,10 @@ def test_root_report_past_the_double_range():
 
 def test_roots_past_the_double_range_read_inf():
     # x - 2^1100 overflows its companion matrix; its diagnostic root reads
-    # inf, as root_report reads it, in exact_verdict and verdicts alike
+    # inf, as root_report reads it, in sturm_verdict and verdicts alike
     p = [-(1 << 1100), 1]
     want = (RootLocation.SOME_OUTSIDE, [complex(math.inf)])
-    assert exact_verdict(p, 1e-7) == want
+    assert sturm_verdict(p, (-1.0, 1.0), 1e-7, True) == want
     assert verdicts([p], 1e-7) == [want]
     assert root_report(p, (-1.0, 1.0), 1e-7).roots == (math.inf,)
 
@@ -645,6 +667,24 @@ def test_roots_past_the_double_range_read_inf():
 def _sturm_builds():
     """A patch of polycore.sturm_sequence that counts its calls."""
     return mock.patch.object(polycore, "sturm_sequence", wraps=sturm_sequence)
+
+
+def test_root_report_reads_through_the_certificate():
+    # 40 polynomials with simple real roots: the sign certificate decides
+    # and reads them all, building no Sturm sequence, as the Sturm route
+    # would; a double root still leaves one polynomial to it
+    rng = np.random.default_rng(9)
+    roots = [rng.uniform(-1.2, 1.2, int(rng.integers(1, 31))) for _ in range(40)]
+    polys = [integer_poly(Poly(tuple(np.poly(r)[::-1]), tau_trim=0.0)) for r in roots]
+    with _sturm_builds() as built:
+        reports = [root_report(p, (-1.0, 1.0), 1e-9) for p in polys]
+    assert built.call_count == 0
+    assert [(r.classification, list(r.roots)) for r in reports] == [
+        sturm_verdict(p, (-1.0, 1.0), 1e-9, "all") for p in polys]
+    double = primitive_part(monic_from_roots([Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3)]))
+    with _sturm_builds() as built:
+        assert root_report(double, (-1.0, 1.0), 1e-9).roots == (-1 / 3, 0.5)
+    assert built.call_count == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -689,7 +729,7 @@ def test_certificate_rejects_what_it_cannot_prove():
         approx = np.roots(np.array(p[::-1], dtype=float))
         with _sturm_builds() as built:
             found = verdicts([p], tol, [approx])
-        assert found == [exact_verdict(p, tol)] and found[0][0] is flag, name
+        assert found == [sturm_verdict(p, (-1.0, 1.0), tol, True)] and found[0][0] is flag, name
         assert built.call_count == builds, name
     p = primitive_part(monic_from_roots(inside))
     for approx in ([0.5],  # too few estimates
@@ -697,7 +737,8 @@ def test_certificate_rejects_what_it_cannot_prove():
                    [0.4, 0.8]):  # both roots in one gap
         with _sturm_builds() as built:
             found = verdicts([p], tol, [approx])
-        assert found == [exact_verdict(p, tol)] and built.call_count == 1, approx
+        assert found == [sturm_verdict(p, (-1.0, 1.0), tol, True)]
+        assert built.call_count == 1, approx
 
 
 def _tie_above(x: float) -> Fraction:
@@ -890,7 +931,7 @@ def test_certificate_batch_equals_one_at_a_time():
     assert found == [verdicts([p], tol, [a])[0] for p, a in zip(polys, approx)]
     assert found[0] == (RootLocation.ALL_STRICTLY_INSIDE, [-1 / 3, 0.5])
     assert found[1][0] is RootLocation.SOME_OUTSIDE
-    assert found[3] == exact_verdict(polys[3], tol)
+    assert found[3] == sturm_verdict(polys[3], (-1.0, 1.0), tol, True)
 
 
 def test_boundary_verdicts_place_roots_at_the_band_ends():
@@ -913,14 +954,13 @@ def test_boundary_verdicts_place_roots_at_the_band_ends():
             primitive_part(monic_from_roots([*inside, Fraction(1)])),
             primitive_part([Fraction(1, 4), 0, 1])]
     everything = polys + left + [[3]]
-    for read in (True, False):
+    for read in (True, False, "all"):
         with _sturm_builds() as built:
             found = verdicts(everything, tol, read_roots=[read] * len(everything))
         assert built.call_count == len(left)
         for p, (flag, roots) in zip(everything, found):
-            want_flag, want_roots = exact_verdict(p, tol)
-            assert flag is want_flag is locate(p, (-1.0, 1.0), tol)
-            assert roots == (want_roots if read else [])
+            assert (flag, roots) == sturm_verdict(p, (-1.0, 1.0), tol, read)
+            assert flag is locate(p, (-1.0, 1.0), tol)
         assert [flag for flag, _ in found[:len(polys)]] == flags
     # a root past the double range has no companion estimate: Sturm decides
     with _sturm_builds() as built:
@@ -930,9 +970,12 @@ def test_boundary_verdicts_place_roots_at_the_band_ends():
 
 
 _TOL = 1e-7
-# roots on each of verdicts' marks, and one past the double range
-_MARK_ROOTS = [Fraction(x) for x in (-1.0 - _TOL, -1.0 + _TOL, 1.0 - _TOL, 1.0 + _TOL, -1.0, 1.0)]
 _HUGE = Fraction(2 ** 1100)
+# (-1, 1), as the campaigns use it, and intervals with any double ends
+_INTERVALS = st.one_of(st.just((-1.0, 1.0)), st.lists(
+    st.floats(-3.0, 3.0), min_size=2, max_size=2, unique=True).map(lambda ends: tuple(sorted(ends))))
+# what verdicts reads of each case: no roots, the extremes or every root
+_READS = st.lists(st.sampled_from([False, True, "all"]), min_size=5, max_size=5)
 
 
 def _times(a: list, b: list) -> list:
@@ -945,11 +988,14 @@ def _times(a: list, b: list) -> list:
 
 
 @st.composite
-def _images(draw):
+def _images(draw, interval):
     """An integer polynomial, not always primitive, with real roots inside,
-    on the marks, outside, past the doubles or repeated, and complex pairs;
-    and estimates of its roots, noisy, infinite past the doubles."""
-    reals = draw(st.lists(st.one_of(INTERIOR, RATIONALS, st.sampled_from([*_MARK_ROOTS, _HUGE])),
+    on the marks of interval, outside, past the doubles or repeated, and
+    complex pairs; and estimates of its roots, noisy, infinite past the
+    doubles."""
+    lo, hi = interval
+    marks = [Fraction(x) for x in (lo - _TOL, lo + _TOL, hi - _TOL, hi + _TOL, lo, hi)]
+    reals = draw(st.lists(st.one_of(INTERIOR, RATIONALS, st.sampled_from([*marks, _HUGE])),
                           max_size=5))
     if reals:
         reals += draw(st.lists(st.sampled_from(reals), max_size=2))
@@ -964,23 +1010,25 @@ def _images(draw):
     return p, estimates
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=100, deadline=None)
-@given(cases=st.lists(_images(), min_size=1, max_size=5), estimated=st.booleans(), data=st.data())
-@example(cases=[([-(2 ** 1100), 1], [math.inf])], estimated=True, data=None)
-@example(cases=[([-1, 1], [1.0]), ([5], []), ([-1, 0, 1], [-1.0, 1.0])], estimated=False,
-         data=None)
-def test_verdicts_equal_the_sturm_verdicts(cases, estimated, data):
-    # certified or not, every verdict is exact_verdict's on the primitive
-    # part when its roots are read and locate's otherwise, in flag and roots
+@given(drawn=_INTERVALS.flatmap(lambda interval: st.tuples(
+    st.just(interval), st.lists(_images(interval), min_size=1, max_size=5))),
+       estimated=st.booleans(), read=_READS)
+@example(drawn=((-1.0, 1.0), [([-(2 ** 1100), 1], [math.inf])]), estimated=True, read=[True] * 5)
+@example(drawn=((-1.0, 1.0), [([-1, 1], [1.0]), ([5], []), ([-1, 0, 1], [-1.0, 1.0])]),
+         estimated=False, read=[True] * 5)
+@example(drawn=((0.0, 1.0), [([-(2 ** 1100), 1], [math.inf]), ([-1, 0, 1], [-1.0, 1.0]),
+                             ([-1, 3], [1 / 3])]), estimated=True, read=["all"] * 5)
+def test_verdicts_equal_the_sturm_verdicts(drawn, estimated, read):
+    # on any interval with double ends, certified or not, every verdict is
+    # sturm_verdict's on the primitive part, in flag and in the roots read:
+    # none, the extremes or every root
+    interval, cases = drawn
     polys = [p for p, _ in cases]
-    read = (data.draw(st.lists(st.booleans(), min_size=len(polys), max_size=len(polys)))
-            if data is not None else [True] * len(polys))
+    read = read[:len(polys)]
     approx = [estimates for _, estimates in cases] if estimated else None
-    want = [exact_verdict(primitive_part(p), _TOL) if r
-            else (locate(primitive_part(p), (-1.0, 1.0), _TOL), [])
-            for p, r in zip(polys, read)]
-    assert verdicts(polys, _TOL, approx, read) == want
+    want = [sturm_verdict(primitive_part(p), interval, _TOL, r) for p, r in zip(polys, read)]
+    assert verdicts(polys, _TOL, approx, read, interval) == want
 
 
 def test_comrade_roots_stack_equals_one_at_a_time():

@@ -35,12 +35,12 @@ from orthozero.errors import BadParameterError, IncompleteSpecError, NonFiniteEr
 from orthozero.harness import boundary_pairs
 from orthozero.polycore import (
     deflate_root,
-    exact_verdict,
     jacobi_coefficient_rows,
     jacobi_recurrence,
     jacobi_rows_int,
     monic_from_roots,
     primitive_part,
+    sturm_verdict,
     verdicts,
 )
 from orthozero.transforms import (
@@ -579,12 +579,13 @@ def test_image_enclosure_holds_the_exact_image(alpha, beta, scale):
 
 def _dd_and_exact(roots, alpha, beta, scale, tol=1e-8):
     """verdicts on the enclosure of each image, with the roots of each
-    image's hi coefficients as estimates, against exact_verdict on its
-    exact image."""
+    image's hi coefficients as estimates, against sturm_verdict on its
+    exact image, with the extremes read."""
     rows = jacobi_rows_int(max(len(r) for r in roots), alpha, beta, scale)
     _, enc = image_enclosure(roots, rows)
     got = verdicts(enc, tol)
-    want = [exact_verdict(primitive_part(exact_image(r, rows)), tol) for r in roots]
+    want = [sturm_verdict(primitive_part(exact_image(r, rows)), (-1.0, 1.0), tol, True)
+            for r in roots]
     return got, want
 
 
